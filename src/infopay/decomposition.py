@@ -122,6 +122,11 @@ def _core(
         wq = [q.probs[t] * coarse.likelihood[t][s] for t in range(n_t)]
         m_q = sum(wq)
         m_p = sum(p.probs[t] * coarse.likelihood[t][s] for t in range(n_t))
+        if not (m_q > 0 and m_p > 0):  # only float underflow gets here
+            raise InputError(
+                f"coarse signal {coarse.signals[s]!r} has zero probability "
+                f"under the true or the perceived distribution"
+            )
         idx, best = _best_for(firm, wq, tie_break)
         assign_c.append(idx)
         w_coarse += m_p * best / m_q
@@ -138,7 +143,11 @@ def _core(
         wq = [q.probs[t] * fine.likelihood[t][f] for t in range(n_t)]
         m_q = sum(wq)
         m_p = sum(p.probs[t] * fine.likelihood[t][f] for t in range(n_t))
-        assert m_q > 0 and m_p > 0  # full support and live signal columns
+        if not (m_q > 0 and m_p > 0):  # only float underflow gets here
+            raise InputError(
+                f"fine signal {fine.signals[f]!r} has zero probability "
+                f"under the true or the perceived distribution"
+            )
         idx, best = _best_for(firm, wq, tie_break)
         wq_f.append(wq)
         m_qf.append(m_q)
@@ -189,7 +198,11 @@ def _core(
                 mu_p += coef * m_pf[f]
                 mu_q += coef * m_qf[f]
                 inner += coef * e_dot[s][f]
-        assert mu_q > 0  # coarse signals stay reachable through the kernel
+        if not mu_q > 0:  # float kernels match coarse columns only within tol
+            raise InputError(
+                f"coarse signal {coarse.signals[s]!r} is unreachable "
+                f"through the kernel"
+            )
         correction -= (mu_p / mu_q) * inner
 
     return {

@@ -17,6 +17,7 @@ Tolerance registry (float mode):
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -56,12 +57,14 @@ def parse_exact(text: str) -> Fraction:
 
 
 def parse_float(text: str) -> float:
+    """Parse ``a/b`` or decimal text to a finite float."""
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"not a finite number: {text!r}")
+    return value
 
 
 def format_number(x: Number) -> str:

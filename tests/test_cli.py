@@ -1,6 +1,10 @@
 """Exit codes, flag handling, and output shape of the command line."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,39 @@ def test_float_mode_check(scenario_file, capsys):
     )
     assert code == 0
     assert "result: PASS" in capsys.readouterr().out
+
+
+def _run_module(*args, optimize=False):
+    """``python [-O] -m infopay ARGS`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "infopay", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("token", ["inf", "nan"])
+def test_float_check_rejects_non_finite_surplus(scenario_file, tmp_path, token):
+    text = Path(scenario_file).read_text(encoding="utf-8")
+    assert "\n-4 4\n" in text
+    path = tmp_path / "nonfinite.inst"
+    path.write_text(text.replace("\n-4 4\n", f"\n-4 {token}\n"), encoding="utf-8")
+    proc = _run_module("--mode", "float", "check", str(path), "--claim", "invariants")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"not a number: '{token}'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("suite", "garbling", "--trials", "20", "--seed", "7"), ("example", "ex1-reversal")],
+)
+def test_optimized_interpreter_gives_same_output(args):
+    # no invariant may rest on assert, which python -O strips
+    plain = _run_module(*args)
+    optimized = _run_module(*args, optimize=True)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr
+    )

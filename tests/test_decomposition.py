@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from infopay import (
     Dist,
     Firm,
+    GarblingKernel,
     InputError,
     OrderingError,
     PerceptionClass,
@@ -150,6 +151,39 @@ def test_tie_break_does_not_change_the_identity():
         res = decompose(FIRM2, p, q, coarse, fine, tie_break=tie)
         assert res.total == res.perception_correcting + res.instrumental
         assert res.instrumental >= 0
+
+
+@pytest.mark.parametrize("side", ["coarse", "fine"])
+def test_underflowing_signal_raises_input_error(side):
+    # q puts 1e-300 on the only type that can send s1, so its perceived
+    # frequency underflows to 0.0 although every validator accepts it
+    space = BIN.to_float()
+    p = Dist(space, (0.5, 0.5))
+    q = Dist(space, (1e-300, 1.0))
+    dying = SignalStructure(space, ("s0", "s1"), ((1.0, 1e-300), (1.0, 0.0)))
+    if side == "coarse":
+        coarse, fine = dying, dying
+        kernel = GarblingKernel(("s0", "s1"), ("s0", "s1"), ((1.0, 0.0), (0.0, 1.0)))
+    else:
+        coarse, fine = uninformative_structure(space), dying
+        kernel = GarblingKernel(coarse.signals, ("s0", "s1"), ((1.0, 1.0),))
+    with pytest.raises(InputError, match=f"{side} signal 's1' has zero probability"):
+        decompose(FIRM2.to_float(), p, q, coarse, fine, kernel=kernel)
+    # the same firm and structures are fine under a perception that
+    # does not underflow
+    decompose(FIRM2.to_float(), p, p, coarse, fine, kernel=kernel)
+
+
+def test_coarse_signal_unreachable_through_float_kernel_raises_input_error():
+    # the kernel sends nothing to b, which float tolerance accepts because
+    # b has likelihood 1e-9 < LP_TOL
+    space = BIN.to_float()
+    p = Dist(space, (0.5, 0.5))
+    coarse = SignalStructure(space, ("a", "b"), ((1 - 1e-9, 1e-9), (1.0, 0.0)))
+    fine = SignalStructure(space, ("f0", "f1"), ((0.8, 0.2), (0.2, 0.8)))
+    kernel = GarblingKernel(("a", "b"), ("f0", "f1"), ((1.0, 1.0), (0.0, 0.0)))
+    with pytest.raises(InputError, match="coarse signal 'b' is unreachable"):
+        decompose(FIRM2.to_float(), p, p, coarse, fine, kernel=kernel)
 
 
 def test_decompose_requires_ordered_structures():

@@ -126,6 +126,12 @@ def test_float_mode_parses_floats():
     assert pop.q.probs == (0.25, 0.75)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400", "1" + "0" * 400 + "/3"])
+def test_float_mode_rejects_non_finite(token):
+    with pytest.raises(ParseError, match="line 2: not a number"):
+        loads_instance(f"[firm]\n0 {token}\n", mode="float")
+
+
 def test_data_outside_section():
     with pytest.raises(ParseError, match="line 1"):
         loads_instance("1/2 1/2\n")
