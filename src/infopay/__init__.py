@@ -36,8 +36,6 @@ from .orders import (
 )
 from .garbling import (
     GarblingKernel,
-    JointDist,
-    build_joints,
     compose_kernels,
     extremeness_eps_bound,
     find_garbling,
@@ -101,12 +99,10 @@ __all__ = [
     "perception_class",
     "separating_signal_structure",
     "GarblingKernel",
-    "JointDist",
     "find_garbling",
     "garble",
     "compose_kernels",
     "kernel_reproduces",
-    "build_joints",
     "is_slightly_more_informative",
     "within_eps_of_full",
     "extremeness_eps_bound",

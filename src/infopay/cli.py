@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .decomposition import INSTRUMENTAL_FLOOR, decompose
+from .decomposition import decompose
 from .discrimination import GapScenario
 from .discrimination import check_gap_ranking, check_narrowing, check_nearly_full
 from .errors import InfopayError, InputError
 from .examples import EXAMPLE_NAMES, run_example
 from .instancefile import load_instance
 from .model import Firm, Population
-from .numeric import SIGN_TOL, format_number, parse_exact, parse_float
+from .numeric import claim_slacks, format_number, parse_exact, parse_float
 from .orders import perception_class
 from .suites import SUITE_NAMES, run_suite
 from .sweep import DEFAULT_GRID_SPEC, run_figure1
@@ -187,8 +187,7 @@ def _need_scenario(obj, claim: str) -> GapScenario:
 
 
 def _check_theorem1(scenario: GapScenario, mode: str, tol) -> tuple[list[str], bool]:
-    eq = 0 if mode == "rational" else (SIGN_TOL if tol is None else tol)
-    floor = 0 if mode == "rational" else (INSTRUMENTAL_FLOOR if tol is None else -tol)
+    eq, _, floor = claim_slacks(mode == "rational", tol)
     lines, ok = [], True
     for label, q in (("favored", scenario.q_i), ("other", scenario.q_j)):
         res = decompose(

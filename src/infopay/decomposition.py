@@ -15,11 +15,11 @@ The perception-correcting part is signed by the direction of
 misperception when the firm is monotone and the fine structure has
 monotone likelihood ratios.
 
-Everything is computed through one shared kernel and one tie-broken
-assignment per signal.  Computations avoid Bayes normalization where a
-positive scaling cannot change an argmax, and the remaining conditional
-probabilities cancel algebraically, so rational inputs stay exact and
-fast.
+Everything is computed through one shared kernel and the model's
+per-signal pay table (``pay_table``): marginals, unnormalized perceived
+weights and one tie-broken assignment per signal.  The remaining
+conditional probabilities cancel algebraically, so rational inputs stay
+exact and fast.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, OrderingError
 from .garbling import GarblingKernel, find_garbling, kernel_reproduces
-from .model import Dist, Firm, SignalStructure
-from .numeric import SIGN_TOL, Number, all_exact
+from .model import Dist, Firm, SignalStructure, pay_table, table_pay
+from .numeric import Number, all_exact, claim_slacks
 from .orders import PerceptionClass, is_mlr, perception_class
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "instrumental",
     "check_signs",
 ]
-
-INSTRUMENTAL_FLOOR = -1e-12  # float-mode slack for the nonnegativity claim
 
 
 @dataclass(frozen=True)
@@ -84,16 +82,6 @@ def _resolve_kernel(
     return kernel
 
 
-def _best_for(firm: Firm, weights: list[Number], tie_break: str) -> tuple[int, Number]:
-    scores = [
-        sum(w * a for w, a in zip(weights, task.surplus)) for task in firm.tasks
-    ]
-    best = max(scores)
-    if tie_break == "lowest":
-        return scores.index(best), best
-    return len(scores) - 1 - scores[::-1].index(best), best
-
-
 def _core(
     firm: Firm,
     p: Dist,
@@ -103,59 +91,13 @@ def _core(
     kernel: GarblingKernel,
     tie_break: str,
 ) -> dict:
-    if tie_break not in ("lowest", "highest"):
-        raise InputError(f"unknown tie_break {tie_break!r}")
-    if not (p.space == q.space == coarse.space == fine.space):
-        raise InputError("decomposition inputs disagree on the skill space")
     if not (p.full_support and q.full_support):
         raise InputError("decomposition requires full-support distributions")
-    n_t = p.space.size
-    if len(firm.tasks[0].surplus) != n_t:
-        raise InputError("firm tasks and distributions cover different type counts")
     n_c, n_f = coarse.n_signals, fine.n_signals
     g = kernel.matrix
-
-    # coarse side: perceived weights, marginals, tie-broken assignment
-    assign_c: list[int] = []
-    w_coarse = 0
-    for s in range(n_c):
-        wq = [q.probs[t] * coarse.likelihood[t][s] for t in range(n_t)]
-        m_q = sum(wq)
-        m_p = sum(p.probs[t] * coarse.likelihood[t][s] for t in range(n_t))
-        if not (m_q > 0 and m_p > 0):  # only float underflow gets here
-            raise InputError(
-                f"coarse signal {coarse.signals[s]!r} has zero probability "
-                f"under the true or the perceived distribution"
-            )
-        idx, best = _best_for(firm, wq, tie_break)
-        assign_c.append(idx)
-        w_coarse += m_p * best / m_q
-
-    # fine side
-    wq_f: list[list[Number]] = []
-    m_qf: list[Number] = []
-    m_pf: list[Number] = []
-    ratio: list[Number] = []  # true over perceived signal frequency
-    assign_f: list[int] = []
-    best_f: list[Number] = []
-    w_fine = 0
-    for f in range(n_f):
-        wq = [q.probs[t] * fine.likelihood[t][f] for t in range(n_t)]
-        m_q = sum(wq)
-        m_p = sum(p.probs[t] * fine.likelihood[t][f] for t in range(n_t))
-        if not (m_q > 0 and m_p > 0):  # only float underflow gets here
-            raise InputError(
-                f"fine signal {fine.signals[f]!r} has zero probability "
-                f"under the true or the perceived distribution"
-            )
-        idx, best = _best_for(firm, wq, tie_break)
-        wq_f.append(wq)
-        m_qf.append(m_q)
-        m_pf.append(m_p)
-        ratio.append(m_p / m_q)
-        assign_f.append(idx)
-        best_f.append(best)
-        w_fine += m_p * best / m_q
+    rows_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
+    rows_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
+    ratio = [r.m_p / r.m_q for r in rows_f]  # true over perceived frequency
 
     # unnormalized perceived fine-posterior value of each coarse task:
     # dot(q-weights at fine signal f, surplus of the task kept at coarse s);
@@ -163,29 +105,30 @@ def _core(
     # linked pairs with a zero kernel entry drop out exactly (and a zero
     # perceived pair weight implies a zero true one, both being the kernel
     # entry times a positive marginal)
-    kept = [firm.tasks[i].surplus for i in assign_c]
+    kept = [firm.tasks[r.task].surplus for r in rows_c]
     e_dot: list[list[Number | None]] = [[None] * n_f for _ in range(n_c)]
     for s in range(n_c):
         row = g[s]
         surplus = kept[s]
         for f in range(n_f):
             if row[f] != 0:
-                e_dot[s][f] = sum(w * a for w, a in zip(wq_f[f], surplus))
+                e_dot[s][f] = sum(w * a for w, a in zip(rows_f[f].weights, surplus))
 
     correction = 0
     inst_joint = 0
     inst_signalwise = 0
     for f in range(n_f):
+        best = rows_f[f].score
         mixed = 0  # sum over s of g[s][f] * e(s, f)
-        gap = 0  # sum over s of g[s][f] * (best_f - e(s, f))
+        gap = 0  # sum over s of g[s][f] * (best - e(s, f))
         for s in range(n_c):
             coef = g[s][f]
             if coef != 0:
                 mixed += coef * e_dot[s][f]
-                gap += coef * (best_f[f] - e_dot[s][f])
+                gap += coef * (best - e_dot[s][f])
         correction += ratio[f] * mixed
         inst_joint += ratio[f] * gap
-        inst_signalwise += ratio[f] * (best_f[f] - mixed)
+        inst_signalwise += ratio[f] * (best - mixed)
     # subtract the perceived-frequency counterpart per coarse signal:
     # sum_s mu_p(s)/mu_q(s) * sum_f g[s][f] * e(s, f)
     for s in range(n_c):
@@ -195,8 +138,8 @@ def _core(
         for f in range(n_f):
             coef = g[s][f]
             if coef != 0:
-                mu_p += coef * m_pf[f]
-                mu_q += coef * m_qf[f]
+                mu_p += coef * rows_f[f].m_p
+                mu_q += coef * rows_f[f].m_q
                 inner += coef * e_dot[s][f]
         if not mu_q > 0:  # float kernels match coarse columns only within tol
             raise InputError(
@@ -206,13 +149,13 @@ def _core(
         correction -= (mu_p / mu_q) * inner
 
     return {
-        "w_fine": w_fine,
-        "w_coarse": w_coarse,
+        "w_fine": table_pay(rows_f),
+        "w_coarse": table_pay(rows_c),
         "correction": correction,
         "inst_joint": inst_joint,
         "inst_signalwise": inst_signalwise,
-        "assign_coarse": tuple(assign_c),
-        "assign_fine": tuple(assign_f),
+        "assign_coarse": tuple(r.task for r in rows_c),
+        "assign_fine": tuple(r.task for r in rows_f),
     }
 
 
@@ -340,11 +283,10 @@ def check_signs(
     the perception is LR-comparable to the truth.
     """
     result = decompose(firm, p, q, coarse, fine, kernel, tie_break, tol)
-    exact = all_exact(
-        (result.total, result.perception_correcting, result.instrumental)
+    _, slack, floor = claim_slacks(
+        all_exact((result.total, result.perception_correcting, result.instrumental)),
+        tol,
     )
-    floor = 0 if exact else INSTRUMENTAL_FLOOR
-    slack = 0 if exact else (SIGN_TOL if tol is None else tol)
     monotone = firm.is_monotone
     fine_mlr = False if fine.values is None else is_mlr(fine)
     pclass = perception_class(p, q)

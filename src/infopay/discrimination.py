@@ -44,7 +44,7 @@ from .model import (
     fully_informative_structure,
     uninformative_structure,
 )
-from .numeric import SIGN_TOL, Number, all_exact, format_number
+from .numeric import Number, all_exact, claim_slacks, format_number
 from .orders import is_mlr, lr_geq
 
 __all__ = [
@@ -106,12 +106,6 @@ def pay_gap(
     return average_pay(firm, Population(p, q_i, sig)) - average_pay(
         firm, Population(p, q_j, sig)
     )
-
-
-def _slack(values, tol: float | None) -> Number:
-    if all_exact(values):
-        return 0
-    return SIGN_TOL if tol is None else tol
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ def check_gap_ranking(
         "other_under_perceived": lr_geq(p, q_j, tol=tol),
         "favored_perception_above": lr_geq(q_i, q_j, tol=tol),
     }
-    slack = _slack((w_i, w_j), tol)
+    _, slack, _ = claim_slacks(all_exact((w_i, w_j)), tol)
     return GapRankingReport(
         hypotheses=hypotheses,
         w_i=w_i,
@@ -268,7 +262,7 @@ def check_narrowing(
         "other_under_perceived": lr_geq(p, q_j, tol=tol),
         "slight_gain": slight_i and slight_j,
     }
-    slack = _slack((gap_coarse, gap_fine), tol)
+    _, slack, _ = claim_slacks(all_exact((gap_coarse, gap_fine)), tol)
     return NarrowingReport(
         hypotheses=hypotheses,
         baseline_lr=lr_geq(q_i, q_j, tol=tol),
@@ -321,7 +315,7 @@ def check_nearly_full(
     within = within_eps_of_full(scenario.fine, eps, tol=tol)
     gap_coarse = pay_gap(firm, p, q_i, q_j, scenario.coarse)
     gap_fine = pay_gap(firm, p, q_i, q_j, scenario.fine)
-    slack = _slack((gap_coarse, gap_fine), tol)
+    _, slack, _ = claim_slacks(all_exact((gap_coarse, gap_fine)), tol)
     if gap_coarse > slack:
         ok = (not within) or gap_fine <= gap_coarse + slack
     elif gap_coarse >= -slack:

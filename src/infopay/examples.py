@@ -33,7 +33,7 @@ from .model import (
     fully_informative_structure,
     uninformative_structure,
 )
-from .numeric import SIGN_TOL, format_number
+from .numeric import claim_slacks, format_number
 from .orders import PerceptionClass, is_mlr, lr_geq, perception_class
 
 __all__ = ["ExampleCheck", "ExampleReport", "EXAMPLE_NAMES", "run_example"]
@@ -74,12 +74,6 @@ class ExampleReport:
         return "\n".join(lines)
 
 
-def _slack(mode: str, tol: float | None):
-    if mode == "rational":
-        return 0
-    return SIGN_TOL if tol is None else tol
-
-
 def _as_mode(value, mode: str):
     return float(value) if mode == "float" else Fraction(value)
 
@@ -105,7 +99,7 @@ def _ex1_reversal(mode, tol, p1, q1) -> ExampleReport:
     change is p1 - q1, all of it perception-correcting."""
     _unit_interval("p1", p1)
     _unit_interval("q1", q1)
-    eq = _slack(mode, tol)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
     firm = Firm((Task((0, 1)),))
     p, q = _binary(space, p1), _binary(space, q1)
@@ -153,7 +147,7 @@ def _ex2_monotone_fail(mode, tol, p1, q1) -> ExampleReport:
     p(0) - q(0), whose sign contradicts the monotone-firm sign rule."""
     _unit_interval("p1", p1)
     _unit_interval("q1", q1)
-    eq = _slack(mode, tol)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
     firm = Firm((Task((1, 0)),))
     p, q = _binary(space, p1), _binary(space, q1)
@@ -208,7 +202,7 @@ def _ex3_mlr_fail(mode, tol, delta) -> ExampleReport:
     lo, hi = Fraction(-1, 4), Fraction(1, 12)
     if not lo < delta < hi:
         raise InputError("delta must lie strictly between -1/4 and 1/12")
-    eq = _slack(mode, tol)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
     one = 1.0 if mode == "float" else Fraction(1)
     space = SkillSpace((0, 1, 2))
     firm = Firm((Task((0, 1, 2)),))
@@ -270,7 +264,7 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
     better-placed population earns strictly less when qj1 > p1."""
     for name, v in (("p1", p1), ("qi1", qi1), ("qj1", qj1)):
         _unit_interval(name, v)
-    eq = _slack(mode, tol)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
     firm = Firm((Task((0, 1)),))
     p = _binary(space, p1)
@@ -351,8 +345,7 @@ def _blackwell_forward(mode, tol, trials, seed) -> ExampleReport:
     correction vanishes and the whole nonnegative gain is instrumental."""
     if trials < 1:
         raise InputError("trials must be at least 1")
-    eq = _slack(mode, tol)
-    floor = 0 if mode == "rational" else -(SIGN_TOL if tol is None else tol)
+    eq, sign, _ = claim_slacks(mode == "rational", tol)
     gain_fail = corr_fail = inst_fail = None
     for trial in range(trials):
         rng = trial_rng(seed, trial)
@@ -368,7 +361,7 @@ def _blackwell_forward(mode, tol, trials, seed) -> ExampleReport:
         direct = average_pay(firm, Population(p, p, fine)) - average_pay(
             firm, Population(p, p, coarse)
         )
-        if direct < floor and gain_fail is None:
+        if direct < -sign and gain_fail is None:
             gain_fail = trial
         if abs(res.perception_correcting) > eq and corr_fail is None:
             corr_fail = trial

@@ -22,12 +22,10 @@ from .simplex import feasible_point
 
 __all__ = [
     "GarblingKernel",
-    "JointDist",
     "find_garbling",
     "garble",
     "compose_kernels",
     "kernel_reproduces",
-    "build_joints",
     "is_slightly_more_informative",
     "within_eps_of_full",
     "extremeness_eps_bound",
@@ -195,80 +193,6 @@ def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKer
         for c in range(n_c)
     )
     return GarblingKernel(outer.coarse_signals, inner.fine_signals, matrix)
-
-
-@dataclass(frozen=True)
-class JointDist:
-    """Joint law of (type, coarse signal, fine signal) under one belief.
-
-    ``probs[t][s][f]`` multiplies the type weight, the fine likelihood
-    and the kernel entry, so type and coarse signal are independent
-    conditional on the fine signal by construction.
-    """
-
-    space: object
-    coarse_signals: tuple[str, ...]
-    fine_signals: tuple[str, ...]
-    probs: tuple[tuple[tuple[Number, ...], ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "probs",
-            tuple(tuple(tuple(r) for r in plane) for plane in self.probs),
-        )
-        flat = [v for plane in self.probs for row in plane for v in row]
-        tol = pick_tol(flat, LP_TOL)
-        if any(v < -tol for v in flat):
-            raise InputError("joint probabilities must be nonnegative")
-        total = sum(flat)
-        if not (1 - max(tol, 1e-9) <= total <= 1 + max(tol, 1e-9)):
-            raise InputError(f"joint probabilities sum to {total!r}, expected 1")
-
-    def coarse_marginal(self, s: int) -> Number:
-        return sum(sum(plane[s]) for plane in self.probs)
-
-    def fine_marginal(self, f: int) -> Number:
-        return sum(plane[s][f] for plane in self.probs for s in range(len(plane)))
-
-    def pair_marginal(self, s: int, f: int) -> Number:
-        return sum(plane[s][f] for plane in self.probs)
-
-
-def build_joints(
-    p: Dist,
-    q: Dist,
-    fine: SignalStructure,
-    coarse: SignalStructure,
-    kernel: GarblingKernel,
-    tol: float | None = None,
-) -> tuple[JointDist, JointDist]:
-    """Joint (type, coarse, fine) laws under the true and the perceived
-    type distribution, sharing one garbling kernel."""
-    _check_shared_space(fine, coarse)
-    if not (p.space == q.space == fine.space):
-        raise InputError("distributions and structures disagree on types")
-    if not (p.full_support and q.full_support):
-        raise InputError("build_joints requires full-support distributions")
-    if not kernel_reproduces(kernel, fine, coarse, tol=tol):
-        raise InputError("kernel does not reproduce the coarse structure")
-
-    def tensor(dist: Dist) -> JointDist:
-        probs = tuple(
-            tuple(
-                tuple(
-                    dist.probs[t]
-                    * fine.likelihood[t][f]
-                    * kernel.matrix[s][f]
-                    for f in range(fine.n_signals)
-                )
-                for s in range(coarse.n_signals)
-            )
-            for t in range(dist.space.size)
-        )
-        return JointDist(dist.space, coarse.signals, fine.signals, probs)
-
-    return tensor(p), tensor(q)
 
 
 def is_slightly_more_informative(

@@ -18,8 +18,8 @@ a conversion, so rational inputs give exact results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .numeric import (
@@ -27,6 +27,7 @@ from .numeric import (
     Number,
     all_exact,
     pick_tol,
+    require_finite,
     validate_prob_vector,
 )
 
@@ -40,6 +41,9 @@ __all__ = [
     "posterior",
     "argmax_task_set",
     "assign_task",
+    "SignalRow",
+    "pay_table",
+    "table_pay",
     "worker_pay",
     "average_pay",
     "uninformative_structure",
@@ -58,6 +62,7 @@ class SkillSpace:
         object.__setattr__(self, "thetas", tuple(self.thetas))
         if len(self.thetas) < 2:
             raise InputError("skill space needs at least two types")
+        require_finite(self.thetas, "skill levels")
         for lo, hi in zip(self.thetas, self.thetas[1:]):
             if not lo < hi:
                 raise InputError("skill levels must be strictly increasing")
@@ -108,6 +113,7 @@ class Task:
         object.__setattr__(self, "surplus", tuple(self.surplus))
         if not self.surplus:
             raise InputError("task needs at least one surplus entry")
+        require_finite(self.surplus, "task surplus")
 
     @property
     def is_increasing(self) -> bool:
@@ -180,6 +186,7 @@ class SignalStructure:
         if self.values is not None:
             if len(self.values) != len(self.signals):
                 raise InputError("signal values must match signal count")
+            require_finite(self.values, "signal values")
             for lo, hi in zip(self.values, self.values[1:]):
                 if not lo < hi:
                     raise InputError("signal values must be strictly increasing")
@@ -193,9 +200,6 @@ class SignalStructure:
             return self.signals.index(label)
         except ValueError:
             raise InputError(f"unknown signal label {label!r}") from None
-
-    def column(self, j: int) -> tuple[Number, ...]:
-        return tuple(row[j] for row in self.likelihood)
 
     def to_float(self) -> "SignalStructure":
         return SignalStructure(
@@ -259,73 +263,111 @@ def _scores(firm: Firm, weights: Sequence[Number]) -> list[Number]:
     ]
 
 
+def _near_max(scores: Sequence[Number], slack: Number) -> list[int]:
+    """Indices of the scores within ``slack`` of the best, in order."""
+    best = max(scores)
+    if not slack:  # exact: an equality test is cheaper than a Fraction order
+        return [i for i, v in enumerate(scores) if v == best]
+    floor = best - slack
+    return [i for i, v in enumerate(scores) if v >= floor]
+
+
+def _check_tie_break(tie_break: str) -> None:
+    if tie_break not in ("lowest", "highest"):
+        raise InputError(f"unknown tie_break {tie_break!r}")
+
+
 def argmax_task_set(firm: Firm, belief: Dist, tol: float | None = None) -> tuple[int, ...]:
     """Indices of all tasks within tolerance of the best expected surplus."""
     scores = _scores(firm, belief.probs)
     slack = pick_tol(scores, DEFAULT_TOL if tol is None else tol)
-    best = max(scores)
-    return tuple(i for i, v in enumerate(scores) if v >= best - slack)
+    return tuple(_near_max(scores, slack))
 
 
 def assign_task(firm: Firm, belief: Dist, tie_break: str = "lowest") -> int:
     """Index of the chosen expected-surplus maximizer.
 
-    Ties go to the lowest task index by default; ``tie_break="highest"``
-    flips the rule (used to confirm results do not hinge on it).
+    Ties (within ``DEFAULT_TOL`` for float beliefs) go to the lowest task
+    index by default; ``tie_break="highest"`` flips the rule (used to
+    confirm results do not hinge on it).
     """
-    if tie_break not in ("lowest", "highest"):
-        raise InputError(f"unknown tie_break {tie_break!r}")
-    scores = _scores(firm, belief.probs)
-    best = max(scores)
-    winners = [i for i, v in enumerate(scores) if v == best]
-    return winners[0] if tie_break == "lowest" else winners[-1]
+    _check_tie_break(tie_break)
+    ties = argmax_task_set(firm, belief)
+    return ties[0] if tie_break == "lowest" else ties[-1]
 
 
-def _best_unnormalized(
-    firm: Firm, weights: Sequence[Number], tie_break: str = "lowest"
-) -> tuple[int, Number]:
-    """Argmax task and its *unnormalized* score for positive-scaled weights.
+class SignalRow(NamedTuple):
+    """One signal of a pay table."""
 
-    Positive scaling never changes the argmax, which lets pay routines
-    skip the per-type division of Bayes normalization.
+    m_p: Number  # true frequency of the signal
+    m_q: Number  # perceived frequency
+    weights: list[Number]  # perceived type weights q(t) * P(signal | t)
+    task: int  # tie-broken expected-surplus maximizer under ``weights``
+    score: Number  # that task's surplus dotted with ``weights``
+
+
+def pay_table(
+    firm: Firm,
+    p: Dist,
+    q: Dist,
+    sig: SignalStructure,
+    tie_break: str = "lowest",
+    what: str = "signal",
+) -> tuple[SignalRow, ...]:
+    """Marginals, perceived weights and tie-broken assignment per signal.
+
+    Scores stay unnormalized: dividing by ``m_q > 0`` cannot change an
+    argmax, and pay at a signal is ``score / m_q``.  Exact input breaks
+    ties with zero slack, float input within ``DEFAULT_TOL * m_q``.  A
+    signal with zero true or perceived frequency (float underflow) raises
+    ``InputError``; ``what`` names such signals in the message.
     """
-    scores = _scores(firm, weights)
-    best = max(scores)
-    if tie_break == "lowest":
-        idx = scores.index(best)
-    else:
-        idx = len(scores) - 1 - scores[::-1].index(best)
-    return idx, best
+    _check_tie_break(tie_break)
+    if not (p.space == q.space == sig.space):
+        raise InputError("distributions and signal structure disagree on types")
+    n = q.space.size
+    exact = (
+        all_exact(q.probs)
+        and all_exact(chain.from_iterable(task.surplus for task in firm.tasks))
+        and all_exact(chain.from_iterable(sig.likelihood))
+    )
+    rows = []
+    for j, label in enumerate(sig.signals):
+        weights = [q.probs[t] * sig.likelihood[t][j] for t in range(n)]
+        m_q = sum(weights)
+        m_p = sum(p.probs[t] * sig.likelihood[t][j] for t in range(n))
+        if not (m_q > 0 and m_p > 0):
+            raise InputError(
+                f"{what} {label!r} has zero probability "
+                f"under the true or the perceived distribution"
+            )
+        scores = _scores(firm, weights)
+        ties = _near_max(scores, 0 if exact else DEFAULT_TOL * m_q)
+        task = ties[0] if tie_break == "lowest" else ties[-1]
+        rows.append(SignalRow(m_p, m_q, weights, task, scores[task]))
+    return tuple(rows)
+
+
+def table_pay(rows: Sequence[SignalRow]) -> Number:
+    """Average pay of a table: perceived pay per signal, true frequencies."""
+    total = 0
+    for row in rows:
+        total += row.m_p * row.score / row.m_q
+    return total
 
 
 def worker_pay(firm: Firm, q: Dist, sig: SignalStructure, signal: str) -> Number:
     """Expected surplus of the chosen task under the perceived posterior."""
-    _check_same_space(sig, q, "worker_pay")
     if not q.full_support:
         raise InputError("worker_pay requires a full-support perception")
     j = sig.index(signal)
-    weights = [q.probs[i] * sig.likelihood[i][j] for i in range(q.space.size)]
-    total = sum(weights)
-    if not total > 0:
-        raise InputError(f"signal {signal!r} has zero probability under the prior")
-    _, best = _best_unnormalized(firm, weights)
-    return best / total
+    row = pay_table(firm, q, q, sig)[j]
+    return row.score / row.m_q
 
 
 def average_pay(firm: Firm, pop: Population) -> Number:
     """Expected pay: perceived pay per signal, true signal frequencies."""
-    n = pop.p.space.size
-    if len(firm.tasks[0].surplus) != n:
-        raise InputError("firm tasks and population cover different type counts")
-    total = 0
-    for j in range(pop.sig.n_signals):
-        col = [pop.sig.likelihood[i][j] for i in range(n)]
-        w_q = [pop.q.probs[i] * col[i] for i in range(n)]
-        m_q = sum(w_q)
-        m_p = sum(pop.p.probs[i] * col[i] for i in range(n))
-        _, best = _best_unnormalized(firm, w_q)
-        total += m_p * best / m_q
-    return total
+    return table_pay(pay_table(firm, pop.p, pop.q, pop.sig))
 
 
 # -- common structure constructors -------------------------------------------

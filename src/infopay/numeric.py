@@ -8,11 +8,20 @@ zero slack, otherwise the documented float tolerances apply.
 
 Tolerance registry (float mode):
 
-* ``DEFAULT_TOL``   -- generic value comparisons (pay, argmax ties).
+* ``DEFAULT_TOL``   -- generic value comparisons and argmax ties.  The
+  pay table breaks ties on unnormalized scores, so two tasks tie at a
+  signal when their scores differ by at most ``DEFAULT_TOL * m_q``
+  (``m_q`` the perceived signal frequency): ``DEFAULT_TOL`` on the
+  posterior scale.  The tie-broken task and its own score are used.
 * ``ORDER_TOL``     -- slack scale for stochastic-order cross products.
 * ``LP_TOL``        -- feasibility residual for the garbling program.
 * ``SIGN_TOL``      -- slack when testing signed claims.
+* ``INSTRUMENTAL_FLOOR`` -- lower bound for the instrumental part,
+  whose nonnegativity is hypothesis-free.
 * ``DIST_SUM_TOL``  -- probability vectors must sum to 1 within this.
+
+``claim_slacks`` turns exactness and a user ``tol`` into the slacks of
+every claim check; exact values get zero slack everywhere.
 """
 
 from __future__ import annotations
@@ -31,12 +40,8 @@ DEFAULT_TOL = 1e-9
 ORDER_TOL = 1e-12
 LP_TOL = 1e-8
 SIGN_TOL = 1e-9
+INSTRUMENTAL_FLOOR = -1e-12
 DIST_SUM_TOL = 1e-9
-
-
-def is_exact(*values: Number) -> bool:
-    """True when every value is an int or Fraction (no floats anywhere)."""
-    return all(isinstance(v, EXACT_TYPES) for v in values)
 
 
 def all_exact(values: Iterable[Number]) -> bool:
@@ -46,6 +51,29 @@ def all_exact(values: Iterable[Number]) -> bool:
 def pick_tol(values: Iterable[Number], float_tol: float) -> Number:
     """Zero slack for exact inputs, ``float_tol`` otherwise."""
     return 0 if all_exact(values) else float_tol
+
+
+def claim_slacks(
+    exact: bool, tol: float | None = None
+) -> tuple[Number, Number, Number]:
+    """(equality slack, sign slack, instrumental floor) for claim checks.
+
+    Zero slack for exact values.  For floats a user ``tol`` sets all
+    three (the floor is ``-tol``); without one they are ``SIGN_TOL``,
+    ``SIGN_TOL`` and ``INSTRUMENTAL_FLOOR``.
+    """
+    if exact:
+        return 0, 0, 0
+    if tol is None:
+        return SIGN_TOL, SIGN_TOL, INSTRUMENTAL_FLOOR
+    return tol, tol, -tol
+
+
+def require_finite(values: Iterable[Number], what: str) -> None:
+    """Reject infinite and nan floats."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"{what}: {v!r} is not a finite number")
 
 
 def parse_exact(text: str) -> Fraction:

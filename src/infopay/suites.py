@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import INSTRUMENTAL_FLOOR, decompose, instrumental
+from .decomposition import decompose, instrumental
 from .discrimination import (
     GapScenario,
     check_gap_ranking,
@@ -56,7 +56,7 @@ from .model import (
     posterior,
     uninformative_structure,
 )
-from .numeric import SIGN_TOL, format_number
+from .numeric import claim_slacks, format_number
 from .orders import (
     PerceptionClass,
     fosd_geq,
@@ -138,14 +138,6 @@ class _Book:
         return bool(ok)
 
 
-def _slacks(mode: str, tol: float | None):
-    """(equality slack, sign slack, instrumental floor) for the mode."""
-    if mode == "rational":
-        return 0, 0, 0
-    s = SIGN_TOL if tol is None else tol
-    return s, s, INSTRUMENTAL_FLOOR if tol is None else -tol
-
-
 def _adj(mode: str, obj):
     return obj if mode == "rational" else obj.to_float()
 
@@ -154,7 +146,7 @@ def _adj(mode: str, obj):
 
 
 def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, floor = _slacks(mode, tol)
+    eq, sign, floor = claim_slacks(mode == "rational", tol)
 
     # hypothesis-free claims on a fully arbitrary instance
     space = random_skill_space(rng)
@@ -297,7 +289,7 @@ def _conditional_fosd(p, q, fine, kernel, eq) -> bool:
 
 
 def _suite_lemma1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = _slacks(mode, tol)
+    eq, sign, _ = claim_slacks(mode == "rational", tol)
 
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
@@ -340,7 +332,7 @@ def _suite_lemma1(rng, trial, mode, tol, book: _Book) -> None:
 
 
 def _suite_corollary1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = _slacks(mode, tol)
+    eq, sign, _ = claim_slacks(mode == "rational", tol)
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
@@ -361,7 +353,7 @@ def _suite_corollary1(rng, trial, mode, tol, book: _Book) -> None:
 
 
 def _suite_corollary2(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, floor = _slacks(mode, tol)
+    eq, sign, floor = claim_slacks(mode == "rational", tol)
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     q_j = random_dist(rng, space)
@@ -420,7 +412,7 @@ def _suite_prop1(rng, trial, mode, tol, book: _Book) -> None:
 
 
 def _suite_prop2(rng, trial, mode, tol, book: _Book) -> None:
-    eq, _, _ = _slacks(mode, tol)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
     records = narrowing_counterexamples()
     expected_changes = {
         "monotone_firm": Fraction(1, 2),
@@ -455,7 +447,7 @@ def _suite_prop2(rng, trial, mode, tol, book: _Book) -> None:
 
 
 def _suite_prop3(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = _slacks(mode, tol)
+    eq, sign, _ = claim_slacks(mode == "rational", tol)
 
     space = random_skill_space(rng, max_types=4)
     q = random_dist(rng, space)

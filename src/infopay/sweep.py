@@ -18,13 +18,11 @@ from .errors import InputError
 from .model import (
     Dist,
     Firm,
-    Population,
     SkillSpace,
     Task,
-    assign_task,
-    average_pay,
     binary_symmetric_structure,
-    posterior,
+    pay_table,
+    table_pay,
 )
 from .numeric import Number, format_number, parse_exact
 
@@ -127,18 +125,19 @@ def figure1_rows(
             raise InputError("accuracy grid must stay within [1/2, 1]")
         lam_m = float(lam) if mode == "float" else Fraction(lam)
         sig = binary_symmetric_structure(space, lam_m)
-        w_i = average_pay(firm, Population(p, q_i, sig))
-        w_j = average_pay(firm, Population(p, q_j, sig))
+        table_i = pay_table(firm, p, q_i, sig)
+        table_j = pay_table(firm, p, q_j, sig)
+        w_i, w_j = table_pay(table_i), table_pay(table_j)
         rows.append(
             SweepRow(
                 accuracy=lam_m,
                 w_i=w_i,
                 w_j=w_j,
                 gap=w_i - w_j,
-                task_i_s0=assign_task(firm, posterior(q_i, sig, "s0")),
-                task_i_s1=assign_task(firm, posterior(q_i, sig, "s1")),
-                task_j_s0=assign_task(firm, posterior(q_j, sig, "s0")),
-                task_j_s1=assign_task(firm, posterior(q_j, sig, "s1")),
+                task_i_s0=table_i[0].task,
+                task_i_s1=table_i[1].task,
+                task_j_s0=table_j[0].task,
+                task_j_s1=table_j[1].task,
             )
         )
     return tuple(rows)

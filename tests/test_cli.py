@@ -205,6 +205,29 @@ def test_float_check_rejects_non_finite_surplus(scenario_file, tmp_path, token):
     assert f"not a number: '{token}'" in proc.stderr
 
 
+def test_float_check_underflowing_signal_exits_2(tmp_path):
+    # s1's perceived frequency 1e-300 * 1e-300 underflows to 0.0 under q_i
+    from infopay.discrimination import GapScenario
+
+    space = SkillSpace((0.0, 1.0))
+    dying = SignalStructure(space, ("s0", "s1"), ((1.0, 1e-300), (1.0, 0.0)))
+    scenario = GapScenario(
+        firm=Firm((Task((0.0, 1.0)), Task((-4.0, 4.0)))),
+        p=Dist(space, (0.5, 0.5)),
+        q_i=Dist(space, (1e-300, 1.0)),
+        q_j=Dist(space, (0.5, 0.5)),
+        coarse=dying,
+        fine=dying,
+    )
+    path = tmp_path / "underflow.inst"
+    save_instance(scenario, str(path))
+    proc = _run_module("--mode", "float", "check", str(path), "--claim", "narrowing")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "signal 's1' has zero probability" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [("suite", "garbling", "--trials", "20", "--seed", "7"), ("example", "ex1-reversal")],

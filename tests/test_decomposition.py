@@ -38,6 +38,14 @@ from infopay import (
     perception_correcting,
     uninformative_structure,
 )
+from infopay.generators import (
+    random_dist,
+    random_firm,
+    random_garbling_pair,
+    random_skill_space,
+    trial_rng,
+)
+from joint_law import joint_law_decomposition
 
 BIN = SkillSpace((0, 1))
 TRI = SkillSpace((0, 1, 2))
@@ -235,6 +243,21 @@ def test_sign_report_skips_inapplicable_hypotheses():
     assert report.ok  # the unconditional claim still holds
 
 
+def test_sign_report_floor_follows_tol():
+    # r1 is within DEFAULT_TOL of a tie, so the fine side keeps the lower
+    # task there while the coarse side keeps the other: instrumental -5e-11
+    space = BIN.to_float()
+    firm = Firm((Task((0.0, 1.0)), Task((1.0, 1.0 + 1e-10))))
+    p = Dist(space, (0.5, 0.5))
+    coarse = uninformative_structure(space).to_float()
+    fine = fully_informative_structure(space).to_float()
+    kernel = GarblingKernel(coarse.signals, fine.signals, ((1.0, 1.0),))
+    report = check_signs(firm, p, p, coarse, fine, kernel, tol=1e-9)
+    assert -1e-9 < report.result.instrumental < -1e-12
+    assert report.instrumental_ok
+    assert not check_signs(firm, p, p, coarse, fine, kernel, tol=0.0).instrumental_ok
+
+
 def test_sign_report_under_perceived():
     p, q, coarse, fine = reversal_parts(F(3, 4), F(1, 2))
     report = check_signs(SKILL_TASK, p, q, coarse, fine)
@@ -263,3 +286,17 @@ def test_identity_random_binary(pw, pv, qw, qv, lam_num, lam_den_shift):
     res = decompose(FIRM2, p, q, coarse, fine)
     assert res.total == res.perception_correcting + res.instrumental
     assert res.instrumental >= 0
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_parts_match_joint_law_oracle(seed):
+    rng = trial_rng(seed, 0)
+    space = random_skill_space(rng)
+    firm = random_firm(rng, space.size)
+    p, q = random_dist(rng, space), random_dist(rng, space)
+    fine, coarse, kernel = random_garbling_pair(rng, space)
+    res = decompose(firm, p, q, coarse, fine, kernel)
+    oracle = joint_law_decomposition(firm, p, q, coarse, fine, kernel)
+    for name, want in oracle.items():
+        assert getattr(res, name) == want, name

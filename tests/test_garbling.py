@@ -20,7 +20,6 @@ from infopay import (
     SkillSpace,
     Task,
     binary_symmetric_structure,
-    build_joints,
     compose_kernels,
     extremeness_eps_bound,
     find_garbling,
@@ -33,6 +32,7 @@ from infopay import (
     uninformative_structure,
     within_eps_of_full,
 )
+from joint_law import build_joints
 
 BIN = SkillSpace((0, 1))
 TRI = SkillSpace((0, 1, 2))
@@ -136,7 +136,7 @@ def test_compose_kernels_witnesses_transitivity():
     assert kernel_reproduces(composed, top, bot)
 
 
-# -- joint distributions ------------------------------------------------------
+# -- joint distributions (the test oracle in joint_law.py) ---------------------
 
 
 def test_joint_tensor_showcase():

@@ -137,6 +137,26 @@ def test_posterior_requires_full_support_prior():
         posterior(q, sym(F(3, 5)), "s0")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Task((0.0, NAN)),
+        lambda: Task((-INF, 0.0)),
+        lambda: SkillSpace((0.0, INF)),
+        lambda: SkillSpace((NAN, 1.0)),
+        lambda: SignalStructure(BIN, ("s0", "s1"), ((1, 0), (0, 1)), values=(0.0, INF)),
+        lambda: SignalStructure(BIN, ("s0", "s1"), ((1, 0), (0, 1)), values=(NAN, 1.0)),
+    ],
+    ids=["task-nan", "task-inf", "space-inf", "space-nan", "values-inf", "values-nan"],
+)
+def test_non_finite_numbers_rejected(build):
+    with pytest.raises(InputError, match="not a finite number"):
+        build()
+
+
 # -- task assignment and pay -------------------------------------------------
 
 

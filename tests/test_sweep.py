@@ -6,6 +6,7 @@ import pytest
 
 from infopay.errors import InputError
 from infopay.model import argmax_task_set, binary_symmetric_structure, posterior
+from infopay.numeric import DEFAULT_TOL
 from infopay.sweep import (
     DEFAULT_GRID_SPEC,
     FIGURE1_COLUMNS,
@@ -113,6 +114,18 @@ def test_float_mode_close_to_exact():
     assert abs(rows[1].gap - float(exact.gap)) < 1e-12
     csv = rows_to_csv(rows)
     assert csv.splitlines()[1].startswith("0.5,2.0,0.25,1.75,")
+
+
+def test_float_sweep_matches_rational_on_default_grid():
+    # float ties at the kinks must resolve as the exact ones do
+    grid = parse_grid(DEFAULT_GRID_SPEC)
+    for exact, approx in zip(figure1_rows(grid), figure1_rows(grid, mode="float")):
+        assert exact.cells()[4:] == approx.cells()[4:], exact.accuracy
+        for a, b in zip(
+            (exact.accuracy, exact.w_i, exact.w_j, exact.gap),
+            (approx.accuracy, approx.w_i, approx.w_j, approx.gap),
+        ):
+            assert abs(a - b) <= DEFAULT_TOL, exact.accuracy
 
 
 def test_out_of_range_grid_rejected():
