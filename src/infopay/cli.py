@@ -2,7 +2,8 @@
 
 Subcommands: ``example`` (named worked instances), ``sweep-figure1``
 (accuracy-sweep CSV), ``suite`` (randomized property suites), ``check``
-(claims on instance files).  Exit status: 0 when every check passes,
+(claims on instance files).  ``example all`` and ``suite all`` run every
+example or suite and print a tally.  Exit status: 0 when every check passes,
 1 when a claim is violated, 2 on usage or parse errors.
 """
 
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser(
         "example",
         help="run a named worked instance and verify its closed forms",
-        description="Examples: " + ", ".join(EXAMPLE_NAMES),
+        description="Examples: " + ", ".join(EXAMPLE_NAMES)
+        + "; 'all' runs each with its defaults",
     )
     _add_shared(ex, suppress=True)
     ex.add_argument("name", metavar="name")
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     su = sub.add_parser(
         "suite", help="run a randomized property suite",
-        description="Suites: " + ", ".join(SUITE_NAMES),
+        description="Suites: " + ", ".join(SUITE_NAMES) + "; 'all' runs each",
     )
     _add_shared(su, suppress=True)
     su.add_argument("name", metavar="name")
@@ -116,6 +118,18 @@ def _parse_number(text: str, mode: str):
     return parse_exact(text) if mode == "rational" else parse_float(text)
 
 
+def _report_all(names, run, what: str) -> int:
+    """Run every name, print each report and a tally; 1 if any failed."""
+    failed = 0
+    for name in names:
+        report = run(name)
+        print(report.render())
+        print()
+        failed += not report.ok
+    print(f"{len(names) - failed}/{len(names)} {what} passed")
+    return 1 if failed else 0
+
+
 def _cmd_example(args, mode: str, tol) -> int:
     overrides = {}
     for flag in _EXAMPLE_NUMBER_FLAGS:
@@ -126,6 +140,13 @@ def _cmd_example(args, mode: str, tol) -> int:
         raw = getattr(args, flag)
         if raw is not None:
             overrides[flag] = raw
+    if args.name == "all":
+        if overrides:
+            raise InputError("parameter overrides need a single example name")
+        return _report_all(
+            EXAMPLE_NAMES, lambda name: run_example(name, mode=mode, tol=tol),
+            "examples",
+        )
     report = run_example(args.name, mode=mode, tol=tol, **overrides)
     print(report.render())
     return 0 if report.ok else 1
@@ -142,9 +163,12 @@ def _cmd_sweep(args, mode: str, tol) -> int:
 
 
 def _cmd_suite(args, mode: str, tol) -> int:
-    result = run_suite(
-        args.name, trials=args.trials, seed=args.seed, mode=mode, tol=tol
-    )
+    def run(name):
+        return run_suite(name, trials=args.trials, seed=args.seed, mode=mode, tol=tol)
+
+    if args.name == "all":
+        return _report_all(SUITE_NAMES, run, "suites")
+    result = run(args.name)
     print(result.render())
     return 0 if result.ok else 1
 

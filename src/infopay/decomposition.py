@@ -19,17 +19,27 @@ Everything is computed through one shared kernel and the model's
 per-signal pay table (``pay_table``): marginals, unnormalized perceived
 weights and one tie-broken assignment per signal.  The remaining
 conditional probabilities cancel algebraically, so rational inputs stay
-exact and fast.
+exact: on them the tables hold Python ints, the kernel's denominators
+are cleared once, every per-signal sum is an int, and each part is one
+``Fraction`` sum over signals divided by the product of the scales.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 from .errors import InputError, OrderingError
 from .garbling import GarblingKernel, find_garbling, kernel_reproduces
 from .model import Dist, Firm, SignalStructure, pay_table, table_pay
-from .numeric import Number, all_exact, claim_slacks
+from .numeric import (
+    Number,
+    all_exact,
+    claim_slacks,
+    clear_denominators,
+    ratio_sum,
+)
 from .orders import PerceptionClass, is_mlr, perception_class
 
 __all__ = [
@@ -94,10 +104,15 @@ def _core(
     if not (p.full_support and q.full_support):
         raise InputError("decomposition requires full-support distributions")
     n_c, n_f = coarse.n_signals, fine.n_signals
-    g = kernel.matrix
-    rows_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
-    rows_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
-    ratio = [r.m_p / r.m_q for r in rows_f]  # true over perceived frequency
+    table_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
+    table_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
+    rows_f, surplus, g = table_f.rows, table_f.surplus, kernel.matrix
+    exact = table_f.exact and all_exact(chain(*g))
+    g_scale = 1
+    if exact:  # every sum below is an int at scale g_scale * (score scale)
+        g, g_scale = clear_denominators(g)
+    elif table_f.exact:  # float kernel: exact rows join it at true values
+        rows_f, surplus = table_f.true_rows(), [t.surplus for t in firm.tasks]
 
     # unnormalized perceived fine-posterior value of each coarse task:
     # dot(q-weights at fine signal f, surplus of the task kept at coarse s);
@@ -105,18 +120,17 @@ def _core(
     # linked pairs with a zero kernel entry drop out exactly (and a zero
     # perceived pair weight implies a zero true one, both being the kernel
     # entry times a positive marginal)
-    kept = [firm.tasks[r.task].surplus for r in rows_c]
+    kept = [surplus[r.task] for r in table_c.rows]
     e_dot: list[list[Number | None]] = [[None] * n_f for _ in range(n_c)]
     for s in range(n_c):
         row = g[s]
-        surplus = kept[s]
+        surplus_s = kept[s]
         for f in range(n_f):
             if row[f] != 0:
-                e_dot[s][f] = sum(w * a for w, a in zip(rows_f[f].weights, surplus))
+                e_dot[s][f] = sum(map(mul, rows_f[f].weights, surplus_s))
 
-    correction = 0
-    inst_joint = 0
-    inst_signalwise = 0
+    # per fine signal: m_p, m_q and the values that m_p / m_q weights
+    fine_terms = []
     for f in range(n_f):
         best = rows_f[f].score
         mixed = 0  # sum over s of g[s][f] * e(s, f)
@@ -126,11 +140,11 @@ def _core(
             if coef != 0:
                 mixed += coef * e_dot[s][f]
                 gap += coef * (best - e_dot[s][f])
-        correction += ratio[f] * mixed
-        inst_joint += ratio[f] * gap
-        inst_signalwise += ratio[f] * (best - mixed)
-    # subtract the perceived-frequency counterpart per coarse signal:
-    # sum_s mu_p(s)/mu_q(s) * sum_f g[s][f] * e(s, f)
+        shortfall = best * g_scale - mixed  # best - mixed, at mixed's scale
+        fine_terms.append((rows_f[f].m_p, rows_f[f].m_q, mixed, gap, shortfall))
+    # the perceived-frequency counterpart per coarse signal, which the
+    # correction subtracts: sum_s mu_p(s)/mu_q(s) * sum_f g[s][f] * e(s, f)
+    coarse_terms = []
     for s in range(n_c):
         mu_p = 0
         mu_q = 0
@@ -146,15 +160,40 @@ def _core(
                 f"coarse signal {coarse.signals[s]!r} is unreachable "
                 f"through the kernel"
             )
-        correction -= (mu_p / mu_q) * inner
+        coarse_terms.append((mu_p, mu_q, inner))
+
+    if exact:  # one Fraction per sum, the scales divided out once
+        scale = g_scale * table_f.freq_scale * table_f.surplus_scale
+        correction = ratio_sum(
+            [(m_p * mixed, m_q) for m_p, m_q, mixed, _, _ in fine_terms]
+            + [(-mu_p * inner, mu_q) for mu_p, mu_q, inner in coarse_terms],
+            scale,
+        )
+        inst_joint = ratio_sum(
+            ((m_p * gap, m_q) for m_p, m_q, _, gap, _ in fine_terms), scale
+        )
+        inst_signalwise = ratio_sum(
+            ((m_p * short, m_q) for m_p, m_q, _, _, short in fine_terms), scale
+        )
+    else:
+        correction = 0
+        inst_joint = 0
+        inst_signalwise = 0
+        for m_p, m_q, mixed, gap, shortfall in fine_terms:
+            ratio = m_p / m_q  # true over perceived frequency
+            correction += ratio * mixed
+            inst_joint += ratio * gap
+            inst_signalwise += ratio * shortfall
+        for mu_p, mu_q, inner in coarse_terms:
+            correction -= (mu_p / mu_q) * inner
 
     return {
-        "w_fine": table_pay(rows_f),
-        "w_coarse": table_pay(rows_c),
+        "w_fine": table_pay(table_f),
+        "w_coarse": table_pay(table_c),
         "correction": correction,
         "inst_joint": inst_joint,
         "inst_signalwise": inst_signalwise,
-        "assign_coarse": tuple(r.task for r in rows_c),
+        "assign_coarse": tuple(r.task for r in table_c.rows),
         "assign_fine": tuple(r.task for r in rows_f),
     }
 

@@ -237,7 +237,6 @@ class NarrowingReport:
 def check_narrowing(
     scenario: GapScenario,
     kernel: GarblingKernel | None = None,
-    tie_break: str = "lowest",
     tol: float | None = None,
 ) -> NarrowingReport:
     """Evaluate the five narrowing hypotheses and the gap comparison.

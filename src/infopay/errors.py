@@ -18,5 +18,9 @@ class OrderingError(InfopayError):
     informativeness-ordered and no garbling kernel exists."""
 
 
-class ParseError(InfopayError):
-    """Instance-file syntax or reference error, with line diagnostics."""
+class ParseError(InputError):
+    """Instance-file syntax or reference error, with line diagnostics.
+
+    A kind of invalid input: every malformed instance text raises
+    ``InputError``, this subclass when the fault is in the text itself.
+    """

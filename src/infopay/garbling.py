@@ -13,11 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError
 from .model import Dist, Firm, SignalStructure, argmax_task_set, posterior
-from .numeric import LP_TOL, ORDER_TOL, Number, all_exact, pick_tol
+from .numeric import (
+    LP_TOL,
+    ORDER_TOL,
+    Number,
+    all_exact,
+    clear_denominators,
+    pick_tol,
+)
 from .simplex import feasible_point
 
 __all__ = [
@@ -99,20 +109,33 @@ def kernel_reproduces(
     tol: float | None = None,
 ) -> bool:
     """Does mixing the fine likelihoods through the kernel recover the
-    coarse likelihoods (exactly, or within ``tol`` for floats)?"""
+    coarse likelihoods (exactly, or within ``tol`` for floats)?
+
+    Exact input is compared as cross-multiplied ints: each of the three
+    matrices is cleared of denominators once.
+    """
     _check_shared_space(fine, coarse)
     _check_kernel_labels(kernel, fine, coarse)
-    flat = [v for row in kernel.matrix for v in row]
+    g, fine_lik, coarse_lik = kernel.matrix, fine.likelihood, coarse.likelihood
+    if all_exact(chain(*g, *fine_lik, *coarse_lik)):
+        g, g_scale = clear_denominators(g)
+        fine_lik, fine_scale = clear_denominators(fine_lik)
+        coarse_lik, coarse_scale = clear_denominators(coarse_lik)
+        mixed_scale = g_scale * fine_scale
+        return all(
+            sum(map(mul, g_row, fine_row)) * coarse_scale
+            == coarse_row[s] * mixed_scale
+            for fine_row, coarse_row in zip(fine_lik, coarse_lik)
+            for s, g_row in enumerate(g)
+        )
+    flat = [v for row in g for v in row]
     slack = pick_tol(
-        flat + [v for row in fine.likelihood for v in row], LP_TOL if tol is None else tol
+        flat + [v for row in fine_lik for v in row], LP_TOL if tol is None else tol
     )
     for t in range(fine.space.size):
         for s in range(coarse.n_signals):
-            mixed = sum(
-                kernel.matrix[s][f] * fine.likelihood[t][f]
-                for f in range(fine.n_signals)
-            )
-            if abs(mixed - coarse.likelihood[t][s]) > slack:
+            mixed = sum(g[s][f] * fine_lik[t][f] for f in range(fine.n_signals))
+            if abs(mixed - coarse_lik[t][s]) > slack:
                 return False
     return True
 
@@ -156,19 +179,36 @@ def garble(
     values: Sequence[Number] | None = None,
 ) -> SignalStructure:
     """The coarse structure obtained by reporting fine signals through
-    the kernel."""
+    the kernel.
+
+    Exact entries are mixed as ints over the two matrices' common
+    denominators; an entry stays an int when its kernel row and its
+    likelihood row hold no Fraction, as a sum of int products would.
+    """
     if kernel.fine_signals != fine.signals:
         raise InputError("kernel fine signals do not match the fine structure")
-    rows = tuple(
-        tuple(
-            sum(
-                kernel.matrix[s][f] * fine.likelihood[t][f]
-                for f in range(fine.n_signals)
+    g, lik = kernel.matrix, fine.likelihood
+    if all_exact(chain(*g, *lik)):
+        frac_g = [any(isinstance(v, Fraction) for v in row) for row in g]
+        frac_lik = [any(isinstance(v, Fraction) for v in row) for row in lik]
+        g, g_scale = clear_denominators(g)
+        lik, lik_scale = clear_denominators(lik)
+        scale = g_scale * lik_scale
+        rows = []
+        for lik_row, frac_t in zip(lik, frac_lik):
+            nums = [sum(map(mul, g_row, lik_row)) for g_row in g]
+            rows.append(tuple(
+                Fraction(num, scale) if frac_t or frac_g[s] else num // scale
+                for s, num in enumerate(nums)
+            ))
+    else:
+        rows = tuple(
+            tuple(
+                sum(g[s][f] * lik[t][f] for f in range(fine.n_signals))
+                for s in range(len(kernel.coarse_signals))
             )
-            for s in range(len(kernel.coarse_signals))
+            for t in range(fine.space.size)
         )
-        for t in range(fine.space.size)
-    )
     return SignalStructure(
         fine.space,
         kernel.coarse_signals,

@@ -18,7 +18,9 @@ a conversion, so rational inputs give exact results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -26,7 +28,9 @@ from .numeric import (
     DEFAULT_TOL,
     Number,
     all_exact,
+    clear_denominators,
     pick_tol,
+    ratio_sum,
     require_finite,
     validate_prob_vector,
 )
@@ -42,6 +46,7 @@ __all__ = [
     "argmax_task_set",
     "assign_task",
     "SignalRow",
+    "PayTable",
     "pay_table",
     "table_pay",
     "worker_pay",
@@ -297,13 +302,55 @@ def assign_task(firm: Firm, belief: Dist, tie_break: str = "lowest") -> int:
 
 
 class SignalRow(NamedTuple):
-    """One signal of a pay table."""
+    """One signal of a pay table, at the table's scales (see ``PayTable``)."""
 
     m_p: Number  # true frequency of the signal
     m_q: Number  # perceived frequency
     weights: list[Number]  # perceived type weights q(t) * P(signal | t)
     task: int  # tie-broken expected-surplus maximizer under ``weights``
     score: Number  # that task's surplus dotted with ``weights``
+
+
+class PayTable(NamedTuple):
+    """The rows of one pay table and the scales they are kept at.
+
+    On exact input every number in the table is an int.  ``m_p``, ``m_q``
+    and ``weights`` are the true values times ``freq_scale``: the lcm of
+    the denominators of p and q together, times that of the likelihoods.
+    ``surplus`` holds the firm's surpluses times ``surplus_scale``, the
+    lcm of their denominators, and ``score`` is the true value times
+    ``freq_scale * surplus_scale``.  Otherwise both scales are 1 and the
+    numbers are the true values.
+    """
+
+    rows: tuple[SignalRow, ...]
+    exact: bool
+    freq_scale: int
+    surplus_scale: int
+    surplus: tuple[Sequence[Number], ...]  # one row per task
+
+    def signal_pay(self, j: int) -> Number:
+        """Pay at signal ``j``: the perceived expected surplus of its task."""
+        row = self.rows[j]
+        if self.exact:
+            return Fraction(row.score, row.m_q * self.surplus_scale)
+        return row.score / row.m_q
+
+    def true_rows(self) -> tuple[SignalRow, ...]:
+        """The rows with every number divided back to its true value."""
+        if not self.exact:
+            return self.rows
+        f, s = self.freq_scale, self.freq_scale * self.surplus_scale
+        return tuple(
+            SignalRow(
+                Fraction(r.m_p, f),
+                Fraction(r.m_q, f),
+                [Fraction(w, f) for w in r.weights],
+                r.task,
+                Fraction(r.score, s),
+            )
+            for r in self.rows
+        )
 
 
 def pay_table(
@@ -313,45 +360,62 @@ def pay_table(
     sig: SignalStructure,
     tie_break: str = "lowest",
     what: str = "signal",
-) -> tuple[SignalRow, ...]:
+) -> PayTable:
     """Marginals, perceived weights and tie-broken assignment per signal.
 
     Scores stay unnormalized: dividing by ``m_q > 0`` cannot change an
-    argmax, and pay at a signal is ``score / m_q``.  Exact input breaks
-    ties with zero slack, float input within ``DEFAULT_TOL * m_q``.  A
-    signal with zero true or perceived frequency (float underflow) raises
-    ``InputError``; ``what`` names such signals in the message.
+    argmax, and pay at a signal is ``score / m_q``.  When p, q, the
+    surpluses and the likelihoods are all exact, denominators are
+    cleared once per table (one lcm for p and q together, one for the
+    likelihoods, one for the surpluses) and every product, sum and
+    comparison is an int operation; all scores share one positive scale,
+    so the argmax and its ties are those of the true values.  Exact input
+    breaks ties with zero slack, other input within ``DEFAULT_TOL *
+    m_q``.  A signal with zero true or perceived frequency (float
+    underflow) raises ``InputError``; ``what`` names such signals in the
+    message.
     """
     _check_tie_break(tie_break)
     if not (p.space == q.space == sig.space):
         raise InputError("distributions and signal structure disagree on types")
-    n = q.space.size
-    exact = (
-        all_exact(q.probs)
-        and all_exact(chain.from_iterable(task.surplus for task in firm.tasks))
-        and all_exact(chain.from_iterable(sig.likelihood))
-    )
+    surplus = tuple(task.surplus for task in firm.tasks)
+    if len(surplus[0]) != q.space.size:
+        raise InputError("firm tasks and belief cover different type counts")
+    p_t, q_t, lik = p.probs, q.probs, sig.likelihood
+    exact = all_exact(chain(p_t, q_t, *surplus, *lik))
+    freq_scale = surplus_scale = 1
+    if exact:
+        (p_t, q_t), pq_scale = clear_denominators((p_t, q_t))
+        lik, lik_scale = clear_denominators(lik)
+        surplus, surplus_scale = clear_denominators(surplus)
+        freq_scale = pq_scale * lik_scale
     rows = []
     for j, label in enumerate(sig.signals):
-        weights = [q.probs[t] * sig.likelihood[t][j] for t in range(n)]
+        col = [row[j] for row in lik]
+        weights = list(map(mul, q_t, col))
         m_q = sum(weights)
-        m_p = sum(p.probs[t] * sig.likelihood[t][j] for t in range(n))
+        m_p = sum(map(mul, p_t, col))
         if not (m_q > 0 and m_p > 0):
             raise InputError(
                 f"{what} {label!r} has zero probability "
                 f"under the true or the perceived distribution"
             )
-        scores = _scores(firm, weights)
+        scores = [sum(map(mul, weights, a)) for a in surplus]
         ties = _near_max(scores, 0 if exact else DEFAULT_TOL * m_q)
         task = ties[0] if tie_break == "lowest" else ties[-1]
         rows.append(SignalRow(m_p, m_q, weights, task, scores[task]))
-    return tuple(rows)
+    return PayTable(tuple(rows), exact, freq_scale, surplus_scale, tuple(surplus))
 
 
-def table_pay(rows: Sequence[SignalRow]) -> Number:
+def table_pay(table: PayTable) -> Number:
     """Average pay of a table: perceived pay per signal, true frequencies."""
+    if table.exact:
+        return ratio_sum(
+            ((r.m_p * r.score, r.m_q) for r in table.rows),
+            table.freq_scale * table.surplus_scale,
+        )
     total = 0
-    for row in rows:
+    for row in table.rows:
         total += row.m_p * row.score / row.m_q
     return total
 
@@ -361,8 +425,7 @@ def worker_pay(firm: Firm, q: Dist, sig: SignalStructure, signal: str) -> Number
     if not q.full_support:
         raise InputError("worker_pay requires a full-support perception")
     j = sig.index(signal)
-    row = pay_table(firm, q, q, sig)[j]
-    return row.score / row.m_q
+    return pay_table(firm, q, q, sig).signal_pay(j)
 
 
 def average_pay(firm: Firm, pop: Population) -> Number:

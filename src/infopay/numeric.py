@@ -17,7 +17,14 @@ Tolerance registry (float mode):
 * ``LP_TOL``        -- feasibility residual for the garbling program.
 * ``SIGN_TOL``      -- slack when testing signed claims.
 * ``INSTRUMENTAL_FLOOR`` -- lower bound for the instrumental part,
-  whose nonnegativity is hypothesis-free.
+  whose nonnegativity is hypothesis-free: ``-(DEFAULT_TOL + 1e-12)``.
+  At each fine signal ``f`` the table's task may score up to
+  ``DEFAULT_TOL * m_q(f)`` below the best (a tie), and every kept coarse
+  task scores at most the best.  The instrumental part weights these
+  per-signal shortfalls by ``m_p(f) / m_q(f)`` through kernel columns
+  that sum to 1, so ties can lower it by at most
+  ``DEFAULT_TOL * sum_f m_p(f) = DEFAULT_TOL``.  The extra 1e-12 absorbs
+  rounding; it was the whole floor before float ties were tolerant.
 * ``DIST_SUM_TOL``  -- probability vectors must sum to 1 within this.
 
 ``claim_slacks`` turns exactness and a user ``tol`` into the slacks of
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -40,12 +48,41 @@ DEFAULT_TOL = 1e-9
 ORDER_TOL = 1e-12
 LP_TOL = 1e-8
 SIGN_TOL = 1e-9
-INSTRUMENTAL_FLOOR = -1e-12
+INSTRUMENTAL_FLOOR = -(DEFAULT_TOL + 1e-12)
 DIST_SUM_TOL = 1e-9
 
 
 def all_exact(values: Iterable[Number]) -> bool:
-    return all(isinstance(v, EXACT_TYPES) for v in values)
+    return all(map(isinstance, values, repeat(EXACT_TYPES)))
+
+
+def clear_denominators(
+    rows: Sequence[Sequence[Number]],
+) -> tuple[list[list[int]], int]:
+    """Exact rows as int rows over one common denominator.
+
+    Returns ``(ints, scale)`` with ``rows[i][j] == ints[i][j] / scale``,
+    where ``scale`` is the lcm of every denominator in ``rows``.
+    """
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    # unpack a list, not a generator: a tuple built from a generator is
+    # allocated large and then shrunk, and such tuples pile up in the free
+    # list of their final size (about 1 MB more peak memory on suites-exact)
+    scale = math.lcm(*[d for row in ratios for _, d in row])
+    return [[n * (scale // d) for n, d in row] for row in ratios], scale
+
+
+def ratio_sum(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
+    """``sum(num / den for num, den in terms) / scale`` as one Fraction.
+
+    The sum is kept as an int numerator over the product of the (positive
+    int) denominators and reduced once at the end.
+    """
+    num, den = 0, 1
+    for a, b in terms:
+        num = num * b + a * den
+        den *= b
+    return Fraction(num, den * scale)
 
 
 def pick_tol(values: Iterable[Number], float_tol: float) -> Number:

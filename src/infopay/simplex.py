@@ -19,11 +19,10 @@ noise.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import LP_TOL, Number, all_exact
+from .numeric import LP_TOL, Number, all_exact, clear_denominators
 
 __all__ = ["feasible_point"]
 
@@ -53,19 +52,16 @@ def _exact_feasible_point(
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     total = n + m  # structural + artificial columns
-    scale = math.lcm(
-        *(v.denominator for row in a_rows for v in row),
-        *(v.denominator for v in b),
-    )
+    (*a_ints, b_ints), scale = clear_denominators([*a_rows, b])
 
     # scale * (A | I | b), each row negated where b < 0 so that the
     # artificial basis starts feasible
     tableau: list[list[int]] = []
-    for i, row in enumerate(a_rows):
-        sign = -1 if b[i] < 0 else 1
-        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
+    for i, row in enumerate(a_ints):
+        sign = -1 if b_ints[i] < 0 else 1
+        ints = [sign * v for v in row]
         ints += [scale if j == i else 0 for j in range(m)]
-        ints.append(sign * b[i].numerator * (scale // b[i].denominator))
+        ints.append(sign * b_ints[i])
         tableau.append(ints)
     basis = list(range(n, total))
     # reduced costs for min sum(artificials); artificial basis => subtract

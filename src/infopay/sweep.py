@@ -134,10 +134,10 @@ def figure1_rows(
                 w_i=w_i,
                 w_j=w_j,
                 gap=w_i - w_j,
-                task_i_s0=table_i[0].task,
-                task_i_s1=table_i[1].task,
-                task_j_s0=table_j[0].task,
-                task_j_s1=table_j[1].task,
+                task_i_s0=table_i.rows[0].task,
+                task_i_s1=table_i.rows[1].task,
+                task_j_s0=table_j.rows[0].task,
+                task_j_s1=table_j.rows[1].task,
             )
         )
     return tuple(rows)

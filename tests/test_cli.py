@@ -5,12 +5,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from infopay.cli import main
+from infopay.examples import EXAMPLE_NAMES
 from infopay.instancefile import save_instance
 from infopay.model import Dist, Firm, SignalStructure, SkillSpace, Task
+from infopay.suites import SUITE_NAMES
 
 
 def make_scenario(coarse_acc=Fraction(9, 13), fine_acc=Fraction(4, 5)):
@@ -226,6 +230,86 @@ def test_float_check_underflowing_signal_exits_2(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "signal 's1' has zero probability" in proc.stderr
+
+
+def test_example_all_runs_every_example(capsys):
+    assert main(["example", "all"]) == 0
+    out = capsys.readouterr().out
+    for name in EXAMPLE_NAMES:
+        assert f"example: {name}\n" in out
+    assert out.rstrip().endswith(f"{len(EXAMPLE_NAMES)}/{len(EXAMPLE_NAMES)} examples passed")
+
+
+def test_example_all_rejects_overrides(capsys):
+    assert main(["example", "all", "--p1", "1/3"]) == 2
+    assert "single example" in capsys.readouterr().err
+
+
+def test_suite_all_runs_every_suite(capsys):
+    assert main(["suite", "all", "--trials", "3", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert [line[7:] for line in out.splitlines() if line.startswith("suite: ")] == list(
+        SUITE_NAMES
+    )
+    assert out.count("result: PASS") == len(SUITE_NAMES)
+    assert out.rstrip().endswith(f"{len(SUITE_NAMES)}/{len(SUITE_NAMES)} suites passed")
+
+
+@pytest.mark.parametrize(
+    "command, runner, names",
+    [("example", "run_example", EXAMPLE_NAMES), ("suite", "run_suite", SUITE_NAMES)],
+)
+def test_all_exits_1_when_one_fails(command, runner, names, capsys):
+    def fake(name, **kwargs):
+        return SimpleNamespace(render=lambda: f"ran {name}", ok=name != names[1])
+
+    with mock.patch(f"infopay.cli.{runner}", fake):
+        assert main([command, "all"]) == 1
+    out = capsys.readouterr().out
+    assert all(f"ran {name}" in out for name in names)
+    assert out.rstrip().endswith(f"{len(names) - 1}/{len(names)} {command}s passed")
+
+
+NEAR_TIE = """\
+[skill_space]
+0 1
+
+[distribution p]
+1/2 1/2
+
+[signal_structure coarse]
+signals: u0
+1
+1
+
+[signal_structure fine]
+signals: r0 r1
+1 0
+0 1
+
+[firm]
+0 1
+1 1.0000000001
+
+[scenario]
+p: p
+q_i: p
+q_j: p
+coarse: coarse
+fine: fine
+"""
+
+
+def test_float_check_theorem1_accepts_near_tie(tmp_path, capsys):
+    # the tasks tie at r1 within DEFAULT_TOL: instrumental is a -5e-11
+    # tie deficit, inside the default floor
+    path = tmp_path / "near_tie.inst"
+    path.write_text(NEAR_TIE)
+    code = main(["--mode", "float", "check", str(path), "--claim", "theorem1"])
+    out = capsys.readouterr().out
+    assert "instrumental:          -5" in out
+    assert out.rstrip().endswith("result: PASS")
+    assert code == 0
 
 
 @pytest.mark.parametrize(

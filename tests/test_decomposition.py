@@ -258,6 +258,21 @@ def test_sign_report_floor_follows_tol():
     assert not check_signs(firm, p, p, coarse, fine, kernel, tol=0.0).instrumental_ok
 
 
+def test_float_near_tie_passes_default_instrumental_floor():
+    # the tasks tie at r1 within DEFAULT_TOL, so the fine side keeps the
+    # lower task with its own score and instrumental comes out -5e-11: a
+    # tie deficit, which the default floor (on the tie scale) accepts
+    space = BIN.to_float()
+    firm = Firm((Task((0.0, 1.0)), Task((1.0, 1.0000000001))))
+    p = Dist(space, (0.5, 0.5))
+    coarse = uninformative_structure(space).to_float()
+    fine = fully_informative_structure(space).to_float()
+    report = check_signs(firm, p, p, coarse, fine)
+    assert -1e-9 < report.result.instrumental < -1e-12
+    assert report.instrumental_ok
+    assert report.ok
+
+
 def test_sign_report_under_perceived():
     p, q, coarse, fine = reversal_parts(F(3, 4), F(1, 2))
     report = check_signs(SKILL_TASK, p, q, coarse, fine)

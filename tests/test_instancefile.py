@@ -1,8 +1,14 @@
 """Instance file parsing, validation diagnostics, and round trips."""
 
+import io
+import os
+import tempfile
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infopay import (
     Dist,
@@ -16,6 +22,15 @@ from infopay import (
     Task,
     binary_symmetric_structure,
     uninformative_structure,
+)
+from infopay.cli import main
+from infopay.generators import (
+    random_dist,
+    random_firm,
+    random_garbling_pair,
+    random_signal_structure,
+    random_skill_space,
+    trial_rng,
 )
 from infopay.instancefile import (
     load_instance,
@@ -187,3 +202,109 @@ def test_row_count_mismatch():
 def test_no_terminal_section():
     with pytest.raises(ParseError, match="no \\[scenario\\]"):
         loads_instance("[skill_space]\n0 1\n")
+
+
+# -- properties ------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+MODES = st.sampled_from(("rational", "float"))
+
+
+def random_instance(seed, kind, mode):
+    rng = trial_rng(seed, 0)
+    space = random_skill_space(rng)
+    obj = random_firm(rng, space.size)
+    if kind != "firm":
+        p, q, q_j = (random_dist(rng, space) for _ in range(3))
+        sig = random_signal_structure(rng, space, valued=seed % 2 == 0)
+        obj = Population(p, q, sig)
+        if kind == "scenario":
+            fine, coarse, _ = random_garbling_pair(rng, space)
+            obj = GapScenario(random_firm(rng, space.size), p, q, q_j, coarse, fine)
+    return obj if mode == "rational" else obj.to_float()
+
+
+@given(SEEDS, st.sampled_from(("firm", "population", "scenario")), MODES)
+@settings(max_examples=60, deadline=None)
+def test_serialize_then_parse_gives_back_the_instance(seed, kind, mode):
+    obj = random_instance(seed, kind, mode)
+    text = serialize_instance(obj)
+    back = loads_instance(text, mode=mode)
+    assert back == obj
+    assert serialize_instance(back) == text
+
+
+NOT_NUMBERS = ("x", "1/0", "nan", "inf", "1//2", "--1", "0x10", "1,5", "\u00bd")
+
+
+@st.composite
+def malformed_texts(draw):
+    """A valid scenario's text with one edit that no valid file has."""
+    seed, mode = draw(SEEDS), draw(MODES)
+    lines = serialize_instance(random_instance(seed, "scenario", mode)).splitlines()
+    numeric = [
+        i for i, line in enumerate(lines)
+        if (line and not line.startswith("[") and ":" not in line)
+        or line.startswith("values:")
+    ]
+    headers = [i for i, line in enumerate(lines) if line.startswith("[")]
+    edit = draw(st.sampled_from(("token", "extra", "drop", "header", "outside")))
+    if edit == "token":  # one number becomes a non-number
+        i = draw(st.sampled_from(numeric))
+        tokens = lines[i].split()
+        k = draw(st.integers(1 if tokens[0] == "values:" else 0, len(tokens) - 1))
+        tokens[k] = draw(st.sampled_from(NOT_NUMBERS))
+        lines[i] = " ".join(tokens)
+    elif edit == "extra":  # one numeric line gets one entry too many
+        i = draw(st.sampled_from(numeric))
+        lines[i] += " " + lines[i].split()[-1]
+    elif edit == "drop":  # a number or reference line goes missing; not a
+        # firm row, since a firm with one task fewer is still valid
+        firm = lines.index("[firm]")
+        i = draw(st.sampled_from([
+            i for i, line in enumerate(lines)
+            if line and not line.startswith(("[", "signals:", "values:"))
+            and not firm < i < lines.index("", firm)
+        ]))
+        del lines[i]
+    elif edit == "header":  # one section header is mangled
+        i = draw(st.sampled_from(headers))
+        lines[i] = draw(st.sampled_from(("[", lines[i][:-1], "[nonsense]",
+                                         "[distribution]", "[firm extra]")))
+    else:  # data before any section
+        lines.insert(0, draw(st.sampled_from(("0 1", "p: p", "x"))))
+    return "\n".join(lines) + "\n", mode
+
+
+@given(malformed_texts())
+@settings(max_examples=150, deadline=None)
+def test_malformed_text_raises_input_error(case):
+    text, mode = case
+    with pytest.raises(InputError):
+        loads_instance(text, mode=mode)
+
+
+@given(st.text(st.sampled_from("[]#:/.-e \n0123456789abdfilnoprstuvy_"), max_size=200),
+       MODES)
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_text_parses_or_raises_input_error(text, mode):
+    try:
+        loads_instance(text, mode=mode)
+    except InputError:
+        pass
+
+
+@given(malformed_texts())
+@settings(max_examples=25, deadline=None)
+def test_malformed_file_exits_2_through_cli(case):
+    text, mode = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.inst")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with mock.patch("sys.stdout", new_callable=io.StringIO) as out, \
+                mock.patch("sys.stderr", new_callable=io.StringIO) as err:
+            code = main(["--mode", mode, "check", path, "--claim", "invariants"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
