@@ -16,14 +16,11 @@ from .model import (
     SignalStructure,
     SkillSpace,
     Task,
-    argmax_task_set,
-    assign_task,
     average_pay,
     binary_symmetric_structure,
     fully_informative_structure,
     posterior,
     uninformative_structure,
-    worker_pay,
 )
 from .orders import (
     PerceptionClass,
@@ -49,8 +46,6 @@ from .decomposition import (
     SignReport,
     check_signs,
     decompose,
-    instrumental,
-    perception_correcting,
 )
 from .discrimination import (
     Counterexample,
@@ -84,9 +79,6 @@ __all__ = [
     "SignalStructure",
     "Population",
     "posterior",
-    "argmax_task_set",
-    "assign_task",
-    "worker_pay",
     "average_pay",
     "uninformative_structure",
     "fully_informative_structure",
@@ -109,8 +101,6 @@ __all__ = [
     "DecompResult",
     "SignReport",
     "decompose",
-    "perception_correcting",
-    "instrumental",
     "check_signs",
     "GapScenario",
     "GapRankingReport",

@@ -46,8 +46,6 @@ __all__ = [
     "DecompResult",
     "SignReport",
     "decompose",
-    "perception_correcting",
-    "instrumental",
     "check_signs",
 ]
 
@@ -59,12 +57,16 @@ class DecompResult:
     ``total`` is computed from average pays directly, while the two
     parts come from the joint-law formulas; their agreement is a
     theorem, not an arithmetic identity, so tests check it rather than
-    the constructor forcing it.
+    the constructor forcing it.  ``instrumental`` sums over linked
+    signal pairs; ``instrumental_signalwise`` is the algebraically equal
+    form that folds the kernel into the coarse task first, and their
+    agreement is itself a tested claim.
     """
 
     total: Number
     perception_correcting: Number
     instrumental: Number
+    instrumental_signalwise: Number
     kernel: GarblingKernel
     assignment_coarse: tuple[int, ...]
     assignment_fine: tuple[int, ...]
@@ -219,50 +221,11 @@ def decompose(
         total=parts["w_fine"] - parts["w_coarse"],
         perception_correcting=parts["correction"],
         instrumental=parts["inst_joint"],
+        instrumental_signalwise=parts["inst_signalwise"],
         kernel=kernel,
         assignment_coarse=parts["assign_coarse"],
         assignment_fine=parts["assign_fine"],
     )
-
-
-def perception_correcting(
-    firm: Firm,
-    p: Dist,
-    q: Dist,
-    coarse: SignalStructure,
-    fine: SignalStructure,
-    kernel: GarblingKernel,
-    tie_break: str = "lowest",
-    tol: float | None = None,
-) -> Number:
-    """Frequency-reweighting part of the gain, coarse assignment held."""
-    kernel = _resolve_kernel(fine, coarse, kernel, tol)
-    return _core(firm, p, q, coarse, fine, kernel, tie_break)["correction"]
-
-
-def instrumental(
-    firm: Firm,
-    p: Dist,
-    q: Dist,
-    coarse: SignalStructure,
-    fine: SignalStructure,
-    kernel: GarblingKernel,
-    form: str = "joint",
-    tie_break: str = "lowest",
-    tol: float | None = None,
-) -> Number:
-    """Reassignment part of the gain.
-
-    ``form`` selects between the two algebraically equal published
-    expressions: ``"joint"`` sums over linked signal pairs,
-    ``"signalwise"`` folds the kernel into the coarse task first.  Their
-    agreement is itself a tested claim.
-    """
-    if form not in ("joint", "signalwise"):
-        raise InputError(f"unknown instrumental form {form!r}")
-    kernel = _resolve_kernel(fine, coarse, kernel, tol)
-    parts = _core(firm, p, q, coarse, fine, kernel, tie_break)
-    return parts["inst_joint" if form == "joint" else "inst_signalwise"]
 
 
 @dataclass(frozen=True)

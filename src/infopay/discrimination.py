@@ -9,8 +9,13 @@ structure narrows the gap under five hypotheses:
 2. the finer structure has monotone likelihood ratios;
 3. the favored group is perceived LR-above the truth;
 4. the truth is perceived LR-above the other group;
-5. the refinement is slight for both groups: no linked signal pair
-   forces the firm off every task it would have kept.
+5. the refinement is slight for both groups: at every coarse signal,
+   some task the firm would keep stays optimal at every fine signal
+   the kernel links to it.  Then the instrumental parts vanish, and
+   the gap change is the difference of the perception-correcting
+   parts, whose signs the other four hypotheses fix.  Asking this of
+   each linked pair on its own is not enough: the pairs can each keep
+   a different task.
 
 Dropping any one hypothesis admits a counterexample where refining
 *widens* the gap; ``narrowing_counterexamples`` returns one exact

@@ -19,7 +19,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InputError
-from .model import Dist, Firm, SignalStructure, argmax_task_set, posterior
+from .model import Dist, Firm, SignalStructure, pay_table
 from .numeric import (
     LP_TOL,
     ORDER_TOL,
@@ -112,32 +112,28 @@ def kernel_reproduces(
     coarse likelihoods (exactly, or within ``tol`` for floats)?
 
     Exact input is compared as cross-multiplied ints: each of the three
-    matrices is cleared of denominators once.
+    matrices is cleared of denominators once.  A float in any of them
+    makes every entry a float comparison with slack ``tol`` (default
+    ``LP_TOL``); the scales are then 1.
     """
     _check_shared_space(fine, coarse)
     _check_kernel_labels(kernel, fine, coarse)
     g, fine_lik, coarse_lik = kernel.matrix, fine.likelihood, coarse.likelihood
+    coarse_scale = mixed_scale = 1
     if all_exact(chain(*g, *fine_lik, *coarse_lik)):
+        slack = 0
         g, g_scale = clear_denominators(g)
         fine_lik, fine_scale = clear_denominators(fine_lik)
         coarse_lik, coarse_scale = clear_denominators(coarse_lik)
         mixed_scale = g_scale * fine_scale
-        return all(
-            sum(map(mul, g_row, fine_row)) * coarse_scale
-            == coarse_row[s] * mixed_scale
-            for fine_row, coarse_row in zip(fine_lik, coarse_lik)
-            for s, g_row in enumerate(g)
-        )
-    flat = [v for row in g for v in row]
-    slack = pick_tol(
-        flat + [v for row in fine_lik for v in row], LP_TOL if tol is None else tol
+    else:
+        slack = LP_TOL if tol is None else tol
+    return all(
+        abs(sum(map(mul, g_row, fine_row)) * coarse_scale
+            - coarse_row[s] * mixed_scale) <= slack
+        for fine_row, coarse_row in zip(fine_lik, coarse_lik)
+        for s, g_row in enumerate(g)
     )
-    for t in range(fine.space.size):
-        for s in range(coarse.n_signals):
-            mixed = sum(g[s][f] * fine_lik[t][f] for f in range(fine.n_signals))
-            if abs(mixed - coarse_lik[t][s]) > slack:
-                return False
-    return True
 
 
 def find_garbling(
@@ -243,30 +239,30 @@ def is_slightly_more_informative(
     kernel: GarblingKernel,
     tol: float | None = None,
 ) -> bool:
-    """True when, for every coarse/fine signal pair the kernel links,
-    some task is optimal under both posteriors.
+    """True when every coarse signal keeps some task that stays optimal
+    at every fine signal the kernel links to it.
 
     This is the no-reassignment condition: the extra information never
-    forces the firm off every task it would have chosen anyway.
+    forces the firm off every task it would have chosen anyway.  Optimal
+    tasks are the tie sets of the pay tables under ``q``, so ties follow
+    the pay table's one rule (exact on exact input); ``tol`` applies to
+    the kernel check only.  Checking each linked (coarse, fine) pair on
+    its own is weaker: it admits a coarse signal whose links each keep a
+    different task.
     """
     _check_shared_space(fine, coarse)
     if not kernel_reproduces(kernel, fine, coarse, tol=tol):
         raise InputError("kernel does not reproduce the coarse structure")
-    flat = [v for row in kernel.matrix for v in row]
-    positive = 0 if all_exact(flat) else ORDER_TOL
-    coarse_sets = [
-        frozenset(argmax_task_set(firm, posterior(q, coarse, s), tol=tol))
-        for s in coarse.signals
-    ]
-    fine_sets = [
-        frozenset(argmax_task_set(firm, posterior(q, fine, f), tol=tol))
-        for f in fine.signals
-    ]
-    for s in range(coarse.n_signals):
-        for f in range(fine.n_signals):
-            if kernel.matrix[s][f] > positive:
-                if not (coarse_sets[s] & fine_sets[f]):
-                    return False
+    positive = 0 if all_exact(chain(*kernel.matrix)) else ORDER_TOL
+    coarse_rows = pay_table(firm, q, q, coarse, what="coarse signal").rows
+    fine_rows = pay_table(firm, q, q, fine, what="fine signal").rows
+    for row_c, g_row in zip(coarse_rows, kernel.matrix):
+        kept = set(row_c.ties)
+        for row_f, g in zip(fine_rows, g_row):
+            if g > positive:
+                kept.intersection_update(row_f.ties)
+        if not kept:
+            return False
     return True
 
 

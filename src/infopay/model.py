@@ -29,7 +29,6 @@ from .numeric import (
     Number,
     all_exact,
     clear_denominators,
-    pick_tol,
     ratio_sum,
     require_finite,
     validate_prob_vector,
@@ -43,13 +42,10 @@ __all__ = [
     "SignalStructure",
     "Population",
     "posterior",
-    "argmax_task_set",
-    "assign_task",
     "SignalRow",
     "PayTable",
     "pay_table",
     "table_pay",
-    "worker_pay",
     "average_pay",
     "uninformative_structure",
     "fully_informative_structure",
@@ -260,14 +256,6 @@ def posterior(q: Dist, sig: SignalStructure, signal: str) -> Dist:
     return Dist(q.space, tuple(w / total for w in weights))
 
 
-def _scores(firm: Firm, weights: Sequence[Number]) -> list[Number]:
-    if len(firm.tasks[0].surplus) != len(weights):
-        raise InputError("firm tasks and belief cover different type counts")
-    return [
-        sum(w * a for w, a in zip(weights, task.surplus)) for task in firm.tasks
-    ]
-
-
 def _near_max(scores: Sequence[Number], slack: Number) -> list[int]:
     """Indices of the scores within ``slack`` of the best, in order."""
     best = max(scores)
@@ -282,25 +270,6 @@ def _check_tie_break(tie_break: str) -> None:
         raise InputError(f"unknown tie_break {tie_break!r}")
 
 
-def argmax_task_set(firm: Firm, belief: Dist, tol: float | None = None) -> tuple[int, ...]:
-    """Indices of all tasks within tolerance of the best expected surplus."""
-    scores = _scores(firm, belief.probs)
-    slack = pick_tol(scores, DEFAULT_TOL if tol is None else tol)
-    return tuple(_near_max(scores, slack))
-
-
-def assign_task(firm: Firm, belief: Dist, tie_break: str = "lowest") -> int:
-    """Index of the chosen expected-surplus maximizer.
-
-    Ties (within ``DEFAULT_TOL`` for float beliefs) go to the lowest task
-    index by default; ``tie_break="highest"`` flips the rule (used to
-    confirm results do not hinge on it).
-    """
-    _check_tie_break(tie_break)
-    ties = argmax_task_set(firm, belief)
-    return ties[0] if tie_break == "lowest" else ties[-1]
-
-
 class SignalRow(NamedTuple):
     """One signal of a pay table, at the table's scales (see ``PayTable``)."""
 
@@ -309,6 +278,7 @@ class SignalRow(NamedTuple):
     weights: list[Number]  # perceived type weights q(t) * P(signal | t)
     task: int  # tie-broken expected-surplus maximizer under ``weights``
     score: Number  # that task's surplus dotted with ``weights``
+    ties: list[int]  # every maximizer under the tie rule; ``task`` is an end
 
 
 class PayTable(NamedTuple):
@@ -348,6 +318,7 @@ class PayTable(NamedTuple):
                 [Fraction(w, f) for w in r.weights],
                 r.task,
                 Fraction(r.score, s),
+                r.ties,
             )
             for r in self.rows
         )
@@ -361,9 +332,11 @@ def pay_table(
     tie_break: str = "lowest",
     what: str = "signal",
 ) -> PayTable:
-    """Marginals, perceived weights and tie-broken assignment per signal.
+    """Marginals, perceived weights and optimal tasks per signal.
 
-    Scores stay unnormalized: dividing by ``m_q > 0`` cannot change an
+    This is the one place that decides which tasks are optimal at a
+    signal: each row holds the tie set and its tie-broken end.  Scores
+    stay unnormalized: dividing by ``m_q > 0`` cannot change an
     argmax, and pay at a signal is ``score / m_q``.  When p, q, the
     surpluses and the likelihoods are all exact, denominators are
     cleared once per table (one lcm for p and q together, one for the
@@ -403,7 +376,7 @@ def pay_table(
         scores = [sum(map(mul, weights, a)) for a in surplus]
         ties = _near_max(scores, 0 if exact else DEFAULT_TOL * m_q)
         task = ties[0] if tie_break == "lowest" else ties[-1]
-        rows.append(SignalRow(m_p, m_q, weights, task, scores[task]))
+        rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties))
     return PayTable(tuple(rows), exact, freq_scale, surplus_scale, tuple(surplus))
 
 
@@ -418,14 +391,6 @@ def table_pay(table: PayTable) -> Number:
     for row in table.rows:
         total += row.m_p * row.score / row.m_q
     return total
-
-
-def worker_pay(firm: Firm, q: Dist, sig: SignalStructure, signal: str) -> Number:
-    """Expected surplus of the chosen task under the perceived posterior."""
-    if not q.full_support:
-        raise InputError("worker_pay requires a full-support perception")
-    j = sig.index(signal)
-    return pay_table(firm, q, q, sig).signal_pay(j)
 
 
 def average_pay(firm: Firm, pop: Population) -> Number:

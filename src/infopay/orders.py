@@ -43,15 +43,6 @@ def _prod_geq(a: Number, b: Number, tol: float) -> bool:
     return a >= b
 
 
-def _lr_geq_vec(hi: Sequence[Number], lo: Sequence[Number], tol: float) -> bool:
-    n = len(hi)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _prod_geq(lo[i] * hi[j], lo[j] * hi[i], tol):
-                return False
-    return True
-
-
 def _lr_violation_vec(
     hi: Sequence[Number], lo: Sequence[Number], tol: float
 ) -> tuple[int, int] | None:
@@ -84,7 +75,8 @@ def lr_geq(q_hi: Dist, q_lo: Dist, tol: float | None = None) -> bool:
     """True when ``q_hi`` is likelihood-ratio above ``q_lo``:
     ``q_lo(t) * q_hi(t') >= q_lo(t') * q_hi(t)`` whenever ``t' > t``."""
     _check_spaces(q_hi, q_lo)
-    return _lr_geq_vec(q_hi.probs, q_lo.probs, ORDER_TOL if tol is None else tol)
+    tol = ORDER_TOL if tol is None else tol
+    return _lr_violation_vec(q_hi.probs, q_lo.probs, tol) is None
 
 
 def lr_violation(q_hi: Dist, q_lo: Dist, tol: float | None = None) -> tuple[int, int] | None:
@@ -111,14 +103,12 @@ def is_mlr(sig: SignalStructure, tol: float | None = None) -> bool:
         raise InputError("monotone-likelihood-ratio check requires valued signals")
     slack = ORDER_TOL if tol is None else tol
     rows = sig.likelihood
-    n_sig = sig.n_signals
-    for t in range(len(rows)):
-        for u in range(t + 1, len(rows)):
-            for a in range(n_sig):
-                for b in range(a + 1, n_sig):
-                    if not _prod_geq(rows[t][a] * rows[u][b], rows[u][a] * rows[t][b], slack):
-                        return False
-    return True
+    # over the signals, each higher type's row is LR-above each lower one's
+    return all(
+        _lr_violation_vec(rows[u], rows[t], slack) is None
+        for t in range(len(rows))
+        for u in range(t + 1, len(rows))
+    )
 
 
 def perception_class(p: Dist, q: Dist, tol: float | None = None) -> PerceptionClass:

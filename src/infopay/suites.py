@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .decomposition import decompose, instrumental
+from .decomposition import decompose
 from .discrimination import (
     GapScenario,
     check_gap_ranking,
@@ -53,6 +54,7 @@ from .model import (
     Population,
     average_pay,
     fully_informative_structure,
+    pay_table,
     posterior,
     uninformative_structure,
 )
@@ -178,7 +180,7 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
         "instrumental-nonneg", res.instrumental >= floor, trial, carrier,
         f"instrumental {format_number(res.instrumental)}",
     )
-    other = instrumental(firm, p, q, coarse, fine, kernel, form="signalwise", tol=tol)
+    other = res.instrumental_signalwise
     book.check(
         "instrumental-forms-agree", abs(res.instrumental - other) <= eq, trial,
         carrier, f"{format_number(res.instrumental)} vs {format_number(other)}",
@@ -225,7 +227,7 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
     if rotation == 0:
         book.check(
             "conditional-frequency-fosd",
-            _conditional_fosd(p_w, q_w, fine_w, kernel_w, eq),
+            _conditional_fosd(firm_w, p_w, q_w, fine_w, kernel_w, eq),
             trial, carrier_w,
         )
 
@@ -245,41 +247,33 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
 def _kept_task_values_monotone(firm, q, fine, assignment_coarse, eq) -> bool:
     """Perceived fine-posterior value of each kept coarse task must be
     nondecreasing along the fine signal order (fine is MLR, firm
-    monotone)."""
-    n_t = q.space.size
-    weights = []
-    for f in range(fine.n_signals):
-        wq = [q.probs[t] * fine.likelihood[t][f] for t in range(n_t)]
-        weights.append((wq, sum(wq)))
+    monotone).  Exact values carry the table's positive surplus scale."""
+    table = pay_table(firm, q, q, fine)
     for idx in set(assignment_coarse):
-        surplus = firm.tasks[idx].surplus
+        surplus = table.surplus[idx]
         prev = None
-        for wq, m in weights:
-            v = sum(w * a for w, a in zip(wq, surplus)) / m
+        for row in table.rows:
+            dot = sum(map(mul, row.weights, surplus))
+            v = Fraction(dot, row.m_q) if table.exact else dot / row.m_q
             if prev is not None and v < prev - eq:
                 return False
             prev = v
     return True
 
 
-def _conditional_fosd(p, q, fine, kernel, eq) -> bool:
+def _conditional_fosd(firm, p, q, fine, kernel, eq) -> bool:
     """Given each coarse signal, the true fine-signal law must FOSD the
     perceived one when the truth is LR-above the perception."""
-    n_t = p.space.size
-    m_p, m_q = [], []
-    for f in range(fine.n_signals):
-        m_p.append(sum(p.probs[t] * fine.likelihood[t][f] for t in range(n_t)))
-        m_q.append(sum(q.probs[t] * fine.likelihood[t][f] for t in range(n_t)))
-    for s in range(len(kernel.coarse_signals)):
-        row = kernel.matrix[s]
-        a = [row[f] * m_p[f] for f in range(fine.n_signals)]
-        b = [row[f] * m_q[f] for f in range(fine.n_signals)]
+    rows = pay_table(firm, p, q, fine).rows
+    for g_row in kernel.matrix:
+        a = [g * r.m_p for g, r in zip(g_row, rows)]
+        b = [g * r.m_q for g, r in zip(g_row, rows)]
         total_a, total_b = sum(a), sum(b)
         if total_a <= 0 or total_b <= 0:
             continue
         cum_a = 0
         cum_b = 0
-        for f in range(fine.n_signals - 1):
+        for f in range(len(rows) - 1):
             cum_a += a[f]
             cum_b += b[f]
             # CDF under p must not exceed CDF under q (cross-multiplied)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from infopay.decomposition import decompose, perception_correcting
+from infopay.decomposition import decompose
 from infopay.discrimination import (
     check_narrowing,
     narrowing_counterexamples,
@@ -39,10 +39,10 @@ from infopay.model import (
     Population,
     SkillSpace,
     Task,
-    argmax_task_set,
     average_pay,
     binary_symmetric_structure,
     fully_informative_structure,
+    pay_table,
     posterior,
     uninformative_structure,
 )
@@ -132,10 +132,12 @@ def test_criterion_03_correction_sign():
         fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
         if trial % 2 == 0:
             p, q = random_lr_pair(rng, space)  # truth above perception
-            good = perception_correcting(firm, p, q, coarse, fine, kernel) >= 0
+            res = decompose(firm, p, q, coarse, fine, kernel)
+            good = res.perception_correcting >= 0
         else:
             q, p = random_lr_pair(rng, space)  # perception above truth
-            good = perception_correcting(firm, p, q, coarse, fine, kernel) <= 0
+            res = decompose(firm, p, q, coarse, fine, kernel)
+            good = res.perception_correcting <= 0
         if not good:
             bad = trial
             break
@@ -232,13 +234,11 @@ def test_criterion_07_accuracy_sweep():
             f"disfavored high-signal switch at {first_steep}, not just above 4/5"
         )
     firm, _, q_i, q_j = figure1_instance()
-    tie_i = argmax_task_set(
-        firm, posterior(q_i, binary_symmetric_structure(q_i.space, kink_i), "s0")
-    )
-    tie_j = argmax_task_set(
-        firm, posterior(q_j, binary_symmetric_structure(q_j.space, kink_j), "s1")
-    )
-    if tie_i != (0, 1) or tie_j != (0, 1):
+    sig_i = binary_symmetric_structure(q_i.space, kink_i)
+    sig_j = binary_symmetric_structure(q_j.space, kink_j)
+    tie_i = pay_table(firm, q_i, q_i, sig_i).rows[0].ties
+    tie_j = pay_table(firm, q_j, q_j, sig_j).rows[1].ties
+    if tie_i != [0, 1] or tie_j != [0, 1]:
         failures.append("kink accuracies are not exact assignment ties")
     if by_acc[Fraction(1)].gap != 0:
         failures.append(f"gap at accuracy 1 is {by_acc[Fraction(1)].gap}")
@@ -319,7 +319,7 @@ def test_criterion_10_accurate_perception_gain():
         fine, coarse, kernel = random_garbling_pair(rng, space)
         w_fine = average_pay(firm, Population(p, p, fine))
         w_coarse = average_pay(firm, Population(p, p, coarse))
-        c = perception_correcting(firm, p, p, coarse, fine, kernel)
+        c = decompose(firm, p, p, coarse, fine, kernel).perception_correcting
         if w_fine < w_coarse or c != 0:
             bad = trial
             break

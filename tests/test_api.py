@@ -1,0 +1,36 @@
+"""The public surface: every exported name resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import infopay
+
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(infopay.__path__, "infopay.")
+)
+
+
+def test_package_exports_resolve():
+    assert [n for n in infopay.__all__ if not hasattr(infopay, n)] == []
+    assert len(set(infopay.__all__)) == len(infopay.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["argmax_task_set", "assign_task", "worker_pay", "instrumental",
+     "perception_correcting"],
+)
+def test_removed_names_stay_removed(name):
+    # optimal tasks come from model.pay_table; both instrumental forms and
+    # the correction are fields of decompose's result
+    assert not hasattr(infopay, name)

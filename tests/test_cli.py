@@ -312,6 +312,59 @@ def test_float_check_theorem1_accepts_near_tie(tmp_path, capsys):
     assert code == 0
 
 
+# trial 2 of `infopay suite prop1 --trials 10 --seed 1400116`, cut from the
+# suite's first counterexample when slightness was checked pair by pair
+PAIRWISE_SLIGHT = """\
+[skill_space]
+-3 -1
+
+[distribution p]
+9/13 4/13
+
+[distribution q_i]
+9/17 8/17
+
+[distribution q_j]
+3/4 1/4
+
+[signal_structure coarse]
+signals: c0 c1
+1/3 2/3
+1/4 3/4
+
+[signal_structure fine]
+signals: s0 s1
+values: 0 1
+2/3 1/3
+1/2 1/2
+
+[firm]
+0 3
+-2 1
+1 2
+
+[scenario]
+p: p
+q_i: q_i
+q_j: q_j
+coarse: coarse
+fine: fine
+"""
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_check_narrowing_reports_failed_slightness(tmp_path, capsys, mode):
+    # the gap widens, but because slightness fails, not the claim
+    path = tmp_path / "pairwise_slight.inst"
+    path.write_text(PAIRWISE_SLIGHT)
+    code = main(["--mode", mode, "check", str(path), "--claim", "narrowing"])
+    out = capsys.readouterr().out
+    assert "slight_gain: False" in out
+    assert "gap narrowed:       False" in out
+    assert out.rstrip().endswith("result: PASS")
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "args",
     [("suite", "garbling", "--trials", "20", "--seed", "7"), ("example", "ex1-reversal")],

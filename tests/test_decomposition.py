@@ -32,10 +32,7 @@ from infopay import (
     binary_symmetric_structure,
     check_signs,
     decompose,
-    find_garbling,
     fully_informative_structure,
-    instrumental,
-    perception_correcting,
     uninformative_structure,
 )
 from infopay.generators import (
@@ -131,22 +128,17 @@ def test_instrumental_forms_agree():
     q = Dist(BIN, (F(3, 4), F(1, 4)))
     coarse = binary_symmetric_structure(BIN, F(11, 20))
     fine = binary_symmetric_structure(BIN, F(9, 10))
-    kernel = find_garbling(fine, coarse)
-    a = instrumental(FIRM2, p, q, coarse, fine, kernel, form="joint")
-    b = instrumental(FIRM2, p, q, coarse, fine, kernel, form="signalwise")
-    assert a == b
-    assert a >= 0
-    with pytest.raises(InputError):
-        instrumental(FIRM2, p, q, coarse, fine, kernel, form="other")
+    res = decompose(FIRM2, p, q, coarse, fine)
+    assert res.instrumental == res.instrumental_signalwise
+    assert res.instrumental >= 0
 
 
 def test_accurate_perception_kills_correction_term():
     p = Dist(BIN, (F(2, 5), F(3, 5)))
     coarse = binary_symmetric_structure(BIN, F(13, 20))
     fine = binary_symmetric_structure(BIN, F(17, 20))
-    kernel = find_garbling(fine, coarse)
-    assert perception_correcting(FIRM2, p, p, coarse, fine, kernel) == 0
     res = decompose(FIRM2, p, p, coarse, fine)
+    assert res.perception_correcting == 0
     assert res.total == res.instrumental >= 0
 
 

@@ -26,11 +26,15 @@ from infopay import (
     check_gap_ranking,
     check_narrowing,
     check_nearly_full,
+    decompose,
+    find_garbling,
     fully_informative_structure,
+    is_slightly_more_informative,
     narrowing_counterexamples,
     pay_gap,
     uninformative_structure,
 )
+from posterior_argmax import slight_pairwise
 
 BIN = SkillSpace((0, 1))
 FIRM2 = Firm((Task((0, 1)), Task((-4, 4))))
@@ -135,6 +139,49 @@ def test_narrowing_across_kink_is_not_slight():
     assert not report.star_holds
     assert report.gap_change == F(517, 5642)
     assert not report.violation  # a hypothesis fails, so no claim is broken
+
+
+def pairwise_slight_scenario():
+    """Trial 2 of ``infopay suite prop1 --trials 10 --seed 1400116`` as the
+    pairwise slightness check let it through.  Under ``q_i`` coarse signal
+    c1 keeps tasks {0, 2}; the kernel links it to s0, which keeps {2}, and
+    to s1, which keeps {0}."""
+    space = SkillSpace((-3, -1))
+    return GapScenario(
+        firm=Firm((Task((0, 3)), Task((-2, 1)), Task((1, 2)))),
+        p=Dist(space, (F(9, 13), F(4, 13))),
+        q_i=Dist(space, (F(9, 17), F(8, 17))),
+        q_j=Dist(space, (F(3, 4), F(1, 4))),
+        coarse=SignalStructure(
+            space, ("c0", "c1"), ((F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)))
+        ),
+        fine=SignalStructure(
+            space, ("s0", "s1"), ((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))),
+            values=(0, 1),
+        ),
+    )
+
+
+def test_pairwise_slight_counterexample_fails_slightness():
+    s = pairwise_slight_scenario()
+    kernel = find_garbling(s.fine, s.coarse)
+    assert kernel.matrix == ((F(1, 2), 0), (F(1, 2), 1))
+    for q in (s.q_i, s.q_j):
+        assert slight_pairwise(s.firm, q, s.fine, s.coarse, kernel)
+    assert not is_slightly_more_informative(s.firm, s.q_i, s.fine, s.coarse, kernel)
+    assert is_slightly_more_informative(s.firm, s.q_j, s.fine, s.coarse, kernel)
+    # no tie selection removes the favored group's instrumental part, so
+    # its pay rises and the gap widens
+    for tie_break, inst in (("lowest", F(4, 65)), ("highest", F(5, 91))):
+        res = decompose(s.firm, s.p, s.q_i, s.coarse, s.fine, tie_break=tie_break)
+        assert res.instrumental == inst
+        assert res.total == F(47, 910)
+    report = check_narrowing(s)
+    failed = [k for k, v in report.hypotheses.items() if not v]
+    assert failed == ["slight_gain"]
+    assert (report.gap_coarse, report.gap_fine) == (F(313, 1430), F(368, 1365))
+    assert not report.star_holds
+    assert not report.violation  # the hypothesis fails, not the claim
 
 
 # -- the five counterexample tuples --------------------------------------------

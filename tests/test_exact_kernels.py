@@ -24,7 +24,6 @@ from infopay import (
     garble,
     kernel_reproduces,
     uninformative_structure,
-    worker_pay,
 )
 from infopay.decomposition import _core
 from infopay.generators import (
@@ -53,7 +52,7 @@ def fraction_pay_table(firm, p, q, sig, tie_break="lowest"):
         best = max(scores)
         ties = [i for i, v in enumerate(scores) if v == best]
         task = ties[0] if tie_break == "lowest" else ties[-1]
-        rows.append(SignalRow(m_p, m_q, weights, task, scores[task]))
+        rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties))
     return rows
 
 
@@ -210,9 +209,9 @@ def test_pay_table_matches_fraction_oracle(instance):
         same(average_pay(firm, Population(p, q, sig)), fraction_table_pay(
             fraction_pay_table(firm, p, q, sig)
         ))
-        for j, label in enumerate(sig.signals):
-            row = fraction_pay_table(firm, q, q, sig)[j]
-            same(worker_pay(firm, q, sig, label), row.score / row.m_q)
+        perceived = pay_table(firm, q, q, sig)
+        for j, row in enumerate(fraction_pay_table(firm, q, q, sig)):
+            same(perceived.signal_pay(j), row.score / row.m_q)
 
 
 @settings(max_examples=150, deadline=None)

@@ -32,7 +32,16 @@ from infopay import (
     uninformative_structure,
     within_eps_of_full,
 )
+from infopay.generators import (
+    random_dist,
+    random_firm,
+    random_garbling_pair,
+    random_skill_space,
+    trial_rng,
+)
+from infopay.numeric import ORDER_TOL
 from joint_law import build_joints
+from posterior_argmax import slight_per_coarse_signal
 
 BIN = SkillSpace((0, 1))
 TRI = SkillSpace((0, 1, 2))
@@ -231,6 +240,53 @@ def test_single_task_firm_is_always_slight():
     fine, coarse = sym(F(99, 100)), sym(F(1, 2))
     kernel = find_garbling(fine, coarse)
     assert is_slightly_more_informative(firm, q, fine, coarse, kernel)
+
+
+@st.composite
+def slightness_instances(draw):
+    """Generator firms, perceptions and garbling pairs; a repeated task
+    ties at every signal, and full-information fine structures make
+    posteriors degenerate."""
+    rng = trial_rng(draw(st.integers(0, 2**32 - 1)), 0)
+    space = random_skill_space(rng, max_types=4)
+    firm = random_firm(rng, space.size, monotone=draw(st.booleans()))
+    if draw(st.booleans()):
+        firm = Firm(firm.tasks + firm.tasks[:1])
+    q = random_dist(rng, space)
+    if draw(st.booleans()):
+        fine, coarse, kernel = random_garbling_pair(rng, space, max_fine=5)
+    else:
+        fine = fully_informative_structure(space)
+        coarse = random_garbling_pair(rng, space, max_fine=4)[1]
+        kernel = find_garbling(fine, coarse)
+    return firm, q, fine, coarse, kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(slightness_instances(), st.sampled_from(("rational", "float")))
+def test_slightness_matches_posterior_oracle(instance, mode):
+    # the pay table's tie sets against argmax sets of normalized posteriors
+    if mode == "float":
+        instance = tuple(obj.to_float() for obj in instance)
+    firm, q, fine, coarse, kernel = instance
+    positive = 0 if mode == "rational" else ORDER_TOL
+    assert is_slightly_more_informative(
+        firm, q, fine, coarse, kernel
+    ) == slight_per_coarse_signal(firm, q, fine, coarse, kernel, positive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_coarse_image_of_exact_kernel_reproduces(seed):
+    # an exact kernel and fine structure against a float coarse structure:
+    # the float slack applies whenever any of the three holds a float
+    rng = trial_rng(seed, 0)
+    space = random_skill_space(rng)
+    fine, coarse, kernel = random_garbling_pair(rng, space)
+    coarse_f = garble(fine.to_float(), kernel.to_float())
+    assert kernel_reproduces(kernel, fine, coarse_f)
+    assert kernel_reproduces(kernel, fine.to_float(), coarse_f)
+    assert kernel_reproduces(kernel.to_float(), fine, coarse.to_float())
 
 
 # -- near-full informativeness ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core model: posteriors, task assignment, pay.
+"""Core model: posteriors, the pay table's task assignment, pay.
 
 Expected values were derived by hand from the Bayes rule and frozen
 here before the implementation was written.
@@ -18,14 +18,14 @@ from infopay import (
     SignalStructure,
     SkillSpace,
     Task,
-    assign_task,
     average_pay,
     binary_symmetric_structure,
     fully_informative_structure,
     posterior,
     uninformative_structure,
-    worker_pay,
 )
+from infopay.model import pay_table
+from posterior_argmax import argmax_task_set
 
 # -- shared fixtures ---------------------------------------------------------
 
@@ -160,29 +160,45 @@ def test_non_finite_numbers_rejected(build):
 # -- task assignment and pay -------------------------------------------------
 
 
+def belief_row(belief, tie_break="lowest"):
+    """The pay-table row of the one signal that leaves ``belief`` unchanged."""
+    flat = uninformative_structure(belief.space)
+    return pay_table(FIRM2, belief, belief, flat, tie_break).rows[0]
+
+
 def test_assign_task_picks_expected_surplus_maximizer():
     hi = Dist(BIN, (F(1, 4), F(3, 4)))  # steep task worth 2 beats 3/4
     lo = Dist(BIN, (F(3, 4), F(1, 4)))  # steep task is negative here
-    assert assign_task(FIRM2, hi) == 1
-    assert assign_task(FIRM2, lo) == 0
+    assert belief_row(hi).task == 1 and belief_row(hi).ties == [1]
+    assert belief_row(lo).task == 0 and belief_row(lo).ties == [0]
 
 
 def test_assign_task_tie_break():
     # belief 4/7 on the high type makes both tasks worth exactly 4/7
     belief = Dist(BIN, (F(3, 7), F(4, 7)))
-    assert assign_task(FIRM2, belief) == 0
-    assert assign_task(FIRM2, belief, tie_break="highest") == 1
+    assert belief_row(belief).ties == [0, 1]
+    assert belief_row(belief).task == 0
+    assert belief_row(belief, tie_break="highest").task == 1
     with pytest.raises(InputError):
-        assign_task(FIRM2, belief, tie_break="middle")
+        belief_row(belief, tie_break="middle")
+
+
+def test_float_ties_within_default_tol():
+    # the float tie rule: scores within DEFAULT_TOL on the posterior scale
+    near = Dist(BIN, (3 / 7 - 1e-11, 4 / 7 + 1e-11))
+    assert belief_row(near).ties == [0, 1]
+    apart = Dist(BIN, (3 / 7 - 1e-6, 4 / 7 + 1e-6))
+    assert belief_row(apart).ties == [1]
 
 
 def test_worker_pay_binary():
     q = Dist(BIN, (F(1, 4), F(3, 4)))
-    sig = sym(F(9, 13))
+    table = pay_table(FIRM2, q, q, sym(F(9, 13)))
     # low signal: posterior 4/7 on the high type, both tasks tie at 4/7
-    assert worker_pay(FIRM2, q, sig, "s0") == F(4, 7)
+    assert table.signal_pay(0) == F(4, 7)
+    assert table.rows[0].ties == [0, 1]
     # high signal: posterior 27/31, steep task pays 4*(2*27/31 - 1)
-    assert worker_pay(FIRM2, q, sig, "s1") == F(92, 31)
+    assert table.signal_pay(1) == F(92, 31)
 
 
 def test_average_pay_uninformative_showcase():
@@ -228,10 +244,12 @@ def test_worker_pay_dominates_every_task(pq, num, den):
     lam = F(1, 2) + F(num, 20)
     sig = binary_symmetric_structure(BIN, lam)
     post = posterior(q, sig, "s1")
-    pay = worker_pay(FIRM2, q, sig, "s1")
+    table = pay_table(FIRM2, q, q, sig)
+    pay = table.signal_pay(1)
     values = [sum(w * a for w, a in zip(post.probs, t.surplus)) for t in FIRM2.tasks]
     assert pay == max(values)
-    assert values[assign_task(FIRM2, post)] == pay
+    assert values[table.rows[1].task] == pay
+    assert tuple(table.rows[1].ties) == argmax_task_set(FIRM2, post)
 
 
 @given(probs2, probs2)
@@ -244,7 +262,9 @@ def test_average_pay_matches_enumeration(pp, qq):
     total = 0
     for i in range(2):
         for s in sig.signals:
-            total += p.probs[i] * sig.likelihood[i][sig.index(s)] * worker_pay(
-                FIRM2, q, sig, s
+            post = posterior(q, sig, s)
+            pay = max(
+                sum(w * a for w, a in zip(post.probs, t.surplus)) for t in FIRM2.tasks
             )
+            total += p.probs[i] * sig.likelihood[i][sig.index(s)] * pay
     assert average_pay(FIRM2, pop) == total

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from infopay.errors import InputError
-from infopay.model import argmax_task_set, binary_symmetric_structure, posterior
+from infopay.model import binary_symmetric_structure, pay_table
 from infopay.numeric import DEFAULT_TOL
 from infopay.sweep import (
     DEFAULT_GRID_SPEC,
@@ -61,19 +61,21 @@ def test_assignment_switch_points_exact():
     assert all(r.task_i_s1 == 1 and r.task_j_s0 == 0 for r in rows)
 
 
+def ties_at(firm, q, lam, label):
+    sig = binary_symmetric_structure(q.space, lam)
+    return pay_table(firm, q, q, sig).rows[sig.index(label)].ties
+
+
 def test_kinks_are_exact_ties():
     firm, _, q_i, q_j = figure1_instance()
-    sig_i = binary_symmetric_structure(q_i.space, KINK_I)
-    assert argmax_task_set(firm, posterior(q_i, sig_i, "s0")) == (0, 1)
-    sig_j = binary_symmetric_structure(q_j.space, KINK_J)
-    assert argmax_task_set(firm, posterior(q_j, sig_j, "s1")) == (0, 1)
+    assert ties_at(firm, q_i, KINK_I, "s0") == [0, 1]
+    assert ties_at(firm, q_j, KINK_J, "s1") == [0, 1]
     # one step to either side the tie disappears
     for lam, q, label in (
         (KINK_I - STEP, q_i, "s0"), (KINK_I + STEP, q_i, "s0"),
         (KINK_J - STEP, q_j, "s1"), (KINK_J + STEP, q_j, "s1"),
     ):
-        sig = binary_symmetric_structure(q.space, lam)
-        assert len(argmax_task_set(firm, posterior(q, sig, label))) == 1
+        assert len(ties_at(firm, q, lam, label)) == 1
 
 
 def test_gap_values_frozen():
