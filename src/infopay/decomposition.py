@@ -19,27 +19,21 @@ Everything is computed through one shared kernel and the model's
 per-signal pay table (``pay_table``): marginals, unnormalized perceived
 weights and one tie-broken assignment per signal.  The remaining
 conditional probabilities cancel algebraically, so rational inputs stay
-exact: on them the tables hold Python ints, the kernel's denominators
-are cleared once, every per-signal sum is an int, and each part is one
-``Fraction`` sum over signals divided by the product of the scales.
+exact: on them the tables hold Python ints, the kernel enters through
+the int form it carries, every per-signal sum is an int, and each part
+is one ``Fraction`` sum over signals divided by the product of the
+scales.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 from .errors import InputError, OrderingError
 from .garbling import GarblingKernel, find_garbling, kernel_reproduces
 from .model import Dist, Firm, SignalStructure, pay_table, table_pay
-from .numeric import (
-    Number,
-    all_exact,
-    claim_slacks,
-    clear_denominators,
-    ratio_sum,
-)
+from .numeric import Number, all_exact, claim_slacks, ratio_sum
 from .orders import PerceptionClass, is_mlr, perception_class
 
 __all__ = [
@@ -109,10 +103,10 @@ def _core(
     table_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
     table_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
     rows_f, surplus, g = table_f.rows, table_f.surplus, kernel.matrix
-    exact = table_f.exact and all_exact(chain(*g))
+    exact = table_f.exact and kernel.int_form is not None
     g_scale = 1
     if exact:  # every sum below is an int at scale g_scale * (score scale)
-        g, g_scale = clear_denominators(g)
+        g, g_scale = kernel.int_form
     elif table_f.exact:  # float kernel: exact rows join it at true values
         rows_f, surplus = table_f.true_rows(), [t.surplus for t in firm.tasks]
 

@@ -12,22 +12,14 @@ operations take the kernel they are given and never re-solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Sequence
 
 from .errors import InputError
-from .model import Dist, Firm, SignalStructure, pay_table
-from .numeric import (
-    LP_TOL,
-    ORDER_TOL,
-    Number,
-    all_exact,
-    clear_denominators,
-    pick_tol,
-)
+from .model import Dist, Firm, IntRows, SignalStructure, pay_table
+from .numeric import LP_TOL, ORDER_TOL, Number, clear_denominators, exact_entries
 from .simplex import feasible_point
 
 __all__ = [
@@ -49,11 +41,14 @@ class GarblingKernel:
     ``matrix[s][f]`` is the probability that fine signal ``f`` is
     reported as coarse signal ``s``.  Columns sum to one (within the
     feasibility tolerance in float mode, exactly for rational entries).
+    When every entry is exact, ``int_form = (rows, scale)`` holds the
+    matrix as ints over the lcm of all its denominators.
     """
 
     coarse_signals: tuple[str, ...]
     fine_signals: tuple[str, ...]
     matrix: tuple[tuple[Number, ...], ...]
+    int_form: IntRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coarse_signals", tuple(self.coarse_signals))
@@ -66,19 +61,23 @@ class GarblingKernel:
             raise InputError("kernel needs nonempty signal sets")
         if len(self.matrix) != n_c or any(len(r) != n_f for r in self.matrix):
             raise InputError("kernel matrix shape does not match signal sets")
-        flat = [v for row in self.matrix for v in row]
-        tol = pick_tol(flat, LP_TOL)
-        for row in self.matrix:
+        form = None
+        if exact_entries([v for row in self.matrix for v in row], "kernel entries"):
+            form = clear_denominators(self.matrix)
+        # exact entries are tested as ints against the scale, with no slack
+        rows, one, tol = (self.matrix, 1, LP_TOL) if form is None else (*form, 0)
+        for row in rows:
             for v in row:
-                if v < -tol or v > 1 + tol:
+                if v < -tol or v > one + tol:
                     raise InputError("kernel entries must lie in [0, 1]")
         for f in range(n_f):
-            col = sum(self.matrix[s][f] for s in range(n_c))
-            if not (1 - tol <= col <= 1 + tol):
+            if not (one - tol <= sum(row[f] for row in rows) <= one + tol):
+                col = sum(row[f] for row in self.matrix)
                 raise InputError(
                     f"kernel column for fine signal "
                     f"{self.fine_signals[f]!r} sums to {col!r}, expected 1"
                 )
+        object.__setattr__(self, "int_form", form)
 
     def to_float(self) -> "GarblingKernel":
         return GarblingKernel(
@@ -111,23 +110,22 @@ def kernel_reproduces(
     """Does mixing the fine likelihoods through the kernel recover the
     coarse likelihoods (exactly, or within ``tol`` for floats)?
 
-    Exact input is compared as cross-multiplied ints: each of the three
-    matrices is cleared of denominators once.  A float in any of them
+    Exact input is compared as cross-multiplied ints: the int forms the
+    three matrices carry, each at its own scale.  A float in any of them
     makes every entry a float comparison with slack ``tol`` (default
     ``LP_TOL``); the scales are then 1.
     """
     _check_shared_space(fine, coarse)
     _check_kernel_labels(kernel, fine, coarse)
-    g, fine_lik, coarse_lik = kernel.matrix, fine.likelihood, coarse.likelihood
-    coarse_scale = mixed_scale = 1
-    if all_exact(chain(*g, *fine_lik, *coarse_lik)):
-        slack = 0
-        g, g_scale = clear_denominators(g)
-        fine_lik, fine_scale = clear_denominators(fine_lik)
-        coarse_lik, coarse_scale = clear_denominators(coarse_lik)
-        mixed_scale = g_scale * fine_scale
-    else:
+    forms = (kernel.int_form, fine.int_form, coarse.int_form)
+    if None in forms:
+        g, fine_lik, coarse_lik = kernel.matrix, fine.likelihood, coarse.likelihood
+        coarse_scale = mixed_scale = 1
         slack = LP_TOL if tol is None else tol
+    else:
+        (g, g_scale), (fine_lik, fine_scale), (coarse_lik, coarse_scale) = forms
+        mixed_scale = g_scale * fine_scale
+        slack = 0
     return all(
         abs(sum(map(mul, g_row, fine_row)) * coarse_scale
             - coarse_row[s] * mixed_scale) <= slack
@@ -177,18 +175,17 @@ def garble(
     """The coarse structure obtained by reporting fine signals through
     the kernel.
 
-    Exact entries are mixed as ints over the two matrices' common
-    denominators; an entry stays an int when its kernel row and its
+    Exact entries are mixed as ints, from the int forms of the kernel and
+    the likelihoods; an entry stays an int when its kernel row and its
     likelihood row hold no Fraction, as a sum of int products would.
     """
     if kernel.fine_signals != fine.signals:
         raise InputError("kernel fine signals do not match the fine structure")
     g, lik = kernel.matrix, fine.likelihood
-    if all_exact(chain(*g, *lik)):
+    if kernel.int_form is not None and fine.int_form is not None:
         frac_g = [any(isinstance(v, Fraction) for v in row) for row in g]
         frac_lik = [any(isinstance(v, Fraction) for v in row) for row in lik]
-        g, g_scale = clear_denominators(g)
-        lik, lik_scale = clear_denominators(lik)
+        (g, g_scale), (lik, lik_scale) = kernel.int_form, fine.int_form
         scale = g_scale * lik_scale
         rows = []
         for lik_row, frac_t in zip(lik, frac_lik):
@@ -253,10 +250,13 @@ def is_slightly_more_informative(
     _check_shared_space(fine, coarse)
     if not kernel_reproduces(kernel, fine, coarse, tol=tol):
         raise InputError("kernel does not reproduce the coarse structure")
-    positive = 0 if all_exact(chain(*kernel.matrix)) else ORDER_TOL
+    if kernel.int_form is None:
+        links, positive = kernel.matrix, ORDER_TOL
+    else:
+        links, positive = kernel.int_form[0], 0
     coarse_rows = pay_table(firm, q, q, coarse, what="coarse signal").rows
     fine_rows = pay_table(firm, q, q, fine, what="fine signal").rows
-    for row_c, g_row in zip(coarse_rows, kernel.matrix):
+    for row_c, g_row in zip(coarse_rows, links):
         kept = set(row_c.ties)
         for row_f, g in zip(fine_rows, g_row):
             if g > positive:
@@ -274,20 +274,25 @@ def within_eps_of_full(
 
     ``eps = 0`` means fully informative; ``math.inf`` accepts anything.
     """
+    eps_exact = exact_entries((eps,), "eps")
     if isinstance(eps, float) and math.isinf(eps) and eps > 0:
         return True
     if eps < 0:
         raise InputError("eps must be nonnegative")
+    # exact input compares int likelihoods: every test below is
+    # invariant under scaling a column
+    exact = eps_exact and sig.int_form is not None
+    lik = sig.int_form[0] if exact else sig.likelihood
     slack = ORDER_TOL if tol is None else tol
     n_t = sig.space.size
     for j in range(sig.n_signals):
-        col = [sig.likelihood[t][j] for t in range(n_t)]
+        col = [lik[t][j] for t in range(n_t)]
         ok = False
         for star in range(n_t):
             if not col[star] > 0:
                 continue
             bound = eps * col[star]
-            pad = 0 if all_exact(col) and all_exact((eps,)) else slack * max(1, col[star])
+            pad = 0 if exact else slack * max(1, col[star])
             if all(col[t] <= bound + pad for t in range(n_t) if t != star):
                 ok = True
                 break

@@ -17,9 +17,8 @@ a conversion, so rational inputs give exact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -27,12 +26,16 @@ from .errors import InputError
 from .numeric import (
     DEFAULT_TOL,
     Number,
-    all_exact,
-    clear_denominators,
+    exact_entries,
+    int_row,
+    join_rows,
     ratio_sum,
     require_finite,
     validate_prob_vector,
 )
+
+IntRow = tuple[tuple[int, ...], int]  # (ints, scale)
+IntRows = tuple[tuple[tuple[int, ...], ...], int]  # (int rows, one scale)
 
 __all__ = [
     "SkillSpace",
@@ -63,6 +66,7 @@ class SkillSpace:
         object.__setattr__(self, "thetas", tuple(self.thetas))
         if len(self.thetas) < 2:
             raise InputError("skill space needs at least two types")
+        exact_entries(self.thetas, "skill levels")
         require_finite(self.thetas, "skill levels")
         for lo, hi in zip(self.thetas, self.thetas[1:]):
             if not lo < hi:
@@ -81,11 +85,15 @@ class Dist:
     """Probability vector over a skill space.
 
     Entries may be zero (posteriors can be degenerate); functions that
-    need a prior insist on full support at the call site.
+    need a prior insist on full support at the call site.  Exact probs
+    keep their int form ``int_form = (ints, scale)``, with ``probs[i] ==
+    ints[i] / scale``; float and mixed ones keep None.
     """
 
     space: SkillSpace
     probs: tuple[Number, ...]
+    int_form: IntRow | None = field(init=False, repr=False, compare=False)
+    full_support: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(self.probs))
@@ -94,11 +102,10 @@ class Dist:
                 f"distribution has {len(self.probs)} entries for "
                 f"{self.space.size} types"
             )
-        validate_prob_vector(self.probs, "distribution")
-
-    @property
-    def full_support(self) -> bool:
-        return all(v > 0 for v in self.probs)
+        form = validate_prob_vector(self.probs, "distribution")
+        entries = self.probs if form is None else form[0]
+        object.__setattr__(self, "int_form", form)
+        object.__setattr__(self, "full_support", all(v > 0 for v in entries))
 
     def to_float(self) -> "Dist":
         return Dist(self.space.to_float(), tuple(float(v) for v in self.probs))
@@ -106,19 +113,29 @@ class Dist:
 
 @dataclass(frozen=True)
 class Task:
-    """Surplus per type, aligned with the skill space order."""
+    """Surplus per type, aligned with the skill space order.
+
+    Exact surpluses keep their int form ``int_form = (ints, scale)``.
+    """
 
     surplus: tuple[Number, ...]
+    int_form: IntRow | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "surplus", tuple(self.surplus))
         if not self.surplus:
             raise InputError("task needs at least one surplus entry")
-        require_finite(self.surplus, "task surplus")
+        form = None
+        if exact_entries(self.surplus, "task surplus"):
+            form = int_row(self.surplus)
+        else:
+            require_finite(self.surplus, "task surplus")
+        object.__setattr__(self, "int_form", form)
 
     @property
     def is_increasing(self) -> bool:
-        return all(a < b for a, b in zip(self.surplus, self.surplus[1:]))
+        v = self.surplus if self.int_form is None else self.int_form[0]
+        return all(a < b for a, b in zip(v, v[1:]))
 
     def to_float(self) -> "Task":
         return Task(tuple(float(v) for v in self.surplus))
@@ -126,9 +143,14 @@ class Task:
 
 @dataclass(frozen=True)
 class Firm:
-    """Nonempty set of tasks of equal width."""
+    """Nonempty set of tasks of equal width.
+
+    When every surplus is exact, ``int_form = (rows, scale)`` holds one
+    int row per task over the lcm of all their denominators.
+    """
 
     tasks: tuple[Task, ...]
+    int_form: IntRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -137,6 +159,10 @@ class Firm:
         width = len(self.tasks[0].surplus)
         if any(len(t.surplus) != width for t in self.tasks):
             raise InputError("all tasks in a firm must cover the same types")
+        forms = [t.int_form for t in self.tasks]
+        object.__setattr__(
+            self, "int_form", None if None in forms else join_rows(forms)
+        )
 
     @property
     def is_monotone(self) -> bool:
@@ -153,13 +179,16 @@ class SignalStructure:
 
     ``values`` optionally places the signals on the real line (required
     by likelihood-ratio monotonicity checks); when present they must be
-    strictly increasing so that label order equals value order.
+    strictly increasing so that label order equals value order.  When
+    every likelihood is exact, ``int_form = (rows, scale)`` holds the
+    whole matrix as ints over the lcm of all its denominators.
     """
 
     space: SkillSpace
     signals: tuple[str, ...]
     likelihood: tuple[tuple[Number, ...], ...]
     values: tuple[Number, ...] | None = None
+    int_form: IntRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(self.signals))
@@ -177,16 +206,21 @@ class SignalStructure:
                 f"likelihood has {len(self.likelihood)} rows for "
                 f"{self.space.size} types"
             )
+        forms = []
         for k, row in enumerate(self.likelihood):
             if len(row) != len(self.signals):
                 raise InputError(f"likelihood row for type index {k} has wrong width")
-            validate_prob_vector(row, f"likelihood row for type index {k}")
+            forms.append(validate_prob_vector(row, f"likelihood row for type index {k}"))
+        form = None if None in forms else join_rows(forms)
+        rows = self.likelihood if form is None else form[0]
         for j, label in enumerate(self.signals):
-            if not any(row[j] > 0 for row in self.likelihood):
+            if not any(row[j] > 0 for row in rows):
                 raise InputError(f"signal {label!r} has zero likelihood everywhere")
+        object.__setattr__(self, "int_form", form)
         if self.values is not None:
             if len(self.values) != len(self.signals):
                 raise InputError("signal values must match signal count")
+            exact_entries(self.values, "signal values")
             require_finite(self.values, "signal values")
             for lo, hi in zip(self.values, self.values[1:]):
                 if not lo < hi:
@@ -338,30 +372,31 @@ def pay_table(
     signal: each row holds the tie set and its tie-broken end.  Scores
     stay unnormalized: dividing by ``m_q > 0`` cannot change an
     argmax, and pay at a signal is ``score / m_q``.  When p, q, the
-    surpluses and the likelihoods are all exact, denominators are
-    cleared once per table (one lcm for p and q together, one for the
-    likelihoods, one for the surpluses) and every product, sum and
-    comparison is an int operation; all scores share one positive scale,
-    so the argmax and its ties are those of the true values.  Exact input
-    breaks ties with zero slack, other input within ``DEFAULT_TOL *
-    m_q``.  A signal with zero true or perceived frequency (float
-    underflow) raises ``InputError``; ``what`` names such signals in the
-    message.
+    surpluses and the likelihoods are all exact, the table reads the int
+    forms the objects carry (p and q joined at the lcm of their two
+    scales; the likelihood matrix and the firm's surpluses each at their
+    own) and every product, sum and comparison is an int operation; all
+    scores share one positive scale, so the argmax and its ties are those
+    of the true values.  Exact input breaks ties with zero slack, other
+    input within ``DEFAULT_TOL * m_q``.  A signal with zero true or
+    perceived frequency (float underflow) raises ``InputError``; ``what``
+    names such signals in the message.
     """
     _check_tie_break(tie_break)
     if not (p.space == q.space == sig.space):
         raise InputError("distributions and signal structure disagree on types")
-    surplus = tuple(task.surplus for task in firm.tasks)
-    if len(surplus[0]) != q.space.size:
+    if len(firm.tasks[0].surplus) != q.space.size:
         raise InputError("firm tasks and belief cover different type counts")
-    p_t, q_t, lik = p.probs, q.probs, sig.likelihood
-    exact = all_exact(chain(p_t, q_t, *surplus, *lik))
-    freq_scale = surplus_scale = 1
+    exact = None not in (p.int_form, q.int_form, sig.int_form, firm.int_form)
     if exact:
-        (p_t, q_t), pq_scale = clear_denominators((p_t, q_t))
-        lik, lik_scale = clear_denominators(lik)
-        surplus, surplus_scale = clear_denominators(surplus)
+        (p_t, q_t), pq_scale = join_rows((p.int_form, q.int_form))
+        lik, lik_scale = sig.int_form
+        surplus, surplus_scale = firm.int_form
         freq_scale = pq_scale * lik_scale
+    else:
+        p_t, q_t, lik = p.probs, q.probs, sig.likelihood
+        surplus = tuple(task.surplus for task in firm.tasks)
+        freq_scale = surplus_scale = 1
     rows = []
     for j, label in enumerate(sig.signals):
         col = [row[j] for row in lik]
@@ -377,7 +412,7 @@ def pay_table(
         ties = _near_max(scores, 0 if exact else DEFAULT_TOL * m_q)
         task = ties[0] if tie_break == "lowest" else ties[-1]
         rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties))
-    return PayTable(tuple(rows), exact, freq_scale, surplus_scale, tuple(surplus))
+    return PayTable(tuple(rows), exact, freq_scale, surplus_scale, surplus)
 
 
 def table_pay(table: PayTable) -> Number:

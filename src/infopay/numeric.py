@@ -3,8 +3,11 @@
 Every quantitative routine in this package is generic over the number
 type of its inputs: plain ``float`` (the default mode) or exact
 rationals (``int`` / ``fractions.Fraction``).  Exactness is detected
-from the values themselves; when every input is exact, comparisons use
-zero slack, otherwise the documented float tolerances apply.
+from the values themselves, by ``exact_entries``: model objects classify
+their entries once, at construction, and keep the int form
+(``int_row``, ``join_rows``) of exact ones.  When every input is exact,
+comparisons use zero slack, otherwise the documented float tolerances
+apply.
 
 Tolerance registry (float mode):
 
@@ -34,6 +37,7 @@ every claim check; exact values get zero slack everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence, Union
@@ -43,6 +47,7 @@ from .errors import InputError
 Number = Union[int, float, Fraction]
 
 EXACT_TYPES = (int, Fraction)
+_PLAIN_EXACT = frozenset(EXACT_TYPES)  # the classifier's fast path
 
 DEFAULT_TOL = 1e-9
 ORDER_TOL = 1e-12
@@ -56,20 +61,56 @@ def all_exact(values: Iterable[Number]) -> bool:
     return all(map(isinstance, values, repeat(EXACT_TYPES)))
 
 
+def exact_entries(values: Iterable[object], what: str) -> bool:
+    """The entry classifier: are all entries exact?
+
+    Exact means an ``int`` that is not a ``bool``, or a ``Fraction``.
+    Any other real number (``float``, numpy scalars) makes the entries
+    float entries.  Anything else, bools included, raises ``InputError``
+    naming ``what``.
+    """
+    exact = True
+    for v in values:
+        if type(v) in _PLAIN_EXACT:
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InputError(f"{what}: {v!r} is not a number")
+        if not isinstance(v, EXACT_TYPES):
+            exact = False
+    return exact
+
+
+def int_row(values: Sequence[Number]) -> tuple[tuple[int, ...], int]:
+    """Exact values as ``(ints, scale)``: ints over the lcm of their
+    denominators, so ``values[i] == ints[i] / scale``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # unpack a list, not a generator: a tuple built from a generator is
+    # allocated large and then shrunk, and such tuples pile up in the free
+    # list of their final size (about 1 MB more peak memory on suites-exact)
+    scale = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (scale // d) for n, d in ratios]), scale
+
+
+def join_rows(
+    forms: Sequence[tuple[Sequence[int], int]],
+) -> tuple[tuple[Sequence[int], ...], int]:
+    """Int rows ``(ints, scale)`` brought to one scale, the lcm of theirs."""
+    scale = math.lcm(*[s for _, s in forms])
+    return tuple([
+        ints if s == scale else tuple([n * (scale // s) for n in ints])
+        for ints, s in forms
+    ]), scale
+
+
 def clear_denominators(
     rows: Sequence[Sequence[Number]],
-) -> tuple[list[list[int]], int]:
+) -> tuple[tuple[Sequence[int], ...], int]:
     """Exact rows as int rows over one common denominator.
 
     Returns ``(ints, scale)`` with ``rows[i][j] == ints[i][j] / scale``,
     where ``scale`` is the lcm of every denominator in ``rows``.
     """
-    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
-    # unpack a list, not a generator: a tuple built from a generator is
-    # allocated large and then shrunk, and such tuples pile up in the free
-    # list of their final size (about 1 MB more peak memory on suites-exact)
-    scale = math.lcm(*[d for row in ratios for _, d in row])
-    return [[n * (scale // d) for n, d in row] for row in ratios], scale
+    return join_rows([int_row(row) for row in rows])
 
 
 def ratio_sum(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
@@ -83,11 +124,6 @@ def ratio_sum(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
         num = num * b + a * den
         den *= b
     return Fraction(num, den * scale)
-
-
-def pick_tol(values: Iterable[Number], float_tol: float) -> Number:
-    """Zero slack for exact inputs, ``float_tol`` otherwise."""
-    return 0 if all_exact(values) else float_tol
 
 
 def claim_slacks(
@@ -146,13 +182,19 @@ def format_number(x: Number) -> str:
 
 
 def validate_prob_vector(
-    probs: Sequence[Number], what: str, sum_tol: float = DIST_SUM_TOL
-) -> None:
-    """Nonnegative entries summing to 1 (exactly for rational input)."""
-    for k, v in enumerate(probs):
+    probs: Sequence[Number], what: str
+) -> tuple[tuple[int, ...], int] | None:
+    """Nonnegative entries summing to 1 (exactly for exact input).
+
+    Returns the int form ``int_row(probs)`` of exact entries, None for
+    float and mixed ones.  Exact entries are tested as ints: each at
+    least 0, their sum equal to the scale.
+    """
+    form = int_row(probs) if exact_entries(probs, what) else None
+    entries, one, tol = (probs, 1, DIST_SUM_TOL) if form is None else (*form, 0)
+    for k, v in enumerate(entries):
         if v < 0:
-            raise InputError(f"{what}: entry {k} is negative ({v!r})")
-    total = sum(probs)
-    tol = pick_tol(probs, sum_tol)
-    if not (1 - tol <= total <= 1 + tol):
-        raise InputError(f"{what}: entries sum to {total!r}, expected 1")
+            raise InputError(f"{what}: entry {k} is negative ({probs[k]!r})")
+    if not (one - tol <= sum(entries) <= one + tol):
+        raise InputError(f"{what}: entries sum to {sum(probs)!r}, expected 1")
+    return form

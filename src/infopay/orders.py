@@ -1,9 +1,11 @@
 """Stochastic orders on beliefs and signal structures.
 
 The likelihood-ratio order compares cross products, so zero entries are
-handled without forming ratios.  In float mode each product comparison
-carries an absolute slack scaled by the larger operand; rational inputs
-are compared exactly.
+handled without forming ratios.  Exact objects are compared through the
+int forms they carry: cross products and cumulative sums keep their
+order under a positive scale, so the int tests are the exact ones.  In
+float mode (any object with a float entry) each product comparison
+carries an absolute slack scaled by the larger operand.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .model import Dist, SignalStructure, SkillSpace
-from .numeric import ORDER_TOL, Number, all_exact
+from .numeric import ORDER_TOL, Number, join_rows
 
 __all__ = [
     "PerceptionClass",
@@ -37,8 +39,8 @@ class PerceptionClass(Enum):
 
 
 def _prod_geq(a: Number, b: Number, tol: float) -> bool:
-    """a >= b, with slack tol * max(|a|, |b|) for float operands."""
-    if tol and not all_exact((a, b)):
+    """a >= b, with slack tol * max(|a|, |b|)."""
+    if tol:
         return a >= b - tol * max(abs(a), abs(b))
     return a >= b
 
@@ -54,8 +56,7 @@ def _lr_violation_vec(
     return None
 
 
-def _fosd_geq_vec(hi: Sequence[Number], lo: Sequence[Number], tol: float) -> bool:
-    slack = 0 if all_exact(hi) and all_exact(lo) else tol
+def _fosd_geq_vec(hi: Sequence[Number], lo: Sequence[Number], slack: float) -> bool:
     cum_hi = 0
     cum_lo = 0
     for a, b in zip(hi[:-1], lo[:-1]):
@@ -71,25 +72,31 @@ def _check_spaces(a: Dist, b: Dist) -> None:
         raise InputError("distributions live on different skill spaces")
 
 
+def _entries(hi: Dist, lo: Dist, tol: float | None):
+    """(hi entries, lo entries, slack): the int forms at one scale and
+    zero slack when both are exact, the probs and float slack otherwise."""
+    _check_spaces(hi, lo)
+    if hi.int_form is None or lo.int_form is None:
+        return hi.probs, lo.probs, ORDER_TOL if tol is None else tol
+    (hi_ints, lo_ints), _ = join_rows((hi.int_form, lo.int_form))
+    return hi_ints, lo_ints, 0
+
+
 def lr_geq(q_hi: Dist, q_lo: Dist, tol: float | None = None) -> bool:
     """True when ``q_hi`` is likelihood-ratio above ``q_lo``:
     ``q_lo(t) * q_hi(t') >= q_lo(t') * q_hi(t)`` whenever ``t' > t``."""
-    _check_spaces(q_hi, q_lo)
-    tol = ORDER_TOL if tol is None else tol
-    return _lr_violation_vec(q_hi.probs, q_lo.probs, tol) is None
+    return _lr_violation_vec(*_entries(q_hi, q_lo, tol)) is None
 
 
 def lr_violation(q_hi: Dist, q_lo: Dist, tol: float | None = None) -> tuple[int, int] | None:
     """First type-index pair witnessing failure of ``lr_geq``, else None."""
-    _check_spaces(q_hi, q_lo)
-    return _lr_violation_vec(q_hi.probs, q_lo.probs, ORDER_TOL if tol is None else tol)
+    return _lr_violation_vec(*_entries(q_hi, q_lo, tol))
 
 
 def fosd_geq(q_hi: Dist, q_lo: Dist, tol: float | None = None) -> bool:
     """First-order stochastic dominance: the cdf of ``q_hi`` never
     exceeds the cdf of ``q_lo``."""
-    _check_spaces(q_hi, q_lo)
-    return _fosd_geq_vec(q_hi.probs, q_lo.probs, ORDER_TOL if tol is None else tol)
+    return _fosd_geq_vec(*_entries(q_hi, q_lo, tol))
 
 
 def is_mlr(sig: SignalStructure, tol: float | None = None) -> bool:
@@ -101,8 +108,10 @@ def is_mlr(sig: SignalStructure, tol: float | None = None) -> bool:
     """
     if sig.values is None:
         raise InputError("monotone-likelihood-ratio check requires valued signals")
-    slack = ORDER_TOL if tol is None else tol
-    rows = sig.likelihood
+    if sig.int_form is None:
+        rows, slack = sig.likelihood, ORDER_TOL if tol is None else tol
+    else:
+        rows, slack = sig.int_form[0], 0
     # over the signals, each higher type's row is LR-above each lower one's
     return all(
         _lr_violation_vec(rows[u], rows[t], slack) is None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from infopay import Dist, GarblingKernel, InputError, SignalStructure, kernel_reproduces
-from infopay.numeric import LP_TOL, pick_tol
+from infopay.numeric import LP_TOL, all_exact
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class JointDist:
 
     def __post_init__(self):
         flat = [v for plane in self.probs for row in plane for v in row]
-        tol = pick_tol(flat, LP_TOL)
+        tol = 0 if all_exact(flat) else LP_TOL
         if any(v < -tol for v in flat):
             raise InputError("joint probabilities must be nonnegative")
         total = sum(flat)

@@ -11,7 +11,7 @@ scores are exact).  The slightness checks below are built on it.
 from __future__ import annotations
 
 from infopay.model import posterior
-from infopay.numeric import DEFAULT_TOL, pick_tol
+from infopay.numeric import DEFAULT_TOL, all_exact
 
 
 def argmax_task_set(firm, belief, tol=None):
@@ -19,7 +19,7 @@ def argmax_task_set(firm, belief, tol=None):
     scores = [
         sum(w * a for w, a in zip(belief.probs, task.surplus)) for task in firm.tasks
     ]
-    slack = pick_tol(scores, DEFAULT_TOL if tol is None else tol)
+    slack = 0 if all_exact(scores) else DEFAULT_TOL if tol is None else tol
     best = max(scores)
     return tuple(i for i, v in enumerate(scores) if v >= best - slack)
 

@@ -1,0 +1,314 @@
+"""Exactness decided at construction, and the int forms objects carry.
+
+``Dist``, ``Task``, ``Firm``, ``SignalStructure`` and ``GarblingKernel``
+classify their entries once.  Exact objects keep ``int_form = (ints,
+scale)``, which must equal ``clear_denominators`` of their fields, and
+validate in ints.  The validation they replaced, the Fraction and
+tolerance checks of ``validate_prob_vector`` and the kernel constructor,
+is kept here as the oracle: on exact rows the constructors must accept
+and reject exactly as it does, with the same message.  The hot paths
+must read the cached forms and never clear denominators again.
+"""
+
+import copy
+import dataclasses
+import pickle
+import sys
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infopay import (
+    Dist,
+    Firm,
+    GarblingKernel,
+    InputError,
+    SignalStructure,
+    SkillSpace,
+    Task,
+    decompose,
+    garble,
+    is_mlr,
+    is_slightly_more_informative,
+    kernel_reproduces,
+    lr_geq,
+    within_eps_of_full,
+)
+from infopay.generators import (
+    random_dist,
+    random_firm,
+    random_garbling_pair,
+    random_skill_space,
+    trial_rng,
+)
+from infopay.model import pay_table
+from infopay.numeric import DIST_SUM_TOL, LP_TOL, all_exact, clear_denominators
+
+# -- the validation oracle -------------------------------------------------------
+
+
+def oracle_prob_vector(probs, what):
+    """The Fraction check the constructors replaced (raises or returns)."""
+    for k, v in enumerate(probs):
+        if v < 0:
+            raise InputError(f"{what}: entry {k} is negative ({v!r})")
+    total = sum(probs)
+    tol = 0 if all_exact(probs) else DIST_SUM_TOL
+    if not (1 - tol <= total <= 1 + tol):
+        raise InputError(f"{what}: entries sum to {total!r}, expected 1")
+
+
+def oracle_kernel(fine_signals, matrix):
+    flat = [v for row in matrix for v in row]
+    tol = 0 if all_exact(flat) else LP_TOL
+    for row in matrix:
+        for v in row:
+            if v < -tol or v > 1 + tol:
+                raise InputError("kernel entries must lie in [0, 1]")
+    for f in range(len(fine_signals)):
+        col = sum(matrix[s][f] for s in range(len(matrix)))
+        if not (1 - tol <= col <= 1 + tol):
+            raise InputError(
+                f"kernel column for fine signal "
+                f"{fine_signals[f]!r} sums to {col!r}, expected 1"
+            )
+
+
+def outcome(fn, *args):
+    """None when ``fn`` accepts, else the InputError message."""
+    try:
+        fn(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def exact_rows(draw, width=None):
+    """Exact rows near the simplex: ints and Fractions (int-valued ones
+    included), sometimes a negative entry, sometimes a sum off by
+    1/10^k."""
+    n = width or draw(st.integers(2, 5))
+    den = draw(st.integers(1, 12))
+    nums = [draw(st.integers(0, 6)) for _ in range(n)]
+    if not any(nums):
+        nums[0] = 1
+    total = sum(nums)
+    row = [F(v * den, total * den) for v in nums]
+    row = [int(v) if v.denominator == 1 and draw(st.booleans()) else v for v in row]
+    change = draw(st.sampled_from(("none", "none", "negative", "off")))
+    k = draw(st.integers(0, n - 1))
+    if change == "negative":
+        row[k] -= row[k] + F(1, draw(st.integers(1, 9)))
+    elif change == "off":
+        row[k] += draw(st.sampled_from((1, -1))) * F(1, 10 ** draw(st.integers(1, 40)))
+    return tuple(row)
+
+
+SPACE = SkillSpace((0, 1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_rows(width=3))
+def test_dist_validates_like_the_oracle(probs):
+    got = outcome(Dist, SPACE, probs)
+    assert got == outcome(oracle_prob_vector, probs, "distribution")
+    if got is None:
+        d = Dist(SPACE, probs)
+        (ints,), scale = clear_denominators((probs,))
+        assert d.int_form == (tuple(ints), scale)
+        assert d.full_support == all(v > 0 for v in probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(exact_rows(width=3), min_size=3, max_size=3))
+def test_structure_validates_like_the_oracle(rows):
+    def oracle():
+        for k, row in enumerate(rows):
+            oracle_prob_vector(row, f"likelihood row for type index {k}")
+        for j, label in enumerate("abc"):
+            if not any(row[j] > 0 for row in rows):
+                raise InputError(f"signal {label!r} has zero likelihood everywhere")
+
+    got = outcome(SignalStructure, SPACE, ("a", "b", "c"), rows)
+    assert got == outcome(oracle)
+    if got is None:
+        sig = SignalStructure(SPACE, ("a", "b", "c"), rows)
+        ints, scale = clear_denominators(rows)
+        assert sig.int_form == (tuple(map(tuple, ints)), scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(exact_rows(width=2), min_size=3, max_size=3))
+def test_kernel_validates_like_the_oracle(cols):
+    matrix = tuple(zip(*cols))  # columns drawn near the simplex
+    got = outcome(GarblingKernel, ("c0", "c1"), ("f0", "f1", "f2"), matrix)
+    assert got == outcome(oracle_kernel, ("f0", "f1", "f2"), matrix)
+    if got is None:
+        kernel = GarblingKernel(("c0", "c1"), ("f0", "f1", "f2"), matrix)
+        ints, scale = clear_denominators(matrix)
+        assert kernel.int_form == (tuple(map(tuple, ints)), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_forms_equal_cleared_fields(seed):
+    rng = trial_rng(seed, 0)
+    space = random_skill_space(rng, max_types=4)
+    firm = random_firm(rng, space.size)
+    fine, coarse, kernel = random_garbling_pair(rng, space)
+    p = random_dist(rng, space)
+
+    def cleared(rows):
+        ints, scale = clear_denominators(rows)
+        return tuple(map(tuple, ints)), scale
+
+    def cleared_row(row):
+        (ints,), scale = cleared((row,))
+        return ints, scale
+
+    assert p.int_form == cleared_row(p.probs)
+    assert firm.int_form == cleared([t.surplus for t in firm.tasks])
+    for task in firm.tasks:
+        assert task.int_form == cleared_row(task.surplus)
+    for sig in (fine, coarse):
+        assert sig.int_form == cleared(sig.likelihood)
+    assert kernel.int_form == cleared(kernel.matrix)
+    for obj in (p, firm, fine, coarse, kernel, *firm.tasks):
+        assert obj.to_float().int_form is None
+
+
+def test_mixed_objects_carry_no_int_form():
+    assert Dist(SPACE, (F(1, 2), 0.25, 0.25)).int_form is None
+    assert Task((1, 2.5)).int_form is None
+    assert Firm((Task((1, 2, 3)), Task((0.5, 1, 2)))).int_form is None
+    assert Firm((Task((1, 2, 3)), Task((F(1, 2), 1, 2)))).int_form == (
+        ((2, 4, 6), (1, 2, 4)), 2,
+    )
+    mixed = SignalStructure(SPACE, ("a", "b"), ((F(1, 2), F(1, 2)), (0.5, 0.5), (1, 0)))
+    assert mixed.int_form is None
+    kernel = GarblingKernel(("c",), ("a", "b"), ((1, 1.0),))
+    assert kernel.int_form is None
+    # a float row next to exact ones keeps its own tolerance
+    SignalStructure(SPACE, ("a", "b"), ((F(1, 3), F(2, 3)), (0.5, 0.5 + 1e-12), (1, 0)))
+
+
+# -- the entry classifier ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Dist(SkillSpace((0, 1)), (True, False)),
+        lambda: Dist(SkillSpace((0, 1)), ("0.5", "0.5")),
+        lambda: Dist(SkillSpace((0, 1)), (None, 1)),
+        lambda: Task(("1", "2")),
+        lambda: Task((1, True)),
+        lambda: SkillSpace(("1", "2")),
+        lambda: SkillSpace((False, True)),
+        lambda: SignalStructure(SkillSpace((0, 1)), ("a",), ((True,), (1,))),
+        lambda: SignalStructure(
+            SkillSpace((0, 1)), ("a", "b"), ((1, 0), (0, 1)), values=("x", "y")
+        ),
+        lambda: GarblingKernel(("c",), ("a",), ((True,),)),
+        lambda: within_eps_of_full(
+            SignalStructure(SkillSpace((0, 1)), ("a",), ((1,), (1,))), True
+        ),
+    ],
+)
+def test_bools_and_non_numbers_raise_input_error(build):
+    with pytest.raises(InputError, match="is not a number"):
+        build()
+
+
+def test_numpy_scalars_take_the_float_path():
+    d = Dist(SkillSpace((0, 1)), (np.float64(0.25), np.float64(0.75)))
+    assert d.int_form is None and d.full_support
+    t = Task((np.int64(1), np.int64(3)))
+    assert t.int_form is None and t.is_increasing
+
+
+# -- the cache is invisible to equality, hashing, repr and copies --------------
+
+
+def objects():
+    space = SkillSpace((0, 1))
+    sig = SignalStructure(space, ("a", "b"), ((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))))
+    kernel = GarblingKernel(("c",), ("a", "b"), ((1, 1),))
+    return [
+        Dist(space, (F(1, 4), F(3, 4))),
+        Dist(space, (0.25, 0.75)),
+        Task((1, F(5, 2))),
+        Firm((Task((1, 2)), Task((F(1, 3), 3)))),
+        sig,
+        sig.to_float(),
+        kernel,
+        kernel.to_float(),
+    ]
+
+
+@pytest.mark.parametrize("obj", objects(), ids=lambda o: type(o).__name__)
+def test_cache_is_invisible(obj):
+    names = [f.name for f in dataclasses.fields(obj) if f.init]
+    twin = type(obj)(*(getattr(obj, n) for n in names))
+    assert twin == obj and hash(twin) == hash(obj)
+    assert "int_form" not in repr(obj) and "full_support" not in repr(obj)
+    assert repr(obj) == f"{type(obj).__name__}(" + ", ".join(
+        f"{n}={getattr(obj, n)!r}" for n in names
+    ) + ")"
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert clone == obj and clone.int_form == obj.int_form
+    replaced = dataclasses.replace(obj)
+    assert replaced == obj and replaced.int_form == obj.int_form
+    with pytest.raises(ValueError):
+        dataclasses.replace(obj, int_form=None)
+
+
+def test_replace_recomputes_the_form():
+    d = Dist(SkillSpace((0, 1)), (F(1, 4), F(3, 4)))
+    assert dataclasses.replace(d, probs=(F(1, 6), F(5, 6))).int_form == ((1, 5), 6)
+    assert dataclasses.replace(d, probs=(0.5, 0.5)).int_form is None
+    with pytest.raises(InputError, match="entries sum to"):
+        dataclasses.replace(d, probs=(F(1, 6), F(4, 6)))
+
+
+# -- hot paths read the cache ------------------------------------------------------
+
+
+def test_hot_paths_make_no_exactness_scans(monkeypatch):
+    rng = trial_rng(5, 0)
+    space = random_skill_space(rng, max_types=4)
+    firm = random_firm(rng, space.size, monotone=True)
+    fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
+    p, q = random_dist(rng, space), random_dist(rng, space)
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    # every name each package module imported (or defines)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "infopay" or mod_name.startswith("infopay."):
+            for name in ("clear_denominators", "all_exact"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    table = pay_table(firm, p, q, fine)
+    assert table.exact
+    assert kernel_reproduces(kernel, fine, coarse)
+    garble(fine, kernel)
+    decompose(firm, p, q, coarse, fine, kernel=kernel)
+    is_slightly_more_informative(firm, q, fine, coarse, kernel)
+    lr_geq(p, q)
+    assert is_mlr(fine)
+    assert calls == []
