@@ -33,7 +33,7 @@ from .model import (
     fully_informative_structure,
     uninformative_structure,
 )
-from .numeric import claim_slacks, format_number
+from .numeric import claim_slacks, format_number, require_count
 from .orders import PerceptionClass, is_mlr, lr_geq, perception_class
 
 __all__ = ["ExampleCheck", "ExampleReport", "EXAMPLE_NAMES", "run_example"]
@@ -343,8 +343,7 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
 def _blackwell_forward(mode, tol, trials, seed) -> ExampleReport:
     """Random garbling-ordered pairs with accurate perceptions: the
     correction vanishes and the whole nonnegative gain is instrumental."""
-    if trials < 1:
-        raise InputError("trials must be at least 1")
+    require_count(trials, "trials", 1)
     eq, sign, _ = claim_slacks(mode == "rational", tol)
     gain_fail = corr_fail = inst_fail = None
     for trial in range(trials):

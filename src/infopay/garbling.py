@@ -312,6 +312,7 @@ def extremeness_eps_bound(q: Dist, delta: Number) -> Number:
     """
     if not q.full_support:
         raise InputError("eps bound requires a full-support distribution")
+    exact_entries((delta,), "delta")
     if not (0 < delta <= 1):
         raise InputError("delta must lie in (0, 1]")
     if delta == 1:

@@ -1,11 +1,20 @@
 """Seeded random instance generators for the property suites.
 
-Everything draws small integers from a numpy PCG64 stream and builds
-exact rational objects, so claims checked on generated instances are
-checked with zero tolerance; float variants come from the objects'
-``to_float`` methods.  Per-trial reproducibility: seed ``default_rng``
-with the ``(seed, trial)`` tuple, which yields independent streams for
+Everything draws small integers from a PCG64 stream and builds exact
+rational objects, so claims checked on generated instances are checked
+with zero tolerance; float variants come from the objects' ``to_float``
+methods.  Per-trial reproducibility: each trial seeds its own stream
+from the ``(seed, trial)`` pair, which yields independent streams for
 any trial order.
+
+The stream is numpy's, in pure Python: ``trial_rng(s, t)`` followed by
+``_int(rng, lo, hi)`` gives the draws of
+``numpy.random.default_rng((s, t)).integers(lo, hi + 1)`` bit for bit.
+Seeding is numpy's ``SeedSequence`` pool mixing (O'Neill's
+``seed_seq`` design), the generator is PCG64 XSL-RR 128/64 (O'Neill
+2014) with each 64-bit output split into two buffered 32-bit halves,
+and bounded draws are Lemire's multiply-and-reject (Lemire 2019), as
+numpy does them for ranges below 2^32.  ``PRNG_ID`` names that stream.
 
 Within-hypothesis generation never rejects on the hypotheses that can
 be enforced by construction: likelihood-ratio ordered pairs come from
@@ -19,11 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .discrimination import GapScenario
+from .errors import InputError
 from .garbling import GarblingKernel, garble, is_slightly_more_informative
 from .model import Dist, Firm, SignalStructure, SkillSpace, Task
+from .numeric import require_count
 from .orders import lr_geq
 
 __all__ = [
@@ -47,19 +56,108 @@ __all__ = [
 
 PRNG_ID = "numpy:PCG64"
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible stream for one suite trial."""
-    return np.random.default_rng((seed, trial))
+
+def _hasher(const: int, mult: int):
+    """numpy ``SeedSequence``'s ``hashmix``; its constant advances per call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * mult) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+
+    return hashmix
 
 
-def _int(rng: np.random.Generator, lo: int, hi: int) -> int:
-    # numpy int64 would defeat exactness detection downstream
-    return int(rng.integers(lo, hi + 1))
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _seed_words(entropy: tuple[int, ...]) -> list[int]:
+    """numpy ``SeedSequence(entropy).generate_state(4, uint64)``."""
+    words = []
+    for n in entropy:  # little-endian 32-bit words; 0 is one zero word
+        words.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    # a pool of 4 words, mixed all to all; later words are mixed in after
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [hashmix(pool[k % 4]) for k in range(8)]  # low half first
+    return [halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class PCG64Stream:
+    """numpy's PCG64 bit generator, seeded through ``SeedSequence``."""
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, entropy: tuple[int, ...]):
+        w = _seed_words(entropy)
+        self.inc = (((w[2] << 64 | w[3]) << 1) | 1) & _M128
+        # state = 0; step; state += initstate; step (the first step gives inc)
+        self.state = ((self.inc + (w[0] << 64 | w[1])) * _PCG_MULT + self.inc) & _M128
+        self.half = None  # the buffered high half of the last 64-bit output
+
+    def next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        rot = s >> 122
+        x = ((s >> 64) ^ s) & _M64
+        x = ((x >> rot) | (x << (64 - rot))) & _M64  # XSL-RR output
+        self.half = x >> 32
+        return x & _M32
+
+
+def trial_rng(seed: int, trial: int) -> PCG64Stream:
+    """Independent, reproducible stream for one suite trial: the stream
+    of ``numpy.random.default_rng((seed, trial))``."""
+    require_count(seed, "seed", 0)
+    require_count(trial, "trial", 0)
+    return PCG64Stream((seed, trial))
+
+
+def _int(rng: PCG64Stream, lo: int, hi: int) -> int:
+    """Uniform int in ``[lo, hi]``: numpy's ``integers(lo, hi + 1)``.
+
+    ``lo == hi`` draws nothing, as in numpy.  Python ints throughout, so
+    exactness detection downstream sees plain ``int``.
+    """
+    width = hi - lo
+    if not 0 <= width <= _M32:
+        raise InputError(f"draw range [{lo}, {hi}] is empty or holds more than 2^32 values")
+    if not width:
+        return lo
+    excl = width + 1
+    m = rng.next32() * excl
+    if m & _M32 < excl:  # rejection, numpy's threshold (2^32 - excl) % excl
+        threshold = (_M32 - width) % excl
+        while m & _M32 < threshold:
+            m = rng.next32() * excl
+    return lo + (m >> 32)
 
 
 def random_skill_space(
-    rng: np.random.Generator, max_types: int = 5, min_types: int = 2
+    rng: PCG64Stream, max_types: int = 5, min_types: int = 2
 ) -> SkillSpace:
     n = _int(rng, min_types, max_types)
     theta = _int(rng, -3, 3)
@@ -70,14 +168,14 @@ def random_skill_space(
     return SkillSpace(tuple(thetas))
 
 
-def random_dist(rng: np.random.Generator, space: SkillSpace) -> Dist:
+def random_dist(rng: PCG64Stream, space: SkillSpace) -> Dist:
     """Full-support rational distribution with small denominators."""
     weights = [_int(rng, 1, 9) for _ in range(space.size)]
     total = sum(weights)
     return Dist(space, tuple(Fraction(w, total) for w in weights))
 
 
-def random_task(rng: np.random.Generator, n_types: int, monotone: bool = False) -> Task:
+def random_task(rng: PCG64Stream, n_types: int, monotone: bool = False) -> Task:
     if monotone:
         v = _int(rng, -3, 3)
         out = []
@@ -89,7 +187,7 @@ def random_task(rng: np.random.Generator, n_types: int, monotone: bool = False) 
 
 
 def random_firm(
-    rng: np.random.Generator,
+    rng: PCG64Stream,
     n_types: int,
     max_tasks: int = 4,
     monotone: bool = False,
@@ -99,7 +197,7 @@ def random_firm(
 
 
 def random_signal_structure(
-    rng: np.random.Generator,
+    rng: PCG64Stream,
     space: SkillSpace,
     max_signals: int = 6,
     min_signals: int = 2,
@@ -124,7 +222,7 @@ def random_signal_structure(
 
 
 def random_mlr_structure(
-    rng: np.random.Generator,
+    rng: PCG64Stream,
     space: SkillSpace,
     max_signals: int = 6,
     min_signals: int = 2,
@@ -162,7 +260,7 @@ def extreme_structure(space: SkillSpace, eps: Fraction | float) -> SignalStructu
 
 
 def random_kernel(
-    rng: np.random.Generator,
+    rng: PCG64Stream,
     fine_labels: tuple[str, ...],
     n_coarse: int,
 ) -> GarblingKernel:
@@ -190,7 +288,7 @@ def random_kernel(
 
 
 def random_garbling_pair(
-    rng: np.random.Generator,
+    rng: PCG64Stream,
     space: SkillSpace,
     mlr: bool = False,
     max_fine: int = 6,
@@ -206,7 +304,7 @@ def random_garbling_pair(
     return fine, garble(fine, kernel), kernel
 
 
-def random_lr_above(rng: np.random.Generator, lo: Dist) -> Dist:
+def random_lr_above(rng: PCG64Stream, lo: Dist) -> Dist:
     """Reweight by a nondecreasing positive multiplier: LR-above ``lo``."""
     mult = _int(rng, 1, 3)
     raw = []
@@ -217,14 +315,14 @@ def random_lr_above(rng: np.random.Generator, lo: Dist) -> Dist:
     return Dist(lo.space, tuple(v / total for v in raw))
 
 
-def random_lr_pair(rng: np.random.Generator, space: SkillSpace) -> tuple[Dist, Dist]:
+def random_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]:
     """(hi, lo) with hi LR-above lo."""
     lo = random_dist(rng, space)
     return random_lr_above(rng, lo), lo
 
 
 def random_lr_chain(
-    rng: np.random.Generator, space: SkillSpace, length: int = 3
+    rng: PCG64Stream, space: SkillSpace, length: int = 3
 ) -> tuple[Dist, ...]:
     """LR-descending chain, highest first."""
     out = [random_dist(rng, space)]
@@ -233,7 +331,7 @@ def random_lr_chain(
     return tuple(out)
 
 
-def random_non_lr_pair(rng: np.random.Generator, space: SkillSpace) -> tuple[Dist, Dist]:
+def random_non_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]:
     """(a, b) with a *not* LR-above b; the violating index pair exists."""
     while True:
         a = random_dist(rng, space)
@@ -246,7 +344,7 @@ def random_non_lr_pair(rng: np.random.Generator, space: SkillSpace) -> tuple[Dis
 
 
 def random_narrowing_scenario(
-    rng: np.random.Generator,
+    rng: PCG64Stream,
     max_types: int = 4,
     max_tasks: int = 3,
     max_fine: int = 5,

@@ -156,6 +156,9 @@ class Firm:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks:
             raise InputError("firm needs at least one task")
+        for t in self.tasks:
+            if not isinstance(t, Task):
+                raise InputError(f"firm tasks must be Task objects, got {t!r}")
         width = len(self.tasks[0].surplus)
         if any(len(t.surplus) != width for t in self.tasks):
             raise InputError("all tasks in a firm must cover the same types")
@@ -471,6 +474,7 @@ def binary_symmetric_structure(space: SkillSpace, accuracy: Number) -> SignalStr
     probability ``accuracy``.  Signals carry values 0 and 1."""
     if space.size != 2:
         raise InputError("binary symmetric structure needs exactly two types")
+    exact_entries((accuracy,), "accuracy")
     if not (0 <= accuracy <= 1):
         raise InputError("accuracy must lie in [0, 1]")
     lam = accuracy

@@ -149,6 +149,12 @@ def require_finite(values: Iterable[Number], what: str) -> None:
             raise InputError(f"{what}: {v!r} is not a finite number")
 
 
+def require_count(value: object, what: str, minimum: int) -> None:
+    """Reject anything but an ``int`` (bools excluded) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InputError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
 def parse_exact(text: str) -> Fraction:
     """Parse ``a/b`` or decimal text to an exact rational."""
     try:

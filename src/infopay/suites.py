@@ -35,6 +35,7 @@ from .garbling import (
 )
 from .generators import (
     PRNG_ID,
+    _int,
     extreme_structure,
     random_dist,
     random_firm,
@@ -58,7 +59,7 @@ from .model import (
     posterior,
     uninformative_structure,
 )
-from .numeric import claim_slacks, format_number
+from .numeric import claim_slacks, format_number, require_count
 from .orders import (
     PerceptionClass,
     fosd_geq,
@@ -445,9 +446,9 @@ def _suite_prop3(rng, trial, mode, tol, book: _Book) -> None:
 
     space = random_skill_space(rng, max_types=4)
     q = random_dist(rng, space)
-    delta = Fraction(int(rng.integers(1, 10)), 10)
+    delta = Fraction(_int(rng, 1, 9), 10)
     bound = extremeness_eps_bound(q, delta)
-    eps = bound * Fraction(int(rng.integers(1, 10)), 9)
+    eps = bound * Fraction(_int(rng, 1, 9), 9)
     sig = extreme_structure(space, eps)
     q_m, sig_m = _adj(mode, q), _adj(mode, sig)
     extreme_ok = within_eps_of_full(sig_m, float(bound) if mode == "float" else bound)
@@ -622,8 +623,8 @@ def run_suite(
         )
     if mode not in ("rational", "float"):
         raise InputError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise InputError("trials must be at least 1")
+    require_count(trials, "trials", 1)
+    require_count(seed, "seed", 0)
     body, override = SUITES[name]
     n = override if override is not None else trials
     book = _Book()

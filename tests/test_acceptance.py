@@ -20,6 +20,7 @@ from infopay.discrimination import (
 from infopay.examples import run_example
 from infopay.garbling import compose_kernels, find_garbling, garble, kernel_reproduces
 from infopay.generators import (
+    _int,
     extreme_structure,
     random_dist,
     random_firm,
@@ -419,7 +420,7 @@ def test_criterion_13_extremeness_and_full_information():
         rng = trial_rng(1013, trial)
         space = random_skill_space(rng, max_types=4)
         q = random_dist(rng, space)
-        delta = Fraction(int(rng.integers(1, 10)), 10)
+        delta = Fraction(_int(rng, 1, 9), 10)
         eps = extremeness_eps_bound(q, delta)
         sig = extreme_structure(space, eps)
         if not within_eps_of_full(sig, eps):

@@ -111,6 +111,19 @@ def test_suite_bad_trials(capsys):
     assert main(["suite", "orders", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "prop1", "--seed", "-1"],
+        ["suite", "all", "--seed", "-1"],
+        ["example", "blackwell-forward", "--seed", "-2"],
+    ],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "seed must be an integer of at least 0" in capsys.readouterr().err
+
+
 def test_check_claims_pass(scenario_file, capsys):
     for claim in ("invariants", "theorem1", "corollary2", "narrowing"):
         assert main(["check", scenario_file, "--claim", claim]) == 0
@@ -194,6 +207,25 @@ def _run_module(*args, optimize=False):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "infopay", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("-c", "import infopay"), ("-m", "infopay", "example", "ex1-reversal")],
+    ids=["import", "example"],
+)
+def test_numpy_is_not_imported(args):
+    """numpy is a test-time oracle only: the package never loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-X", "importtime", *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime lists every module the interpreter imported
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "infopay.generators" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "numpy"}
 
 
 @pytest.mark.parametrize("token", ["inf", "nan"])

@@ -29,7 +29,9 @@ from infopay import (
     SignalStructure,
     SkillSpace,
     Task,
+    binary_symmetric_structure,
     decompose,
+    extremeness_eps_bound,
     garble,
     is_mlr,
     is_slightly_more_informative,
@@ -220,6 +222,8 @@ def test_mixed_objects_carry_no_int_form():
         lambda: within_eps_of_full(
             SignalStructure(SkillSpace((0, 1)), ("a",), ((1,), (1,))), True
         ),
+        lambda: binary_symmetric_structure(SkillSpace((0, 1)), "0.5"),
+        lambda: extremeness_eps_bound(Dist(SkillSpace((0, 1)), (F(1, 2), F(1, 2))), "x"),
     ],
 )
 def test_bools_and_non_numbers_raise_input_error(build):

@@ -1,8 +1,15 @@
-"""Generated instances satisfy their advertised invariants exactly."""
+"""Generated instances satisfy their advertised invariants exactly, and
+the trial stream draws what numpy's ``default_rng((seed, trial))`` draws."""
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from infopay import (
+    InputError,
     check_narrowing,
     find_garbling,
     fosd_geq,
@@ -12,6 +19,7 @@ from infopay import (
 )
 from infopay.generators import (
     PRNG_ID,
+    _int,
     random_dist,
     random_firm,
     random_garbling_pair,
@@ -31,9 +39,49 @@ def all_fractions(values):
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def test_prng_identifier():
+# seeds of one to seven 32-bit words: past four, the entropy overflows the
+# SeedSequence pool and is mixed in afterwards
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64]),
+    st.integers(0, 1000),
+    st.integers(2**96, 2**224),
+)
+# width 0 draws nothing; widths near 2^31 reject about half their draws
+WIDTHS = st.one_of(
+    st.sampled_from([0, 1, 2**31 - 1, 2**31, 2**32 - 1]),
+    st.integers(2, 12),
+    st.integers(2**31 - 64, 2**31 + 64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    trial=st.one_of(st.integers(0, 100), st.integers(0, 2**70)),
+    draws=st.lists(st.tuples(st.integers(-5, 5), WIDTHS), min_size=1, max_size=40),
+)
+def test_prng_identifier(seed, trial, draws):
+    """The stream ``PRNG_ID`` names is numpy's, draw for draw (numpy is
+    the test-time oracle only)."""
     assert PRNG_ID == "numpy:PCG64"
-    assert trial_rng(7, 0).bit_generator.__class__.__name__ == "PCG64"
+    rng, oracle = trial_rng(seed, trial), np.random.default_rng((seed, trial))
+    for lo, width in draws:
+        assert _int(rng, lo, lo + width) == int(oracle.integers(lo, lo + width + 1))
+
+
+@pytest.mark.parametrize(
+    "seed, trial",
+    [(-1, 0), (0, -1), (1.5, 0), (True, 0), ("3", 0), (None, 0), (0, 2.0), (np.int64(3), 0)],
+)
+def test_trial_rng_rejects_bad_seeds(seed, trial):
+    with pytest.raises(InputError, match="must be an integer of at least 0"):
+        trial_rng(seed, trial)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 0), (0, 2**32)])
+def test_draw_rejects_empty_and_wide_ranges(lo, hi):
+    with pytest.raises(InputError, match="draw range"):
+        _int(trial_rng(0, 0), lo, hi)
 
 
 def test_trial_streams_are_reproducible_and_distinct():

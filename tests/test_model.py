@@ -87,6 +87,11 @@ def test_duplicate_signal_labels_rejected():
         SignalStructure(BIN, ("s", "s"), ((1, 0), (0, 1)))
 
 
+def test_firm_tasks_must_be_tasks():
+    with pytest.raises(InputError, match="must be Task objects"):
+        Firm((1, 2))
+
+
 def test_population_requires_full_support():
     sig = sym(F(4, 5))
     degenerate = Dist(BIN, (0, 1))

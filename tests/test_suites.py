@@ -28,6 +28,23 @@ def test_deterministic_given_seed():
     assert a.render() == b.render()
 
 
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"trials": "3"}, "trials"),
+        ({"trials": 2.0}, "trials"),
+        ({"trials": 0}, "trials"),
+    ],
+)
+def test_bad_seed_or_trials_raise_input_error(kwargs, what):
+    for name in ("prop1", "prop2"):  # prop2 ignores trials but checks them
+        with pytest.raises(InputError, match=f"{what} must be an integer"):
+            run_suite(name, **{"trials": 3, "seed": 0, **kwargs})
+
+
 def test_render_format():
     res = run_suite("orders", trials=5, seed=3)
     text = res.render()
