@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .decomposition import decompose
+from .decomposition import check_signs
 from .discrimination import GapScenario
 from .discrimination import check_gap_ranking, check_narrowing, check_nearly_full
 from .errors import InfopayError, InputError
 from .examples import EXAMPLE_NAMES, run_example
 from .instancefile import load_instance
 from .model import Firm, Population
-from .numeric import claim_slacks, format_number, parse_exact, parse_float
+from .numeric import parse_exact, parse_float
 from .orders import perception_class
 from .suites import SUITE_NAMES, run_suite
 from .sweep import DEFAULT_GRID_SPEC, run_figure1
@@ -173,10 +173,6 @@ def _cmd_suite(args, mode: str, tol) -> int:
     return 0 if result.ok else 1
 
 
-def _fmt(value) -> str:
-    return format_number(value)
-
-
 def _describe(obj) -> list[str]:
     if isinstance(obj, Firm):
         return [
@@ -210,25 +206,6 @@ def _need_scenario(obj, claim: str) -> GapScenario:
     return obj
 
 
-def _check_theorem1(scenario: GapScenario, mode: str, tol) -> tuple[list[str], bool]:
-    eq, _, floor = claim_slacks(mode == "rational", tol)
-    lines, ok = [], True
-    for label, q in (("favored", scenario.q_i), ("other", scenario.q_j)):
-        res = decompose(
-            scenario.firm, scenario.p, q, scenario.coarse, scenario.fine, tol=tol
-        )
-        good = abs(res.identity_gap) <= eq and res.instrumental >= floor
-        ok = ok and good
-        lines += [
-            f"perception {label}:",
-            f"  total change:          {_fmt(res.total)}",
-            f"  perception-correcting: {_fmt(res.perception_correcting)}",
-            f"  instrumental:          {_fmt(res.instrumental)}",
-            f"  identity gap:          {_fmt(res.identity_gap)}",
-        ]
-    return lines, ok
-
-
 def _cmd_check(args, mode: str, tol) -> int:
     obj = load_instance(args.instance_file, mode=mode)
     claim = args.claim
@@ -237,7 +214,13 @@ def _cmd_check(args, mode: str, tol) -> int:
     if claim == "invariants":
         lines, ok = _describe(obj), True
     elif claim == "theorem1":
-        lines, ok = _check_theorem1(_need_scenario(obj, claim), mode, tol)
+        s = _need_scenario(obj, claim)
+        lines, ok = [], True
+        for label, q in (("favored", s.q_i), ("other", s.q_j)):
+            report = check_signs(s.firm, s.p, q, s.coarse, s.fine, tol=tol)
+            ok = ok and report.ok
+            lines.append(f"perception {label}:")
+            lines += ["  " + line for line in report.summary().splitlines()]
     elif claim == "corollary2":
         s = _need_scenario(obj, claim)
         report = check_gap_ranking(

@@ -15,14 +15,16 @@ The perception-correcting part is signed by the direction of
 misperception when the firm is monotone and the fine structure has
 monotone likelihood ratios.
 
-Everything is computed through one shared kernel and the model's
-per-signal pay table (``pay_table``): marginals, unnormalized perceived
-weights and one tie-broken assignment per signal.  The remaining
-conditional probabilities cancel algebraically, so rational inputs stay
-exact: on them the tables hold Python ints, the kernel enters through
-the int form it carries, every per-signal sum is an int, and each part
-is one ``Fraction`` sum over signals divided by the product of the
-scales.
+``decompose`` computes the two parts and both average pays from the
+model's per-signal pay tables (``pay_table``): marginals, unnormalized
+perceived weights and one tie-broken assignment per signal.  The
+remaining conditional probabilities cancel algebraically, so rational
+inputs stay exact: on them the tables hold Python ints, the kernel
+enters through the int form it carries (an exact instance takes no
+float kernel), every per-signal sum is an int, and each part is one
+``Fraction`` sum over signals divided by the product of the scales.
+``check_signs`` is the one judge of Theorem 1 on an instance: the
+identity, the instrumental floor and, under the hypotheses, the sign.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import mul
 from .errors import InputError, OrderingError
 from .garbling import GarblingKernel, find_garbling, kernel_reproduces
 from .model import Dist, Firm, SignalStructure, pay_table, table_pay
-from .numeric import Number, all_exact, claim_slacks, ratio_sum
+from .numeric import Number, all_exact, claim_slacks, format_number, ratio_sum
 from .orders import PerceptionClass, is_mlr, perception_class
 
 __all__ = [
@@ -48,15 +50,18 @@ __all__ = [
 class DecompResult:
     """Outcome of one decomposition.
 
-    ``total`` is computed from average pays directly, while the two
-    parts come from the joint-law formulas; their agreement is a
-    theorem, not an arithmetic identity, so tests check it rather than
-    the constructor forcing it.  ``instrumental`` sums over linked
-    signal pairs; ``instrumental_signalwise`` is the algebraically equal
-    form that folds the kernel into the coarse task first, and their
-    agreement is itself a tested claim.
+    ``w_fine`` and ``w_coarse`` are the average pays under the two
+    structures and ``total`` is their difference, while the two parts
+    come from the joint-law formulas; their agreement is a theorem, not
+    an arithmetic identity, so ``check_signs`` and the tests check it
+    rather than the constructor forcing it.  ``instrumental`` sums over
+    linked signal pairs; ``instrumental_signalwise`` is the
+    algebraically equal form that folds the kernel into the coarse task
+    first, and their agreement is itself a tested claim.
     """
 
+    w_fine: Number
+    w_coarse: Number
     total: Number
     perception_correcting: Number
     instrumental: Number
@@ -88,27 +93,39 @@ def _resolve_kernel(
     return kernel
 
 
-def _core(
+def decompose(
     firm: Firm,
     p: Dist,
     q: Dist,
     coarse: SignalStructure,
     fine: SignalStructure,
-    kernel: GarblingKernel,
-    tie_break: str,
-) -> dict:
+    kernel: GarblingKernel | None = None,
+    tie_break: str = "lowest",
+    tol: float | None = None,
+) -> DecompResult:
+    """Split the coarse-to-fine pay change for one firm and population.
+
+    ``kernel`` may be supplied when the caller already holds a witness;
+    otherwise one is computed, and its absence raises ``OrderingError``.
+    An exact instance takes an exact kernel only: a float kernel raises
+    ``InputError`` (convert the instance with ``to_float()`` first).
+    """
+    kernel = _resolve_kernel(fine, coarse, kernel, tol)
     if not (p.full_support and q.full_support):
         raise InputError("decomposition requires full-support distributions")
     n_c, n_f = coarse.n_signals, fine.n_signals
     table_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
     table_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
     rows_f, surplus, g = table_f.rows, table_f.surplus, kernel.matrix
-    exact = table_f.exact and kernel.int_form is not None
+    exact = table_f.exact
     g_scale = 1
     if exact:  # every sum below is an int at scale g_scale * (score scale)
+        if kernel.int_form is None:
+            raise InputError(
+                "a float kernel needs a float instance: convert the "
+                "instance with to_float()"
+            )
         g, g_scale = kernel.int_form
-    elif table_f.exact:  # float kernel: exact rows join it at true values
-        rows_f, surplus = table_f.true_rows(), [t.surplus for t in firm.tasks]
 
     # unnormalized perceived fine-posterior value of each coarse task:
     # dot(q-weights at fine signal f, surplus of the task kept at coarse s);
@@ -183,52 +200,33 @@ def _core(
         for mu_p, mu_q, inner in coarse_terms:
             correction -= (mu_p / mu_q) * inner
 
-    return {
-        "w_fine": table_pay(table_f),
-        "w_coarse": table_pay(table_c),
-        "correction": correction,
-        "inst_joint": inst_joint,
-        "inst_signalwise": inst_signalwise,
-        "assign_coarse": tuple(r.task for r in table_c.rows),
-        "assign_fine": tuple(r.task for r in rows_f),
-    }
-
-
-def decompose(
-    firm: Firm,
-    p: Dist,
-    q: Dist,
-    coarse: SignalStructure,
-    fine: SignalStructure,
-    kernel: GarblingKernel | None = None,
-    tie_break: str = "lowest",
-    tol: float | None = None,
-) -> DecompResult:
-    """Split the coarse-to-fine pay change for one firm and population.
-
-    ``kernel`` may be supplied when the caller already holds a witness;
-    otherwise one is computed, and its absence raises ``OrderingError``.
-    """
-    kernel = _resolve_kernel(fine, coarse, kernel, tol)
-    parts = _core(firm, p, q, coarse, fine, kernel, tie_break)
+    w_fine, w_coarse = table_pay(table_f), table_pay(table_c)
     return DecompResult(
-        total=parts["w_fine"] - parts["w_coarse"],
-        perception_correcting=parts["correction"],
-        instrumental=parts["inst_joint"],
-        instrumental_signalwise=parts["inst_signalwise"],
+        w_fine=w_fine,
+        w_coarse=w_coarse,
+        total=w_fine - w_coarse,
+        perception_correcting=correction,
+        instrumental=inst_joint,
+        instrumental_signalwise=inst_signalwise,
         kernel=kernel,
-        assignment_coarse=parts["assign_coarse"],
-        assignment_fine=parts["assign_fine"],
+        assignment_coarse=tuple(r.task for r in table_c.rows),
+        assignment_fine=tuple(r.task for r in rows_f),
     )
 
 
 @dataclass(frozen=True)
 class SignReport:
-    """Hypotheses and signed conclusions for one decomposition."""
+    """Theorem 1 on one instance: hypotheses and verdicts.
+
+    The decomposition identity and the nonnegative instrumental part
+    hold for every instance; the sign of the perception-correcting part
+    is required only under the hypotheses.
+    """
 
     monotone: bool
     fine_mlr: bool
     perception: PerceptionClass
+    identity_ok: bool
     instrumental_ok: bool
     correction_sign_required: str | None  # "nonneg", "nonpos", "zero", None
     correction_sign_ok: bool | None
@@ -237,28 +235,31 @@ class SignReport:
     @property
     def ok(self) -> bool:
         """No applicable claim is violated."""
-        if not self.instrumental_ok:
-            return False
-        return self.correction_sign_ok is not False
+        return (
+            self.identity_ok
+            and self.instrumental_ok
+            and self.correction_sign_ok is not False
+        )
 
     def summary(self) -> str:
-        lines = [
-            f"monotone firm:          {self.monotone}",
-            f"fine structure MLR:     {self.fine_mlr}",
-            f"perception:             {self.perception.value}",
-            f"total change:           {self.result.total!r}",
-            f"perception-correcting:  {self.result.perception_correcting!r}",
-            f"instrumental:           {self.result.instrumental!r}",
-            f"instrumental >= 0:      {self.instrumental_ok}",
-        ]
+        res = self.result
         if self.correction_sign_required is None:
-            lines.append("correction sign:        not applicable")
+            label, verdict = "correction sign:", "not applicable"
         else:
-            lines.append(
-                f"correction {self.correction_sign_required}:     "
-                f"{self.correction_sign_ok}"
-            )
-        return "\n".join(lines)
+            label = f"correction {self.correction_sign_required}:"
+            verdict = self.correction_sign_ok
+        return "\n".join([
+            f"total change:          {format_number(res.total)}",
+            f"perception-correcting: {format_number(res.perception_correcting)}",
+            f"instrumental:          {format_number(res.instrumental)}",
+            f"identity gap:          {format_number(res.identity_gap)}",
+            f"identity holds:        {self.identity_ok}",
+            f"instrumental >= 0:     {self.instrumental_ok}",
+            f"monotone firm:         {self.monotone}",
+            f"fine structure MLR:    {self.fine_mlr}",
+            f"perception class:      {self.perception.value}",
+            f"{label:<23}{verdict}",
+        ])
 
 
 def check_signs(
@@ -271,21 +272,23 @@ def check_signs(
     tie_break: str = "lowest",
     tol: float | None = None,
 ) -> SignReport:
-    """Evaluate the signed claims on one instance.
+    """Judge Theorem 1 on one instance.
 
-    The nonnegativity of the instrumental part is hypothesis-free and
-    always checked.  The sign of the perception-correcting part is only
-    required when the firm is monotone, the fine structure is MLR, and
-    the perception is LR-comparable to the truth.
+    The identity and the nonnegativity of the instrumental part are
+    hypothesis-free and always checked.  The sign of the
+    perception-correcting part is only required when the firm is
+    monotone, the fine structure is MLR, and the perception is
+    LR-comparable to the truth.  ``tol`` sets every slack: the claim
+    slacks (``claim_slacks``) and those of the MLR and LR tests.
     """
     result = decompose(firm, p, q, coarse, fine, kernel, tie_break, tol)
-    _, slack, floor = claim_slacks(
+    eq, slack, floor = claim_slacks(
         all_exact((result.total, result.perception_correcting, result.instrumental)),
         tol,
     )
     monotone = firm.is_monotone
-    fine_mlr = False if fine.values is None else is_mlr(fine)
-    pclass = perception_class(p, q)
+    fine_mlr = False if fine.values is None else is_mlr(fine, tol)
+    pclass = perception_class(p, q, tol)
     required: str | None = None
     sign_ok: bool | None = None
     if monotone and fine_mlr:
@@ -300,6 +303,7 @@ def check_signs(
         monotone=monotone,
         fine_mlr=fine_mlr,
         perception=pclass,
+        identity_ok=bool(abs(result.identity_gap) <= eq),
         instrumental_ok=bool(result.instrumental >= floor),
         correction_sign_required=required,
         correction_sign_ok=sign_ok,

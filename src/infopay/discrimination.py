@@ -180,11 +180,11 @@ def check_gap_ranking(
         tie_break=tie_break, tol=tol,
     )
     w_i = average_pay(firm, Population(p, q_i, sig_i))
-    w_j = average_pay(firm, Population(p, q_j, sig_j))
-    favorableness = w_i - average_pay(firm, Population(p, q_j, sig_i))
+    w_j = decomp.w_coarse
+    favorableness = w_i - decomp.w_fine
     hypotheses = {
         "monotone_firm": firm.is_monotone,
-        "favored_structure_mlr": sig_i.values is not None and is_mlr(sig_i),
+        "favored_structure_mlr": sig_i.values is not None and is_mlr(sig_i, tol),
         "other_under_perceived": lr_geq(p, q_j, tol=tol),
         "favored_perception_above": lr_geq(q_i, q_j, tol=tol),
     }
@@ -261,7 +261,7 @@ def check_narrowing(
     )
     hypotheses = {
         "monotone_firm": firm.is_monotone,
-        "fine_mlr": scenario.fine.values is not None and is_mlr(scenario.fine),
+        "fine_mlr": scenario.fine.values is not None and is_mlr(scenario.fine, tol),
         "favored_over_perceived": lr_geq(q_i, p, tol=tol),
         "other_under_perceived": lr_geq(p, q_j, tol=tol),
         "slight_gain": slight_i and slight_j,

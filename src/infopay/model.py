@@ -343,23 +343,6 @@ class PayTable(NamedTuple):
             return Fraction(row.score, row.m_q * self.surplus_scale)
         return row.score / row.m_q
 
-    def true_rows(self) -> tuple[SignalRow, ...]:
-        """The rows with every number divided back to its true value."""
-        if not self.exact:
-            return self.rows
-        f, s = self.freq_scale, self.freq_scale * self.surplus_scale
-        return tuple(
-            SignalRow(
-                Fraction(r.m_p, f),
-                Fraction(r.m_q, f),
-                [Fraction(w, f) for w in r.weights],
-                r.task,
-                Fraction(r.score, s),
-                r.ties,
-            )
-            for r in self.rows
-        )
-
 
 def pay_table(
     firm: Firm,

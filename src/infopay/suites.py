@@ -207,15 +207,12 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
         firm=firm_w, p=p_w, q_i=q_w, q_j=q_w, coarse=coarse_w, fine=fine_w
     )
     res_w = decompose(firm_w, p_w, q_w, coarse_w, fine_w, kernel_w, tol=tol)
+    def sign_holds(c) -> bool:  # under-perceived >= 0, over <= 0, accurate 0
+        return (c >= -sign, c <= sign, -sign <= c <= sign)[rotation]
+
     c = res_w.perception_correcting
-    if rotation == 0:
-        sign_ok = c >= -sign
-    elif rotation == 1:
-        sign_ok = c <= sign
-    else:
-        sign_ok = -sign <= c <= sign
     book.check(
-        "correction-sign-within-hypotheses", sign_ok, trial, carrier_w,
+        "correction-sign-within-hypotheses", sign_holds(c), trial, carrier_w,
         f"rotation {('under', 'over', 'accurate')[rotation]}, "
         f"correction {format_number(c)}",
     )
@@ -234,14 +231,11 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
 
     if trial % 50 == 0:  # LP witness instead of the constructed kernel
         res_lp = decompose(firm_w, p_w, q_w, coarse_w, fine_w, kernel=None, tol=tol)
-        lp_ok = abs(res_lp.identity_gap) <= eq and res_lp.instrumental >= floor
-        c_lp = res_lp.perception_correcting
-        if rotation == 0:
-            lp_ok = lp_ok and c_lp >= -sign
-        elif rotation == 1:
-            lp_ok = lp_ok and c_lp <= sign
-        else:
-            lp_ok = lp_ok and -sign <= c_lp <= sign
+        lp_ok = (
+            abs(res_lp.identity_gap) <= eq
+            and res_lp.instrumental >= floor
+            and sign_holds(res_lp.perception_correcting)
+        )
         book.check("lp-witness-kernel-agrees", lp_ok, trial, carrier_w)
 
 

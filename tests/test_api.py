@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves."""
 
+import functools
 import importlib
 import pkgutil
 
@@ -28,9 +29,11 @@ def test_module_exports_resolve(name):
 @pytest.mark.parametrize(
     "name",
     ["argmax_task_set", "assign_task", "worker_pay", "instrumental",
-     "perception_correcting"],
+     "perception_correcting", "model.PayTable.true_rows"],
 )
 def test_removed_names_stay_removed(name):
     # optimal tasks come from model.pay_table; both instrumental forms and
-    # the correction are fields of decompose's result
-    assert not hasattr(infopay, name)
+    # the correction are fields of decompose's result; pay-table rows stay
+    # at the scales they are kept at
+    *path, attr = name.split(".")
+    assert not hasattr(functools.reduce(getattr, path, infopay), attr)

@@ -344,6 +344,63 @@ def test_float_check_theorem1_accepts_near_tie(tmp_path, capsys):
     assert code == 0
 
 
+# the number lines theorem1 prints for the kink-crossing counterexample;
+# the verdict lines follow them in each perception's block
+KINK_THEOREM1 = {
+    "rational": [
+        "perception favored:",
+        "  total change:          773/5642",
+        "  perception-correcting: -6368/36673",
+        "  instrumental:          105/338",
+        "  identity gap:          0",
+        "perception other:",
+        "  total change:          128/2821",
+        "  perception-correcting: 128/2821",
+        "  instrumental:          0",
+        "  identity gap:          0",
+    ],
+    "float": [
+        "perception favored:",
+        "  total change:          0.1370081531371854",
+        "  perception-correcting: -0.17364273443677902",
+        "  instrumental:          0.3106508875739644",
+        "  identity gap:          0.0",
+        "perception other:",
+        "  total change:          0.04537398085785177",
+        "  perception-correcting: 0.045373980857851826",
+        "  instrumental:          0.0",
+        "  identity gap:          -5.551115123125783e-17",
+    ],
+}
+
+
+@pytest.fixture
+def kink_file(tmp_path):
+    from infopay.discrimination import narrowing_counterexamples
+
+    (kink,) = [r for r in narrowing_counterexamples() if r.name == "kink-crossing"]
+    path = tmp_path / "kink-crossing.inst"
+    save_instance(kink.scenario, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_check_theorem1_reports_perception_and_sign(kink_file, capsys, mode):
+    code = main(["--mode", mode, "check", kink_file, "--claim", "theorem1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "claim: theorem1"
+    assert lines[-1] == "result: PASS"
+    remaining = iter(lines)  # every earlier line, in order
+    assert all(line in remaining for line in KINK_THEOREM1[mode])
+    favored = lines[lines.index("perception favored:"):lines.index("perception other:")]
+    other = lines[lines.index("perception other:"):]
+    assert "  perception class:      over-perceived" in favored
+    assert "  correction nonpos:     True" in favored
+    assert "  perception class:      under-perceived" in other
+    assert "  correction nonneg:     True" in other
+
+
 # trial 2 of `infopay suite prop1 --trials 10 --seed 1400116`, cut from the
 # suite's first counterexample when slightness was checked pair by pair
 PAIRWISE_SLIGHT = """\
@@ -399,10 +456,15 @@ def test_check_narrowing_reports_failed_slightness(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize(
     "args",
-    [("suite", "garbling", "--trials", "20", "--seed", "7"), ("example", "ex1-reversal")],
+    [
+        ("suite", "garbling", "--trials", "20", "--seed", "7"),
+        ("example", "ex1-reversal"),
+        ("check", "KINK", "--claim", "theorem1"),
+    ],
 )
-def test_optimized_interpreter_gives_same_output(args):
+def test_optimized_interpreter_gives_same_output(args, kink_file):
     # no invariant may rest on assert, which python -O strips
+    args = [kink_file if a == "KINK" else a for a in args]
     plain = _run_module(*args)
     optimized = _run_module(*args, optimize=True)
     assert plain.returncode == 0, plain.stderr

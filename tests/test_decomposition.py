@@ -33,6 +33,7 @@ from infopay import (
     check_signs,
     decompose,
     fully_informative_structure,
+    garble,
     uninformative_structure,
 )
 from infopay.generators import (
@@ -119,6 +120,7 @@ def test_total_matches_average_pay_difference():
     res = decompose(FIRM2, p, q, coarse, fine)
     w_fine = average_pay(FIRM2, Population(p, q, fine))
     w_coarse = average_pay(FIRM2, Population(p, q, coarse))
+    assert (res.w_fine, res.w_coarse) == (w_fine, w_coarse)
     assert res.total == w_fine - w_coarse
     assert res.total == res.perception_correcting + res.instrumental
 
@@ -220,6 +222,7 @@ def test_sign_report_over_perceived():
     assert report.perception is PerceptionClass.OVER_PERCEIVED
     assert report.correction_sign_required == "nonpos"
     assert report.correction_sign_ok
+    assert report.identity_ok
     assert report.instrumental_ok
     assert report.ok
 
@@ -232,7 +235,8 @@ def test_sign_report_skips_inapplicable_hypotheses():
     assert not report.monotone
     assert report.correction_sign_required is None
     assert report.result.perception_correcting == F(1, 4)
-    assert report.ok  # the unconditional claim still holds
+    assert report.identity_ok
+    assert report.ok  # the unconditional claims still hold
 
 
 def test_sign_report_floor_follows_tol():
@@ -246,6 +250,7 @@ def test_sign_report_floor_follows_tol():
     kernel = GarblingKernel(coarse.signals, fine.signals, ((1.0, 1.0),))
     report = check_signs(firm, p, p, coarse, fine, kernel, tol=1e-9)
     assert -1e-9 < report.result.instrumental < -1e-12
+    assert report.identity_ok
     assert report.instrumental_ok
     assert not check_signs(firm, p, p, coarse, fine, kernel, tol=0.0).instrumental_ok
 
@@ -261,6 +266,7 @@ def test_float_near_tie_passes_default_instrumental_floor():
     fine = fully_informative_structure(space).to_float()
     report = check_signs(firm, p, p, coarse, fine)
     assert -1e-9 < report.result.instrumental < -1e-12
+    assert report.identity_ok
     assert report.instrumental_ok
     assert report.ok
 
@@ -271,7 +277,57 @@ def test_sign_report_under_perceived():
     assert report.perception is PerceptionClass.UNDER_PERCEIVED
     assert report.correction_sign_required == "nonneg"
     assert report.correction_sign_ok
+    assert report.identity_ok
     assert report.ok
+
+
+def test_sign_report_fails_on_identity_gap():
+    # at tol 0 the rounding residue of a float identity is a failure,
+    # though the other verdicts pass
+    rng = trial_rng(3, 0)
+    space = random_skill_space(rng)
+    firm = random_firm(rng, space.size).to_float()
+    p, q = random_dist(rng, space).to_float(), random_dist(rng, space).to_float()
+    fine, _, kernel = random_garbling_pair(rng, space)
+    fine, kernel = fine.to_float(), kernel.to_float()
+    coarse = garble(fine, kernel)  # the kernel reproduces it with no slack
+    report = check_signs(firm, p, q, coarse, fine, kernel, tol=0.0)
+    assert report.result.identity_gap != 0
+    assert report.instrumental_ok and report.correction_sign_ok is None
+    assert not report.identity_ok
+    assert not report.ok
+    assert check_signs(firm, p, q, coarse, fine, kernel).ok
+
+
+# near-MLR fine structure: type 1 sends the low signal 1e-8 more often
+# than type 0, an MLR violation inside a slack of 1e-6
+FLOAT_BIN = BIN.to_float()
+NEAR_MLR = SignalStructure(
+    FLOAT_BIN, ("lo", "hi"), ((0.5, 0.5), (0.5 + 1e-8, 0.5 - 1e-8)), values=(0, 1)
+)
+HALF = Dist(FLOAT_BIN, (0.5, 0.5))
+
+
+def test_sign_report_judges_mlr_at_tol():
+    coarse = uninformative_structure(FLOAT_BIN).to_float()
+    report = check_signs(SKILL_TASK.to_float(), HALF, HALF, coarse, NEAR_MLR, tol=1e-6)
+    assert report.fine_mlr
+    assert report.correction_sign_required == "zero"
+    assert report.ok
+    assert not check_signs(SKILL_TASK.to_float(), HALF, HALF, coarse, NEAR_MLR).fine_mlr
+
+
+def test_sign_report_judges_perception_at_tol():
+    q = Dist(FLOAT_BIN, (0.5 + 1e-8, 0.5 - 1e-8))
+    coarse = uninformative_structure(FLOAT_BIN).to_float()
+    fine = fully_informative_structure(FLOAT_BIN).to_float()
+    firm = SKILL_TASK.to_float()
+    report = check_signs(firm, HALF, q, coarse, fine, tol=1e-6)
+    assert report.perception is PerceptionClass.ACCURATE
+    assert report.correction_sign_required == "zero"
+    assert report.ok
+    default = check_signs(firm, HALF, q, coarse, fine)
+    assert default.perception is PerceptionClass.UNDER_PERCEIVED
 
 
 # -- randomized identity -------------------------------------------------------

@@ -19,9 +19,11 @@ from infopay import (
     GapScenario,
     InputError,
     OrderingError,
+    Population,
     SignalStructure,
     SkillSpace,
     Task,
+    average_pay,
     binary_symmetric_structure,
     check_gap_ranking,
     check_narrowing,
@@ -105,8 +107,37 @@ def test_gap_ranking_within_hypotheses():
     assert report.w_i - report.w_j == (
         report.favorableness + report.correction + report.instrumental
     )
+    assert report.w_j == average_pay(FIRM2, Population(P_HALF, q_j, sym(F(3, 5))))
+    assert report.favorableness == report.w_i - average_pay(
+        FIRM2, Population(P_HALF, q_j, sym(F(4, 5)))
+    )
     assert report.conclusion_holds
     assert report.ok
+
+
+# near-MLR fine structure: type 1 sends the low signal 1e-8 more often
+# than type 0, an MLR violation inside a slack of 1e-6
+FLOAT_BIN = BIN.to_float()
+NEAR_MLR = SignalStructure(
+    FLOAT_BIN, ("lo", "hi"), ((0.5, 0.5), (0.5 + 1e-8, 0.5 - 1e-8)), values=(0, 1)
+)
+NEAR_MLR_SCENARIO = GapScenario(
+    firm=FIRM2.to_float(),
+    p=P_HALF.to_float(),
+    q_i=Q_HI.to_float(),
+    q_j=Q_LO.to_float(),
+    coarse=uninformative_structure(FLOAT_BIN).to_float(),
+    fine=NEAR_MLR,
+)
+
+
+def test_gap_ranking_judges_mlr_at_tol():
+    s = NEAR_MLR_SCENARIO
+    for tol, mlr in ((1e-6, True), (None, False)):
+        report = check_gap_ranking(
+            s.firm, s.p, s.q_i, s.q_j, sig_i=s.fine, sig_j=s.coarse, tol=tol
+        )
+        assert report.hypotheses["favored_structure_mlr"] is mlr
 
 
 def test_gap_ranking_requires_ordered_structures():
@@ -125,6 +156,11 @@ def test_narrowing_within_hypotheses():
     assert report.gap_fine == F(1247, 782)
     assert report.star_holds
     assert not report.violation
+
+
+def test_narrowing_judges_mlr_at_tol():
+    assert check_narrowing(NEAR_MLR_SCENARIO, tol=1e-6).hypotheses["fine_mlr"]
+    assert not check_narrowing(NEAR_MLR_SCENARIO).hypotheses["fine_mlr"]
 
 
 def test_narrowing_requires_ordered_structures():

@@ -1,6 +1,6 @@
 """Integer-scaled exact kernels against their Fraction formulas.
 
-On exact input the pay table, the decomposition core, the kernel check
+On exact input the pay table, ``decompose``, the kernel check
 and ``garble`` clear denominators once and work on Python ints.  The
 Fraction loops they replaced are kept here as the oracle: values must
 be equal and of the same type (``int`` or ``Fraction``), and
@@ -9,6 +9,7 @@ assignments must match under both tie rules.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,13 +20,14 @@ from infopay import (
     Population,
     SignalStructure,
     average_pay,
+    decompose,
     find_garbling,
     fully_informative_structure,
     garble,
     kernel_reproduces,
     uninformative_structure,
 )
-from infopay.decomposition import _core
+from infopay.errors import InputError
 from infopay.generators import (
     random_dist,
     random_firm,
@@ -101,14 +103,14 @@ def fraction_core(firm, p, q, coarse, fine, kernel, tie_break):
                 mu_q += coef * rows_f[f].m_q
                 inner += coef * e_dot[s][f]
         correction -= (mu_p / mu_q) * inner
-    return {
+    return {  # keyed by the DecompResult fields they oracle
         "w_fine": fraction_table_pay(rows_f),
         "w_coarse": fraction_table_pay(rows_c),
-        "correction": correction,
-        "inst_joint": inst_joint,
-        "inst_signalwise": inst_signalwise,
-        "assign_coarse": tuple(r.task for r in rows_c),
-        "assign_fine": tuple(r.task for r in rows_f),
+        "perception_correcting": correction,
+        "instrumental": inst_joint,
+        "instrumental_signalwise": inst_signalwise,
+        "assignment_coarse": tuple(r.task for r in rows_c),
+        "assignment_fine": tuple(r.task for r in rows_f),
     }
 
 
@@ -201,8 +203,15 @@ def test_pay_table_matches_fraction_oracle(instance):
                 for r in table.rows
                 for v in (r.m_p, r.m_q, r.score, *r.weights)
             )
-            for got, row in zip(table.true_rows(), want):
-                assert got == row
+            # the scales the PayTable docstring documents
+            f, fs = table.freq_scale, table.freq_scale * table.surplus_scale
+            assert len(table.rows) == len(want)
+            for got, row in zip(table.rows, want):
+                assert (got.m_p, got.m_q, got.score) == (
+                    row.m_p * f, row.m_q * f, row.score * fs
+                )
+                assert got.weights == [w * f for w in row.weights]
+                assert (got.task, got.ties) == (row.task, row.ties)
             same(table_pay(table), fraction_table_pay(want))
             for j, row in enumerate(want):
                 same(table.signal_pay(j), row.score / row.m_q)
@@ -219,24 +228,24 @@ def test_pay_table_matches_fraction_oracle(instance):
 def test_core_matches_fraction_oracle(instance):
     firm, p, q, coarse, fine, kernel = instance
     for tie_break in ("lowest", "highest"):
-        got = _core(firm, p, q, coarse, fine, kernel, tie_break)
+        got = decompose(firm, p, q, coarse, fine, kernel, tie_break)
         want = fraction_core(firm, p, q, coarse, fine, kernel, tie_break)
-        assert got.keys() == want.keys()
-        for key in want:
-            same(got[key], want[key])
+        for field, value in want.items():
+            same(getattr(got, field), value)
+        same(got.total, want["w_fine"] - want["w_coarse"])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(instances())
-def test_core_with_float_kernel_matches_oracle(instance):
-    # a float kernel on exact structures mixes the two arithmetics; the
-    # exact rows join it at their true values, as the Fraction loop did
+def test_float_kernel_on_exact_instance_raises_input_error(instance):
+    # the two arithmetics do not mix: a float kernel needs a float instance
     firm, p, q, coarse, fine, kernel = instance
-    kernel = kernel.to_float()
-    got = _core(firm, p, q, coarse, fine, kernel, "lowest")
-    want = fraction_core(firm, p, q, coarse, fine, kernel, "lowest")
-    for key in want:
-        same(got[key], want[key])
+    with pytest.raises(InputError, match="to_float"):
+        decompose(firm, p, q, coarse, fine, kernel.to_float())
+    decompose(
+        firm.to_float(), p.to_float(), q.to_float(), coarse.to_float(),
+        fine.to_float(), kernel.to_float(),
+    )
 
 
 @settings(max_examples=150, deadline=None)
