@@ -173,7 +173,7 @@ def _cmd_suite(args, mode: str, tol) -> int:
     return 0 if result.ok else 1
 
 
-def _describe(obj) -> list[str]:
+def _describe(obj, tol) -> list[str]:
     if isinstance(obj, Firm):
         return [
             "kind: firm",
@@ -186,7 +186,7 @@ def _describe(obj) -> list[str]:
             "kind: population",
             f"types: {obj.p.space.size}",
             f"signals: {obj.sig.n_signals}",
-            f"perception class: {perception_class(obj.p, obj.q).value}",
+            f"perception class: {perception_class(obj.p, obj.q, tol).value}",
         ]
     return [
         "kind: scenario",
@@ -195,8 +195,8 @@ def _describe(obj) -> list[str]:
         f"monotone firm: {obj.firm.is_monotone}",
         f"coarse signals: {obj.coarse.n_signals}",
         f"fine signals: {obj.fine.n_signals}",
-        f"favored perception class: {perception_class(obj.p, obj.q_i).value}",
-        f"other perception class: {perception_class(obj.p, obj.q_j).value}",
+        f"favored perception class: {perception_class(obj.p, obj.q_i, tol).value}",
+        f"other perception class: {perception_class(obj.p, obj.q_j, tol).value}",
     ]
 
 
@@ -212,7 +212,7 @@ def _cmd_check(args, mode: str, tol) -> int:
     if args.eps is not None and claim != "nearly-full":
         raise InputError("--eps applies only to the nearly-full claim")
     if claim == "invariants":
-        lines, ok = _describe(obj), True
+        lines, ok = _describe(obj, tol), True
     elif claim == "theorem1":
         s = _need_scenario(obj, claim)
         lines, ok = [], True

@@ -156,7 +156,7 @@ def _ex2_monotone_fail(mode, tol, p1, q1) -> ExampleReport:
         uninformative_structure(space), fully_informative_structure(space),
     )
     expected = (1 - p1) - (1 - q1)
-    cls = perception_class(p, q)
+    cls = perception_class(p, q, tol)
     c = res.perception_correcting
     if cls is PerceptionClass.OVER_PERCEIVED:
         flip = c > eq  # monotone rule would force <= 0
@@ -217,7 +217,7 @@ def _ex3_mlr_fail(mode, tol, delta) -> ExampleReport:
     )
     res = decompose(firm, p, q, coarse, fine)
     expected = (one / 4 - p.probs[1]) / 3
-    cls = perception_class(p, q)
+    cls = perception_class(p, q, tol)
     c = res.perception_correcting
     if delta > 0:
         flip = cls is PerceptionClass.UNDER_PERCEIVED and c < -eq
@@ -229,7 +229,7 @@ def _ex3_mlr_fail(mode, tol, delta) -> ExampleReport:
         flip = cls is PerceptionClass.ACCURATE and abs(c) <= eq
         note = "no misperception, no sign to flip"
     checks = (
-        ExampleCheck("fine-structure-not-mlr", not is_mlr(fine)),
+        ExampleCheck("fine-structure-not-mlr", not is_mlr(fine, tol)),
         ExampleCheck(
             "correction-matches-formula", abs(c - expected) <= eq,
             f"{_fmt(c)} vs (1/4 - p1)/3 = {_fmt(expected)}",
@@ -302,7 +302,7 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
         checks.append(
             ExampleCheck(
                 "favored-population-more-favorably-perceived",
-                lr_geq(q_i, q_j), "qi1 >= qj1",
+                lr_geq(q_i, q_j, tol), "qi1 >= qj1",
             )
         )
     if qj1 > p1:

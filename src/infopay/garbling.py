@@ -19,7 +19,14 @@ from typing import Sequence
 
 from .errors import InputError
 from .model import Dist, Firm, IntRows, SignalStructure, pay_table
-from .numeric import LP_TOL, ORDER_TOL, Number, clear_denominators, exact_entries
+from .numeric import (
+    LP_TOL,
+    ORDER_TOL,
+    Number,
+    _lowest_terms,
+    clear_denominators,
+    exact_entries,
+)
 from .simplex import feasible_point
 
 __all__ = [
@@ -56,13 +63,40 @@ class GarblingKernel:
         object.__setattr__(
             self, "matrix", tuple(tuple(row) for row in self.matrix)
         )
+        self._settle(None)
+
+    @classmethod
+    def _from_ints(
+        cls,
+        coarse_signals: tuple[str, ...],
+        fine_signals: tuple[str, ...],
+        form: IntRows,
+    ) -> "GarblingKernel":
+        """The kernel with entries ``rows[s][f] / scale`` (``scale > 0``),
+        as the public constructor would build it from those Fractions."""
+        rows, scale = _lowest_terms(*form)
+        self = object.__new__(cls)
+        object.__setattr__(self, "coarse_signals", coarse_signals)
+        object.__setattr__(self, "fine_signals", fine_signals)
+        matrix = tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
+        object.__setattr__(self, "matrix", matrix)
+        self._settle((rows, scale))
+        return self
+
+    def _settle(self, form: IntRows | None) -> None:
+        """Validate the fields and cache ``int_form``.
+
+        ``form`` is the lowest int form the matrix was built from, or None
+        to classify the entries and derive it from them.
+        """
         n_c, n_f = len(self.coarse_signals), len(self.fine_signals)
         if not n_c or not n_f:
             raise InputError("kernel needs nonempty signal sets")
         if len(self.matrix) != n_c or any(len(r) != n_f for r in self.matrix):
             raise InputError("kernel matrix shape does not match signal sets")
-        form = None
-        if exact_entries([v for row in self.matrix for v in row], "kernel entries"):
+        if form is None and exact_entries(
+            [v for row in self.matrix for v in row], "kernel entries"
+        ):
             form = clear_denominators(self.matrix)
         # exact entries are tested as ints against the scale, with no slack
         rows, one, tol = (self.matrix, 1, LP_TOL) if form is None else (*form, 0)
@@ -70,8 +104,8 @@ class GarblingKernel:
             for v in row:
                 if v < -tol or v > one + tol:
                     raise InputError("kernel entries must lie in [0, 1]")
-        for f in range(n_f):
-            if not (one - tol <= sum(row[f] for row in rows) <= one + tol):
+        for f, col in enumerate(zip(*rows)):
+            if not (one - tol <= sum(col) <= one + tol):
                 col = sum(row[f] for row in self.matrix)
                 raise InputError(
                     f"kernel column for fine signal "
@@ -176,38 +210,32 @@ def garble(
     the kernel.
 
     Exact entries are mixed as ints, from the int forms of the kernel and
-    the likelihoods; an entry stays an int when its kernel row and its
-    likelihood row hold no Fraction, as a sum of int products would.
+    the likelihoods, and the structure is built from the int rows; an
+    entry stays an int when its kernel row and its likelihood row hold no
+    Fraction, as a sum of int products would.
     """
     if kernel.fine_signals != fine.signals:
         raise InputError("kernel fine signals do not match the fine structure")
     g, lik = kernel.matrix, fine.likelihood
+    values = None if values is None else tuple(values)
     if kernel.int_form is not None and fine.int_form is not None:
         frac_g = [any(isinstance(v, Fraction) for v in row) for row in g]
         frac_lik = [any(isinstance(v, Fraction) for v in row) for row in lik]
+        whole = [[not (ft or fs) for fs in frac_g] for ft in frac_lik]
         (g, g_scale), (lik, lik_scale) = kernel.int_form, fine.int_form
-        scale = g_scale * lik_scale
-        rows = []
-        for lik_row, frac_t in zip(lik, frac_lik):
-            nums = [sum(map(mul, g_row, lik_row)) for g_row in g]
-            rows.append(tuple(
-                Fraction(num, scale) if frac_t or frac_g[s] else num // scale
-                for s, num in enumerate(nums)
-            ))
-    else:
-        rows = tuple(
-            tuple(
-                sum(g[s][f] * lik[t][f] for f in range(fine.n_signals))
-                for s in range(len(kernel.coarse_signals))
-            )
-            for t in range(fine.space.size)
+        nums = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
+        form = (nums, g_scale * lik_scale)
+        return SignalStructure._from_ints(
+            fine.space, kernel.coarse_signals, form, values, whole
         )
-    return SignalStructure(
-        fine.space,
-        kernel.coarse_signals,
-        rows,
-        values=None if values is None else tuple(values),
+    rows = tuple(
+        tuple(
+            sum(g[s][f] * lik[t][f] for f in range(fine.n_signals))
+            for s in range(len(kernel.coarse_signals))
+        )
+        for t in range(fine.space.size)
     )
+    return SignalStructure(fine.space, kernel.coarse_signals, rows, values=values)
 
 
 def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKernel:

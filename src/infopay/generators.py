@@ -3,9 +3,12 @@
 Everything draws small integers from a PCG64 stream and builds exact
 rational objects, so claims checked on generated instances are checked
 with zero tolerance; float variants come from the objects' ``to_float``
-methods.  Per-trial reproducibility: each trial seeds its own stream
-from the ``(seed, trial)`` pair, which yields independent streams for
-any trial order.
+methods.  Distributions, signal structures and kernels are built from
+the drawn ints over their row or column sums (``_from_ints``), with the
+public constructors' validation, so no Fraction is made only to be
+cleared again.  Per-trial reproducibility: each trial seeds its own
+stream from the ``(seed, trial)`` pair, which yields independent streams
+for any trial order.
 
 The stream is numpy's, in pure Python: ``trial_rng(s, t)`` followed by
 ``_int(rng, lo, hi)`` gives the draws of
@@ -32,7 +35,7 @@ from .discrimination import GapScenario
 from .errors import InputError
 from .garbling import GarblingKernel, garble, is_slightly_more_informative
 from .model import Dist, Firm, SignalStructure, SkillSpace, Task
-from .numeric import require_count
+from .numeric import join_rows, require_count
 from .orders import lr_geq
 
 __all__ = [
@@ -171,8 +174,7 @@ def random_skill_space(
 def random_dist(rng: PCG64Stream, space: SkillSpace) -> Dist:
     """Full-support rational distribution with small denominators."""
     weights = [_int(rng, 1, 9) for _ in range(space.size)]
-    total = sum(weights)
-    return Dist(space, tuple(Fraction(w, total) for w in weights))
+    return Dist._from_ints(space, (weights, sum(weights)))
 
 
 def random_task(rng: PCG64Stream, n_types: int, monotone: bool = False) -> Task:
@@ -213,12 +215,10 @@ def random_signal_structure(
     for j in range(n_s):
         if not any(row[j] for row in weights):
             weights[_int(rng, 0, n_t - 1)][j] = _int(rng, 1, 4)
-    rows = tuple(
-        tuple(Fraction(w, sum(row)) for w in row) for row in weights
-    )
     values = tuple(range(n_s)) if valued else None
     labels = tuple(f"s{k}" for k in range(n_s))
-    return SignalStructure(space, labels, rows, values=values)
+    form = join_rows([(row, sum(row)) for row in weights])
+    return SignalStructure._from_ints(space, labels, form, values)
 
 
 def random_mlr_structure(
@@ -238,11 +238,11 @@ def random_mlr_structure(
     rows = []
     for _ in range(space.size):
         raw = [base[j] * tilt**j for j in range(n_s)]
-        total = sum(raw)
-        rows.append(tuple(Fraction(v, total) for v in raw))
+        rows.append((raw, sum(raw)))
         tilt += _int(rng, 0, 1)
     labels = tuple(f"s{k}" for k in range(n_s))
-    return SignalStructure(space, labels, tuple(rows), values=tuple(range(n_s)))
+    values = tuple(range(n_s))
+    return SignalStructure._from_ints(space, labels, join_rows(rows), values)
 
 
 def extreme_structure(space: SkillSpace, eps: Fraction | float) -> SignalStructure:
@@ -279,12 +279,9 @@ def random_kernel(
         for s in range(n_coarse):
             if not any(cols[f][s] for f in range(n_f)):
                 cols[s % n_f][s] += 1
-    matrix = tuple(
-        tuple(Fraction(cols[f][s], sum(cols[f])) for f in range(n_f))
-        for s in range(n_coarse)
-    )
+    cols, scale = join_rows([(col, sum(col)) for col in cols])
     labels = tuple(f"c{k}" for k in range(n_coarse))
-    return GarblingKernel(labels, fine_labels, matrix)
+    return GarblingKernel._from_ints(labels, fine_labels, (tuple(zip(*cols)), scale))
 
 
 def random_garbling_pair(
@@ -305,13 +302,18 @@ def random_garbling_pair(
 
 
 def random_lr_above(rng: PCG64Stream, lo: Dist) -> Dist:
-    """Reweight by a nondecreasing positive multiplier: LR-above ``lo``."""
+    """Reweight by a nondecreasing positive multiplier: LR-above ``lo``.
+
+    An exact ``lo`` is reweighted in ints, from its int form.
+    """
     mult = _int(rng, 1, 3)
     raw = []
-    for v in lo.probs:
+    for v in lo.probs if lo.int_form is None else lo.int_form[0]:
         raw.append(v * mult)
         mult += _int(rng, 0, 2)
     total = sum(raw)
+    if lo.int_form is not None:
+        return Dist._from_ints(lo.space, (raw, total))
     return Dist(lo.space, tuple(v / total for v in raw))
 
 

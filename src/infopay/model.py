@@ -26,6 +26,8 @@ from .errors import InputError
 from .numeric import (
     DEFAULT_TOL,
     Number,
+    _check_prob_vector,
+    _lowest_terms,
     exact_entries,
     int_row,
     join_rows,
@@ -97,12 +99,34 @@ class Dist:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(self.probs))
+        self._settle(None)
+
+    @classmethod
+    def _from_ints(cls, space: SkillSpace, form: IntRow) -> "Dist":
+        """The distribution ``ints[i] / scale`` (``scale > 0``), as the
+        public constructor would build it from those Fractions."""
+        (ints,), scale = _lowest_terms((form[0],), form[1])
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "probs", tuple([Fraction(n, scale) for n in ints]))
+        self._settle((ints, scale))
+        return self
+
+    def _settle(self, form: IntRow | None) -> None:
+        """Validate the fields and cache ``int_form``.
+
+        ``form`` is the lowest int form the fields were built from, or
+        None to classify the fields and derive it from them.
+        """
         if len(self.probs) != self.space.size:
             raise InputError(
                 f"distribution has {len(self.probs)} entries for "
                 f"{self.space.size} types"
             )
-        form = validate_prob_vector(self.probs, "distribution")
+        if form is None:
+            form = validate_prob_vector(self.probs, "distribution")
+        else:
+            _check_prob_vector(self.probs, form, "distribution")
         entries = self.probs if form is None else form[0]
         object.__setattr__(self, "int_form", form)
         object.__setattr__(self, "full_support", all(v > 0 for v in entries))
@@ -200,6 +224,47 @@ class SignalStructure:
         )
         if self.values is not None:
             object.__setattr__(self, "values", tuple(self.values))
+        self._settle(None)
+
+    @classmethod
+    def _from_ints(
+        cls,
+        space: SkillSpace,
+        signals: tuple[str, ...],
+        form: IntRows,
+        values: tuple[Number, ...] | None = None,
+        whole: Sequence[Sequence[bool]] | None = None,
+    ) -> "SignalStructure":
+        """The structure with likelihoods ``rows[t][j] / scale`` (``scale >
+        0``), as the public constructor would build it from those values.
+
+        Entries are Fractions, except where ``whole[t][j]`` holds: there
+        the value is a whole number and is kept as an int.
+        """
+        rows, scale = _lowest_terms(*form)
+        if whole is None:
+            lik = tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
+        else:
+            lik = tuple([
+                tuple([
+                    n // scale if w else Fraction(n, scale) for n, w in zip(row, mask)
+                ])
+                for row, mask in zip(rows, whole)
+            ])
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "signals", signals)
+        object.__setattr__(self, "likelihood", lik)
+        object.__setattr__(self, "values", values)
+        self._settle((rows, scale))
+        return self
+
+    def _settle(self, form: IntRows | None) -> None:
+        """Validate the fields and cache ``int_form``.
+
+        ``form`` is the lowest int form the likelihoods were built from,
+        or None to classify them and derive it from them.
+        """
         if not self.signals:
             raise InputError("signal structure needs at least one signal")
         if len(set(self.signals)) != len(self.signals):
@@ -213,11 +278,16 @@ class SignalStructure:
         for k, row in enumerate(self.likelihood):
             if len(row) != len(self.signals):
                 raise InputError(f"likelihood row for type index {k} has wrong width")
-            forms.append(validate_prob_vector(row, f"likelihood row for type index {k}"))
-        form = None if None in forms else join_rows(forms)
+            what = f"likelihood row for type index {k}"
+            if form is None:
+                forms.append(validate_prob_vector(row, what))
+            else:
+                _check_prob_vector(row, (form[0][k], form[1]), what)
+        if form is None:
+            form = None if None in forms else join_rows(forms)
         rows = self.likelihood if form is None else form[0]
-        for j, label in enumerate(self.signals):
-            if not any(row[j] > 0 for row in rows):
+        for label, col in zip(self.signals, zip(*rows)):
+            if not max(col) > 0:  # rows were checked, so no nan is left
                 raise InputError(f"signal {label!r} has zero likelihood everywhere")
         object.__setattr__(self, "int_form", form)
         if self.values is not None:
@@ -280,16 +350,23 @@ def posterior(q: Dist, sig: SignalStructure, signal: str) -> Dist:
     """Bayes posterior over types after observing ``signal`` under ``q``.
 
     Requires a full-support prior, so the posterior is defined for every
-    signal (each signal has positive likelihood under some type).
+    signal (each signal has positive likelihood under some type).  Exact
+    input is weighed in ints, from the int forms of ``q`` and ``sig``.
     """
     _check_same_space(sig, q, "posterior")
     if not q.full_support:
         raise InputError("posterior requires a full-support prior")
     j = sig.index(signal)
-    weights = [q.probs[i] * sig.likelihood[i][j] for i in range(q.space.size)]
+    exact = q.int_form is not None and sig.int_form is not None
+    if exact:
+        weights = [n * row[j] for n, row in zip(q.int_form[0], sig.int_form[0])]
+    else:
+        weights = [q.probs[i] * sig.likelihood[i][j] for i in range(q.space.size)]
     total = sum(weights)
     if not total > 0:
         raise InputError(f"signal {signal!r} has zero probability under the prior")
+    if exact:
+        return Dist._from_ints(q.space, (weights, total))
     return Dist(q.space, tuple(w / total for w in weights))
 
 
@@ -384,8 +461,7 @@ def pay_table(
         surplus = tuple(task.surplus for task in firm.tasks)
         freq_scale = surplus_scale = 1
     rows = []
-    for j, label in enumerate(sig.signals):
-        col = [row[j] for row in lik]
+    for label, col in zip(sig.signals, zip(*lik)):
         weights = list(map(mul, q_t, col))
         m_q = sum(weights)
         m_p = sum(map(mul, p_t, col))

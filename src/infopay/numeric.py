@@ -83,6 +83,8 @@ def exact_entries(values: Iterable[object], what: str) -> bool:
 def int_row(values: Sequence[Number]) -> tuple[tuple[int, ...], int]:
     """Exact values as ``(ints, scale)``: ints over the lcm of their
     denominators, so ``values[i] == ints[i] / scale``."""
+    if all(type(v) is int for v in values):
+        return tuple(values), 1
     ratios = [v.as_integer_ratio() for v in values]
     # unpack a list, not a generator: a tuple built from a generator is
     # allocated large and then shrunk, and such tuples pile up in the free
@@ -100,6 +102,16 @@ def join_rows(
         ints if s == scale else tuple([n * (scale // s) for n in ints])
         for ints, s in forms
     ]), scale
+
+
+def _lowest_terms(
+    rows: Sequence[Sequence[int]], scale: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Int rows over one positive scale, divided by the gcd of all their
+    entries and the scale: the int form ``clear_denominators`` gives of
+    the values ``rows[i][j] / scale``."""
+    g = math.gcd(scale, *[n for row in rows for n in row])
+    return tuple([tuple([n // g for n in row]) for row in rows]), scale // g
 
 
 def clear_denominators(
@@ -193,14 +205,25 @@ def validate_prob_vector(
     """Nonnegative entries summing to 1 (exactly for exact input).
 
     Returns the int form ``int_row(probs)`` of exact entries, None for
-    float and mixed ones.  Exact entries are tested as ints: each at
-    least 0, their sum equal to the scale.
+    float and mixed ones.
     """
     form = int_row(probs) if exact_entries(probs, what) else None
+    _check_prob_vector(probs, form, what)
+    return form
+
+
+def _check_prob_vector(
+    probs: Sequence[Number], form: tuple[Sequence[int], int] | None, what: str
+) -> None:
+    """The checks of ``validate_prob_vector`` once exactness is decided.
+
+    ``form`` is the int form of exact ``probs`` (any scale), None for
+    float ones.  Exact entries are tested as ints: each at least 0, their
+    sum equal to the scale.  Messages quote ``probs``.
+    """
     entries, one, tol = (probs, 1, DIST_SUM_TOL) if form is None else (*form, 0)
     for k, v in enumerate(entries):
         if v < 0:
             raise InputError(f"{what}: entry {k} is negative ({probs[k]!r})")
     if not (one - tol <= sum(entries) <= one + tol):
         raise InputError(f"{what}: entries sum to {sum(probs)!r}, expected 1")
-    return form

@@ -1,5 +1,6 @@
 """Exit codes, flag handling, and output shape of the command line."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -399,6 +400,21 @@ def test_check_theorem1_reports_perception_and_sign(kink_file, capsys, mode):
     assert "  correction nonpos:     True" in favored
     assert "  perception class:      under-perceived" in other
     assert "  correction nonneg:     True" in other
+
+
+def test_check_invariants_judges_perception_at_tol(tmp_path, capsys):
+    # the favored perception is 1e-8 off the truth: accurate within --tol
+    scenario = make_scenario()
+    near = Dist(scenario.p.space, (Fraction(50000001, 10**8), Fraction(49999999, 10**8)))
+    path = tmp_path / "near.inst"
+    save_instance(dataclasses.replace(scenario, q_i=near), str(path))
+    flags = ["--mode", "float", "--tol", "1e-6", "check", str(path), "--claim"]
+    assert main([*flags, "invariants"]) == 0
+    assert "favored perception class: accurate" in capsys.readouterr().out.splitlines()
+    assert main([*flags, "theorem1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    favored = lines[lines.index("perception favored:"):lines.index("perception other:")]
+    assert "  perception class:      accurate" in favored
 
 
 # trial 2 of `infopay suite prop1 --trials 10 --seed 1400116`, cut from the

@@ -7,7 +7,8 @@ validate in ints.  The validation they replaced, the Fraction and
 tolerance checks of ``validate_prob_vector`` and the kernel constructor,
 is kept here as the oracle: on exact rows the constructors must accept
 and reject exactly as it does, with the same message.  The hot paths
-must read the cached forms and never clear denominators again.
+must read the cached forms and never clear denominators again, and the
+producers that hold ints must build from them, not from Fractions.
 """
 
 import copy
@@ -43,10 +44,14 @@ from infopay.generators import (
     random_dist,
     random_firm,
     random_garbling_pair,
+    random_kernel,
+    random_lr_above,
+    random_mlr_structure,
+    random_signal_structure,
     random_skill_space,
     trial_rng,
 )
-from infopay.model import pay_table
+from infopay.model import pay_table, posterior
 from infopay.numeric import DIST_SUM_TOL, LP_TOL, all_exact, clear_denominators
 
 # -- the validation oracle -------------------------------------------------------
@@ -285,13 +290,9 @@ def test_replace_recomputes_the_form():
 # -- hot paths read the cache ------------------------------------------------------
 
 
-def test_hot_paths_make_no_exactness_scans(monkeypatch):
-    rng = trial_rng(5, 0)
-    space = random_skill_space(rng, max_types=4)
-    firm = random_firm(rng, space.size, monotone=True)
-    fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
-    p, q = random_dist(rng, space), random_dist(rng, space)
-
+def count_calls(monkeypatch, names):
+    """The list every later call of ``names`` is appended to, through every
+    name each package module imported (or defines)."""
     calls = []
 
     def counting(name, real):
@@ -300,13 +301,22 @@ def test_hot_paths_make_no_exactness_scans(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    # every name each package module imported (or defines)
     for mod_name, module in list(sys.modules.items()):
         if mod_name == "infopay" or mod_name.startswith("infopay."):
-            for name in ("clear_denominators", "all_exact"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
+
+def test_hot_paths_make_no_exactness_scans(monkeypatch):
+    rng = trial_rng(5, 0)
+    space = random_skill_space(rng, max_types=4)
+    firm = random_firm(rng, space.size, monotone=True)
+    fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
+    p, q = random_dist(rng, space), random_dist(rng, space)
+
+    calls = count_calls(monkeypatch, ("clear_denominators", "all_exact"))
     table = pay_table(firm, p, q, fine)
     assert table.exact
     assert kernel_reproduces(kernel, fine, coarse)
@@ -316,3 +326,20 @@ def test_hot_paths_make_no_exactness_scans(monkeypatch):
     lr_geq(p, q)
     assert is_mlr(fine)
     assert calls == []
+
+
+def test_int_producers_skip_the_fraction_round_trip(monkeypatch):
+    rng = trial_rng(5, 1)
+    space = random_skill_space(rng, max_types=4)
+    calls = count_calls(
+        monkeypatch, ("int_row", "validate_prob_vector", "clear_denominators")
+    )
+    q = random_dist(rng, space)
+    fine = random_signal_structure(rng, space)
+    mlr = random_mlr_structure(rng, space)
+    kernel = random_kernel(rng, fine.signals, 3)
+    hi = random_lr_above(rng, q)
+    coarse = garble(fine, kernel)
+    posts = [posterior(q, sig, label) for sig in (fine, mlr, coarse) for label in sig.signals]
+    assert calls == []
+    assert None not in [obj.int_form for obj in (q, fine, mlr, kernel, hi, coarse, *posts)]

@@ -96,3 +96,16 @@ def test_bad_inputs_rejected():
         run_example("ex1-reversal", nonsense=Fraction(1, 2))
     with pytest.raises(InputError):
         run_example("blackwell-forward", trials=0)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("ex2-monotone-fail", {"p1": 0.5, "q1": 0.50000001}),
+        ("ex3-mlr-fail", {"delta": 1e-9}),
+    ],
+)
+def test_perception_class_judged_at_tol(name, params):
+    # a perception 1e-8 off the truth is accurate within tol = 1e-6
+    report = run_example(name, mode="float", tol=1e-6, **params)
+    assert dict(report.facts)["perception class"] == "accurate"

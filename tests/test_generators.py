@@ -1,6 +1,7 @@
 """Generated instances satisfy their advertised invariants exactly, and
 the trial stream draws what numpy's ``default_rng((seed, trial))`` draws."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infopay import (
+    Dist,
     InputError,
+    SkillSpace,
     check_narrowing,
     find_garbling,
     fosd_geq,
@@ -20,10 +23,12 @@ from infopay import (
 from infopay.generators import (
     PRNG_ID,
     _int,
+    extreme_structure,
     random_dist,
     random_firm,
     random_garbling_pair,
     random_kernel,
+    random_lr_above,
     random_lr_chain,
     random_lr_pair,
     random_mlr_structure,
@@ -31,6 +36,7 @@ from infopay.generators import (
     random_non_lr_pair,
     random_signal_structure,
     random_skill_space,
+    random_task,
     trial_rng,
 )
 
@@ -142,6 +148,14 @@ def test_random_lr_chain_ordered():
         assert lr_geq(chain[0], chain[2])
 
 
+def test_lr_above_an_exact_point_mass_stays_exact():
+    # the int weights of an all-int point mass once went through int / int
+    lo = Dist(SkillSpace((0, 1, 2)), (0, 1, 0))
+    hi = random_lr_above(trial_rng(0, 0), lo)
+    assert hi.probs == (0, 1, 0) and hi.int_form == ((0, 1, 0), 1)
+    assert all(type(v) is Fraction for v in hi.probs)
+
+
 def test_random_non_lr_pair_unordered():
     for trial in range(25):
         rng = trial_rng(29, trial)
@@ -179,3 +193,40 @@ def test_random_narrowing_scenario_within_hypotheses():
         assert all(report.hypotheses.values()), report.hypotheses
         assert report.baseline_lr
         assert report.star_holds  # the narrowing claim itself
+
+
+def generated_reprs(seed):
+    """The reprs of what every public generator returns on one stream."""
+    rng = trial_rng(seed, 0)
+    space = random_skill_space(rng)
+    sig = random_signal_structure(rng, space, valued=True)
+    lo = random_dist(rng, space)
+    out = [
+        space,
+        lo,
+        random_task(rng, space.size),
+        random_task(rng, space.size, monotone=True),
+        random_firm(rng, space.size),
+        sig,
+        random_mlr_structure(rng, space),
+        extreme_structure(space, Fraction(1, 7)),
+        extreme_structure(space, 0.125),
+        random_kernel(rng, sig.signals, _int(rng, 1, 4)),
+        *random_garbling_pair(rng, space),
+        *random_garbling_pair(rng, space, mlr=True),
+        random_lr_above(rng, lo),
+        random_lr_above(rng, lo.to_float()),
+        *random_lr_pair(rng, space),
+        *random_lr_chain(rng, space),
+        *random_non_lr_pair(rng, space),
+        *random_narrowing_scenario(rng),
+    ]
+    return [repr(obj) for obj in out]
+
+
+def test_generated_objects_are_pinned():
+    # repr shows Fraction(3, 1) where the value is the int 3, so the digest
+    # pins entry types as well as values
+    text = "\n".join(r for seed in range(20) for r in generated_reprs(seed))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e87233e574d5c8a61209276b313e571c1514654a3eb508c5374a5aae9fd4f512"
