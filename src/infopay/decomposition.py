@@ -220,7 +220,12 @@ class SignReport:
 
     The decomposition identity and the nonnegative instrumental part
     hold for every instance; the sign of the perception-correcting part
-    is required only under the hypotheses.
+    is required only under the hypotheses.  ``correction_sign_rule`` is
+    the sign the perception class implies whatever they say: "nonneg"
+    (under-perceived), "nonpos" (over), "zero" (accurate) or None
+    (LR-incomparable); ``correction_sign_holds`` is its verdict.  Where
+    the hypotheses fail, ``correction_sign_required`` and
+    ``correction_sign_ok`` read None.
     """
 
     monotone: bool
@@ -228,9 +233,17 @@ class SignReport:
     perception: PerceptionClass
     identity_ok: bool
     instrumental_ok: bool
-    correction_sign_required: str | None  # "nonneg", "nonpos", "zero", None
-    correction_sign_ok: bool | None
+    correction_sign_rule: str | None
+    correction_sign_holds: bool | None
     result: DecompResult
+
+    @property
+    def correction_sign_required(self) -> str | None:
+        return self.correction_sign_rule if self.monotone and self.fine_mlr else None
+
+    @property
+    def correction_sign_ok(self) -> bool | None:
+        return self.correction_sign_holds if self.monotone and self.fine_mlr else None
 
     @property
     def ok(self) -> bool:
@@ -289,23 +302,19 @@ def check_signs(
     monotone = firm.is_monotone
     fine_mlr = False if fine.values is None else is_mlr(fine, tol)
     pclass = perception_class(p, q, tol)
-    required: str | None = None
-    sign_ok: bool | None = None
-    if monotone and fine_mlr:
-        c = result.perception_correcting
-        if pclass is PerceptionClass.ACCURATE:
-            required, sign_ok = "zero", bool(-slack <= c <= slack)
-        elif pclass is PerceptionClass.UNDER_PERCEIVED:
-            required, sign_ok = "nonneg", bool(c >= -slack)
-        elif pclass is PerceptionClass.OVER_PERCEIVED:
-            required, sign_ok = "nonpos", bool(c <= slack)
+    c = result.perception_correcting
+    rule, holds = {
+        PerceptionClass.ACCURATE: ("zero", bool(-slack <= c <= slack)),
+        PerceptionClass.UNDER_PERCEIVED: ("nonneg", bool(c >= -slack)),
+        PerceptionClass.OVER_PERCEIVED: ("nonpos", bool(c <= slack)),
+    }.get(pclass, (None, None))
     return SignReport(
         monotone=monotone,
         fine_mlr=fine_mlr,
         perception=pclass,
         identity_ok=bool(abs(result.identity_gap) <= eq),
         instrumental_ok=bool(result.instrumental >= floor),
-        correction_sign_required=required,
-        correction_sign_ok=sign_ok,
+        correction_sign_rule=rule,
+        correction_sign_holds=holds,
         result=result,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Mapping
 
-from .decomposition import _resolve_kernel, decompose
+from .decomposition import SignReport, _resolve_kernel, check_signs
 from .errors import InputError
 from .garbling import (
     GarblingKernel,
@@ -121,7 +121,9 @@ class GapRankingReport:
     structure, better perception), then the perception-correcting and
     instrumental values of the favored group's extra information under
     the *other* group's perception.  Under the hypotheses every part is
-    nonnegative, so the favored group earns at least as much.
+    nonnegative, so the favored group earns at least as much.  ``signs``
+    is ``check_signs``' report on those two parts; the monotone-firm and
+    MLR hypotheses are read from it.
     """
 
     hypotheses: Mapping[str, bool]
@@ -132,6 +134,7 @@ class GapRankingReport:
     instrumental: Number
     kernel: GarblingKernel
     conclusion_holds: bool
+    signs: SignReport
 
     @property
     def all_hypotheses_hold(self) -> bool:
@@ -175,16 +178,17 @@ def check_gap_ranking(
     may witness that ``sig_j`` is its garbling, otherwise one is found
     (``OrderingError`` when none exists).
     """
-    decomp = decompose(
+    signs = check_signs(
         firm, p, q_j, coarse=sig_j, fine=sig_i, kernel=kernel,
         tie_break=tie_break, tol=tol,
     )
+    decomp = signs.result
     w_i = average_pay(firm, Population(p, q_i, sig_i))
     w_j = decomp.w_coarse
     favorableness = w_i - decomp.w_fine
     hypotheses = {
-        "monotone_firm": firm.is_monotone,
-        "favored_structure_mlr": sig_i.values is not None and is_mlr(sig_i, tol),
+        "monotone_firm": signs.monotone,
+        "favored_structure_mlr": signs.fine_mlr,
         "other_under_perceived": lr_geq(p, q_j, tol=tol),
         "favored_perception_above": lr_geq(q_i, q_j, tol=tol),
     }
@@ -198,6 +202,7 @@ def check_gap_ranking(
         instrumental=decomp.instrumental,
         kernel=decomp.kernel,
         conclusion_holds=bool(w_i >= w_j - slack),
+        signs=signs,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import decompose
+from .decomposition import SignReport, check_signs, decompose
 from .discrimination import check_gap_ranking, pay_gap
 from .errors import InputError
 from .generators import (
@@ -25,16 +25,15 @@ from .generators import (
 from .model import (
     Dist,
     Firm,
-    Population,
     SignalStructure,
     SkillSpace,
     Task,
-    average_pay,
     fully_informative_structure,
     uninformative_structure,
 )
 from .numeric import claim_slacks, format_number, require_count
-from .orders import PerceptionClass, is_mlr, lr_geq, perception_class
+from .orders import lr_geq
+from .suites import _adj, _Book
 
 __all__ = ["ExampleCheck", "ExampleReport", "EXAMPLE_NAMES", "run_example"]
 
@@ -87,8 +86,16 @@ def _binary(space: SkillSpace, hi) -> Dist:
     return Dist(space, (1 - hi, hi))
 
 
-def _fmt(value) -> str:
-    return format_number(value)
+def _sign_flip(report: SignReport) -> tuple[bool, str]:
+    """Whether the correction breaks the sign rule its perception class
+    implies, and a note; an accurate one has no sign, so it must vanish."""
+    c = format_number(report.result.perception_correcting)
+    rule, holds = report.correction_sign_rule, report.correction_sign_holds
+    if rule == "nonneg":
+        return holds is False, f"under-perceived yet correction {c} < 0"
+    if rule == "nonpos":
+        return holds is False, f"over-perceived yet correction {c} > 0"
+    return holds is True, "no misperception, no sign to flip"
 
 
 # -- single-population reversals and sign failures -------------------------------
@@ -105,38 +112,38 @@ def _ex1_reversal(mode, tol, p1, q1) -> ExampleReport:
     p, q = _binary(space, p1), _binary(space, q1)
     coarse = uninformative_structure(space)
     fine = fully_informative_structure(space)
-    res = decompose(firm, p, q, coarse, fine)
+    res = decompose(firm, p, q, coarse, fine, tol=tol)
     expected = p1 - q1
     checks = [
         ExampleCheck(
             "total-matches-p1-minus-q1", abs(res.total - expected) <= eq,
-            f"{_fmt(res.total)} vs {_fmt(expected)}",
+            f"{format_number(res.total)} vs {format_number(expected)}",
         ),
         ExampleCheck(
             "instrumental-zero", abs(res.instrumental) <= eq,
-            _fmt(res.instrumental),
+            format_number(res.instrumental),
         ),
         ExampleCheck(
             "correction-carries-whole-change",
             abs(res.perception_correcting - expected) <= eq,
-            _fmt(res.perception_correcting),
+            format_number(res.perception_correcting),
         ),
     ]
     if q1 > p1:
         checks.append(
             ExampleCheck(
                 "more-information-lowers-pay", res.total < 0,
-                f"over-perceived, total {_fmt(res.total)}",
+                f"over-perceived, total {format_number(res.total)}",
             )
         )
     return ExampleReport(
         example="ex1-reversal",
         mode=mode,
-        params=(("p1", _fmt(p1)), ("q1", _fmt(q1))),
+        params=(("p1", format_number(p1)), ("q1", format_number(q1))),
         facts=(
-            ("total change", _fmt(res.total)),
-            ("perception-correcting", _fmt(res.perception_correcting)),
-            ("instrumental", _fmt(res.instrumental)),
+            ("total change", format_number(res.total)),
+            ("perception-correcting", format_number(res.perception_correcting)),
+            ("instrumental", format_number(res.instrumental)),
         ),
         checks=tuple(checks),
     )
@@ -151,45 +158,35 @@ def _ex2_monotone_fail(mode, tol, p1, q1) -> ExampleReport:
     space = SkillSpace((0, 1))
     firm = Firm((Task((1, 0)),))
     p, q = _binary(space, p1), _binary(space, q1)
-    res = decompose(
+    report = check_signs(
         firm, p, q,
-        uninformative_structure(space), fully_informative_structure(space),
+        uninformative_structure(space), fully_informative_structure(space), tol=tol,
     )
+    res, c = report.result, report.result.perception_correcting
     expected = (1 - p1) - (1 - q1)
-    cls = perception_class(p, q, tol)
-    c = res.perception_correcting
-    if cls is PerceptionClass.OVER_PERCEIVED:
-        flip = c > eq  # monotone rule would force <= 0
-        note = f"over-perceived yet correction {_fmt(c)} > 0"
-    elif cls is PerceptionClass.UNDER_PERCEIVED:
-        flip = c < -eq  # monotone rule would force >= 0
-        note = f"under-perceived yet correction {_fmt(c)} < 0"
-    else:
-        flip = abs(c) <= eq
-        note = "no misperception, no sign to flip"
     checks = (
         ExampleCheck(
-            "firm-not-monotone", not firm.is_monotone, "task surplus decreasing"
+            "firm-not-monotone", not report.monotone, "task surplus decreasing"
         ),
         ExampleCheck(
             "correction-matches-p0-minus-q0", abs(c - expected) <= eq,
-            f"{_fmt(c)} vs {_fmt(expected)}",
+            f"{format_number(c)} vs {format_number(expected)}",
         ),
         ExampleCheck(
             "instrumental-zero", abs(res.instrumental) <= eq,
-            _fmt(res.instrumental),
+            format_number(res.instrumental),
         ),
-        ExampleCheck("sign-rule-fails-without-monotonicity", flip, note),
+        ExampleCheck("sign-rule-fails-without-monotonicity", *_sign_flip(report)),
     )
     return ExampleReport(
         example="ex2-monotone-fail",
         mode=mode,
-        params=(("p1", _fmt(p1)), ("q1", _fmt(q1))),
+        params=(("p1", format_number(p1)), ("q1", format_number(q1))),
         facts=(
-            ("perception class", cls.value),
-            ("total change", _fmt(res.total)),
-            ("perception-correcting", _fmt(c)),
-            ("instrumental", _fmt(res.instrumental)),
+            ("perception class", report.perception.value),
+            ("total change", format_number(res.total)),
+            ("perception-correcting", format_number(c)),
+            ("instrumental", format_number(res.instrumental)),
         ),
         checks=checks,
     )
@@ -215,41 +212,31 @@ def _ex3_mlr_fail(mode, tol, delta) -> ExampleReport:
         ((one, 0), (0, one), (one, 0)),
         values=(0, 1),
     )
-    res = decompose(firm, p, q, coarse, fine)
+    report = check_signs(firm, p, q, coarse, fine, tol=tol)
+    res, c = report.result, report.result.perception_correcting
     expected = (one / 4 - p.probs[1]) / 3
-    cls = perception_class(p, q, tol)
-    c = res.perception_correcting
-    if delta > 0:
-        flip = cls is PerceptionClass.UNDER_PERCEIVED and c < -eq
-        note = f"under-perceived yet correction {_fmt(c)} < 0"
-    elif delta < 0:
-        flip = cls is PerceptionClass.OVER_PERCEIVED and c > eq
-        note = f"over-perceived yet correction {_fmt(c)} > 0"
-    else:
-        flip = cls is PerceptionClass.ACCURATE and abs(c) <= eq
-        note = "no misperception, no sign to flip"
     checks = (
-        ExampleCheck("fine-structure-not-mlr", not is_mlr(fine, tol)),
+        ExampleCheck("fine-structure-not-mlr", not report.fine_mlr),
         ExampleCheck(
             "correction-matches-formula", abs(c - expected) <= eq,
-            f"{_fmt(c)} vs (1/4 - p1)/3 = {_fmt(expected)}",
+            f"{format_number(c)} vs (1/4 - p1)/3 = {format_number(expected)}",
         ),
         ExampleCheck(
             "instrumental-zero", abs(res.instrumental) <= eq,
-            _fmt(res.instrumental),
+            format_number(res.instrumental),
         ),
-        ExampleCheck("sign-rule-fails-without-mlr", flip, note),
+        ExampleCheck("sign-rule-fails-without-mlr", *_sign_flip(report)),
     )
     return ExampleReport(
         example="ex3-mlr-fail",
         mode=mode,
-        params=(("delta", _fmt(delta)),),
+        params=(("delta", format_number(delta)),),
         facts=(
-            ("p", " ".join(_fmt(v) for v in p.probs)),
-            ("perception class", cls.value),
-            ("total change", _fmt(res.total)),
-            ("perception-correcting", _fmt(c)),
-            ("instrumental", _fmt(res.instrumental)),
+            ("p", " ".join(format_number(v) for v in p.probs)),
+            ("perception class", report.perception.value),
+            ("total change", format_number(res.total)),
+            ("perception-correcting", format_number(c)),
+            ("instrumental", format_number(res.instrumental)),
         ),
         checks=checks,
     )
@@ -262,7 +249,8 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
     """Fully informed, favorably perceived population against an
     uninformative, over-perceived one: the gap is p1 - qj1, so the
     better-placed population earns strictly less when qj1 > p1."""
-    for name, v in (("p1", p1), ("qi1", qi1), ("qj1", qj1)):
+    params = (("p1", p1), ("qi1", qi1), ("qj1", qj1))
+    for name, v in params:
         _unit_interval(name, v)
     eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
@@ -272,30 +260,30 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
     fine = fully_informative_structure(space)
     coarse = uninformative_structure(space)
     gap_at_fine = pay_gap(firm, p, q_i, q_j, fine)
-    report = check_gap_ranking(firm, p, q_i, q_j, sig_i=fine, sig_j=coarse)
+    report = check_gap_ranking(firm, p, q_i, q_j, sig_i=fine, sig_j=coarse, tol=tol)
     total_gap = report.w_i - report.w_j
     expected = p1 - qj1
     checks = [
         ExampleCheck(
             "gap-matches-p1-minus-qj1", abs(total_gap - expected) <= eq,
-            f"{_fmt(total_gap)} vs {_fmt(expected)}",
+            f"{format_number(total_gap)} vs {format_number(expected)}",
         ),
         ExampleCheck(
             "favorableness-term-zero", abs(report.favorableness) <= eq,
-            _fmt(report.favorableness),
+            format_number(report.favorableness),
         ),
         ExampleCheck(
             "favorableness-matches-direct-gap",
             abs(report.favorableness - gap_at_fine) <= eq,
-            f"{_fmt(report.favorableness)} vs {_fmt(gap_at_fine)}",
+            f"{format_number(report.favorableness)} vs {format_number(gap_at_fine)}",
         ),
         ExampleCheck(
             "correction-carries-whole-gap",
-            abs(report.correction - expected) <= eq, _fmt(report.correction),
+            abs(report.correction - expected) <= eq, format_number(report.correction),
         ),
         ExampleCheck(
             "instrumental-zero", abs(report.instrumental) <= eq,
-            _fmt(report.instrumental),
+            format_number(report.instrumental),
         ),
     ]
     if qi1 >= qj1:
@@ -309,7 +297,7 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
         checks.append(
             ExampleCheck(
                 "better-informed-population-paid-less", total_gap < 0,
-                f"qj1 > p1 and gap {_fmt(total_gap)}",
+                f"qj1 > p1 and gap {format_number(total_gap)}",
             )
         )
         checks.append(
@@ -323,15 +311,15 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
     return ExampleReport(
         example="ex1-disc",
         mode=mode,
-        params=(("p1", _fmt(p1)), ("qi1", _fmt(qi1)), ("qj1", _fmt(qj1))),
+        params=tuple((name, format_number(v)) for name, v in params),
         facts=(
-            ("pay population I", _fmt(report.w_i)),
-            ("pay population J", _fmt(report.w_j)),
-            ("gap", _fmt(total_gap)),
-            ("favorableness", _fmt(report.favorableness)),
-            ("perception-correcting", _fmt(report.correction)),
-            ("instrumental", _fmt(report.instrumental)),
-            ("gap at shared fine structure", _fmt(gap_at_fine)),
+            ("pay population I", format_number(report.w_i)),
+            ("pay population J", format_number(report.w_j)),
+            ("gap", format_number(total_gap)),
+            ("favorableness", format_number(report.favorableness)),
+            ("perception-correcting", format_number(report.correction)),
+            ("instrumental", format_number(report.instrumental)),
+            ("gap at shared fine structure", format_number(gap_at_fine)),
         ),
         checks=tuple(checks),
     )
@@ -345,36 +333,29 @@ def _blackwell_forward(mode, tol, trials, seed) -> ExampleReport:
     correction vanishes and the whole nonnegative gain is instrumental."""
     require_count(trials, "trials", 1)
     eq, sign, _ = claim_slacks(mode == "rational", tol)
-    gain_fail = corr_fail = inst_fail = None
+    book = _Book()
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         space = random_skill_space(rng)
         firm = random_firm(rng, space.size)
         p = random_dist(rng, space)
         fine, coarse, kernel = random_garbling_pair(rng, space)
-        if mode == "float":
-            firm, p = firm.to_float(), p.to_float()
-            fine, coarse = fine.to_float(), coarse.to_float()
-            kernel = kernel.to_float()
-        res = decompose(firm, p, p, coarse, fine, kernel)
-        direct = average_pay(firm, Population(p, p, fine)) - average_pay(
-            firm, Population(p, p, coarse)
+        firm, p = _adj(mode, firm), _adj(mode, p)
+        fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
+        report = check_signs(firm, p, p, coarse, fine, kernel, tol=tol)
+        res = report.result
+        book.check("more-information-never-hurts", res.total >= -sign, trial)
+        book.check(
+            "correction-zero-when-perception-accurate",
+            report.correction_sign_holds, trial,
         )
-        if direct < -sign and gain_fail is None:
-            gain_fail = trial
-        if abs(res.perception_correcting) > eq and corr_fail is None:
-            corr_fail = trial
-        if abs(res.total - res.instrumental) > eq and inst_fail is None:
-            inst_fail = trial
-    def agg(name, first_bad):
-        detail = f"{trials}/{trials} trials"
-        if first_bad is not None:
-            detail = f"first failure at trial {first_bad}"
-        return ExampleCheck(name, first_bad is None, detail)
-    checks = (
-        agg("more-information-never-hurts", gain_fail),
-        agg("correction-zero-when-perception-accurate", corr_fail),
-        agg("gain-entirely-instrumental", inst_fail),
+        book.check(
+            "gain-entirely-instrumental", abs(res.total - res.instrumental) <= eq, trial
+        )
+    checks = tuple(
+        ExampleCheck(c.name, True, f"{trials}/{trials} trials") if c.failures == 0
+        else ExampleCheck(c.name, False, f"first failure at {c.first_failure}")
+        for c in book.claims.values()
     )
     return ExampleReport(
         example="blackwell-forward",

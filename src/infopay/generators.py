@@ -249,13 +249,18 @@ def extreme_structure(space: SkillSpace, eps: Fraction | float) -> SignalStructu
     """One signal per type; every off-type likelihood is exactly ``eps``
     times the own-type one, so the structure sits at the boundary of
     being within ``eps`` of full information."""
+    if not eps >= 0:
+        raise InputError(f"eps must be nonnegative, got {eps!r}")
     n = space.size
-    one = Fraction(1) if isinstance(eps, (int, Fraction)) else 1.0
-    c = one / (1 + (n - 1) * eps)
+    labels = tuple(f"e{k}" for k in range(n))
+    if isinstance(eps, (int, Fraction)):  # eps = a/b: b own, a elsewhere
+        a, b = eps.numerator, eps.denominator
+        rows = tuple(tuple(b if j == i else a for j in range(n)) for i in range(n))
+        return SignalStructure._from_ints(space, labels, (rows, b + (n - 1) * a))
+    c = 1.0 / (1 + (n - 1) * eps)
     rows = tuple(
         tuple(c if j == i else eps * c for j in range(n)) for i in range(n)
     )
-    labels = tuple(f"e{k}" for k in range(n))
     return SignalStructure(space, labels, rows)
 
 

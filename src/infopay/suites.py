@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .decomposition import decompose
+from .decomposition import check_signs
 from .discrimination import (
     GapScenario,
     check_gap_ranking,
@@ -149,7 +149,7 @@ def _adj(mode: str, obj):
 
 
 def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, floor = claim_slacks(mode == "rational", tol)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
 
     # hypothesis-free claims on a fully arbitrary instance
     space = random_skill_space(rng)
@@ -160,15 +160,18 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
     fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
     carrier = GapScenario(firm=firm, p=p, q_i=q, q_j=q, coarse=coarse, fine=fine)
 
-    res = decompose(firm, p, q, coarse, fine, kernel, tol=tol)
+    report = check_signs(firm, p, q, coarse, fine, kernel, tol=tol)
+    res = report.result
     book.check(
-        "decomposition-identity", abs(res.identity_gap) <= eq, trial, carrier,
+        "decomposition-identity", report.identity_ok, trial, carrier,
         f"identity gap {format_number(res.identity_gap)}",
     )
-    res_hi = decompose(firm, p, q, coarse, fine, kernel, tie_break="highest", tol=tol)
+    report_hi = check_signs(
+        firm, p, q, coarse, fine, kernel, tie_break="highest", tol=tol
+    )
     book.check(
-        "identity-other-tiebreak", abs(res_hi.identity_gap) <= eq, trial, carrier,
-        f"identity gap {format_number(res_hi.identity_gap)}",
+        "identity-other-tiebreak", report_hi.identity_ok, trial, carrier,
+        f"identity gap {format_number(report_hi.result.identity_gap)}",
     )
     direct = average_pay(firm, Population(p, q, fine)) - average_pay(
         firm, Population(p, q, coarse)
@@ -178,7 +181,7 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
         carrier, f"total {format_number(res.total)} vs {format_number(direct)}",
     )
     book.check(
-        "instrumental-nonneg", res.instrumental >= floor, trial, carrier,
+        "instrumental-nonneg", report.instrumental_ok, trial, carrier,
         f"instrumental {format_number(res.instrumental)}",
     )
     other = res.instrumental_signalwise
@@ -187,7 +190,8 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
         carrier, f"{format_number(res.instrumental)} vs {format_number(other)}",
     )
 
-    # signed claims on a within-hypothesis instance
+    # signed claims on a within-hypothesis instance; check_signs classes
+    # the perception (random_lr_pair may draw p = q: accurate)
     space_w = random_skill_space(rng)
     firm_w = random_firm(rng, space_w.size, monotone=True)
     fine_w, coarse_w, kernel_w = random_garbling_pair(rng, space_w, mlr=True)
@@ -206,15 +210,13 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
     carrier_w = GapScenario(
         firm=firm_w, p=p_w, q_i=q_w, q_j=q_w, coarse=coarse_w, fine=fine_w
     )
-    res_w = decompose(firm_w, p_w, q_w, coarse_w, fine_w, kernel_w, tol=tol)
-    def sign_holds(c) -> bool:  # under-perceived >= 0, over <= 0, accurate 0
-        return (c >= -sign, c <= sign, -sign <= c <= sign)[rotation]
-
-    c = res_w.perception_correcting
+    report_w = check_signs(firm_w, p_w, q_w, coarse_w, fine_w, kernel_w, tol=tol)
+    res_w = report_w.result
     book.check(
-        "correction-sign-within-hypotheses", sign_holds(c), trial, carrier_w,
+        "correction-sign-within-hypotheses", report_w.correction_sign_ok,
+        trial, carrier_w,
         f"rotation {('under', 'over', 'accurate')[rotation]}, "
-        f"correction {format_number(c)}",
+        f"correction {format_number(res_w.perception_correcting)}",
     )
 
     book.check(
@@ -230,12 +232,8 @@ def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
         )
 
     if trial % 50 == 0:  # LP witness instead of the constructed kernel
-        res_lp = decompose(firm_w, p_w, q_w, coarse_w, fine_w, kernel=None, tol=tol)
-        lp_ok = (
-            abs(res_lp.identity_gap) <= eq
-            and res_lp.instrumental >= floor
-            and sign_holds(res_lp.perception_correcting)
-        )
+        lp = check_signs(firm_w, p_w, q_w, coarse_w, fine_w, kernel=None, tol=tol)
+        lp_ok = lp.identity_ok and lp.instrumental_ok and lp.correction_sign_ok
         book.check("lp-witness-kernel-agrees", lp_ok, trial, carrier_w)
 
 
@@ -321,7 +319,7 @@ def _suite_lemma1(rng, trial, mode, tol, book: _Book) -> None:
 
 
 def _suite_corollary1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = claim_slacks(mode == "rational", tol)
+    _, sign, _ = claim_slacks(mode == "rational", tol)
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
@@ -329,20 +327,21 @@ def _suite_corollary1(rng, trial, mode, tol, book: _Book) -> None:
     firm, p, q = _adj(mode, firm), _adj(mode, p), _adj(mode, q)
     fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
     carrier = GapScenario(firm=firm, p=p, q_i=q, q_j=q, coarse=coarse, fine=fine)
-    res = decompose(firm, p, q, coarse, fine, kernel, tol=tol)
+    report = check_signs(firm, p, q, coarse, fine, kernel, tol=tol)
+    res = report.result
     book.check(
         "information-gain-nonneg-when-under-perceived",
         res.total >= -sign, trial, carrier, f"total {format_number(res.total)}",
     )
     book.check(
         "correction-nonneg-when-under-perceived",
-        res.perception_correcting >= -sign, trial, carrier,
+        report.correction_sign_ok, trial, carrier,
         f"correction {format_number(res.perception_correcting)}",
     )
 
 
 def _suite_corollary2(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, floor = claim_slacks(mode == "rational", tol)
+    eq, sign, _ = claim_slacks(mode == "rational", tol)
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     q_j = random_dist(rng, space)
@@ -367,8 +366,8 @@ def _suite_corollary2(rng, trial, mode, tol, book: _Book) -> None:
     )
     terms_ok = (
         report.favorableness >= -sign
-        and report.correction >= -sign
-        and report.instrumental >= floor
+        and report.signs.correction_sign_ok
+        and report.signs.instrumental_ok
     )
     book.check(
         "three-terms-nonneg", terms_ok, trial, carrier,

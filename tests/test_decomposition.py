@@ -234,7 +234,11 @@ def test_sign_report_skips_inapplicable_hypotheses():
     report = check_signs(ANTI_TASK, p, q, coarse, fine)
     assert not report.monotone
     assert report.correction_sign_required is None
+    assert report.correction_sign_ok is None
     assert report.result.perception_correcting == F(1, 4)
+    # the rule the perception implies is still judged, and broken
+    assert report.correction_sign_rule == "nonpos"
+    assert report.correction_sign_holds is False
     assert report.identity_ok
     assert report.ok  # the unconditional claims still hold
 
@@ -328,6 +332,22 @@ def test_sign_report_judges_perception_at_tol():
     assert report.ok
     default = check_signs(firm, HALF, q, coarse, fine)
     assert default.perception is PerceptionClass.UNDER_PERCEIVED
+
+
+@pytest.mark.parametrize(
+    "q1, rule", [(F(1, 4), "nonneg"), (F(3, 4), "nonpos"), (F(1, 2), "zero")]
+)
+def test_every_sign_rule_accepts_an_exact_zero_correction(q1, rule):
+    # fine = coarse = fully informative: nothing is learned, so the
+    # correction is exactly 0 for every perception, on the boundary of
+    # each rule, which must accept it with zero slack
+    full = fully_informative_structure(BIN)
+    p, q = Dist(BIN, (F(1, 2), F(1, 2))), Dist(BIN, (1 - q1, q1))
+    report = check_signs(SKILL_TASK, p, q, full, full)
+    assert report.result.perception_correcting == 0
+    assert report.correction_sign_rule == rule
+    assert report.correction_sign_required == rule
+    assert report.correction_sign_ok is True
 
 
 # -- randomized identity -------------------------------------------------------

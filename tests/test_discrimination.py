@@ -104,6 +104,10 @@ def test_gap_ranking_within_hypotheses():
     assert report.favorableness >= 0
     assert report.correction >= 0
     assert report.instrumental >= 0
+    # the two parts are judged by check_signs, under the other perception
+    assert report.signs.result.perception_correcting == report.correction
+    assert report.signs.correction_sign_required == "nonneg"
+    assert report.signs.correction_sign_ok and report.signs.instrumental_ok
     assert report.w_i - report.w_j == (
         report.favorableness + report.correction + report.instrumental
     )

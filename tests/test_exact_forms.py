@@ -41,6 +41,7 @@ from infopay import (
     within_eps_of_full,
 )
 from infopay.generators import (
+    extreme_structure,
     random_dist,
     random_firm,
     random_garbling_pair,
@@ -340,6 +341,8 @@ def test_int_producers_skip_the_fraction_round_trip(monkeypatch):
     kernel = random_kernel(rng, fine.signals, 3)
     hi = random_lr_above(rng, q)
     coarse = garble(fine, kernel)
+    extreme = extreme_structure(space, F(1, 7))
     posts = [posterior(q, sig, label) for sig in (fine, mlr, coarse) for label in sig.signals]
     assert calls == []
-    assert None not in [obj.int_form for obj in (q, fine, mlr, kernel, hi, coarse, *posts)]
+    made = (q, fine, mlr, kernel, hi, coarse, extreme, *posts)
+    assert None not in [obj.int_form for obj in made]

@@ -1,9 +1,11 @@
 """Named worked instances: closed-form values, overrides, validation."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from infopay import discrimination, examples
 from infopay.errors import InputError
 from infopay.examples import EXAMPLE_NAMES, run_example
 
@@ -109,3 +111,28 @@ def test_perception_class_judged_at_tol(name, params):
     # a perception 1e-8 off the truth is accurate within tol = 1e-6
     report = run_example(name, mode="float", tol=1e-6, **params)
     assert dict(report.facts)["perception class"] == "accurate"
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_tol_reaches_every_decomposition(monkeypatch, name, mode):
+    # record the tol each decomposition the example runs is given, including
+    # the one check_gap_ranking runs for ex1-disc
+    seen = []
+
+    def recording(real):
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            seen.append(signature.bind(*args, **kwargs).arguments.get("tol"))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (examples, discrimination):
+        for fn in ("decompose", "check_signs"):
+            real = getattr(module, fn, None)
+            if real is not None:
+                monkeypatch.setattr(module, fn, recording(real))
+    extra = {"trials": 3} if name == "blackwell-forward" else {}
+    assert run_example(name, mode=mode, tol=1e-7, **extra).ok
+    assert seen and set(seen) == {1e-7}

@@ -195,6 +195,13 @@ def test_random_narrowing_scenario_within_hypotheses():
         assert report.star_holds  # the narrowing claim itself
 
 
+@pytest.mark.parametrize("eps", [Fraction(-1, 3), Fraction(-1, 2), -1, -0.5])
+def test_extreme_structure_rejects_negative_eps(eps):
+    # on three types, -1/2 puts the scale 1 + (n - 1) eps at 0
+    with pytest.raises(InputError, match="eps must be nonnegative"):
+        extreme_structure(SkillSpace((0, 1, 2)), eps)
+
+
 def generated_reprs(seed):
     """The reprs of what every public generator returns on one stream."""
     rng = trial_rng(seed, 0)

@@ -1,12 +1,12 @@
 """Objects built from an int form equal the public constructor's.
 
-In-package producers that already hold ints (the generators, ``garble``,
-the exact ``posterior``) build ``Dist``, ``SignalStructure`` and
-``GarblingKernel`` from ``(ints, scale)`` with the private ``_from_ints``
-builders.  On the same values the result must be the object the public
-constructor builds from Fractions: equal fields, the same entry types,
-the same ``int_form`` and ``full_support``; and a bad form must raise the
-same ``InputError``.
+In-package producers that already hold ints (the generators, among them
+``extreme_structure``, ``garble``, the exact ``posterior``) build
+``Dist``, ``SignalStructure`` and ``GarblingKernel`` from ``(ints,
+scale)`` with the private ``_from_ints`` builders.  On the same values
+the result must be the object the public constructor builds from
+Fractions: equal fields, the same entry types, the same ``int_form`` and
+``full_support``; and a bad form must raise the same ``InputError``.
 """
 
 from fractions import Fraction as F
@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infopay import Dist, GarblingKernel, InputError, SignalStructure, SkillSpace, garble
+from infopay.generators import extreme_structure
 from infopay.model import posterior
 
 SPACES = {n: SkillSpace(tuple(range(n))) for n in range(2, 5)}
@@ -185,3 +186,20 @@ def test_exact_posterior_matches_fraction_formula(data):
         same_object(post, oracle)
         assert types([post.probs]) == types([oracle.probs])
         assert post.full_support == oracle.full_support
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.one_of(
+        st.integers(0, 3), st.fractions(min_value=0, max_value=5, max_denominator=40)
+    ),
+)
+def test_extreme_structure_matches_fraction_formula(n, eps):
+    # own-type likelihood 1 / (1 + (n - 1) eps), eps times that elsewhere
+    c = F(1) / (1 + (n - 1) * eps)
+    rows = tuple(tuple(c if j == i else eps * c for j in range(n)) for i in range(n))
+    built = extreme_structure(SPACES[n], eps)
+    public = SignalStructure(SPACES[n], built.signals, rows)
+    same_object(built, public)
+    assert types(built.likelihood) == types(public.likelihood)

@@ -1,5 +1,6 @@
 """Runner behavior and a pass over every suite in both modes."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,18 @@ def test_suite_passes_rational(name):
 def test_suite_passes_float(name):
     res = run_suite(name, trials=25, seed=0, mode="float")
     assert res.ok, res.render()
+
+
+def test_renders_are_pinned():
+    # one digest over every suite's render in both modes: any change to a
+    # claim name, a count or a first counterexample shows here
+    digest = hashlib.sha256()
+    for mode in ("rational", "float"):
+        for name in SUITE_NAMES:
+            digest.update(run_suite(name, trials=30, seed=7, mode=mode).render().encode())
+    assert digest.hexdigest() == (
+        "9994bd0f57221ad934d21374e073af42a71e26ccdedd0536f5c8ade8c7bcab3e"
+    )
 
 
 def test_deterministic_given_seed():
