@@ -18,10 +18,13 @@ monotone likelihood ratios.
 ``decompose`` computes the two parts and both average pays from the
 model's per-signal pay tables (``pay_table``): marginals, unnormalized
 perceived weights and one tie-broken assignment per signal.  The
-remaining conditional probabilities cancel algebraically, so rational
-inputs stay exact: on them the tables hold Python ints, the kernel
-enters through the int form it carries (an exact instance takes no
-float kernel), every per-signal sum is an int, and each part is one
+remaining conditional probabilities cancel algebraically, so the parts
+come from one pass over the linked (coarse, fine) signal pairs, those
+with a nonzero kernel entry: each pair's perceived value of the kept
+coarse task is computed once and added into per-fine and per-coarse
+sums.  Rational inputs stay exact: the tables hold Python ints, the
+kernel enters through the int form it carries (an exact instance takes
+no float kernel), every per-signal sum is an int, and each part is one
 ``Fraction`` sum over signals divided by the product of the scales.
 ``check_signs`` is the one judge of Theorem 1 on an instance: the
 identity, the instrumental floor and, under the hypotheses, the sign.
@@ -54,10 +57,17 @@ class DecompResult:
     structures and ``total`` is their difference, while the two parts
     come from the joint-law formulas; their agreement is a theorem, not
     an arithmetic identity, so ``check_signs`` and the tests check it
-    rather than the constructor forcing it.  ``instrumental`` sums over
-    linked signal pairs; ``instrumental_signalwise`` is the
-    algebraically equal form that folds the kernel into the coarse task
-    first, and their agreement is itself a tested claim.
+    rather than the constructor forcing it.  All three parts come from
+    one pass over the linked signal pairs.  ``instrumental`` sums over
+    those pairs; ``instrumental_signalwise`` is the algebraically equal
+    form that folds the kernel into the coarse task first, and their
+    agreement is itself a tested claim.  On exact input the two agree
+    term by term: each kernel column sums to the kernel's scale, so a
+    fine signal's sum over its pairs of the kernel entry times
+    (best - value) equals its best times that scale, less the mixed
+    value.  They can differ only on float input, by rounding and the
+    float kernel's column-sum tolerance, so ``instrumental-forms-agree``
+    can fail only there.
     """
 
     w_fine: Number
@@ -113,7 +123,7 @@ def decompose(
     kernel = _resolve_kernel(fine, coarse, kernel, tol)
     if not (p.full_support and q.full_support):
         raise InputError("decomposition requires full-support distributions")
-    n_c, n_f = coarse.n_signals, fine.n_signals
+    n_c = coarse.n_signals
     table_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
     table_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
     rows_f, surplus, g = table_f.rows, table_f.surplus, kernel.matrix
@@ -127,87 +137,63 @@ def decompose(
             )
         g, g_scale = kernel.int_form
 
-    # unnormalized perceived fine-posterior value of each coarse task:
-    # dot(q-weights at fine signal f, surplus of the task kept at coarse s);
-    # the Bayes denominators cancel against the joint-law weights, so the
-    # linked pairs with a zero kernel entry drop out exactly (and a zero
-    # perceived pair weight implies a zero true one, both being the kernel
-    # entry times a positive marginal)
+    # e = dot(q-weights at fine signal f, surplus of the task kept at coarse
+    # s) is the unnormalized perceived fine-posterior value of that task; the
+    # Bayes denominators cancel against the joint-law weights, so the linked
+    # pairs with a zero kernel entry drop out exactly (and a zero perceived
+    # pair weight implies a zero true one, both being the kernel entry times
+    # a positive marginal).  Each part is a list of (m_p, m_q, value) terms
+    # that m_p / m_q weights: the fine terms, and for the correction the
+    # negated coarse terms sum_s mu_p(s)/mu_q(s) * sum_f g[s][f] * e(s, f).
+    # Float sums keep one order, which the pinned decomposition digest
+    # fixes: per-coarse over f ascending, per-fine over s ascending, fine
+    # terms before coarse ones.
     kept = [surplus[r.task] for r in table_c.rows]
-    e_dot: list[list[Number | None]] = [[None] * n_f for _ in range(n_c)]
-    for s in range(n_c):
-        row = g[s]
-        surplus_s = kept[s]
-        for f in range(n_f):
-            if row[f] != 0:
-                e_dot[s][f] = sum(map(mul, rows_f[f].weights, surplus_s))
-
-    # per fine signal: m_p, m_q and the values that m_p / m_q weights
-    fine_terms = []
-    for f in range(n_f):
-        best = rows_f[f].score
+    mu_p, mu_q, inner = [0] * n_c, [0] * n_c, [0] * n_c
+    correction, joint, signalwise = [], [], []
+    for row_f, col in zip(rows_f, zip(*g)):
+        m_p, m_q, best = row_f.m_p, row_f.m_q, row_f.score
         mixed = 0  # sum over s of g[s][f] * e(s, f)
         gap = 0  # sum over s of g[s][f] * (best - e(s, f))
-        for s in range(n_c):
-            coef = g[s][f]
+        for s, coef in enumerate(col):
             if coef != 0:
-                mixed += coef * e_dot[s][f]
-                gap += coef * (best - e_dot[s][f])
+                e = sum(map(mul, row_f.weights, kept[s]))
+                linked = coef * e
+                mixed += linked
+                gap += coef * (best - e)
+                mu_p[s] += coef * m_p
+                mu_q[s] += coef * m_q
+                inner[s] += linked
         shortfall = best * g_scale - mixed  # best - mixed, at mixed's scale
-        fine_terms.append((rows_f[f].m_p, rows_f[f].m_q, mixed, gap, shortfall))
-    # the perceived-frequency counterpart per coarse signal, which the
-    # correction subtracts: sum_s mu_p(s)/mu_q(s) * sum_f g[s][f] * e(s, f)
-    coarse_terms = []
+        correction.append((m_p, m_q, mixed))
+        joint.append((m_p, m_q, gap))
+        signalwise.append((m_p, m_q, shortfall))
     for s in range(n_c):
-        mu_p = 0
-        mu_q = 0
-        inner = 0
-        for f in range(n_f):
-            coef = g[s][f]
-            if coef != 0:
-                mu_p += coef * rows_f[f].m_p
-                mu_q += coef * rows_f[f].m_q
-                inner += coef * e_dot[s][f]
-        if not mu_q > 0:  # float kernels match coarse columns only within tol
+        if not mu_q[s] > 0:  # float kernels match coarse columns only within tol
             raise InputError(
                 f"coarse signal {coarse.signals[s]!r} is unreachable "
                 f"through the kernel"
             )
-        coarse_terms.append((mu_p, mu_q, inner))
+        correction.append((mu_p[s], mu_q[s], -inner[s]))
 
-    if exact:  # one Fraction per sum, the scales divided out once
-        scale = g_scale * table_f.freq_scale * table_f.surplus_scale
-        correction = ratio_sum(
-            [(m_p * mixed, m_q) for m_p, m_q, mixed, _, _ in fine_terms]
-            + [(-mu_p * inner, mu_q) for mu_p, mu_q, inner in coarse_terms],
-            scale,
-        )
-        inst_joint = ratio_sum(
-            ((m_p * gap, m_q) for m_p, m_q, _, gap, _ in fine_terms), scale
-        )
-        inst_signalwise = ratio_sum(
-            ((m_p * short, m_q) for m_p, m_q, _, _, short in fine_terms), scale
-        )
-    else:
-        correction = 0
-        inst_joint = 0
-        inst_signalwise = 0
-        for m_p, m_q, mixed, gap, shortfall in fine_terms:
-            ratio = m_p / m_q  # true over perceived frequency
-            correction += ratio * mixed
-            inst_joint += ratio * gap
-            inst_signalwise += ratio * shortfall
-        for mu_p, mu_q, inner in coarse_terms:
-            correction -= (mu_p / mu_q) * inner
+    scale = g_scale * table_f.freq_scale * table_f.surplus_scale
+
+    def weigh(terms):  # sum of m_p / m_q * value: true over perceived frequency
+        if exact:  # one Fraction per sum, the scales divided out once
+            return ratio_sum(((m_p * v, m_q) for m_p, m_q, v in terms), scale)
+        total = 0
+        for m_p, m_q, v in terms:
+            total += m_p / m_q * v
+        return total
 
     w_fine, w_coarse = table_pay(table_f), table_pay(table_c)
     return DecompResult(
         w_fine=w_fine,
         w_coarse=w_coarse,
         total=w_fine - w_coarse,
-        perception_correcting=correction,
-        instrumental=inst_joint,
-        instrumental_signalwise=inst_signalwise,
+        perception_correcting=weigh(correction),
+        instrumental=weigh(joint),
+        instrumental_signalwise=weigh(signalwise),
         kernel=kernel,
         assignment_coarse=tuple(r.task for r in table_c.rows),
         assignment_fine=tuple(r.task for r in rows_f),

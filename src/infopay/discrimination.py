@@ -50,7 +50,7 @@ from .model import (
     uninformative_structure,
 )
 from .numeric import Number, all_exact, claim_slacks, format_number
-from .orders import is_mlr, lr_geq
+from .orders import PerceptionClass, is_mlr, lr_geq
 
 __all__ = [
     "GapScenario",
@@ -122,8 +122,8 @@ class GapRankingReport:
     instrumental values of the favored group's extra information under
     the *other* group's perception.  Under the hypotheses every part is
     nonnegative, so the favored group earns at least as much.  ``signs``
-    is ``check_signs``' report on those two parts; the monotone-firm and
-    MLR hypotheses are read from it.
+    is ``check_signs``' report on those two parts; the monotone-firm,
+    MLR and other-group perception hypotheses are read from it.
     """
 
     hypotheses: Mapping[str, bool]
@@ -169,7 +169,6 @@ def check_gap_ranking(
     sig_i: SignalStructure,
     sig_j: SignalStructure,
     kernel: GarblingKernel | None = None,
-    tie_break: str = "lowest",
     tol: float | None = None,
 ) -> GapRankingReport:
     """Rank two groups that differ in perception *and* information.
@@ -179,17 +178,21 @@ def check_gap_ranking(
     (``OrderingError`` when none exists).
     """
     signs = check_signs(
-        firm, p, q_j, coarse=sig_j, fine=sig_i, kernel=kernel,
-        tie_break=tie_break, tol=tol,
+        firm, p, q_j, coarse=sig_j, fine=sig_i, kernel=kernel, tol=tol
     )
     decomp = signs.result
     w_i = average_pay(firm, Population(p, q_i, sig_i))
     w_j = decomp.w_coarse
     favorableness = w_i - decomp.w_fine
+    # check_signs classed q_j against p at this tol: p is LR-above q_j
+    # exactly when q_j is under-perceived or accurate
+    other_under = signs.perception in (
+        PerceptionClass.UNDER_PERCEIVED, PerceptionClass.ACCURATE
+    )
     hypotheses = {
         "monotone_firm": signs.monotone,
         "favored_structure_mlr": signs.fine_mlr,
-        "other_under_perceived": lr_geq(p, q_j, tol=tol),
+        "other_under_perceived": other_under,
         "favored_perception_above": lr_geq(q_i, q_j, tol=tol),
     }
     _, slack, _ = claim_slacks(all_exact((w_i, w_j)), tol)

@@ -218,24 +218,19 @@ def garble(
         raise InputError("kernel fine signals do not match the fine structure")
     g, lik = kernel.matrix, fine.likelihood
     values = None if values is None else tuple(values)
-    if kernel.int_form is not None and fine.int_form is not None:
+    exact = kernel.int_form is not None and fine.int_form is not None
+    if exact:
         frac_g = [any(isinstance(v, Fraction) for v in row) for row in g]
         frac_lik = [any(isinstance(v, Fraction) for v in row) for row in lik]
         whole = [[not (ft or fs) for fs in frac_g] for ft in frac_lik]
         (g, g_scale), (lik, lik_scale) = kernel.int_form, fine.int_form
-        nums = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
-        form = (nums, g_scale * lik_scale)
-        return SignalStructure._from_ints(
-            fine.space, kernel.coarse_signals, form, values, whole
-        )
-    rows = tuple(
-        tuple(
-            sum(g[s][f] * lik[t][f] for f in range(fine.n_signals))
-            for s in range(len(kernel.coarse_signals))
-        )
-        for t in range(fine.space.size)
+    rows = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
+    if not exact:
+        return SignalStructure(fine.space, kernel.coarse_signals, rows, values=values)
+    form = (rows, g_scale * lik_scale)
+    return SignalStructure._from_ints(
+        fine.space, kernel.coarse_signals, form, values, whole
     )
-    return SignalStructure(fine.space, kernel.coarse_signals, rows, values=values)
 
 
 def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKernel:

@@ -359,9 +359,10 @@ def posterior(q: Dist, sig: SignalStructure, signal: str) -> Dist:
     j = sig.index(signal)
     exact = q.int_form is not None and sig.int_form is not None
     if exact:
-        weights = [n * row[j] for n, row in zip(q.int_form[0], sig.int_form[0])]
+        probs, lik = q.int_form[0], sig.int_form[0]
     else:
-        weights = [q.probs[i] * sig.likelihood[i][j] for i in range(q.space.size)]
+        probs, lik = q.probs, sig.likelihood
+    weights = [v * row[j] for v, row in zip(probs, lik)]
     total = sum(weights)
     if not total > 0:
         raise InputError(f"signal {signal!r} has zero probability under the prior")

@@ -11,6 +11,7 @@ Closed forms frozen here were derived by hand:
   distribution tilts by d against a fixed perception.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -383,3 +384,25 @@ def test_parts_match_joint_law_oracle(seed):
     oracle = joint_law_decomposition(firm, p, q, coarse, fine, kernel)
     for name, want in oracle.items():
         assert getattr(res, name) == want, name
+
+
+def test_decompositions_are_pinned():
+    # one digest over exact and float decompositions of the theorem1
+    # suite's arbitrary instance under both tie rules: suite renders show
+    # only pass counts, so a last-bit change in a float part shows here
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for trial in range(50):
+            rng = trial_rng(seed, trial)
+            space = random_skill_space(rng)
+            firm = random_firm(rng, space.size)
+            p, q = random_dist(rng, space), random_dist(rng, space)
+            fine, coarse, kernel = random_garbling_pair(rng, space)
+            exact = (firm, p, q, coarse, fine, kernel)
+            for args in (exact, tuple(obj.to_float() for obj in exact)):
+                for tie_break in ("lowest", "highest"):
+                    res = decompose(*args, tie_break=tie_break)
+                    digest.update(repr(res).encode())
+    assert digest.hexdigest() == (
+        "3212f54ddb1696a390f9eb9bb6bc5ebe63ec3535f0633f6bbb0e2d8b6c531847"
+    )

@@ -166,3 +166,7 @@ def test_separating_structure_validates_pair():
         separating_signal_structure(TRI, 1, 1)
     with pytest.raises(InputError):
         separating_signal_structure(TRI, 0, 7)
+    with pytest.raises(InputError):  # one past the last index
+        separating_signal_structure(TRI, 0, 3)
+    with pytest.raises(InputError):
+        separating_signal_structure(TRI, -1, 1)
