@@ -225,12 +225,12 @@ def garble(
         whole = [[not (ft or fs) for fs in frac_g] for ft in frac_lik]
         (g, g_scale), (lik, lik_scale) = kernel.int_form, fine.int_form
     rows = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
-    if not exact:
-        return SignalStructure(fine.space, kernel.coarse_signals, rows, values=values)
-    form = (rows, g_scale * lik_scale)
-    return SignalStructure._from_ints(
-        fine.space, kernel.coarse_signals, form, values, whole
-    )
+    if exact:
+        form = (rows, g_scale * lik_scale)
+        return SignalStructure._from_ints(
+            fine.space, kernel.coarse_signals, form, values, whole
+        )
+    return SignalStructure(fine.space, kernel.coarse_signals, rows, values=values)
 
 
 def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKernel:

@@ -7,9 +7,9 @@ Usage, from the repository root::
 For each module given, every comparison operator is flipped one at a
 time (``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``) in a
 temporary copy of the tree (``src/``, ``tests/`` and ``pyproject.toml``).
-Each mutant first meets a fast subset, ``tests/test_<module>.py`` (or the
-files given with ``--fast``), and a mutant that survives it meets the
-full tier-1 suite.  A mutant is killed when the set of failing tests
+Each mutant first meets a fast subset, ``tests/test_<module>.py`` when
+that file exists, and a mutant that survives it meets the full tier-1
+suite.  A mutant is killed when the set of failing tests
 differs from the set the unmutated copy fails, so a test that fails by
 design (criterion 7) stays in both runs and is never deselected.  A
 mutant that runs past three times the baseline's time (plus a minute)
@@ -137,11 +137,6 @@ def audit(tree: Path, rel: Path, fast: list[str], full_base, full_timeout) -> in
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="source files to mutate")
-    parser.add_argument(
-        "--fast", action="append", default=None,
-        help="test file run before tier-1 (repeatable; "
-        "default tests/test_<module>.py)",
-    )
     args = parser.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)
 
@@ -156,10 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"baseline tier-1: {sorted(full_base)} fail, {full_secs:.0f} s")
         for module in args.modules:
             rel = Path(module).resolve().relative_to(ROOT)
-            fast = args.fast
-            if fast is None:
-                guess = Path("tests") / f"test_{rel.stem}.py"
-                fast = [str(guess)] if (tree / guess).exists() else []
+            guess = Path("tests") / f"test_{rel.stem}.py"
+            fast = [str(guess)] if (tree / guess).exists() else []
             survivors += audit(tree, rel, fast, full_base, 3 * full_secs + 60)
     return 1 if survivors else 0
 
