@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .model import Dist, Firm, IntRows, SignalStructure, pay_table
@@ -23,6 +23,7 @@ from .numeric import (
     LP_TOL,
     ORDER_TOL,
     Number,
+    _entries,
     _lowest_terms,
     clear_denominators,
     exact_entries,
@@ -71,15 +72,19 @@ class GarblingKernel:
         coarse_signals: tuple[str, ...],
         fine_signals: tuple[str, ...],
         form: IntRows,
+        whole: Sequence[Sequence[bool]] | None = None,
     ) -> "GarblingKernel":
         """The kernel with entries ``rows[s][f] / scale`` (``scale > 0``),
-        as the public constructor would build it from those Fractions."""
+        as the public constructor would build it from those values.
+
+        Entries are Fractions, except where ``whole[s][f]`` holds: there
+        the value is a whole number and is kept as an int.
+        """
         rows, scale = _lowest_terms(*form)
         self = object.__new__(cls)
         object.__setattr__(self, "coarse_signals", coarse_signals)
         object.__setattr__(self, "fine_signals", fine_signals)
-        matrix = tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _entries(rows, scale, whole))
         self._settle((rows, scale))
         return self
 
@@ -173,25 +178,37 @@ def find_garbling(
 ) -> GarblingKernel | None:
     """A kernel witnessing that ``coarse`` is a garbling of ``fine``,
     or None when no such kernel exists (within tolerance for floats).
+
+    Exact structures give an int program: both int forms brought to the
+    lcm of their scales, the one scale ``clear_denominators`` would give
+    the Fraction program, so the pivots and the witness are the same.
     """
     _check_shared_space(fine, coarse)
     n_f, n_c, n_t = fine.n_signals, coarse.n_signals, fine.space.size
+    forms = fine.int_form, coarse.int_form
+    if None in forms:
+        fine_lik, coarse_lik, one = fine.likelihood, coarse.likelihood, 1
+    else:
+        (fine_lik, fine_scale), (coarse_lik, coarse_scale) = forms
+        one = math.lcm(fine_scale, coarse_scale)
+        fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
+        coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
     n_var = n_c * n_f  # x[s * n_f + f] = g(s | f)
     rows: list[list[Number]] = []
     rhs: list[Number] = []
     for f in range(n_f):  # each fine signal reports somewhere
         row = [0] * n_var
         for s in range(n_c):
-            row[s * n_f + f] = 1
+            row[s * n_f + f] = one
         rows.append(row)
-        rhs.append(1)
+        rhs.append(one)
     for t in range(n_t):  # mixing reproduces the coarse likelihoods
         for s in range(n_c):
             row = [0] * n_var
             for f in range(n_f):
-                row[s * n_f + f] = fine.likelihood[t][f]
+                row[s * n_f + f] = fine_lik[t][f]
             rows.append(row)
-            rhs.append(coarse.likelihood[t][s])
+            rhs.append(coarse_lik[t][s])
     x = feasible_point(rows, rhs, tol=tol)
     if x is None:
         return None
@@ -199,6 +216,16 @@ def find_garbling(
         tuple(x[s * n_f + f] for f in range(n_f)) for s in range(n_c)
     )
     return GarblingKernel(coarse.signals, fine.signals, matrix)
+
+
+def _whole(
+    left: Iterable[Sequence[Number]], right: Iterable[Sequence[Number]]
+) -> list[list[bool]]:
+    """``whole[i][j]``: no Fraction in ``left[i]`` or ``right[j]``, so a sum
+    of their int products stays an int."""
+    frac_left = [any(isinstance(v, Fraction) for v in row) for row in left]
+    frac_right = [any(isinstance(v, Fraction) for v in row) for row in right]
+    return [[not (fl or fr) for fr in frac_right] for fl in frac_left]
 
 
 def garble(
@@ -220,9 +247,7 @@ def garble(
     values = None if values is None else tuple(values)
     exact = kernel.int_form is not None and fine.int_form is not None
     if exact:
-        frac_g = [any(isinstance(v, Fraction) for v in row) for row in g]
-        frac_lik = [any(isinstance(v, Fraction) for v in row) for row in lik]
-        whole = [[not (ft or fs) for fs in frac_g] for ft in frac_lik]
+        whole = _whole(lik, g)
         (g, g_scale), (lik, lik_scale) = kernel.int_form, fine.int_form
     rows = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
     if exact:
@@ -235,20 +260,26 @@ def garble(
 
 def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKernel:
     """Chain two garblings: ``inner`` maps A to B, ``outer`` maps B to C;
-    the result maps A straight to C (the transitivity witness)."""
+    the result maps A straight to C (the transitivity witness).
+
+    Exact kernels are mixed as ints, from their int forms, and the result
+    is built from the int rows; an entry stays an int when its outer row
+    and its inner column hold no Fraction, as a sum of int products would.
+    """
     if inner.coarse_signals != outer.fine_signals:
         raise InputError("kernels do not chain: signal sets mismatch")
-    n_c = len(outer.coarse_signals)
-    n_b = len(outer.fine_signals)
-    n_a = len(inner.fine_signals)
-    matrix = tuple(
-        tuple(
-            sum(outer.matrix[c][m] * inner.matrix[m][a] for m in range(n_b))
-            for a in range(n_a)
-        )
-        for c in range(n_c)
-    )
-    return GarblingKernel(outer.coarse_signals, inner.fine_signals, matrix)
+    labels = outer.coarse_signals, inner.fine_signals
+    g_outer, g_inner = outer.matrix, inner.matrix
+    exact = outer.int_form is not None and inner.int_form is not None
+    if exact:
+        whole = _whole(g_outer, zip(*g_inner))
+        (g_outer, outer_scale), (g_inner, inner_scale) = outer.int_form, inner.int_form
+    cols = list(zip(*g_inner))
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in g_outer]
+    if exact:
+        form = (rows, outer_scale * inner_scale)
+        return GarblingKernel._from_ints(*labels, form, whole)
+    return GarblingKernel(*labels, rows)
 
 
 def is_slightly_more_informative(

@@ -27,6 +27,7 @@ from .numeric import (
     DEFAULT_TOL,
     Number,
     _check_prob_vector,
+    _entries,
     _lowest_terms,
     exact_entries,
     int_row,
@@ -242,19 +243,10 @@ class SignalStructure:
         the value is a whole number and is kept as an int.
         """
         rows, scale = _lowest_terms(*form)
-        if whole is None:
-            lik = tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
-        else:
-            lik = tuple([
-                tuple([
-                    n // scale if w else Fraction(n, scale) for n, w in zip(row, mask)
-                ])
-                for row, mask in zip(rows, whole)
-            ])
         self = object.__new__(cls)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "signals", signals)
-        object.__setattr__(self, "likelihood", lik)
+        object.__setattr__(self, "likelihood", _entries(rows, scale, whole))
         object.__setattr__(self, "values", values)
         self._settle((rows, scale))
         return self

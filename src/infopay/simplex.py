@@ -5,16 +5,26 @@ variables under Bland's rule.  Problems here are tiny (tens of
 variables), so no factorization or sparsity.
 
 With int or Fraction entries the solver pivots fraction-free
-(integer-preserving pivoting, Edmonds 1967; Bareiss 1968): the whole
-system is scaled once by the lcm ``D`` of all denominators, the
-tableau and the reduced-cost row are Python ints over one common
-denominator ``d``, and each pivot divides exactly by the previous
-pivot.  Every comparison is exact and termination is guaranteed.  The
-scale must be one global factor: scaling rows separately would change
-the phase-1 cost row (minus the sum of the rows), so Bland's rule would
-pick other pivots and return other witnesses.  With float entries a
-plain tableau loop runs, and a small pivot epsilon guards against
-noise.
+(integer-preserving pivoting, Edmonds 1967; Bareiss 1968) on Python
+ints, and each pivot divides exactly by the previous pivot ``d``.  An
+all-int program is pivoted as given; one holding a Fraction is first
+scaled by the lcm ``D`` of all its denominators.  The scale must be one
+global factor: scaling rows separately would change the phase-1 cost
+row (minus the sum of the rows), so Bland's rule would pick other
+pivots and return other witnesses.  The artificial columns hold 1, not
+``D``: a positive scale of those columns, which changes no pivot either.
+
+Each row keeps its own denominator ``row_d[i]``, the pivot at which it
+was last brought up to date.  A row whose entering entry is 0 is left
+as it is; a row the pivot reads (the pivot row, or a row with a nonzero
+factor) is first brought to the current ``d`` as ``v * d // row_d[i]``.
+That division is exact, because the skipped steps would each have
+multiplied the row by ``p_new / p_old`` and the product telescopes.  A
+positive factor per row changes no sign and no ratio, so the ratio
+test may read stale rows and Bland's rule picks the same pivots.  The
+reduced-cost row stays at ``d``.  Every comparison is exact and
+termination is guaranteed.  With float entries a plain tableau loop
+runs, and a small pivot epsilon guards against noise.
 """
 
 from __future__ import annotations
@@ -41,27 +51,30 @@ def feasible_point(
     exactly.  Exact input gives Fraction values for basic variables and
     int ``0`` for the others.
     """
-    if all(all_exact(row) for row in a_rows) and all_exact(b):
-        return _exact_feasible_point(a_rows, b)
-    return _float_feasible_point(a_rows, b, LP_TOL if tol is None else tol)
+    rows = [*a_rows, b]
+    if not all(map(all_exact, rows)):
+        return _float_feasible_point(a_rows, b, LP_TOL if tol is None else tol)
+    if not all(type(v) is int for row in rows for v in row):
+        rows, _ = clear_denominators(rows)  # one positive scale: same pivots
+    *a_ints, b_ints = rows
+    return _exact_feasible_point(a_ints, b_ints)
 
 
 def _exact_feasible_point(
-    a_rows: Sequence[Sequence[Number]], b: Sequence[Number]
+    a_rows: Sequence[Sequence[int]], b: Sequence[int]
 ) -> list[Number] | None:
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     total = n + m  # structural + artificial columns
-    (*a_ints, b_ints), scale = clear_denominators([*a_rows, b])
 
-    # scale * (A | I | b), each row negated where b < 0 so that the
-    # artificial basis starts feasible
+    # (A | I | b), each row negated where b < 0 so that the artificial
+    # basis starts feasible
     tableau: list[list[int]] = []
-    for i, row in enumerate(a_ints):
-        sign = -1 if b_ints[i] < 0 else 1
+    for i, row in enumerate(a_rows):
+        sign = -1 if b[i] < 0 else 1
         ints = [sign * v for v in row]
-        ints += [scale if j == i else 0 for j in range(m)]
-        ints.append(sign * b_ints[i])
+        ints += [1 if j == i else 0 for j in range(m)]
+        ints.append(sign * b[i])
         tableau.append(ints)
     basis = list(range(n, total))
     # reduced costs for min sum(artificials); artificial basis => subtract
@@ -70,11 +83,10 @@ def _exact_feasible_point(
     for j in (*range(n), total):
         red[j] = -sum(row[j] for row in tableau)
 
-    # tableau / d is the textbook tableau up to a positive factor per row
-    # (scale on rows never pivoted, 1 once pivoted; scale on the cost
-    # row), which changes no sign and no ratio: the pivots are the same.
-    # Every row, even one with a zero entering entry, moves to the new d.
+    # row i / row_d[i] is the textbook row times a positive factor (see
+    # the module docstring); the cost row stays at d
     d = 1
+    row_d = [1] * m
     while True:
         enter = -1
         for j in range(total):
@@ -97,22 +109,18 @@ def _exact_feasible_point(
                 rhs = tableau[leave][total] * coef
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
-        pivot_row = tableau[leave]
+        pivot_row = _at(tableau, row_d, leave, d)
         piv = pivot_row[enter]  # > 0, so d stays positive
         for i in range(m):
-            if i == leave:
+            if i == leave or not tableau[i][enter]:
                 continue
-            factor = tableau[i][enter]
-            if factor:  # exact division: the results are integral minors
-                tableau[i] = [
-                    (v * piv - factor * w) // d
-                    for v, w in zip(tableau[i], pivot_row)
-                ]
-            elif piv != d:
-                tableau[i] = [v * piv // d for v in tableau[i]]
+            row = _at(tableau, row_d, i, d)
+            factor = row[enter]  # exact division: the results are integral minors
+            tableau[i] = [(v * piv - factor * w) // d for v, w in zip(row, pivot_row)]
+            row_d[i] = piv
         factor = red[enter]
         red = [(v * piv - factor * w) // d for v, w in zip(red, pivot_row)]
-        d = piv
+        d = row_d[leave] = piv
         basis[leave] = enter
 
     if red[total] < 0:  # the phase-1 objective is positive
@@ -120,8 +128,16 @@ def _exact_feasible_point(
     x: list[Number] = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tableau[i][total], d)
+            x[var] = Fraction(tableau[i][total], row_d[i])
     return x
+
+
+def _at(tableau: list[list[int]], row_d: list[int], i: int, d: int) -> list[int]:
+    """Row i brought up to the current pivot ``d`` (in place)."""
+    if row_d[i] != d:
+        tableau[i] = [v * d // row_d[i] for v in tableau[i]]
+        row_d[i] = d
+    return tableau[i]
 
 
 def _float_feasible_point(

@@ -26,6 +26,17 @@ Known equivalent mutants, which no test can kill:
 * ``orders.separating_signal_structure``: ``0 <= idx_hi`` flipped to
   ``0 < idx_hi``.  The index ``idx_hi = 0`` still fails, because
   ``0 <= idx_lo`` and ``idx_lo < idx_hi`` are checked too.
+* ``simplex``, the ratio-test tie rule of both loops: ``basis[i] <
+  basis[leave]`` flipped to ``<=``.  Two rows never hold the same basic
+  variable, so the two sides are never equal.
+* ``garbling.within_eps_of_full``: ``eps > 0`` flipped to ``eps >= 0``
+  after ``math.isinf(eps)``.  An infinite ``eps`` is never 0.
+* ``garbling.within_eps_of_full``: ``col[star] > 0`` flipped to ``>=``.
+  A zero entry passes as the dominant one only when every other entry
+  of the column is at most the pad (0 on exact input, ``tol`` times 1 on
+  float input).  No signal has zero likelihood everywhere, so the
+  column's largest entry is positive, and it then passes as well: the
+  verdict is the same.
 """
 
 from __future__ import annotations

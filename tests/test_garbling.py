@@ -5,6 +5,7 @@ The binary symmetric pair has a unique kernel, solved by hand from the
 for coarse accuracy c and fine accuracy f.
 """
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -36,6 +37,7 @@ from infopay.generators import (
     random_dist,
     random_firm,
     random_garbling_pair,
+    random_signal_structure,
     random_skill_space,
     trial_rng,
 )
@@ -106,6 +108,32 @@ def test_incomparable_structures():
     pool_12 = SignalStructure(TRI, ("x", "y"), ((1, 0), (0, 1), (0, 1)))
     assert find_garbling(pool_01, pool_12) is None
     assert find_garbling(pool_12, pool_01) is None
+
+
+def test_witnesses_are_pinned():
+    # one digest over the witnesses (entry types and int form included)
+    # of constructed pairs and random pairs, each in both directions and
+    # both modes: the exact simplex must keep Bland's pivots, so a change
+    # in its arithmetic that picks another vertex shows here
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for trial in range(3):
+            rng = trial_rng(seed, trial)
+            space = random_skill_space(rng, max_types=4)
+            fine, coarse, _ = random_garbling_pair(rng, space, max_fine=4, max_coarse=3)
+            a = random_signal_structure(rng, space, max_signals=4)
+            b = random_signal_structure(rng, space, max_signals=4)
+            for x, y in ((fine, coarse), (coarse, fine), (a, b), (b, a)):
+                for x, y in ((x, y), (x.to_float(), y.to_float())):
+                    k = find_garbling(x, y)
+                    witness = None if k is None else (
+                        k.matrix, [[type(v).__name__ for v in row] for row in k.matrix],
+                        k.int_form,
+                    )
+                    digest.update(repr(witness).encode())
+    assert digest.hexdigest() == (
+        "0d3b35a79edefa28836adeff23906df0053f5f1fdd083169165b74a183a5957b"
+    )
 
 
 def test_find_garbling_requires_shared_space():
@@ -240,6 +268,19 @@ def test_single_task_firm_is_always_slight():
     fine, coarse = sym(F(99, 100)), sym(F(1, 2))
     kernel = find_garbling(fine, coarse)
     assert is_slightly_more_informative(firm, q, fine, coarse, kernel)
+
+
+def test_slightness_reads_only_linked_fine_signals():
+    # the identity kernel links each coarse signal to its own fine signal
+    # alone; FIRM2 picks task 0 at type 0 and task 1 at type 1, so no task
+    # would stay optimal at both fine signals
+    full = fully_informative_structure(BIN)
+    q = Dist(BIN, (F(1, 2), F(1, 2)))
+    kernel = find_garbling(full, full)
+    assert is_slightly_more_informative(FIRM2, q, full, full, kernel)
+    assert is_slightly_more_informative(
+        FIRM2, q.to_float(), full.to_float(), full.to_float(), kernel.to_float()
+    )
 
 
 @st.composite

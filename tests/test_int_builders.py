@@ -1,9 +1,10 @@
 """Objects built from an int form equal the public constructor's.
 
 In-package producers that already hold ints (the generators, among them
-``extreme_structure``, ``garble``, the exact ``posterior``) build
-``Dist``, ``SignalStructure`` and ``GarblingKernel`` from ``(ints,
-scale)`` with the private ``_from_ints`` builders.  On the same values
+``extreme_structure``, ``garble``, ``compose_kernels``, the exact
+``posterior``) build ``Dist``, ``SignalStructure`` and
+``GarblingKernel`` from ``(ints, scale)`` with the private
+``_from_ints`` builders.  On the same values
 the result must be the object the public constructor builds from
 Fractions: equal fields, the same entry types, the same ``int_form`` and
 ``full_support``; and a bad form must raise the same ``InputError``.
@@ -14,7 +15,15 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from infopay import Dist, GarblingKernel, InputError, SignalStructure, SkillSpace, garble
+from infopay import (
+    Dist,
+    GarblingKernel,
+    InputError,
+    SignalStructure,
+    SkillSpace,
+    compose_kernels,
+    garble,
+)
 from infopay.generators import extreme_structure
 from infopay.model import posterior
 
@@ -166,6 +175,26 @@ def test_garble_matches_fraction_arithmetic(data):
     if public is not None:
         same_object(built, public)
         assert types(built.likelihood) == types(public.likelihood)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compose_kernels_matches_fraction_arithmetic(data):
+    n_a, n_b, n_c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b, c = (tuple(f"{x}{k}" for k in range(n)) for x, n in zip("abc", (n_a, n_b, n_c)))
+    # each drawn row is one column of a kernel: a distribution over its targets
+    inner = GarblingKernel(b, a, tuple(zip(*data.draw(exact_matrix(n_a, n_b)))))
+    outer = GarblingKernel(c, b, tuple(zip(*data.draw(exact_matrix(n_b, n_c)))))
+    g, h = outer.matrix, inner.matrix
+    # Python arithmetic keeps an entry int exactly when its terms are ints
+    mixed = tuple(
+        tuple(sum(g[k][j] * h[j][i] for j in range(n_b)) for i in range(n_a))
+        for k in range(n_c)
+    )
+    built = compose_kernels(outer, inner)
+    public = GarblingKernel(c, a, mixed)
+    same_object(built, public)
+    assert types(built.matrix) == types(public.matrix)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,13 +6,14 @@ rule on the same tableau up to positive row factors, so they must return
 the same witness, element by element and type by type.
 """
 
+import math
 from fractions import Fraction as F
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infopay import garbling
+from infopay import garbling, simplex
 from infopay.garbling import find_garbling
 from infopay.generators import random_garbling_pair, random_skill_space, trial_rng
 from infopay.simplex import feasible_point
@@ -148,6 +149,53 @@ def test_scaling_spans_all_denominators():
     assert_same(x, fraction_feasible_point(a_rows, b))
 
 
+def test_rows_left_stale_across_pivots_catch_up_exactly():
+    # Pivots 2, 5 and 17 on rows 0, 1 and 2.  Row 3 is updated at the
+    # first pivot and has zero entering entries at the next two, so it
+    # waits at row_d = 2 until it leaves at the fourth pivot; row 4 waits
+    # at 1 through three pivots and is then updated.  Both catch up to
+    # d = 17 (17 / 2 is no integer).
+    a_rows = [
+        [2, 1, 1, 0, 0],
+        [1, 3, 1, 0, 0],
+        [1, 1, 4, 0, 0],
+        [2, 1, 1, 3, 1],
+        [0, 0, 0, 1, 2],
+    ]
+    b = [4, 5, 6, 9, 3]
+    caught_up = []
+    at = simplex._at
+
+    def record(tableau, row_d, i, d):
+        if row_d[i] != d:
+            caught_up.append((i, row_d[i], d))
+        return at(tableau, row_d, i, d)
+
+    with mock.patch.object(simplex, "_at", record):
+        x = feasible_point(a_rows, b)
+    assert caught_up == [(3, 2, 17), (4, 1, 17)]
+    assert satisfies(x, a_rows, b)
+    assert_same(x, fraction_feasible_point(a_rows, b))
+
+
+def test_float_tolerance_boundaries():
+    eps = simplex._FLOAT_EPS
+    # a reduced cost of exactly -eps is noise: column 0 never enters
+    assert_same(feasible_point([[eps, 1.0]], [1.0]), [0, 1.0])
+    # so is an entering entry of exactly eps: row 0 is no pivot candidate,
+    # and x0 = 1 leaves it a residual of eps, inside LP_TOL
+    assert_same(feasible_point([[eps], [1.0]], [0.0, 1.0]), [1.0])
+    # a phase-1 objective of exactly tol is accepted
+    assert_same(feasible_point([[1.0], [1.0]], [1.0, 1.5], tol=0.5), [1.0])
+    # x1 ends basic at -eps: a value within tol below 0 becomes 0, one at
+    # exactly -tol is kept
+    a_rows, b = [[eps, 1.0], [1.0, 0.0]], [0.0, 1.0]
+    assert_same(feasible_point(a_rows, b), [1.0, 0])
+    assert_same(feasible_point(a_rows, b, tol=eps), [1.0, -eps])
+    # a basic value of exactly 0.0 stays a float
+    assert_same(feasible_point([[1.0, 1.0], [1.0, 0.0]], [1.0, 0.0]), [0.0, 1.0])
+
+
 def test_empty_system():
     assert feasible_point([], []) == []
 
@@ -180,12 +228,30 @@ def test_matches_fraction_oracle_on_random_systems(system):
         assert satisfies(x, a_rows, b)
 
 
+def fraction_program(fine, coarse):
+    """The garbling program on the structures' own entries, 1s and all."""
+    n_f, n_c = fine.n_signals, coarse.n_signals
+    rows, rhs = [], []
+    for f in range(n_f):
+        rows.append([1 if k % n_f == f else 0 for k in range(n_c * n_f)])
+        rhs.append(1)
+    for fine_row, coarse_row in zip(fine.likelihood, coarse.likelihood):
+        for s in range(n_c):
+            rows.append([
+                fine_row[k % n_f] if k // n_f == s else 0 for k in range(n_c * n_f)
+            ])
+            rhs.append(coarse_row[s])
+    return rows, rhs
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 10**6))
-def test_matches_fraction_oracle_on_garbling_programs(seed, trial):
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10**6), st.booleans())
+def test_matches_fraction_oracle_on_garbling_programs(seed, trial, swap):
     rng = trial_rng(seed, trial)
     space = random_skill_space(rng, max_types=4)
     fine, coarse, _ = random_garbling_pair(rng, space, max_fine=4, max_coarse=3)
+    if swap:  # mostly infeasible
+        fine, coarse = coarse, fine
     programs = []
 
     def record(a_rows, b, tol=None):
@@ -195,8 +261,19 @@ def test_matches_fraction_oracle_on_garbling_programs(seed, trial):
     with mock.patch.object(garbling, "feasible_point", record):
         kernel = find_garbling(fine, coarse)
     (a_rows, b), = programs
-    want = fraction_feasible_point(a_rows, b)
+    # exact structures give an int program: the Fraction program over the
+    # lcm of the two scales, which gives the same witness
+    assert all(type(v) is int for row in (*a_rows, b) for v in row)
+    frac_rows, frac_b = fraction_program(fine, coarse)
+    scale = math.lcm(fine.int_form[1], coarse.int_form[1])
+    assert [list(row) for row in a_rows] == [[v * scale for v in row] for row in frac_rows]
+    assert list(b) == [v * scale for v in frac_b]
+    want = fraction_feasible_point(frac_rows, frac_b)
     assert_same(feasible_point(a_rows, b), want)
+    assert_same(feasible_point(frac_rows, frac_b), want)
+    if want is None:
+        assert kernel is None
+        return
     n_f = fine.n_signals
     assert kernel.matrix == tuple(
         tuple(want[s * n_f + f] for f in range(n_f)) for s in range(coarse.n_signals)
