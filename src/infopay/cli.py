@@ -10,6 +10,7 @@ example or suite and print a tally.  Exit status: 0 when every check passes,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .decomposition import check_signs
@@ -36,8 +37,10 @@ def _nonneg_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
-    if not value >= 0:
-        raise argparse.ArgumentTypeError("tolerance must be nonnegative")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite nonnegative number, got {text!r}"
+        )
     return value
 
 

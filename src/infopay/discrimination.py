@@ -132,7 +132,6 @@ class GapRankingReport:
     favorableness: Number
     correction: Number
     instrumental: Number
-    kernel: GarblingKernel
     conclusion_holds: bool
     signs: SignReport
 
@@ -203,7 +202,6 @@ def check_gap_ranking(
         favorableness=favorableness,
         correction=decomp.perception_correcting,
         instrumental=decomp.instrumental,
-        kernel=decomp.kernel,
         conclusion_holds=bool(w_i >= w_j - slack),
         signs=signs,
     )
@@ -219,9 +217,6 @@ class NarrowingReport:
     gap_fine: Number
     gap_change: Number
     star_holds: bool  # fine gap no wider than the coarse gap
-    slight_favored: bool
-    slight_other: bool
-    kernel: GarblingKernel
 
     @property
     def all_hypotheses_hold(self) -> bool:
@@ -282,9 +277,6 @@ def check_narrowing(
         gap_fine=gap_fine,
         gap_change=gap_fine - gap_coarse,
         star_holds=bool(gap_fine <= gap_coarse + slack),
-        slight_favored=slight_i,
-        slight_other=slight_j,
-        kernel=kernel,
     )
 
 

@@ -228,11 +228,7 @@ def _whole(
     return [[not (fl or fr) for fr in frac_right] for fl in frac_left]
 
 
-def garble(
-    fine: SignalStructure,
-    kernel: GarblingKernel,
-    values: Sequence[Number] | None = None,
-) -> SignalStructure:
+def garble(fine: SignalStructure, kernel: GarblingKernel) -> SignalStructure:
     """The coarse structure obtained by reporting fine signals through
     the kernel.
 
@@ -244,7 +240,6 @@ def garble(
     if kernel.fine_signals != fine.signals:
         raise InputError("kernel fine signals do not match the fine structure")
     g, lik = kernel.matrix, fine.likelihood
-    values = None if values is None else tuple(values)
     exact = kernel.int_form is not None and fine.int_form is not None
     if exact:
         whole = _whole(lik, g)
@@ -253,9 +248,9 @@ def garble(
     if exact:
         form = (rows, g_scale * lik_scale)
         return SignalStructure._from_ints(
-            fine.space, kernel.coarse_signals, form, values, whole
+            fine.space, kernel.coarse_signals, form, whole=whole
         )
-    return SignalStructure(fine.space, kernel.coarse_signals, rows, values=values)
+    return SignalStructure(fine.space, kernel.coarse_signals, rows)
 
 
 def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKernel:

@@ -3,12 +3,14 @@
 Everything draws small integers from a PCG64 stream and builds exact
 rational objects, so claims checked on generated instances are checked
 with zero tolerance; float variants come from the objects' ``to_float``
-methods.  Distributions, signal structures and kernels are built from
-the drawn ints over their row or column sums (``_from_ints``), with the
-public constructors' validation, so no Fraction is made only to be
-cleared again.  Per-trial reproducibility: each trial seeds its own
-stream from the ``(seed, trial)`` pair, which yields independent streams
-for any trial order.
+methods.  Inputs must be exact too: ``random_lr_above`` and
+``extreme_structure`` raise ``InputError`` on floats.  Distributions,
+signal structures and kernels are built from the drawn ints over their
+row or column sums (``_from_ints``), with the public constructors'
+validation, so no Fraction is made only to be cleared again.
+Per-trial reproducibility: each trial seeds its own stream from the
+``(seed, trial)`` pair, which yields independent streams for any trial
+order.
 
 The stream is numpy's, in pure Python: ``trial_rng(s, t)`` followed by
 ``_int(rng, lo, hi)`` gives the draws of
@@ -159,10 +161,8 @@ def _int(rng: PCG64Stream, lo: int, hi: int) -> int:
     return lo + (m >> 32)
 
 
-def random_skill_space(
-    rng: PCG64Stream, max_types: int = 5, min_types: int = 2
-) -> SkillSpace:
-    n = _int(rng, min_types, max_types)
+def random_skill_space(rng: PCG64Stream, max_types: int = 5) -> SkillSpace:
+    n = _int(rng, 2, max_types)
     theta = _int(rng, -3, 3)
     thetas = []
     for _ in range(n):
@@ -202,11 +202,10 @@ def random_signal_structure(
     rng: PCG64Stream,
     space: SkillSpace,
     max_signals: int = 6,
-    min_signals: int = 2,
     valued: bool = False,
 ) -> SignalStructure:
     """Row-stochastic structure; zero entries allowed, dead columns not."""
-    n_s = _int(rng, min_signals, max_signals)
+    n_s = _int(rng, 2, max_signals)
     n_t = space.size
     weights = [[_int(rng, 0, 4) for _ in range(n_s)] for _ in range(n_t)]
     for row in weights:
@@ -222,17 +221,14 @@ def random_signal_structure(
 
 
 def random_mlr_structure(
-    rng: PCG64Stream,
-    space: SkillSpace,
-    max_signals: int = 6,
-    min_signals: int = 2,
+    rng: PCG64Stream, space: SkillSpace, max_signals: int = 6
 ) -> SignalStructure:
     """Valued structure with monotone likelihood ratios by construction.
 
     Row for type t is proportional to base[j] * tilt_t**j with tilts
     nondecreasing in t, so every likelihood cross product is ordered.
     """
-    n_s = _int(rng, min_signals, max_signals)
+    n_s = _int(rng, 2, max_signals)
     base = [_int(rng, 1, 4) for _ in range(n_s)]
     tilt = _int(rng, 1, 2)
     rows = []
@@ -245,23 +241,19 @@ def random_mlr_structure(
     return SignalStructure._from_ints(space, labels, join_rows(rows), values)
 
 
-def extreme_structure(space: SkillSpace, eps: Fraction | float) -> SignalStructure:
+def extreme_structure(space: SkillSpace, eps: Fraction) -> SignalStructure:
     """One signal per type; every off-type likelihood is exactly ``eps``
     times the own-type one, so the structure sits at the boundary of
     being within ``eps`` of full information."""
     if not eps >= 0:
         raise InputError(f"eps must be nonnegative, got {eps!r}")
+    if not isinstance(eps, (int, Fraction)):
+        raise InputError(f"eps must be an int or Fraction, got {eps!r}")
     n = space.size
     labels = tuple(f"e{k}" for k in range(n))
-    if isinstance(eps, (int, Fraction)):  # eps = a/b: b own, a elsewhere
-        a, b = eps.numerator, eps.denominator
-        rows = tuple(tuple(b if j == i else a for j in range(n)) for i in range(n))
-        return SignalStructure._from_ints(space, labels, (rows, b + (n - 1) * a))
-    c = 1.0 / (1 + (n - 1) * eps)
-    rows = tuple(
-        tuple(c if j == i else eps * c for j in range(n)) for i in range(n)
-    )
-    return SignalStructure(space, labels, rows)
+    a, b = eps.numerator, eps.denominator  # eps = a/b: b own, a elsewhere
+    rows = tuple(tuple(b if j == i else a for j in range(n)) for i in range(n))
+    return SignalStructure._from_ints(space, labels, (rows, b + (n - 1) * a))
 
 
 def random_kernel(
@@ -309,17 +301,16 @@ def random_garbling_pair(
 def random_lr_above(rng: PCG64Stream, lo: Dist) -> Dist:
     """Reweight by a nondecreasing positive multiplier: LR-above ``lo``.
 
-    An exact ``lo`` is reweighted in ints, from its int form.
+    ``lo`` is exact and is reweighted in ints, from its int form.
     """
+    if lo.int_form is None:
+        raise InputError("random_lr_above needs an exact distribution")
     mult = _int(rng, 1, 3)
     raw = []
-    for v in lo.probs if lo.int_form is None else lo.int_form[0]:
+    for v in lo.int_form[0]:
         raw.append(v * mult)
         mult += _int(rng, 0, 2)
-    total = sum(raw)
-    if lo.int_form is not None:
-        return Dist._from_ints(lo.space, (raw, total))
-    return Dist(lo.space, tuple(v / total for v in raw))
+    return Dist._from_ints(lo.space, (raw, sum(raw)))
 
 
 def random_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]:
@@ -328,14 +319,11 @@ def random_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]:
     return random_lr_above(rng, lo), lo
 
 
-def random_lr_chain(
-    rng: PCG64Stream, space: SkillSpace, length: int = 3
-) -> tuple[Dist, ...]:
-    """LR-descending chain, highest first."""
-    out = [random_dist(rng, space)]
-    for _ in range(length - 1):
-        out.insert(0, random_lr_above(rng, out[0]))
-    return tuple(out)
+def random_lr_chain(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist, Dist]:
+    """LR-descending chain ``(hi, mid, lo)``, drawn from ``lo`` upwards."""
+    lo = random_dist(rng, space)
+    mid = random_lr_above(rng, lo)
+    return random_lr_above(rng, mid), mid, lo
 
 
 def random_non_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]:
@@ -350,31 +338,23 @@ def random_non_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]
         # a and b proportional: redraw
 
 
-def random_narrowing_scenario(
-    rng: PCG64Stream,
-    max_types: int = 4,
-    max_tasks: int = 3,
-    max_fine: int = 5,
-    max_coarse: int = 4,
-    max_attempts: int = 50,
-) -> tuple[GapScenario, GarblingKernel]:
+def random_narrowing_scenario(rng: PCG64Stream) -> tuple[GapScenario, GarblingKernel]:
     """Scenario satisfying all five narrowing hypotheses.
 
     Monotone firm, MLR fine, kernel-derived coarse, and the LR chain
     q_i above p above q_j are enforced by construction; slightness is
-    enforced by rejection.  When rejection keeps failing the firm is
-    collapsed to a single monotone task, for which slightness holds at
-    every belief.
+    enforced by rejection.  When 50 draws fail the firm is collapsed to a
+    single monotone task, for which slightness holds at every belief.
     """
-    space = random_skill_space(rng, max_types=max_types)
-    q_i, p, q_j = random_lr_chain(rng, space, length=3)
-    for attempt in range(max_attempts + 1):
-        if attempt < max_attempts:
-            firm = random_firm(rng, space.size, max_tasks=max_tasks, monotone=True)
+    space = random_skill_space(rng, max_types=4)
+    q_i, p, q_j = random_lr_chain(rng, space)
+    for attempt in range(51):
+        if attempt < 50:
+            firm = random_firm(rng, space.size, max_tasks=3, monotone=True)
         else:
             firm = Firm((random_task(rng, space.size, monotone=True),))
-        fine = random_mlr_structure(rng, space, max_signals=max_fine)
-        kernel = random_kernel(rng, fine.signals, _int(rng, 1, max_coarse))
+        fine = random_mlr_structure(rng, space, max_signals=5)
+        kernel = random_kernel(rng, fine.signals, _int(rng, 1, 4))
         coarse = garble(fine, kernel)
         if is_slightly_more_informative(
             firm, q_i, fine, coarse, kernel

@@ -365,10 +365,7 @@ def posterior(q: Dist, sig: SignalStructure, signal: str) -> Dist:
 
 def _near_max(scores: Sequence[Number], slack: Number) -> list[int]:
     """Indices of the scores within ``slack`` of the best, in order."""
-    best = max(scores)
-    if not slack:  # exact: an equality test is cheaper than a Fraction order
-        return [i for i, v in enumerate(scores) if v == best]
-    floor = best - slack
+    floor = max(scores) - slack
     return [i for i, v in enumerate(scores) if v >= floor]
 
 
@@ -492,9 +489,7 @@ def average_pay(firm: Firm, pop: Population) -> Number:
 
 
 def uninformative_structure(
-    space: SkillSpace,
-    weights: Sequence[Number] | None = None,
-    labels: Sequence[str] | None = None,
+    space: SkillSpace, weights: Sequence[Number] | None = None
 ) -> SignalStructure:
     """Structure whose likelihood rows are identical across types.
 
@@ -507,10 +502,9 @@ def uninformative_structure(
     validate_prob_vector(weights, "uninformative structure weights")
     if any(not w > 0 for w in weights):
         raise InputError("uninformative structure weights must be positive")
-    if labels is None:
-        labels = tuple(f"u{k}" for k in range(len(weights)))
+    labels = tuple(f"u{k}" for k in range(len(weights)))
     rows = tuple(weights for _ in range(space.size))
-    return SignalStructure(space, tuple(labels), rows)
+    return SignalStructure(space, labels, rows)
 
 
 def fully_informative_structure(space: SkillSpace) -> SignalStructure:

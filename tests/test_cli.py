@@ -181,13 +181,17 @@ def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/x.inst", "--claim", "invariants"]) == 2
 
 
-def test_argparse_usage_errors():
+def test_argparse_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "somefile"])  # missing --claim
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["--tol", "-1", "example", "ex1-reversal"])
-    assert exc.value.code == 2
+    # "--tol=" hands "-inf" to the type check; apart it reads as an option
+    for tol in ("-1", "nan", "inf", "-inf"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "example", "ex1-reversal"])
+        assert exc.value.code == 2
+        assert "tolerance must be a finite nonnegative number" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2

@@ -267,6 +267,10 @@ def test_nearly_full_narrows_positive_gap():
     assert report.gap_coarse == F(7, 4)
     assert report.gap_fine == F(27, 28)
     assert report.ok
+    unchanged = showcase(sym(F(9, 10)), sym(F(9, 10)))
+    report = check_nearly_full(unchanged, eps=F(1, 9))
+    assert report.within_eps and report.gap_fine == report.gap_coarse == F(27, 28)
+    assert report.ok  # an equal gap is not a widening
 
 
 def test_nearly_full_zero_gap_needs_full_information():
