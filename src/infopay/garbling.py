@@ -27,6 +27,7 @@ from .numeric import (
     _lowest_terms,
     clear_denominators,
     exact_entries,
+    float_rows,
 )
 from .simplex import feasible_point
 
@@ -122,7 +123,7 @@ class GarblingKernel:
         return GarblingKernel(
             self.coarse_signals,
             self.fine_signals,
-            tuple(tuple(float(v) for v in row) for row in self.matrix),
+            float_rows(self.matrix, self.int_form, "kernel entries"),
         )
 
 

@@ -30,6 +30,8 @@ from .numeric import (
     _entries,
     _lowest_terms,
     exact_entries,
+    float_entries,
+    float_rows,
     int_row,
     join_rows,
     ratio_sum,
@@ -61,9 +63,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SkillSpace:
-    """Strictly increasing tuple of at least two real skill levels."""
+    """Strictly increasing tuple of at least two real skill levels.
+
+    ``to_float`` builds the float twin once and keeps it, so the twins
+    of objects on one space share one space.
+    """
 
     thetas: tuple[Number, ...]
+    _float_twin: "SkillSpace | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(self.thetas))
@@ -80,7 +89,10 @@ class SkillSpace:
         return len(self.thetas)
 
     def to_float(self) -> "SkillSpace":
-        return SkillSpace(tuple(float(t) for t in self.thetas))
+        if self._float_twin is None:
+            twin = SkillSpace(float_entries(self.thetas, None, "skill levels"))
+            object.__setattr__(self, "_float_twin", twin)
+        return self._float_twin
 
 
 @dataclass(frozen=True)
@@ -133,7 +145,10 @@ class Dist:
         object.__setattr__(self, "full_support", all(v > 0 for v in entries))
 
     def to_float(self) -> "Dist":
-        return Dist(self.space.to_float(), tuple(float(v) for v in self.probs))
+        return Dist(
+            self.space.to_float(),
+            float_entries(self.probs, self.int_form, "distribution"),
+        )
 
 
 @dataclass(frozen=True)
@@ -163,7 +178,7 @@ class Task:
         return all(a < b for a, b in zip(v, v[1:]))
 
     def to_float(self) -> "Task":
-        return Task(tuple(float(v) for v in self.surplus))
+        return Task(float_entries(self.surplus, self.int_form, "task surplus"))
 
 
 @dataclass(frozen=True)
@@ -305,8 +320,9 @@ class SignalStructure:
         return SignalStructure(
             self.space.to_float(),
             self.signals,
-            tuple(tuple(float(v) for v in row) for row in self.likelihood),
-            None if self.values is None else tuple(float(v) for v in self.values),
+            float_rows(self.likelihood, self.int_form, "likelihood"),
+            None if self.values is None
+            else float_entries(self.values, None, "signal values"),
         )
 
 

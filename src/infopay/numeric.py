@@ -67,11 +67,15 @@ def exact_entries(values: Iterable[object], what: str) -> bool:
     Exact means an ``int`` that is not a ``bool``, or a ``Fraction``.
     Any other real number (``float``, numpy scalars) makes the entries
     float entries.  Anything else, bools included, raises ``InputError``
-    naming ``what``.
+    naming ``what``.  Plain ints, Fractions and floats are told apart by
+    their type, without the ABC checks the other types need.
     """
     exact = True
     for v in values:
         if type(v) in _PLAIN_EXACT:
+            continue
+        if type(v) is float:
+            exact = False
             continue
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise InputError(f"{what}: {v!r} is not a number")
@@ -91,6 +95,39 @@ def int_row(values: Sequence[Number]) -> tuple[tuple[int, ...], int]:
     # list of their final size (about 1 MB more peak memory on suites-exact)
     scale = math.lcm(*[d for _, d in ratios])
     return tuple([n * (scale // d) for n, d in ratios]), scale
+
+
+def float_entries(
+    values: Sequence[Number], form: tuple[Sequence[int], int] | None, what: str
+) -> tuple[float, ...]:
+    """``values`` as floats: ``n / scale`` over the int form ``(ints,
+    scale)`` of exact values, ``float(v)`` when ``form`` is None.
+
+    Int true division is correctly rounded, so ``n / scale`` is the
+    double ``float(Fraction(n, scale))`` gives, without the pure-Python
+    ``Fraction.__float__``.  A value beyond float range raises
+    ``InputError`` naming ``what``.
+    """
+    try:
+        if form is None:
+            return tuple([float(v) for v in values])
+        ints, scale = form
+        return tuple([n / scale for n in ints])
+    except OverflowError:
+        raise InputError(f"{what}: a value is beyond float range") from None
+
+
+def float_rows(
+    rows: Sequence[Sequence[Number]],
+    form: tuple[Sequence[Sequence[int]], int] | None,
+    what: str,
+) -> tuple[tuple[float, ...], ...]:
+    """``float_entries`` of each row, over the int form ``(int rows,
+    scale)`` of exact ``rows`` or None."""
+    if form is None:
+        return tuple([float_entries(row, None, what) for row in rows])
+    ints, scale = form
+    return tuple([float_entries(row, (n, scale), what) for row, n in zip(rows, ints)])
 
 
 def join_rows(

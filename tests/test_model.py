@@ -92,6 +92,14 @@ def test_firm_tasks_must_be_tasks():
         Firm((1, 2))
 
 
+def test_monotone_means_strictly_increasing():
+    assert Task((0, F(1, 2), 2)).is_increasing and Task((0.0, 0.5)).is_increasing
+    for flat in (Task((0, 0, 1)), Task((0.0, 1.0, 1.0)), Task((1, 0))):
+        assert not flat.is_increasing
+    assert Firm((A_BAR, Task((-1, 2)))).is_monotone
+    assert not Firm((A_BAR, Task((2, 2)))).is_monotone
+
+
 def test_population_requires_full_support():
     sig = sym(F(4, 5))
     degenerate = Dist(BIN, (0, 1))
@@ -140,6 +148,15 @@ def test_posterior_requires_full_support_prior():
     q = Dist(BIN, (1, 0))
     with pytest.raises(InputError):
         posterior(q, sym(F(3, 5)), "s0")
+
+
+def test_posterior_of_an_underflowing_signal_raises_input_error():
+    # every weight of signal b underflows: 1e-300 * 1e-300 is 0.0
+    q = Dist(BIN, (1e-300, 1.0))
+    sig = SignalStructure(BIN, ("a", "b"), ((1.0, 1e-300), (1.0, 0.0)))
+    with pytest.raises(InputError, match="signal 'b' has zero probability under the prior"):
+        posterior(q, sig, "b")
+    assert posterior(q, sig, "a").probs == (1e-300, 1.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -204,6 +221,27 @@ def test_worker_pay_binary():
     assert table.rows[0].ties == [0, 1]
     # high signal: posterior 27/31, steep task pays 4*(2*27/31 - 1)
     assert table.signal_pay(1) == F(92, 31)
+
+
+def test_pay_table_rejects_signals_the_truth_never_sends():
+    # r0 has true frequency 0 (exact); b has 1e-300 * 1e-300 = 0.0 (float)
+    half = Dist(BIN, (F(1, 2), F(1, 2)))
+    with pytest.raises(InputError, match="signal 'r0' has zero probability under the true"):
+        pay_table(FIRM2, Dist(BIN, (0, 1)), half, fully_informative_structure(BIN))
+    dying = SignalStructure(BIN, ("a", "b"), ((1.0, 1e-300), (1.0, 0.0)))
+    with pytest.raises(InputError, match="signal 'b' has zero probability under the true"):
+        pay_table(FIRM2, Dist(BIN, (1e-300, 1.0)), half.to_float(), dying)
+
+
+def test_structure_builders_check_their_parameters():
+    with pytest.raises(InputError, match="weights must be positive"):
+        uninformative_structure(BIN, (1, 0))
+    for accuracy in (0, 1):
+        sig = sym(accuracy)
+        assert sig.likelihood == ((accuracy, 1 - accuracy), (1 - accuracy, accuracy))
+    for accuracy in (F(-1, 10), F(11, 10)):
+        with pytest.raises(InputError, match="accuracy must lie in"):
+            sym(accuracy)
 
 
 def test_average_pay_uninformative_showcase():
