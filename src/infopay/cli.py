@@ -3,8 +3,10 @@
 Subcommands: ``example`` (named worked instances), ``sweep-figure1``
 (accuracy-sweep CSV), ``suite`` (randomized property suites), ``check``
 (claims on instance files).  ``example all`` and ``suite all`` run every
-example or suite and print a tally.  Exit status: 0 when every check passes,
-1 when a claim is violated, 2 on usage or parse errors.
+example or suite and print a tally.  Each command imports the modules it
+runs when it runs, so a sweep never loads the suites.  Exit status: 0 when
+every check passes, 1 when a claim is violated, 2 on usage or parse errors
+and on files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -13,17 +15,9 @@ import argparse
 import math
 import sys
 
-from .decomposition import check_signs
-from .discrimination import GapScenario
-from .discrimination import check_gap_ranking, check_narrowing, check_nearly_full
 from .errors import InfopayError, InputError
-from .examples import EXAMPLE_NAMES, run_example
-from .instancefile import load_instance
-from .model import Firm, Population
 from .numeric import parse_exact, parse_float
-from .orders import perception_class
-from .suites import SUITE_NAMES, run_suite
-from .sweep import DEFAULT_GRID_SPEC, run_figure1
+from .sweep import DEFAULT_GRID_SPEC
 
 __all__ = ["CLAIM_IDS", "build_parser", "main"]
 
@@ -56,8 +50,31 @@ def _add_shared(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose description may be a callable, called when help is
+    formatted, so that only help imports the examples and suites to list
+    their names."""
+
+    def format_help(self) -> str:
+        if callable(self.description):
+            self.description = self.description()
+        return super().format_help()
+
+
+def _example_description() -> str:
+    from .examples import EXAMPLE_NAMES
+
+    return "Examples: " + ", ".join(EXAMPLE_NAMES) + "; 'all' runs each with its defaults"
+
+
+def _suite_description() -> str:
+    from .suites import SUITE_NAMES
+
+    return "Suites: " + ", ".join(SUITE_NAMES) + "; 'all' runs each"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="infopay",
         description="Pay, pay gaps, and the value of information under "
         "misperceived skill distributions.",
@@ -68,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser(
         "example",
         help="run a named worked instance and verify its closed forms",
-        description="Examples: " + ", ".join(EXAMPLE_NAMES)
-        + "; 'all' runs each with its defaults",
+        description=_example_description,
     )
     _add_shared(ex, suppress=True)
     ex.add_argument("name", metavar="name")
@@ -97,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     su = sub.add_parser(
         "suite", help="run a randomized property suite",
-        description="Suites: " + ", ".join(SUITE_NAMES) + "; 'all' runs each",
+        description=_suite_description,
     )
     _add_shared(su, suppress=True)
     su.add_argument("name", metavar="name")
@@ -134,6 +150,8 @@ def _report_all(names, run, what: str) -> int:
 
 
 def _cmd_example(args, mode: str, tol) -> int:
+    from .examples import EXAMPLE_NAMES, run_example
+
     overrides = {}
     for flag in _EXAMPLE_NUMBER_FLAGS:
         raw = getattr(args, flag)
@@ -156,6 +174,8 @@ def _cmd_example(args, mode: str, tol) -> int:
 
 
 def _cmd_sweep(args, mode: str, tol) -> int:
+    from .sweep import run_figure1
+
     csv = run_figure1(args.grid, mode=mode)
     if args.out is None:
         sys.stdout.write(csv)
@@ -166,6 +186,8 @@ def _cmd_sweep(args, mode: str, tol) -> int:
 
 
 def _cmd_suite(args, mode: str, tol) -> int:
+    from .suites import SUITE_NAMES, run_suite
+
     def run(name):
         return run_suite(name, trials=args.trials, seed=args.seed, mode=mode, tol=tol)
 
@@ -177,6 +199,9 @@ def _cmd_suite(args, mode: str, tol) -> int:
 
 
 def _describe(obj, tol) -> list[str]:
+    from .model import Firm, Population
+    from .orders import perception_class
+
     if isinstance(obj, Firm):
         return [
             "kind: firm",
@@ -203,13 +228,19 @@ def _describe(obj, tol) -> list[str]:
     ]
 
 
-def _need_scenario(obj, claim: str) -> GapScenario:
+def _need_scenario(obj, claim: str):
+    from .discrimination import GapScenario
+
     if not isinstance(obj, GapScenario):
         raise InputError(f"claim {claim!r} needs a [scenario] instance file")
     return obj
 
 
 def _cmd_check(args, mode: str, tol) -> int:
+    from .decomposition import check_signs
+    from .discrimination import check_gap_ranking, check_narrowing, check_nearly_full
+    from .instancefile import load_instance
+
     obj = load_instance(args.instance_file, mode=mode)
     claim = args.claim
     if args.eps is not None and claim != "nearly-full":
@@ -258,10 +289,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args, mode, tol)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfopayError as exc:
+    except (OSError, InfopayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -239,8 +239,13 @@ def loads_instance(text: str, mode: str = "rational"):
 
 
 def load_instance(path: str, mode: str = "rational"):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read(), mode=mode)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return loads_instance(text, mode=mode)
 
 
 def _fmt_line(values) -> str:

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import pkgutil
+from unittest import mock
 
 import pytest
 
@@ -16,6 +17,22 @@ MODULES = sorted(
 def test_package_exports_resolve():
     assert [n for n in infopay.__all__ if not hasattr(infopay, n)] == []
     assert len(set(infopay.__all__)) == len(infopay.__all__)
+
+
+def test_dir_lists_every_export():
+    assert set(infopay.__all__) <= set(dir(infopay))
+
+
+def test_export_reads_its_home_module_on_every_access():
+    import infopay.suites
+
+    def fake(*args, **kwargs):
+        return None
+
+    with mock.patch.object(infopay.suites, "run_suite", fake):
+        assert infopay.run_suite is fake
+    assert infopay.run_suite is infopay.suites.run_suite
+    assert "run_suite" not in vars(infopay)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -181,6 +181,25 @@ def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/x.inst", "--claim", "invariants"]) == 2
 
 
+def test_check_directory_exits_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path), "--claim", "invariants"]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+def test_sweep_out_directory_exits_2(tmp_path, capsys):
+    assert main(["sweep-figure1", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.inst"
+    path.write_bytes(b"[firm]\n0 1\n\xff\xfe\n")
+    assert main(["check", str(path), "--claim", "invariants"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text at byte 11\n"
+
+
 def test_argparse_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "somefile"])  # missing --claim
@@ -205,6 +224,22 @@ def test_float_mode_check(scenario_file, capsys):
     assert "result: PASS" in capsys.readouterr().out
 
 
+def _loaded_modules(*args) -> set[str]:
+    """Every module ``python -X importtime ARGS`` imports; the run must succeed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-X", "importtime", *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime lists every module the interpreter imported
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def _package_modules(loaded: set[str]) -> set[str]:
+    return {m[len("infopay."):] for m in loaded if m.startswith("infopay.")}
+
+
 def _run_module(*args, optimize=False):
     """``python [-O] -m infopay ARGS`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -216,21 +251,50 @@ def _run_module(*args, optimize=False):
 
 @pytest.mark.parametrize(
     "args",
-    [("-c", "import infopay"), ("-m", "infopay", "example", "ex1-reversal")],
+    [
+        ("-c", "import infopay, infopay.generators"),
+        ("-m", "infopay", "example", "ex1-reversal"),
+    ],
     ids=["import", "example"],
 )
 def test_numpy_is_not_imported(args):
     """numpy is a test-time oracle only: the package never loads it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    cmd = [sys.executable, "-X", "importtime", *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    # -X importtime lists every module the interpreter imported
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    loaded = _loaded_modules(*args)
     assert "infopay.generators" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+
+
+def test_import_loads_only_errors():
+    # every other submodule loads when one of its names is first read
+    assert _package_modules(_loaded_modules("-c", "import infopay")) == {"errors"}
+
+
+def test_sweep_loads_only_model_and_sweep():
+    loaded = _package_modules(_loaded_modules("-m", "infopay", "sweep-figure1"))
+    assert loaded <= {"__main__", "cli", "errors", "numeric", "model", "sweep"}
+
+
+def test_check_skips_examples_suites_and_generators(scenario_file):
+    loaded = _package_modules(
+        _loaded_modules("-m", "infopay", "check", scenario_file, "--claim", "theorem1")
+    )
+    assert "instancefile" in loaded
+    assert not loaded & {"examples", "suites", "generators"}
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("example", f"Examples: {', '.join(EXAMPLE_NAMES)}; 'all' runs each with its defaults"),
+        ("suite", f"Suites: {', '.join(SUITE_NAMES)}; 'all' runs each"),
+    ],
+)
+def test_help_lists_every_name(command, line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line, so no name is wrapped
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert f"\n\n{line}\n\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("token", ["inf", "nan"])
@@ -300,7 +364,7 @@ def test_all_exits_1_when_one_fails(command, runner, names, capsys):
     def fake(name, **kwargs):
         return SimpleNamespace(render=lambda: f"ran {name}", ok=name != names[1])
 
-    with mock.patch(f"infopay.cli.{runner}", fake):
+    with mock.patch(f"infopay.{command}s.{runner}", fake):
         assert main([command, "all"]) == 1
     out = capsys.readouterr().out
     assert all(f"ran {name}" in out for name in names)

@@ -128,6 +128,19 @@ def test_file_round_trip(tmp_path):
     assert load_instance(path) == showcase_scenario()
 
 
+def test_non_utf8_file_names_file_and_byte(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("[firm]\n0 1\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=r"latin1\.txt: not UTF-8 text at byte 16$"):
+        load_instance(str(path))
+
+
+def test_crlf_file_loads(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(serialize_instance(showcase_scenario()).replace("\n", "\r\n").encode())
+    assert load_instance(str(path)) == showcase_scenario()
+
+
 def test_float_mode_parses_floats():
     pop = loads_instance(
         "[skill_space]\n0 1\n"
