@@ -17,7 +17,6 @@ import sys
 
 from .errors import InfopayError, InputError
 from .numeric import parse_exact, parse_float
-from .sweep import DEFAULT_GRID_SPEC
 
 __all__ = ["CLAIM_IDS", "build_parser", "main"]
 
@@ -102,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the accuracy-sweep CSV for the two-population showcase",
     )
     _add_shared(sw, suppress=True)
-    sw.add_argument(
-        "--grid", default=DEFAULT_GRID_SPEC, metavar="a:b:step",
-        help=f"accuracy grid inside [1/2, 1] (default {DEFAULT_GRID_SPEC})",
+    sw.add_argument(  # the default is sweep.DEFAULT_GRID_SPEC, read in _cmd_sweep
+        "--grid", default=None, metavar="a:b:step",
+        help="accuracy grid inside [1/2, 1] (default 1/2:1:1/520)",
     )
     sw.add_argument(
         "--out", default=None, metavar="file.csv",
@@ -174,9 +173,10 @@ def _cmd_example(args, mode: str, tol) -> int:
 
 
 def _cmd_sweep(args, mode: str, tol) -> int:
-    from .sweep import run_figure1
+    from .sweep import DEFAULT_GRID_SPEC, run_figure1
 
-    csv = run_figure1(args.grid, mode=mode)
+    grid = DEFAULT_GRID_SPEC if args.grid is None else args.grid
+    csv = run_figure1(grid, mode=mode)
     if args.out is None:
         sys.stdout.write(csv)
     else:

@@ -4,6 +4,18 @@ Solves: find x >= 0 with A x = b, by minimizing the sum of artificial
 variables under Bland's rule.  Problems here are tiny (tens of
 variables), so no factorization or sparsity.
 
+Both loops pivot the condensed tableau (the dictionary form of Chvátal
+1983, ch. 8): only the n nonbasic columns and ``b`` are stored, since
+the m basic columns are unit columns that a pivot leaves as unit
+columns.  ``slots[k]`` names the variable in column slot k, and Bland's
+rule takes the lowest-indexed variable with a negative reduced cost
+over the slots.  A pivot exchanges the entering and leaving variables:
+the entering slot takes the leaving variable's column, whose entries
+are what the full tableau's update makes of its unit column.  Reduced
+costs, ratios and the tie rule are the full tableau's, so the pivots,
+witnesses and entry types are too.  Artificial i's reduced cost is its
+slot's entry while it is nonbasic and 0 while it is basic.
+
 With int or Fraction entries the solver pivots fraction-free
 (integer-preserving pivoting, Edmonds 1967; Bareiss 1968) on Python
 ints, and each pivot divides exactly by the previous pivot ``d``.  An
@@ -16,22 +28,25 @@ pivots and return other witnesses.  The artificial columns hold 1, not
 
 Each row keeps its own denominator ``row_d[i]``, the pivot at which it
 was last brought up to date.  A row whose entering entry is 0 is left
-as it is; a row the pivot reads (the pivot row, or a row with a nonzero
-factor) is first brought to the current ``d`` as ``v * d // row_d[i]``.
-That division is exact, because the skipped steps would each have
-multiplied the row by ``p_new / p_old`` and the product telescopes.  A
-positive factor per row changes no sign and no ratio, so the ratio
-test may read stale rows and Bland's rule picks the same pivots.  The
-reduced-cost row stays at ``d``.  Every comparison is exact and
-termination is guaranteed.  With float entries a plain tableau loop
-runs, and a small pivot epsilon guards against noise.
+as it is (its leaving entry is 0 too); a row the pivot reads (the pivot
+row, or a row with a nonzero factor) is first brought to the current
+``d`` as ``v * d // row_d[i]``.  That division is exact, because the
+skipped steps would each have multiplied the row by ``p_new / p_old``
+and the product telescopes.  A positive factor per row changes no sign
+and no ratio, so the ratio test may read stale rows and Bland's rule
+picks the same pivots.  The reduced-cost row stays at ``d``.  Every
+comparison is exact and termination is guaranteed.  With float entries
+the same loop runs on floats, and a small pivot epsilon guards against
+noise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
+from .errors import InputError
 from .numeric import LP_TOL, Number, all_exact, clear_denominators
 
 __all__ = ["feasible_point"]
@@ -49,86 +64,94 @@ def feasible_point(
     ``tol`` bounds the acceptable phase-1 objective in float mode
     (default ``LP_TOL``); with exact entries the objective must vanish
     exactly.  Exact input gives Fraction values for basic variables and
-    int ``0`` for the others.
+    int ``0`` for the others.  A ragged ``A``, or a ``b`` whose length
+    is not the row count, raises ``InputError``.
     """
+    n = len(a_rows[0]) if a_rows else 0
+    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
+        raise InputError("simplex needs equal-length rows and one b entry per row")
     rows = [*a_rows, b]
-    if not all(map(all_exact, rows)):
-        return _float_feasible_point(a_rows, b, LP_TOL if tol is None else tol)
-    if not all(type(v) is int for row in rows for v in row):
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        if not all(map(all_exact, rows)):
+            return _float_feasible_point(a_rows, b, LP_TOL if tol is None else tol)
         rows, _ = clear_denominators(rows)  # one positive scale: same pivots
     *a_ints, b_ints = rows
     return _exact_feasible_point(a_ints, b_ints)
 
 
+def _condensed(
+    a_rows: Sequence[Sequence[Number]], b: Sequence[Number]
+) -> tuple[list[list[Number]], list[Number]]:
+    """(A | b) on the structural slots, each row negated where b < 0 so
+    that the artificial basis starts feasible, and its reduced costs for
+    min sum(artificials): minus the sum of the rows."""
+    tableau = [
+        [-v for v in (*row, rhs)] if rhs < 0 else [*row, rhs]
+        for row, rhs in zip(a_rows, b)
+    ]
+    n = len(a_rows[0]) if a_rows else 0
+    red = [-sum(row[j] for row in tableau) for j in range(n + 1)]
+    return tableau, red
+
+
 def _exact_feasible_point(
     a_rows: Sequence[Sequence[int]], b: Sequence[int]
 ) -> list[Number] | None:
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    total = n + m  # structural + artificial columns
-
-    # (A | I | b), each row negated where b < 0 so that the artificial
-    # basis starts feasible
-    tableau: list[list[int]] = []
-    for i, row in enumerate(a_rows):
-        sign = -1 if b[i] < 0 else 1
-        ints = [sign * v for v in row]
-        ints += [1 if j == i else 0 for j in range(m)]
-        ints.append(sign * b[i])
-        tableau.append(ints)
-    basis = list(range(n, total))
-    # reduced costs for min sum(artificials); artificial basis => subtract
-    # each constraint row from the cost row
-    red = [0] * (total + 1)
-    for j in (*range(n), total):
-        red[j] = -sum(row[j] for row in tableau)
-
+    tableau, red = _condensed(a_rows, b)
+    m = len(tableau)
+    n = len(red) - 1
+    basis = list(range(n, n + m))
+    slots = list(range(n))
     # row i / row_d[i] is the textbook row times a positive factor (see
     # the module docstring); the cost row stays at d
     d = 1
     row_d = [1] * m
     while True:
-        enter = -1
-        for j in range(total):
-            if red[j] < 0:
-                enter = j
-                break
-        if enter < 0:
+        enter = n + m
+        for k, var in enumerate(slots):
+            if red[k] < 0 and var < enter:
+                enter, col = var, k
+        if enter == n + m:
             break
         # phase 1 is bounded below by 0, so an improving column always
         # has a positive entry and some row leaves
         leave = -1
-        for i in range(m):
-            coef = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            coef = row[col]
             if coef > 0:
                 if leave < 0:
                     leave = i
                     continue
                 # rhs_i / coef < rhs_leave / coef_leave; both coefs > 0
-                lhs = tableau[i][total] * tableau[leave][enter]
-                rhs = tableau[leave][total] * coef
+                lhs = row[n] * tableau[leave][col]
+                rhs = tableau[leave][n] * coef
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         pivot_row = _at(tableau, row_d, leave, d)
-        piv = pivot_row[enter]  # > 0, so d stays positive
-        for i in range(m):
-            if i == leave or not tableau[i][enter]:
+        piv = pivot_row[col]  # > 0, so d stays positive
+        for i, row in enumerate(tableau):
+            if i == leave or not row[col]:
                 continue
             row = _at(tableau, row_d, i, d)
-            factor = row[enter]  # exact division: the results are integral minors
-            tableau[i] = [(v * piv - factor * w) // d for v, w in zip(row, pivot_row)]
+            factor = row[col]  # exact division: the results are integral minors
+            row = [(v * piv - factor * w) // d for v, w in zip(row, pivot_row)]
+            row[col] = -factor  # the leaving column: (0 * piv - factor * d) // d
+            tableau[i] = row
             row_d[i] = piv
-        factor = red[enter]
+        factor = red[col]
         red = [(v * piv - factor * w) // d for v, w in zip(red, pivot_row)]
-        d = row_d[leave] = piv
+        red[col] = -factor
+        pivot_row[col] = d  # the leaving variable's unit entry, at d
+        slots[col] = basis[leave]
         basis[leave] = enter
+        d = row_d[leave] = piv
 
-    if red[total] < 0:  # the phase-1 objective is positive
+    if red[n] < 0:  # the phase-1 objective is positive
         return None
     x: list[Number] = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tableau[i][total], row_d[i])
+            x[var] = Fraction(tableau[i][n], row_d[i])
     return x
 
 
@@ -143,77 +166,53 @@ def _at(tableau: list[list[int]], row_d: list[int], i: int, d: int) -> list[int]
 def _float_feasible_point(
     a_rows: Sequence[Sequence[Number]], b: Sequence[Number], feas_tol: float
 ) -> list[Number] | None:
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-
-    # artificial basis needs b >= 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-v for v in a_rows[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(a_rows[i]))
-            rhs.append(b[i])
-
-    total = n + m  # structural + artificial columns
-    tableau = [
-        rows[i] + [1 if j == i else 0 for j in range(m)] + [rhs[i]]
-        for i in range(m)
-    ]
-    basis = [n + i for i in range(m)]
-    # reduced costs for min sum(artificials); artificial basis => subtract
-    # each constraint row from the cost row
-    red = [0] * (total + 1)
-    for j in range(n):
-        red[j] = -sum(tableau[i][j] for i in range(m))
-    red[total] = -sum(rhs)
-
+    tableau, red = _condensed(a_rows, b)
+    m = len(tableau)
+    n = len(red) - 1
+    basis = list(range(n, n + m))
+    slots = list(range(n))
     while True:
-        enter = -1
-        for j in range(total):
-            if red[j] < -_FLOAT_EPS:
-                enter = j
-                break
-        if enter < 0:
+        enter = n + m
+        for k, var in enumerate(slots):
+            if red[k] < -_FLOAT_EPS and var < enter:
+                enter, col = var, k
+        if enter == n + m:
             break
         leave = -1
         best_ratio = None
-        for i in range(m):
-            coef = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            coef = row[col]
             if coef > _FLOAT_EPS:
-                ratio = tableau[i][total] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ratio = row[n] / coef
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
                 ):
                     best_ratio = ratio
                     leave = i
         if leave < 0:
             return None  # numerically unbounded
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        pivot_row = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                factor = tableau[i][enter]
-                tableau[i] = [
-                    v - factor * w for v, w in zip(tableau[i], pivot_row)
-                ]
-        if red[enter] != 0:
-            factor = red[enter]
-            red = [v - factor * w for v, w in zip(red, pivot_row)]
+        piv = tableau[leave][col]
+        pivot_row = tableau[leave] = [v / piv for v in tableau[leave]]
+        # the leaving column, as the full tableau's update of its unit column
+        w_leave = pivot_row[col] = 1 / piv
+        for i, row in enumerate(tableau):
+            factor = row[col]
+            if i != leave and factor != 0:
+                row = [v - factor * w for v, w in zip(row, pivot_row)]
+                row[col] = 0 - factor * w_leave
+                tableau[i] = row
+        factor = red[col]
+        red = [v - factor * w for v, w in zip(red, pivot_row)]
+        red[col] = 0 - factor * w_leave
+        slots[col] = basis[leave]
         basis[leave] = enter
 
-    objective = -red[total]
-    if objective > feas_tol:
+    if -red[n] > feas_tol:  # the phase-1 objective
         return None
     x: list[Number] = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            value = tableau[i][total]
+            value = tableau[i][n]
             if -feas_tol < value < 0:
                 value = 0
             x[var] = value

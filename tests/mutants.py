@@ -29,6 +29,9 @@ Known equivalent mutants, which no test can kill:
 * ``simplex``, the ratio-test tie rule of both loops: ``basis[i] <
   basis[leave]`` flipped to ``<=``.  Two rows never hold the same basic
   variable, so the two sides are never equal.
+* ``simplex``, Bland's slot scan of both loops: ``var < enter`` flipped
+  to ``<=``.  The slots hold distinct variables and ``enter`` starts at
+  ``n + m``, which no slot holds, so the two sides are never equal.
 * ``garbling.within_eps_of_full``: ``eps > 0`` flipped to ``eps >= 0``
   after ``math.isinf(eps)``.  An infinite ``eps`` is never 0.
 * ``garbling.within_eps_of_full``: ``col[star] > 0`` flipped to ``>=``.

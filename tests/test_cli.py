@@ -16,6 +16,7 @@ from infopay.examples import EXAMPLE_NAMES
 from infopay.instancefile import save_instance
 from infopay.model import Dist, Firm, SignalStructure, SkillSpace, Task
 from infopay.suites import SUITE_NAMES
+from infopay.sweep import DEFAULT_GRID_SPEC
 
 
 def make_scenario(coarse_acc=Fraction(9, 13), fine_acc=Fraction(4, 5)):
@@ -279,7 +280,23 @@ def test_check_skips_examples_suites_and_generators(scenario_file):
         _loaded_modules("-m", "infopay", "check", scenario_file, "--claim", "theorem1")
     )
     assert "instancefile" in loaded
-    assert not loaded & {"examples", "suites", "generators"}
+    assert not loaded & {"examples", "suites", "generators", "sweep"}
+
+
+def test_sweep_help_names_the_default_grid(monkeypatch, capsys):
+    # the help text spells the default out, so building the parser needs
+    # no import of infopay.sweep
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-figure1", "-h"])
+    assert exc.value.code == 0
+    assert f"(default {DEFAULT_GRID_SPEC})\n" in capsys.readouterr().out
+
+
+def test_sweep_without_grid_uses_the_default():
+    with mock.patch("infopay.sweep.run_figure1", return_value="") as run:
+        assert main(["sweep-figure1"]) == 0
+    run.assert_called_once_with(DEFAULT_GRID_SPEC, mode="rational")
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ import math
 from fractions import Fraction as F
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infopay import garbling, simplex
+from infopay.errors import InputError
 from infopay.garbling import find_garbling
 from infopay.generators import random_garbling_pair, random_skill_space, trial_rng
 from infopay.simplex import feasible_point
@@ -196,8 +198,42 @@ def test_float_tolerance_boundaries():
     assert_same(feasible_point([[1.0, 1.0], [1.0, 0.0]], [1.0, 0.0]), [0.0, 1.0])
 
 
+def test_float_negated_row_keeps_its_signed_zero():
+    # b[0] < 0, so row 0 is negated to (-0.0, 1.0, -2.0 | 1.0).  x0 enters
+    # first, and row 0 is skipped at a factor of -0.0: it keeps that -0.0
+    # where the full tableau held the artificial's int 0.
+    x = feasible_point([[0.0, -1.0, 2.0], [1.0, 1.0, 0.0]], [-1.0, 3.0])
+    assert repr(x) == "[2.0, 1.0, 0]"
+
+
 def test_empty_system():
     assert feasible_point([], []) == []
+
+
+@pytest.mark.parametrize(
+    "a_rows, b",
+    [
+        ([[1, 1]], [1, 2]),  # a longer b: its extra entry was ignored
+        ([[1, 1], [1, 0]], [1]),  # a shorter b
+        ([[1, 1], [1]], [1, 1]),  # a ragged A
+        ([[1.0], [1.0, 0.0]], [1.0, 1.0]),
+        ([], [0]),
+    ],
+    ids=["long-b", "short-b", "ragged", "ragged-float", "no-rows"],
+)
+def test_shape_mismatch_raises_input_error(a_rows, b):
+    with pytest.raises(InputError, match="one b entry per row"):
+        feasible_point(a_rows, b)
+
+
+def test_int_program_is_classified_without_all_exact():
+    def refuse(values):
+        raise AssertionError("all_exact read an all-int program")
+
+    with mock.patch.object(simplex, "all_exact", refuse):
+        assert_same(feasible_point([[2, 1], [0, 1]], [4, 1]), [F(3, 2), F(1)])
+    # a Fraction still takes the exact path through all_exact
+    assert_same(feasible_point([[F(1, 2)]], [1]), [F(2)])
 
 
 fractions = st.builds(
