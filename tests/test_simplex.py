@@ -1,9 +1,11 @@
 """Phase-1 simplex: verdicts, witnesses and value types.
 
-The exact path pivots fraction-free on Python ints.  The Fraction
-tableau loop it replaced is kept here as the oracle: both follow Bland's
-rule on the same tableau up to positive row factors, so they must return
-the same witness, element by element and type by type.
+The exact path pivots fraction-free on Python ints, on the condensed
+tableau (nonbasic columns only).  The full Fraction tableau loop it
+replaced is kept here as the oracle: both follow Bland's rule, and the
+condensed rows are the full rows' nonbasic entries up to positive row
+factors, so they must return the same witness, element by element and
+type by type.
 """
 
 import math
