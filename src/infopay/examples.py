@@ -20,7 +20,6 @@ from .generators import (
     random_firm,
     random_garbling_pair,
     random_skill_space,
-    trial_rng,
 )
 from .model import (
     Dist,
@@ -33,7 +32,7 @@ from .model import (
 )
 from .numeric import claim_slacks, format_number, require_count
 from .orders import lr_geq
-from .suites import _adj, _Book
+from .suites import _run_trials
 
 __all__ = ["ExampleCheck", "ExampleReport", "EXAMPLE_NAMES", "run_example"]
 
@@ -328,34 +327,36 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
 # -- accurate perceptions: information is worth a nonnegative amount -------------
 
 
+def _draw_forward(rng, trial):
+    space = random_skill_space(rng)
+    firm = random_firm(rng, space.size)
+    p = random_dist(rng, space)
+    fine, coarse, kernel = random_garbling_pair(rng, space)
+    return firm, p, fine, coarse, kernel
+
+
+def _judge_forward(inst, trial, slacks, tol, book) -> None:
+    eq, sign, _ = slacks
+    firm, p, fine, coarse, kernel = inst
+    report = check_signs(firm, p, p, coarse, fine, kernel, tol=tol)
+    res = report.result
+    book.check("more-information-never-hurts", res.total >= -sign, trial)
+    book.check(
+        "correction-zero-when-perception-accurate", report.correction_sign_holds, trial
+    )
+    book.check(
+        "gain-entirely-instrumental", abs(res.total - res.instrumental) <= eq, trial
+    )
+
+
 def _blackwell_forward(mode, tol, trials, seed) -> ExampleReport:
     """Random garbling-ordered pairs with accurate perceptions: the
     correction vanishes and the whole nonnegative gain is instrumental."""
     require_count(trials, "trials", 1)
-    eq, sign, _ = claim_slacks(mode == "rational", tol)
-    book = _Book()
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        space = random_skill_space(rng)
-        firm = random_firm(rng, space.size)
-        p = random_dist(rng, space)
-        fine, coarse, kernel = random_garbling_pair(rng, space)
-        firm, p = _adj(mode, firm), _adj(mode, p)
-        fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
-        report = check_signs(firm, p, p, coarse, fine, kernel, tol=tol)
-        res = report.result
-        book.check("more-information-never-hurts", res.total >= -sign, trial)
-        book.check(
-            "correction-zero-when-perception-accurate",
-            report.correction_sign_holds, trial,
-        )
-        book.check(
-            "gain-entirely-instrumental", abs(res.total - res.instrumental) <= eq, trial
-        )
     checks = tuple(
         ExampleCheck(c.name, True, f"{trials}/{trials} trials") if c.failures == 0
         else ExampleCheck(c.name, False, f"first failure at {c.first_failure}")
-        for c in book.claims.values()
+        for c in _run_trials(_draw_forward, _judge_forward, trials, seed, mode, tol)
     )
     return ExampleReport(
         example="blackwell-forward",

@@ -327,8 +327,8 @@ def within_eps_of_full(
     eps_exact = exact_entries((eps,), "eps")
     if isinstance(eps, float) and math.isinf(eps) and eps > 0:
         return True
-    if eps < 0:
-        raise InputError("eps must be nonnegative")
+    if not eps >= 0:  # nan as well as negative
+        raise InputError(f"eps must be a nonnegative number, got {eps!r}")
     # exact input compares int likelihoods: every test below is
     # invariant under scaling a column
     exact = eps_exact and sig.int_form is not None

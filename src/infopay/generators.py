@@ -202,7 +202,6 @@ def random_signal_structure(
     rng: PCG64Stream,
     space: SkillSpace,
     max_signals: int = 6,
-    valued: bool = False,
 ) -> SignalStructure:
     """Row-stochastic structure; zero entries allowed, dead columns not."""
     n_s = _int(rng, 2, max_signals)
@@ -214,10 +213,9 @@ def random_signal_structure(
     for j in range(n_s):
         if not any(row[j] for row in weights):
             weights[_int(rng, 0, n_t - 1)][j] = _int(rng, 1, 4)
-    values = tuple(range(n_s)) if valued else None
     labels = tuple(f"s{k}" for k in range(n_s))
     form = join_rows([(row, sum(row)) for row in weights])
-    return SignalStructure._from_ints(space, labels, form, values)
+    return SignalStructure._from_ints(space, labels, form)
 
 
 def random_mlr_structure(

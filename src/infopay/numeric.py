@@ -198,8 +198,13 @@ def claim_slacks(
 
     Zero slack for exact values.  For floats a user ``tol`` sets all
     three (the floor is ``-tol``); without one they are ``SIGN_TOL``,
-    ``SIGN_TOL`` and ``INSTRUMENTAL_FLOOR``.
+    ``SIGN_TOL`` and ``INSTRUMENTAL_FLOOR``.  A ``tol`` that is not a
+    finite number of at least 0 raises ``InputError`` in either mode.
     """
+    if tol is not None and not (
+        isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0
+    ):
+        raise InputError(f"tolerance must be a finite nonnegative number, got {tol!r}")
     if exact:
         return 0, 0, 0
     if tol is None:

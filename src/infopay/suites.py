@@ -1,12 +1,13 @@
 """Randomized property suites over generated instances.
 
 Each suite checks a family of claims on ``trials`` independent random
-instances.  Instances are generated exactly (rationals); in float mode
-they are converted before checking and signed comparisons get the
-documented slacks.  Trial streams are seeded with ``(seed, trial)``, so
-results are reproducible and independent of execution order; trials are
-checked sequentially and counterexamples report the first failing
-trial.
+instances.  Its draw, ``_draw_<suite>(rng, trial)``, returns the trial's
+exact instance; its judge books the claims on the instance it is given,
+whatever the mode.  One trial loop seeds each trial's stream with ``(seed,
+trial)``, so results are reproducible and independent of execution order,
+takes the instance's float twin once per trial in float mode, and hands
+the judge the mode's ``claim_slacks``.  Counterexamples report the first
+failing trial with the instance the claim was judged on.
 """
 
 from __future__ import annotations
@@ -141,107 +142,115 @@ class _Book:
         return bool(ok)
 
 
-def _adj(mode: str, obj):
-    return obj if mode == "rational" else obj.to_float()
+def _twin(inst):
+    """A drawn instance's float twin: ``to_float`` of each model object,
+    tuples entry by entry, anything else (exact numbers, text) unchanged."""
+    if isinstance(inst, tuple):
+        return tuple(map(_twin, inst))
+    return inst.to_float() if hasattr(inst, "to_float") else inst
 
 
-# -- suite bodies ---------------------------------------------------------------
+def _run_trials(draw, judge, trials, seed, mode, tol) -> tuple[ClaimStats, ...]:
+    """Judge ``trials`` drawn instances, each on its own stream; float mode
+    judges each instance's twin."""
+    slacks = claim_slacks(mode == "rational", tol)
+    book = _Book()
+    for trial in range(trials):
+        inst = draw(trial_rng(seed, trial), trial)
+        judge(inst if mode == "rational" else _twin(inst), trial, slacks, tol, book)
+    return tuple(book.claims.values())
 
 
-def _suite_theorem1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, _, _ = claim_slacks(mode == "rational", tol)
+# -- draws and judges -----------------------------------------------------------
 
-    # hypothesis-free claims on a fully arbitrary instance
+
+def _draw_theorem1(rng, trial):
+    # a fully arbitrary instance for the hypothesis-free claims
     space = random_skill_space(rng)
-    firm = _adj(mode, random_firm(rng, space.size))
-    p = _adj(mode, random_dist(rng, space))
-    q = _adj(mode, random_dist(rng, space))
+    firm = random_firm(rng, space.size)
+    p = random_dist(rng, space)
+    q = random_dist(rng, space)
     fine, coarse, kernel = random_garbling_pair(rng, space)
-    fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
-    carrier = GapScenario(firm=firm, p=p, q_i=q, q_j=q, coarse=coarse, fine=fine)
+    free = GapScenario(firm, p, q, q, coarse, fine)
 
-    report = check_signs(firm, p, q, coarse, fine, kernel, tol=tol)
+    # a within-hypothesis instance for the signed claims; check_signs
+    # classes the perception (random_lr_pair may draw p = q: accurate)
+    space = random_skill_space(rng)
+    firm = random_firm(rng, space.size, monotone=True)
+    fine, coarse, kernel_w = random_garbling_pair(rng, space, mlr=True)
+    rotation = trial % 3
+    if rotation == 0:
+        p, q = random_lr_pair(rng, space)
+    elif rotation == 1:
+        q, p = random_lr_pair(rng, space)
+    else:
+        p = q = random_dist(rng, space)
+    within = GapScenario(firm, p, q, q, coarse, fine)
+    return free, kernel, within, kernel_w
+
+
+def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
+    eq = slacks[0]
+    s, kernel, w, kernel_w = inst
+
+    report = check_signs(s.firm, s.p, s.q_i, s.coarse, s.fine, kernel, tol=tol)
     res = report.result
     book.check(
-        "decomposition-identity", report.identity_ok, trial, carrier,
+        "decomposition-identity", report.identity_ok, trial, s,
         f"identity gap {format_number(res.identity_gap)}",
     )
     report_hi = check_signs(
-        firm, p, q, coarse, fine, kernel, tie_break="highest", tol=tol
+        s.firm, s.p, s.q_i, s.coarse, s.fine, kernel, tie_break="highest", tol=tol
     )
     book.check(
-        "identity-other-tiebreak", report_hi.identity_ok, trial, carrier,
+        "identity-other-tiebreak", report_hi.identity_ok, trial, s,
         f"identity gap {format_number(report_hi.result.identity_gap)}",
     )
-    direct = average_pay(firm, Population(p, q, fine)) - average_pay(
-        firm, Population(p, q, coarse)
+    direct = average_pay(s.firm, Population(s.p, s.q_i, s.fine)) - average_pay(
+        s.firm, Population(s.p, s.q_i, s.coarse)
     )
     book.check(
-        "total-matches-pay-difference", abs(res.total - direct) <= eq, trial,
-        carrier, f"total {format_number(res.total)} vs {format_number(direct)}",
+        "total-matches-pay-difference", abs(res.total - direct) <= eq, trial, s,
+        f"total {format_number(res.total)} vs {format_number(direct)}",
     )
     book.check(
-        "instrumental-nonneg", report.instrumental_ok, trial, carrier,
+        "instrumental-nonneg", report.instrumental_ok, trial, s,
         f"instrumental {format_number(res.instrumental)}",
     )
     other = res.instrumental_signalwise
     book.check(
-        "instrumental-forms-agree", abs(res.instrumental - other) <= eq, trial,
-        carrier, f"{format_number(res.instrumental)} vs {format_number(other)}",
+        "instrumental-forms-agree", abs(res.instrumental - other) <= eq, trial, s,
+        f"{format_number(res.instrumental)} vs {format_number(other)}",
     )
 
-    # signed claims on a within-hypothesis instance; check_signs classes
-    # the perception (random_lr_pair may draw p = q: accurate)
-    space_w = random_skill_space(rng)
-    firm_w = random_firm(rng, space_w.size, monotone=True)
-    fine_w, coarse_w, kernel_w = random_garbling_pair(rng, space_w, mlr=True)
     rotation = trial % 3
-    if rotation == 0:
-        p_w, q_w = random_lr_pair(rng, space_w)
-    elif rotation == 1:
-        q_w, p_w = random_lr_pair(rng, space_w)
-    else:
-        p_w = random_dist(rng, space_w)
-        q_w = p_w
-    firm_w, p_w, q_w = _adj(mode, firm_w), _adj(mode, p_w), _adj(mode, q_w)
-    fine_w, coarse_w, kernel_w = (
-        _adj(mode, fine_w), _adj(mode, coarse_w), _adj(mode, kernel_w)
-    )
-    carrier_w = GapScenario(
-        firm=firm_w, p=p_w, q_i=q_w, q_j=q_w, coarse=coarse_w, fine=fine_w
-    )
-    report_w = check_signs(firm_w, p_w, q_w, coarse_w, fine_w, kernel_w, tol=tol)
+    report_w = check_signs(w.firm, w.p, w.q_i, w.coarse, w.fine, kernel_w, tol=tol)
     res_w = report_w.result
     book.check(
-        "correction-sign-within-hypotheses", report_w.correction_sign_ok,
-        trial, carrier_w,
+        "correction-sign-within-hypotheses", report_w.correction_sign_ok, trial, w,
         f"rotation {('under', 'over', 'accurate')[rotation]}, "
         f"correction {format_number(res_w.perception_correcting)}",
     )
-
     book.check(
         "conditional-task-value-monotone",
-        _kept_task_values_monotone(firm_w, q_w, fine_w, res_w.assignment_coarse, eq),
-        trial, carrier_w,
+        _kept_task_values_monotone(w, res_w.assignment_coarse, eq), trial, w,
     )
     if rotation == 0:
         book.check(
-            "conditional-frequency-fosd",
-            _conditional_fosd(firm_w, p_w, q_w, fine_w, kernel_w, eq),
-            trial, carrier_w,
+            "conditional-frequency-fosd", _conditional_fosd(w, kernel_w, eq), trial, w
         )
 
     if trial % 50 == 0:  # LP witness instead of the constructed kernel
-        lp = check_signs(firm_w, p_w, q_w, coarse_w, fine_w, kernel=None, tol=tol)
+        lp = check_signs(w.firm, w.p, w.q_i, w.coarse, w.fine, kernel=None, tol=tol)
         lp_ok = lp.identity_ok and lp.instrumental_ok and lp.correction_sign_ok
-        book.check("lp-witness-kernel-agrees", lp_ok, trial, carrier_w)
+        book.check("lp-witness-kernel-agrees", lp_ok, trial, w)
 
 
-def _kept_task_values_monotone(firm, q, fine, assignment_coarse, eq) -> bool:
+def _kept_task_values_monotone(s: GapScenario, assignment_coarse, eq) -> bool:
     """Perceived fine-posterior value of each kept coarse task must be
     nondecreasing along the fine signal order (fine is MLR, firm
     monotone).  Exact values carry the table's positive surplus scale."""
-    table = pay_table(firm, q, q, fine)
+    table = pay_table(s.firm, s.q_i, s.q_i, s.fine)
     for idx in set(assignment_coarse):
         surplus = table.surplus[idx]
         prev = None
@@ -254,10 +263,10 @@ def _kept_task_values_monotone(firm, q, fine, assignment_coarse, eq) -> bool:
     return True
 
 
-def _conditional_fosd(firm, p, q, fine, kernel, eq) -> bool:
+def _conditional_fosd(s: GapScenario, kernel, eq) -> bool:
     """Given each coarse signal, the true fine-signal law must FOSD the
     perceived one when the truth is LR-above the perception."""
-    rows = pay_table(firm, p, q, fine).rows
+    rows = pay_table(s.firm, s.p, s.q_i, s.fine).rows
     for g_row in kernel.matrix:
         a = [g * r.m_p for g, r in zip(g_row, rows)]
         b = [g * r.m_q for g, r in zip(g_row, rows)]
@@ -275,93 +284,86 @@ def _conditional_fosd(firm, p, q, fine, kernel, eq) -> bool:
     return True
 
 
-def _suite_lemma1(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = claim_slacks(mode == "rational", tol)
-
+def _draw_lemma1(rng, trial):
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     p = random_dist(rng, space)
     hi, lo = random_lr_pair(rng, space)
-    sig = random_signal_structure(rng, space)
-    firm, p, hi, lo, sig = (
-        _adj(mode, firm), _adj(mode, p), _adj(mode, hi), _adj(mode, lo),
-        _adj(mode, sig),
-    )
-    w_hi = average_pay(firm, Population(p, hi, sig))
-    w_lo = average_pay(firm, Population(p, lo, sig))
+    favored = Population(p, hi, random_signal_structure(rng, space))
+
+    q_bad, q_ref = random_non_lr_pair(rng, space)
+    sep = separating_signal_structure(space, *lr_violation(q_bad, q_ref))
+    bad = Population(random_dist(rng, space), q_bad, sep)
+    firms = tuple(random_firm(rng, space.size, monotone=True) for _ in range(10))
+    return firm, favored, lo, bad, q_ref, firms
+
+
+def _judge_lemma1(inst, trial, slacks, tol, book: _Book) -> None:
+    sign = slacks[1]
+    firm, favored, lo, bad, q_ref, firms = inst
+
+    w_hi = average_pay(firm, favored)
+    w_lo = average_pay(firm, Population(favored.p, lo, favored.sig))
     book.check(
-        "lr-favorable-earns-at-least", w_hi >= w_lo - sign, trial,
-        Population(p, hi, sig),
+        "lr-favorable-earns-at-least", w_hi >= w_lo - sign, trial, favored,
         f"lo {' '.join(format_number(v) for v in lo.probs)}, "
         f"pay {format_number(w_hi)} vs {format_number(w_lo)}",
     )
 
-    q_bad, q_ref = random_non_lr_pair(rng, space)
-    i, j = lr_violation(q_bad, q_ref)
-    sep = separating_signal_structure(space, i, j)
-    p2 = random_dist(rng, space)
-    q_bad, q_ref, sep, p2 = (
-        _adj(mode, q_bad), _adj(mode, q_ref), _adj(mode, sep), _adj(mode, p2)
-    )
-    strict = True
-    for _ in range(10):
-        firm2 = _adj(mode, random_firm(rng, space.size, monotone=True))
-        w_bad = average_pay(firm2, Population(p2, q_bad, sep))
-        w_ref = average_pay(firm2, Population(p2, q_ref, sep))
-        if not w_bad < w_ref:
-            strict = False
-            break
+    ref = Population(bad.p, q_ref, bad.sig)
+    strict = all(average_pay(f, bad) < average_pay(f, ref) for f in firms)
     book.check(
-        "separating-structure-strictly-separates", strict, trial,
-        Population(p2, q_bad, sep),
+        "separating-structure-strictly-separates", strict, trial, bad,
         f"reference {' '.join(format_number(v) for v in q_ref.probs)}",
     )
 
 
-def _suite_corollary1(rng, trial, mode, tol, book: _Book) -> None:
-    _, sign, _ = claim_slacks(mode == "rational", tol)
+def _draw_corollary1(rng, trial):
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
     p, q = random_lr_pair(rng, space)  # truth LR-above perception
-    firm, p, q = _adj(mode, firm), _adj(mode, p), _adj(mode, q)
-    fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
-    carrier = GapScenario(firm=firm, p=p, q_i=q, q_j=q, coarse=coarse, fine=fine)
-    report = check_signs(firm, p, q, coarse, fine, kernel, tol=tol)
+    return GapScenario(firm, p, q, q, coarse, fine), kernel
+
+
+def _judge_corollary1(inst, trial, slacks, tol, book: _Book) -> None:
+    sign = slacks[1]
+    s, kernel = inst
+    report = check_signs(s.firm, s.p, s.q_i, s.coarse, s.fine, kernel, tol=tol)
     res = report.result
     book.check(
         "information-gain-nonneg-when-under-perceived",
-        res.total >= -sign, trial, carrier, f"total {format_number(res.total)}",
+        res.total >= -sign, trial, s, f"total {format_number(res.total)}",
     )
     book.check(
         "correction-nonneg-when-under-perceived",
-        report.correction_sign_ok, trial, carrier,
+        report.correction_sign_ok, trial, s,
         f"correction {format_number(res.perception_correcting)}",
     )
 
 
-def _suite_corollary2(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = claim_slacks(mode == "rational", tol)
+def _draw_corollary2(rng, trial):
     space = random_skill_space(rng)
     firm = random_firm(rng, space.size, monotone=True)
     q_j = random_dist(rng, space)
     p = random_lr_above(rng, q_j)
     q_i = random_lr_above(rng, q_j)
     fine, coarse, kernel = random_garbling_pair(rng, space, mlr=True)
-    firm, p, q_i, q_j = (
-        _adj(mode, firm), _adj(mode, p), _adj(mode, q_i), _adj(mode, q_j)
-    )
-    fine, coarse, kernel = _adj(mode, fine), _adj(mode, coarse), _adj(mode, kernel)
-    carrier = GapScenario(firm=firm, p=p, q_i=q_i, q_j=q_j, coarse=coarse, fine=fine)
+    return GapScenario(firm, p, q_i, q_j, coarse, fine), kernel
+
+
+def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
+    eq, sign, _ = slacks
+    s, kernel = inst
     report = check_gap_ranking(
-        firm, p, q_i, q_j, sig_i=fine, sig_j=coarse, kernel=kernel, tol=tol
+        s.firm, s.p, s.q_i, s.q_j, sig_i=s.fine, sig_j=s.coarse, kernel=kernel, tol=tol
     )
     book.check(
-        "hypotheses-constructed", report.all_hypotheses_hold, trial, carrier,
+        "hypotheses-constructed", report.all_hypotheses_hold, trial, s,
         f"hypotheses {report.hypotheses}",
     )
     book.check(
-        "favored-earns-at-least", report.conclusion_holds, trial, carrier,
+        "favored-earns-at-least", report.conclusion_holds, trial, s,
         f"pay {format_number(report.w_i)} vs {format_number(report.w_j)}",
     )
     terms_ok = (
@@ -370,7 +372,7 @@ def _suite_corollary2(rng, trial, mode, tol, book: _Book) -> None:
         and report.signs.instrumental_ok
     )
     book.check(
-        "three-terms-nonneg", terms_ok, trial, carrier,
+        "three-terms-nonneg", terms_ok, trial, s,
         f"favorableness {format_number(report.favorableness)}, "
         f"correction {format_number(report.correction)}, "
         f"instrumental {format_number(report.instrumental)}",
@@ -379,14 +381,17 @@ def _suite_corollary2(rng, trial, mode, tol, book: _Book) -> None:
         report.favorableness + report.correction + report.instrumental
     )
     book.check(
-        "terms-sum-to-gap", abs(resid) <= eq, trial, carrier,
+        "terms-sum-to-gap", abs(resid) <= eq, trial, s,
         f"residual {format_number(resid)}",
     )
 
 
-def _suite_prop1(rng, trial, mode, tol, book: _Book) -> None:
-    scenario, kernel = random_narrowing_scenario(rng)
-    scenario, kernel = _adj(mode, scenario), _adj(mode, kernel)
+def _draw_prop1(rng, trial):
+    return random_narrowing_scenario(rng)
+
+
+def _judge_prop1(inst, trial, slacks, tol, book: _Book) -> None:
+    scenario, kernel = inst
     report = check_narrowing(scenario, kernel=kernel, tol=tol)
     book.check(
         "hypotheses-constructed",
@@ -399,204 +404,178 @@ def _suite_prop1(rng, trial, mode, tol, book: _Book) -> None:
     )
 
 
-def _suite_prop2(rng, trial, mode, tol, book: _Book) -> None:
-    eq, _, _ = claim_slacks(mode == "rational", tol)
-    records = narrowing_counterexamples()
+def _draw_prop2(rng, trial):
+    return tuple((r.name, r.violated, r.scenario) for r in narrowing_counterexamples())
+
+
+def _judge_prop2(inst, trial, slacks, tol, book: _Book) -> None:
+    eq = slacks[0]
     expected_changes = {
         "monotone_firm": Fraction(1, 2),
         "favored_over_perceived": Fraction(17, 1920),
         "other_under_perceived": Fraction(17, 1920),
         "slight_gain": Fraction(517, 5642),
     }
-    for rec in records:
-        scenario = _adj(mode, rec.scenario)
+    for name, violated, scenario in inst:
         report = check_narrowing(scenario, tol=tol)
         failed = [k for k, v in report.hypotheses.items() if not v]
         book.check(
-            "designated-hypothesis-fails-alone", failed == [rec.violated],
-            trial, scenario, f"{rec.name}: failed {failed}",
+            "designated-hypothesis-fails-alone", failed == [violated],
+            trial, scenario, f"{name}: failed {failed}",
         )
-        book.check(
-            "baseline-order-holds", report.baseline_lr, trial, scenario, rec.name
-        )
+        book.check("baseline-order-holds", report.baseline_lr, trial, scenario, name)
         book.check(
             "gap-widens", (not report.star_holds) and report.gap_change > eq,
-            trial, scenario,
-            f"{rec.name}: change {format_number(report.gap_change)}",
+            trial, scenario, f"{name}: change {format_number(report.gap_change)}",
         )
-        if rec.violated in expected_changes:
-            want = expected_changes[rec.violated]
+        if violated in expected_changes:
+            want = expected_changes[violated]
             got = report.gap_change
             book.check(
-                "frozen-gap-change-values", abs(got - want) <= eq, trial,
-                scenario,
-                f"{rec.name}: {format_number(got)} vs {format_number(want)}",
+                "frozen-gap-change-values", abs(got - want) <= eq, trial, scenario,
+                f"{name}: {format_number(got)} vs {format_number(want)}",
             )
 
 
-def _suite_prop3(rng, trial, mode, tol, book: _Book) -> None:
-    eq, sign, _ = claim_slacks(mode == "rational", tol)
-
+def _draw_prop3(rng, trial):
+    # the eps bounds stay exact: a float structure compared against an
+    # exact eps gets the verdicts float(eps) would give
     space = random_skill_space(rng, max_types=4)
     q = random_dist(rng, space)
     delta = Fraction(_int(rng, 1, 9), 10)
     bound = extremeness_eps_bound(q, delta)
     eps = bound * Fraction(_int(rng, 1, 9), 9)
-    sig = extreme_structure(space, eps)
-    q_m, sig_m = _adj(mode, q), _adj(mode, sig)
-    extreme_ok = within_eps_of_full(sig_m, float(bound) if mode == "float" else bound)
-    for label in sig_m.signals:
-        post = posterior(q_m, sig_m, label)
-        if max(post.probs) < 1 - delta - sign:
-            extreme_ok = False
+    extreme = Population(q, q, extreme_structure(space, eps))
+
+    space = random_skill_space(rng)
+    firm = random_firm(rng, space.size)
+    p, q_i, q_j = (random_dist(rng, space) for _ in range(3))
+    full = fully_informative_structure(space)
+    fully = GapScenario(firm, p, q_i, q_j, full, full)
+
+    space = random_skill_space(rng, max_types=4)
+    firm = random_firm(rng, space.size, max_tasks=3, monotone=True)
+    q_i, q_j = random_lr_pair(rng, space)
+    p = random_dist(rng, space)
+    for _ in range(20):
+        coarse = random_signal_structure(rng, space, max_signals=4)
+        eta = pay_gap(firm, p, q_i, q_j, coarse)
+        if eta > 0:
             break
+    near = eps_c = None
+    if eta > 0:
+        m_max = max(abs(v) for task in firm.tasks for v in task.surplus)
+        delta_c = eta / (8 * (m_max + 1))
+        eps_c = min(extremeness_eps_bound(d, delta_c) for d in (q_i, q_j))
+        near = GapScenario(firm, p, q_i, q_j, coarse, extreme_structure(space, eps_c))
+    return extreme, delta, eps, bound, fully, near, eta, eps_c
+
+
+def _judge_prop3(inst, trial, slacks, tol, book: _Book) -> None:
+    eq, sign, _ = slacks
+    extreme, delta, eps, bound, fully, near, eta, eps_c = inst
+
+    q, sig = extreme.q, extreme.sig
+    extreme_ok = within_eps_of_full(sig, bound) and all(
+        max(posterior(q, sig, label).probs) >= 1 - delta - sign
+        for label in sig.signals
+    )
     book.check(
-        "extremeness-bound-forces-extreme-posteriors", extreme_ok, trial,
-        Population(q_m, q_m, sig_m),
+        "extremeness-bound-forces-extreme-posteriors", extreme_ok, trial, extreme,
         f"delta {format_number(delta)}, eps {format_number(eps)}",
     )
 
-    space_b = random_skill_space(rng)
-    firm_b = _adj(mode, random_firm(rng, space_b.size))
-    p_b = _adj(mode, random_dist(rng, space_b))
-    qi_b = _adj(mode, random_dist(rng, space_b))
-    qj_b = _adj(mode, random_dist(rng, space_b))
-    full = _adj(mode, fully_informative_structure(space_b))
-    gap = pay_gap(firm_b, p_b, qi_b, qj_b, full)
+    gap = pay_gap(fully.firm, fully.p, fully.q_i, fully.q_j, fully.fine)
     book.check(
-        "fully-informative-gap-zero", abs(gap) <= eq, trial,
-        GapScenario(firm=firm_b, p=p_b, q_i=qi_b, q_j=qj_b, coarse=full, fine=full),
+        "fully-informative-gap-zero", abs(gap) <= eq, trial, fully,
         f"gap {format_number(gap)}",
     )
 
-    space_c = random_skill_space(rng, max_types=4)
-    firm_c = random_firm(rng, space_c.size, max_tasks=3, monotone=True)
-    q_i, q_j = random_lr_pair(rng, space_c)
-    p_c = random_dist(rng, space_c)
-    eta = None
-    for _ in range(20):
-        coarse_c = random_signal_structure(rng, space_c, max_signals=4)
-        eta = pay_gap(firm_c, p_c, q_i, q_j, coarse_c)
-        if eta > 0:
-            break
-    if eta is not None and eta > 0:
-        m_max = max(abs(v) for task in firm_c.tasks for v in task.surplus)
-        delta_c = eta / (8 * (m_max + 1))
-        eps_c = min(
-            extremeness_eps_bound(q_i, delta_c),
-            extremeness_eps_bound(q_j, delta_c),
-        )
-        fine_c = extreme_structure(space_c, eps_c)
-        scenario = GapScenario(
-            firm=firm_c, p=p_c, q_i=q_i, q_j=q_j, coarse=coarse_c, fine=fine_c
-        )
-        scenario = _adj(mode, scenario)
-        report = check_nearly_full(
-            scenario, float(eps_c) if mode == "float" else eps_c, tol=tol
-        )
+    if near is not None:
+        report = check_nearly_full(near, eps_c, tol=tol)
         book.check(
             "near-full-narrows-positive-gap",
             report.within_eps and report.ok
             and report.gap_fine <= report.gap_coarse + sign,
-            trial, scenario,
+            trial, near,
             f"eta {format_number(eta)}, fine gap {format_number(report.gap_fine)}",
         )
 
 
-def _suite_orders(rng, trial, mode, tol, book: _Book) -> None:
+def _draw_orders(rng, trial):
+    # the fosd detail quotes the exact pair in either mode
     space = random_skill_space(rng)
     hi, lo = random_lr_pair(rng, space)
-    hi_m, lo_m = _adj(mode, hi), _adj(mode, lo)
-    book.check(
-        "lr-implies-fosd", fosd_geq(hi_m, lo_m, tol=tol), trial, None,
+    detail = (
         f"hi {' '.join(format_number(v) for v in hi.probs)}, "
-        f"lo {' '.join(format_number(v) for v in lo.probs)}",
+        f"lo {' '.join(format_number(v) for v in lo.probs)}"
     )
+    pair = Population(hi, lo, random_signal_structure(rng, space))
+    return pair, random_mlr_structure(rng, space), hi.probs == lo.probs, detail
 
-    sig = _adj(mode, random_signal_structure(rng, space))
+
+def _judge_orders(inst, trial, slacks, tol, book: _Book) -> None:
+    pair, mlr_sig, same, detail = inst
+    hi, lo, sig = pair.p, pair.q, pair.sig
+    book.check("lr-implies-fosd", fosd_geq(hi, lo, tol=tol), trial, None, detail)
+
     posterior_ok = all(
-        lr_geq(posterior(hi_m, sig, s), posterior(lo_m, sig, s), tol=tol)
+        lr_geq(posterior(hi, sig, s), posterior(lo, sig, s), tol=tol)
         for s in sig.signals
     )
-    book.check(
-        "posterior-preserves-lr", posterior_ok, trial, Population(hi_m, lo_m, sig)
-    )
+    book.check("posterior-preserves-lr", posterior_ok, trial, pair)
 
-    mlr_sig = _adj(mode, random_mlr_structure(rng, space))
     book.check("mlr-construction-valid", is_mlr(mlr_sig, tol=tol), trial, None)
 
-    same = hi.probs == lo.probs
-    cls = perception_class(hi_m, lo_m, tol=tol)
-    expected = PerceptionClass.ACCURATE if same else PerceptionClass.UNDER_PERCEIVED
-    mirror = perception_class(lo_m, hi_m, tol=tol)
-    expected_mirror = (
-        PerceptionClass.ACCURATE if same else PerceptionClass.OVER_PERCEIVED
+    cls = perception_class(hi, lo, tol=tol)
+    mirror = perception_class(lo, hi, tol=tol)
+    expected = (PerceptionClass.ACCURATE,) * 2 if same else (
+        PerceptionClass.UNDER_PERCEIVED, PerceptionClass.OVER_PERCEIVED
     )
     book.check(
-        "perception-class-consistent",
-        cls is expected and mirror is expected_mirror,
-        trial, None, f"got {cls.value} / {mirror.value}",
+        "perception-class-consistent", (cls, mirror) == expected, trial, None,
+        f"got {cls.value} / {mirror.value}",
     )
 
 
-def _suite_garbling(rng, trial, mode, tol, book: _Book) -> None:
+def _draw_garbling(rng, trial):
     space = random_skill_space(rng, max_types=4)
-    sig = _adj(mode, random_signal_structure(rng, space, max_signals=4))
-
-    found = find_garbling(sig, sig, tol=tol)
-    book.check(
-        "identity-target-feasible",
-        found is not None and kernel_reproduces(found, sig, sig, tol=tol),
-        trial, None,
-    )
-
-    flat = _adj(mode, uninformative_structure(space))
-    found = find_garbling(sig, flat, tol=tol)
-    book.check(
-        "uninformative-target-feasible",
-        found is not None and kernel_reproduces(found, sig, flat, tol=tol),
-        trial, None,
-    )
-
-    full = _adj(mode, fully_informative_structure(space))
-    found = find_garbling(full, sig, tol=tol)
-    book.check(
-        "full-information-source-feasible",
-        found is not None and kernel_reproduces(found, full, sig, tol=tol),
-        trial, None,
-    )
-
-    fine, coarse, kernel = random_garbling_pair(rng, space, max_fine=4, max_coarse=3)
-    fine, coarse = _adj(mode, fine), _adj(mode, coarse)
-    found = find_garbling(fine, coarse, tol=tol)
-    book.check(
-        "derived-garbling-recovered",
-        found is not None and kernel_reproduces(found, fine, coarse, tol=tol),
-        trial, None,
-    )
-
-    inner = _adj(mode, random_kernel(rng, fine.signals, 3))
-    mid = garble(fine, inner)
-    outer = _adj(mode, random_kernel(rng, mid.signals, 2))
-    far = garble(mid, outer)
-    composed = compose_kernels(outer, inner)
-    book.check(
-        "composition-reproduces",
-        kernel_reproduces(composed, fine, far, tol=tol),
-        trial, None,
-    )
+    sig = random_signal_structure(rng, space, max_signals=4)
+    flat = uninformative_structure(space)
+    full = fully_informative_structure(space)
+    fine, coarse, _ = random_garbling_pair(rng, space, max_fine=4, max_coarse=3)
+    inner = random_kernel(rng, fine.signals, 3)
+    outer = random_kernel(rng, inner.coarse_signals, 2)
+    return sig, flat, full, fine, coarse, inner, outer
 
 
-SUITES = {
-    "theorem1": (_suite_theorem1, None),
-    "lemma1": (_suite_lemma1, None),
-    "corollary1": (_suite_corollary1, None),
-    "corollary2": (_suite_corollary2, None),
-    "prop1": (_suite_prop1, None),
-    "prop2": (_suite_prop2, 1),  # fixed counterexample tuples; trials ignored
-    "prop3": (_suite_prop3, None),
-    "orders": (_suite_orders, None),
-    "garbling": (_suite_garbling, None),
+def _judge_garbling(inst, trial, slacks, tol, book: _Book) -> None:
+    sig, flat, full, fine, coarse, inner, outer = inst
+    for claim, source, target in (
+        ("identity-target-feasible", sig, sig),
+        ("uninformative-target-feasible", sig, flat),
+        ("full-information-source-feasible", full, sig),
+        ("derived-garbling-recovered", fine, coarse),
+    ):
+        found = find_garbling(source, target, tol=tol)
+        ok = found is not None and kernel_reproduces(found, source, target, tol=tol)
+        book.check(claim, ok, trial, None)
+
+    far = garble(garble(fine, inner), outer)
+    ok = kernel_reproduces(compose_kernels(outer, inner), fine, far, tol=tol)
+    book.check("composition-reproduces", ok, trial, None)
+
+
+SUITES = {  # name -> (draw, judge, fixed trial count)
+    "theorem1": (_draw_theorem1, _judge_theorem1, None),
+    "lemma1": (_draw_lemma1, _judge_lemma1, None),
+    "corollary1": (_draw_corollary1, _judge_corollary1, None),
+    "corollary2": (_draw_corollary2, _judge_corollary2, None),
+    "prop1": (_draw_prop1, _judge_prop1, None),
+    "prop2": (_draw_prop2, _judge_prop2, 1),  # fixed counterexamples; trials ignored
+    "prop3": (_draw_prop3, _judge_prop3, None),
+    "orders": (_draw_orders, _judge_orders, None),
+    "garbling": (_draw_garbling, _judge_garbling, None),
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -618,16 +597,13 @@ def run_suite(
         raise InputError(f"unknown mode {mode!r}")
     require_count(trials, "trials", 1)
     require_count(seed, "seed", 0)
-    body, override = SUITES[name]
-    n = override if override is not None else trials
-    book = _Book()
-    for trial in range(n):
-        body(trial_rng(seed, trial), trial, mode, tol, book)
+    draw, judge, fixed = SUITES[name]
+    n = fixed if fixed is not None else trials
     return SuiteResult(
         suite=name,
         trials=n,
         seed=seed,
         mode=mode,
         prng=PRNG_ID,
-        claims=tuple(book.claims.values()),
+        claims=_run_trials(draw, judge, n, seed, mode, tol),
     )

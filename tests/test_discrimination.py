@@ -9,6 +9,7 @@ Gap values frozen below were computed by hand from exact posteriors:
 * single-task counterexample tuples: signed gap change 17/1920.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -271,6 +272,13 @@ def test_nearly_full_narrows_positive_gap():
     report = check_nearly_full(unchanged, eps=F(1, 9))
     assert report.within_eps and report.gap_fine == report.gap_coarse == F(27, 28)
     assert report.ok  # an equal gap is not a widening
+
+
+def test_nearly_full_rejects_nan_eps():
+    # a nan eps must not read as "not within eps", which passes vacuously
+    (kink,) = [r for r in narrowing_counterexamples() if r.name == "kink-crossing"]
+    with pytest.raises(InputError, match="eps must be a nonnegative number"):
+        check_nearly_full(kink.scenario.to_float(), math.nan)
 
 
 def test_nearly_full_zero_gap_needs_full_information():

@@ -1,6 +1,7 @@
 """Named worked instances: closed-form values, overrides, validation."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,14 @@ def test_bad_inputs_rejected():
         run_example("ex1-reversal", nonsense=Fraction(1, 2))
     with pytest.raises(InputError):
         run_example("blackwell-forward", trials=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+@pytest.mark.parametrize("name", ["ex1-reversal", "blackwell-forward"])
+def test_bad_tol_raises_input_error(name, tol):
+    # refused before the example judges anything
+    with pytest.raises(InputError, match="tolerance must be a finite nonnegative"):
+        run_example(name, mode="float", tol=tol)
 
 
 @pytest.mark.parametrize(

@@ -341,6 +341,10 @@ def test_within_eps_of_full():
     assert not within_eps_of_full(uninformative_structure(BIN), F(1, 2))
     with pytest.raises(InputError):
         within_eps_of_full(sym(F(9, 10)), -1)
+    for eps in (-1.0, -math.inf, math.nan):  # nan is not "not within eps"
+        with pytest.raises(InputError, match="eps must be a nonnegative number"):
+            within_eps_of_full(sym(F(9, 10)).to_float(), eps)
+    assert within_eps_of_full(uninformative_structure(BIN), math.inf)
 
 
 def test_eps_bound_examples():

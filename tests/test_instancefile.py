@@ -1,5 +1,6 @@
 """Instance file parsing, validation diagnostics, and round trips."""
 
+import dataclasses
 import io
 import os
 import tempfile
@@ -229,7 +230,9 @@ def random_instance(seed, kind, mode):
     obj = random_firm(rng, space.size)
     if kind != "firm":
         p, q, q_j = (random_dist(rng, space) for _ in range(3))
-        sig = random_signal_structure(rng, space, valued=seed % 2 == 0)
+        sig = random_signal_structure(rng, space)
+        if seed % 2 == 0:
+            sig = dataclasses.replace(sig, values=tuple(range(sig.n_signals)))
         obj = Population(p, q, sig)
         if kind == "scenario":
             fine, coarse, _ = random_garbling_pair(rng, space)

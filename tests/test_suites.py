@@ -1,12 +1,16 @@
 """Runner behavior and a pass over every suite in both modes."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
+from infopay import examples, suites
 from infopay.errors import InputError
+from infopay.generators import trial_rng
 from infopay.model import Dist, Population, SkillSpace, uninformative_structure
+from infopay.numeric import claim_slacks
 from infopay.suites import SUITE_NAMES, ClaimStats, SuiteResult, run_suite
 from infopay.suites import _Book
 
@@ -56,6 +60,60 @@ def test_bad_seed_or_trials_raise_input_error(kwargs, what):
     for name in ("prop1", "prop2"):  # prop2 ignores trials but checks them
         with pytest.raises(InputError, match=f"{what} must be an integer"):
             run_suite(name, **{"trials": 3, "seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("name", ["orders", "theorem1"])
+def test_bad_tol_raises_input_error(name, mode, tol):
+    # a tol that is not a finite number >= 0 makes float verdicts
+    # meaningless, so it is refused before any judge runs, in either mode
+    with pytest.raises(InputError, match="tolerance must be a finite nonnegative"):
+        run_suite(name, trials=3, seed=0, mode=mode, tol=tol)
+
+
+def test_zero_tol_is_accepted():
+    assert run_suite("orders", trials=3, seed=0, mode="float", tol=0).trials == 3
+
+
+class _Verdicts(list):
+    """A book that keeps each (claim, verdict) in order."""
+
+    def check(self, name, ok, trial, carrier=None, detail=""):
+        self.append((name, bool(ok)))
+
+
+DRAW_JUDGE = {
+    **{name: suites.SUITES[name][:2] for name in SUITE_NAMES},
+    "blackwell-forward": (examples._draw_forward, examples._judge_forward),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_JUDGE)
+def test_float_twin_gets_the_exact_instance_verdicts(name):
+    # each trial's instance is drawn once and judged exactly and as its
+    # float twin: the claims booked and their verdicts must agree
+    draw, judge = DRAW_JUDGE[name]
+    exact, floats = claim_slacks(True), claim_slacks(False)
+    for seed in (1, 5):
+        for trial in range(30):
+            inst = draw(trial_rng(seed, trial), trial)
+            want, got = _Verdicts(), _Verdicts()
+            judge(inst, trial, exact, None, want)
+            judge(suites._twin(inst), trial, floats, None, got)
+            assert got == want, (seed, trial)
+
+
+def test_draws_are_pinned():
+    # renders show an instance only when a claim fails, so one digest over
+    # every drawn instance pins what the suites judge
+    digest = hashlib.sha256()
+    for draw, _ in DRAW_JUDGE.values():
+        for trial in range(30):
+            digest.update(repr(draw(trial_rng(7, trial), trial)).encode())
+    assert digest.hexdigest() == (
+        "33f634bb2581fe149730f47755294d7e857ef63dfbf5bbf0fd3c6aa2349b8894"
+    )
 
 
 def test_render_format():
