@@ -32,8 +32,8 @@ identity, the instrumental floor and, under the hypotheses, the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, OrderingError
 from .garbling import GarblingKernel, find_garbling, kernel_reproduces
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecompResult:
+class DecompResult(NamedTuple):
     """Outcome of one decomposition.
 
     ``w_fine`` and ``w_coarse`` are the average pays under the two
@@ -200,8 +199,7 @@ def decompose(
     )
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(NamedTuple):
     """Theorem 1 on one instance: hypotheses and verdicts.
 
     The decomposition identity and the nonnegative instrumental part

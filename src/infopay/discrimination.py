@@ -26,9 +26,8 @@ narrows any strictly positive gap without the slightness hypothesis;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as F
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .decomposition import SignReport, _resolve_kernel, check_signs
 from .errors import InputError
@@ -44,6 +43,7 @@ from .model import (
     SignalStructure,
     SkillSpace,
     Task,
+    _Frozen,
     average_pay,
     binary_symmetric_structure,
     fully_informative_structure,
@@ -66,32 +66,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GapScenario:
-    """One firm, one truth, two perceptions, and a coarse/fine structure pair."""
+class GapScenario(_Frozen):
+    """One firm, one truth, two perceptions, and a coarse/fine structure pair.
 
-    firm: Firm
-    p: Dist
-    q_i: Dist  # perception of the favored group
-    q_j: Dist  # perception of the other group
-    coarse: SignalStructure
-    fine: SignalStructure
+    ``q_i`` is the perception of the favored group, ``q_j`` the other's.
+    """
 
-    def __post_init__(self):
-        spaces = {
-            self.p.space,
-            self.q_i.space,
-            self.q_j.space,
-            self.coarse.space,
-            self.fine.space,
-        }
-        if len(spaces) != 1:
+    _fields = ("firm", "p", "q_i", "q_j", "coarse", "fine")
+
+    def __init__(
+        self,
+        firm: Firm,
+        p: Dist,
+        q_i: Dist,
+        q_j: Dist,
+        coarse: SignalStructure,
+        fine: SignalStructure,
+    ):
+        if not (p.space == q_i.space == q_j.space == coarse.space == fine.space):
             raise InputError("scenario components use different skill spaces")
-        if len(self.firm.tasks[0].surplus) != self.p.space.size:
+        if len(firm.tasks[0].surplus) != p.space.size:
             raise InputError("firm tasks and scenario cover different type counts")
-        for name, d in (("true", self.p), ("q_i", self.q_i), ("q_j", self.q_j)):
+        for name, d in (("true", p), ("q_i", q_i), ("q_j", q_j)):
             if not d.full_support:
                 raise InputError(f"{name} distribution must have full support")
+        self.__dict__.update(firm=firm, p=p, q_i=q_i, q_j=q_j, coarse=coarse, fine=fine)
 
     def to_float(self) -> "GapScenario":
         return GapScenario(
@@ -113,8 +112,7 @@ def pay_gap(
     )
 
 
-@dataclass(frozen=True)
-class GapRankingReport:
+class GapRankingReport(NamedTuple):
     """Why one group out-earns the other under its finer structure.
 
     The pay difference splits into three parts: ``favorableness`` (same
@@ -207,8 +205,7 @@ def check_gap_ranking(
     )
 
 
-@dataclass(frozen=True)
-class NarrowingReport:
+class NarrowingReport(NamedTuple):
     """Gap comparison between the coarse and the fine structure."""
 
     hypotheses: Mapping[str, bool]
@@ -280,8 +277,7 @@ def check_narrowing(
     )
 
 
-@dataclass(frozen=True)
-class NearlyFullReport:
+class NearlyFullReport(NamedTuple):
     """Certificate that a near-full refinement narrows a positive gap.
 
     With a strictly positive coarse gap the claim applies to any fine
@@ -338,8 +334,7 @@ def check_nearly_full(
     )
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Named scenario violating exactly one narrowing hypothesis."""
 
     name: str

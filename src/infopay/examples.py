@@ -8,8 +8,8 @@ the values used in the worked write-ups and can be overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .decomposition import SignReport, check_signs, decompose
 from .discrimination import check_gap_ranking, pay_gap
@@ -37,15 +37,13 @@ from .suites import _run_trials
 __all__ = ["ExampleCheck", "ExampleReport", "EXAMPLE_NAMES", "run_example"]
 
 
-@dataclass(frozen=True)
-class ExampleCheck:
+class ExampleCheck(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(NamedTuple):
     example: str
     mode: str
     params: tuple[tuple[str, str], ...]

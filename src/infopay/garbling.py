@@ -12,19 +12,19 @@ operations take the kernel they are given and never re-solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .model import Dist, Firm, IntRows, SignalStructure, pay_table
+from .model import Dist, Firm, IntRows, SignalStructure, _Frozen, pay_table
 from .numeric import (
     LP_TOL,
     ORDER_TOL,
     Number,
     _entries,
     _lowest_terms,
+    check_tol,
     clear_denominators,
     exact_entries,
     float_rows,
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GarblingKernel:
+class GarblingKernel(_Frozen):
     """Column-stochastic map from fine signals to coarse signals.
 
     ``matrix[s][f]`` is the probability that fine signal ``f`` is
@@ -54,16 +53,18 @@ class GarblingKernel:
     matrix as ints over the lcm of all its denominators.
     """
 
-    coarse_signals: tuple[str, ...]
-    fine_signals: tuple[str, ...]
-    matrix: tuple[tuple[Number, ...], ...]
-    int_form: IntRows | None = field(init=False, repr=False, compare=False)
+    _fields = ("coarse_signals", "fine_signals", "matrix")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coarse_signals", tuple(self.coarse_signals))
-        object.__setattr__(self, "fine_signals", tuple(self.fine_signals))
-        object.__setattr__(
-            self, "matrix", tuple(tuple(row) for row in self.matrix)
+    def __init__(
+        self,
+        coarse_signals: Sequence[str],
+        fine_signals: Sequence[str],
+        matrix: Sequence[Sequence[Number]],
+    ):
+        self.__dict__.update(
+            coarse_signals=tuple(coarse_signals),
+            fine_signals=tuple(fine_signals),
+            matrix=tuple(tuple(row) for row in matrix),
         )
         self._settle(None)
 
@@ -83,9 +84,11 @@ class GarblingKernel:
         """
         rows, scale = _lowest_terms(*form)
         self = object.__new__(cls)
-        object.__setattr__(self, "coarse_signals", coarse_signals)
-        object.__setattr__(self, "fine_signals", fine_signals)
-        object.__setattr__(self, "matrix", _entries(rows, scale, whole))
+        self.__dict__.update(
+            coarse_signals=coarse_signals,
+            fine_signals=fine_signals,
+            matrix=_entries(rows, scale, whole),
+        )
         self._settle((rows, scale))
         return self
 
@@ -117,7 +120,7 @@ class GarblingKernel:
                     f"kernel column for fine signal "
                     f"{self.fine_signals[f]!r} sums to {col!r}, expected 1"
                 )
-        object.__setattr__(self, "int_form", form)
+        self.__dict__["int_form"] = form
 
     def to_float(self) -> "GarblingKernel":
         return GarblingKernel(
@@ -155,13 +158,13 @@ def kernel_reproduces(
     makes every entry a float comparison with slack ``tol`` (default
     ``LP_TOL``); the scales are then 1.
     """
+    slack = check_tol(tol, LP_TOL)
     _check_shared_space(fine, coarse)
     _check_kernel_labels(kernel, fine, coarse)
     forms = (kernel.int_form, fine.int_form, coarse.int_form)
     if None in forms:
         g, fine_lik, coarse_lik = kernel.matrix, fine.likelihood, coarse.likelihood
         coarse_scale = mixed_scale = 1
-        slack = LP_TOL if tol is None else tol
     else:
         (g, g_scale), (fine_lik, fine_scale), (coarse_lik, coarse_scale) = forms
         mixed_scale = g_scale * fine_scale
@@ -184,6 +187,7 @@ def find_garbling(
     lcm of their scales, the one scale ``clear_denominators`` would give
     the Fraction program, so the pivots and the witness are the same.
     """
+    check_tol(tol)
     _check_shared_space(fine, coarse)
     n_f, n_c, n_t = fine.n_signals, coarse.n_signals, fine.space.size
     forms = fine.int_form, coarse.int_form
@@ -324,6 +328,7 @@ def within_eps_of_full(
 
     ``eps = 0`` means fully informative; ``math.inf`` accepts anything.
     """
+    slack = check_tol(tol, ORDER_TOL)
     eps_exact = exact_entries((eps,), "eps")
     if isinstance(eps, float) and math.isinf(eps) and eps > 0:
         return True
@@ -333,7 +338,6 @@ def within_eps_of_full(
     # invariant under scaling a column
     exact = eps_exact and sig.int_form is not None
     lik = sig.int_form[0] if exact else sig.likelihood
-    slack = ORDER_TOL if tol is None else tol
     n_t = sig.space.size
     for j in range(sig.n_signals):
         col = [lik[t][j] for t in range(n_t)]

@@ -21,8 +21,6 @@ serialize-parse-serialize round trip byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .discrimination import GapScenario
 from .errors import InputError, ParseError
 from .model import Dist, Firm, Population, SignalStructure, SkillSpace, Task
@@ -40,12 +38,12 @@ _SECTION_KINDS = ("skill_space", "distribution", "signal_structure", "firm",
 _NAMED_KINDS = ("distribution", "signal_structure")
 
 
-@dataclass
 class _Section:
-    kind: str
-    name: str | None
-    header_line: int
-    lines: list[tuple[int, str]]
+    def __init__(self, kind: str, name: str | None, header_line: int):
+        self.kind = kind
+        self.name = name
+        self.header_line = header_line
+        self.lines: list[tuple[int, str]] = []
 
 
 def _split_sections(text: str) -> list[_Section]:
@@ -68,7 +66,7 @@ def _split_sections(text: str) -> list[_Section]:
                 raise ParseError(f"line {lineno}: section [{kind}] needs a name")
             if kind not in _NAMED_KINDS and name:
                 raise ParseError(f"line {lineno}: section [{kind}] takes no name")
-            current = _Section(kind, name, lineno, [])
+            current = _Section(kind, name, lineno)
             sections.append(current)
         else:
             if current is None:

@@ -17,7 +17,6 @@ a conversion, so rational inputs give exact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -61,28 +60,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SkillSpace:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    ``_fields`` names the value's fields in order.  Equality (within one
+    class only), hash and repr read those alone, so cached attributes such
+    as ``int_form`` stay invisible.  Constructors store into ``__dict__``;
+    any later assignment or deletion raises ``AttributeError``.  Pickle
+    and deepcopy restore the ``__dict__`` without assigning.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SkillSpace(_Frozen):
     """Strictly increasing tuple of at least two real skill levels.
 
     ``to_float`` builds the float twin once and keeps it, so the twins
     of objects on one space share one space.
     """
 
-    thetas: tuple[Number, ...]
-    _float_twin: "SkillSpace | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("thetas",)
+    _float_twin: "SkillSpace | None" = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(self.thetas))
-        if len(self.thetas) < 2:
+    def __init__(self, thetas: Sequence[Number]):
+        thetas = tuple(thetas)
+        if len(thetas) < 2:
             raise InputError("skill space needs at least two types")
-        exact_entries(self.thetas, "skill levels")
-        require_finite(self.thetas, "skill levels")
-        for lo, hi in zip(self.thetas, self.thetas[1:]):
+        exact_entries(thetas, "skill levels")
+        require_finite(thetas, "skill levels")
+        for lo, hi in zip(thetas, thetas[1:]):
             if not lo < hi:
                 raise InputError("skill levels must be strictly increasing")
+        self.__dict__["thetas"] = thetas
 
     @property
     def size(self) -> int:
@@ -91,12 +124,11 @@ class SkillSpace:
     def to_float(self) -> "SkillSpace":
         if self._float_twin is None:
             twin = SkillSpace(float_entries(self.thetas, None, "skill levels"))
-            object.__setattr__(self, "_float_twin", twin)
+            self.__dict__["_float_twin"] = twin
         return self._float_twin
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(_Frozen):
     """Probability vector over a skill space.
 
     Entries may be zero (posteriors can be degenerate); functions that
@@ -105,13 +137,10 @@ class Dist:
     ints[i] / scale``; float and mixed ones keep None.
     """
 
-    space: SkillSpace
-    probs: tuple[Number, ...]
-    int_form: IntRow | None = field(init=False, repr=False, compare=False)
-    full_support: bool = field(init=False, repr=False, compare=False)
+    _fields = ("space", "probs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
+    def __init__(self, space: SkillSpace, probs: Sequence[Number]):
+        self.__dict__.update(space=space, probs=tuple(probs))
         self._settle(None)
 
     @classmethod
@@ -120,13 +149,13 @@ class Dist:
         public constructor would build it from those Fractions."""
         (ints,), scale = _lowest_terms((form[0],), form[1])
         self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "probs", tuple([Fraction(n, scale) for n in ints]))
+        probs = tuple([Fraction(n, scale) for n in ints])
+        self.__dict__.update(space=space, probs=probs)
         self._settle((ints, scale))
         return self
 
     def _settle(self, form: IntRow | None) -> None:
-        """Validate the fields and cache ``int_form``.
+        """Validate the fields and cache ``int_form`` and ``full_support``.
 
         ``form`` is the lowest int form the fields were built from, or
         None to classify the fields and derive it from them.
@@ -141,8 +170,7 @@ class Dist:
         else:
             _check_prob_vector(self.probs, form, "distribution")
         entries = self.probs if form is None else form[0]
-        object.__setattr__(self, "int_form", form)
-        object.__setattr__(self, "full_support", all(v > 0 for v in entries))
+        self.__dict__.update(int_form=form, full_support=all(v > 0 for v in entries))
 
     def to_float(self) -> "Dist":
         return Dist(
@@ -151,26 +179,24 @@ class Dist:
         )
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(_Frozen):
     """Surplus per type, aligned with the skill space order.
 
     Exact surpluses keep their int form ``int_form = (ints, scale)``.
     """
 
-    surplus: tuple[Number, ...]
-    int_form: IntRow | None = field(init=False, repr=False, compare=False)
+    _fields = ("surplus",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "surplus", tuple(self.surplus))
-        if not self.surplus:
+    def __init__(self, surplus: Sequence[Number]):
+        surplus = tuple(surplus)
+        if not surplus:
             raise InputError("task needs at least one surplus entry")
         form = None
-        if exact_entries(self.surplus, "task surplus"):
-            form = int_row(self.surplus)
+        if exact_entries(surplus, "task surplus"):
+            form = int_row(surplus)
         else:
-            require_finite(self.surplus, "task surplus")
-        object.__setattr__(self, "int_form", form)
+            require_finite(surplus, "task surplus")
+        self.__dict__.update(surplus=surplus, int_form=form)
 
     @property
     def is_increasing(self) -> bool:
@@ -181,31 +207,28 @@ class Task:
         return Task(float_entries(self.surplus, self.int_form, "task surplus"))
 
 
-@dataclass(frozen=True)
-class Firm:
+class Firm(_Frozen):
     """Nonempty set of tasks of equal width.
 
     When every surplus is exact, ``int_form = (rows, scale)`` holds one
     int row per task over the lcm of all their denominators.
     """
 
-    tasks: tuple[Task, ...]
-    int_form: IntRows | None = field(init=False, repr=False, compare=False)
+    _fields = ("tasks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        if not self.tasks:
+    def __init__(self, tasks: Sequence[Task]):
+        tasks = tuple(tasks)
+        if not tasks:
             raise InputError("firm needs at least one task")
-        for t in self.tasks:
+        for t in tasks:
             if not isinstance(t, Task):
                 raise InputError(f"firm tasks must be Task objects, got {t!r}")
-        width = len(self.tasks[0].surplus)
-        if any(len(t.surplus) != width for t in self.tasks):
+        width = len(tasks[0].surplus)
+        if any(len(t.surplus) != width for t in tasks):
             raise InputError("all tasks in a firm must cover the same types")
-        forms = [t.int_form for t in self.tasks]
-        object.__setattr__(
-            self, "int_form", None if None in forms else join_rows(forms)
-        )
+        forms = [t.int_form for t in tasks]
+        form = None if None in forms else join_rows(forms)
+        self.__dict__.update(tasks=tasks, int_form=form)
 
     @property
     def is_monotone(self) -> bool:
@@ -216,8 +239,7 @@ class Firm:
         return Firm(tuple(t.to_float() for t in self.tasks))
 
 
-@dataclass(frozen=True)
-class SignalStructure:
+class SignalStructure(_Frozen):
     """Likelihood matrix: one row per type, one column per signal label.
 
     ``values`` optionally places the signals on the real line (required
@@ -227,19 +249,21 @@ class SignalStructure:
     whole matrix as ints over the lcm of all its denominators.
     """
 
-    space: SkillSpace
-    signals: tuple[str, ...]
-    likelihood: tuple[tuple[Number, ...], ...]
-    values: tuple[Number, ...] | None = None
-    int_form: IntRows | None = field(init=False, repr=False, compare=False)
+    _fields = ("space", "signals", "likelihood", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "signals", tuple(self.signals))
-        object.__setattr__(
-            self, "likelihood", tuple(tuple(row) for row in self.likelihood)
+    def __init__(
+        self,
+        space: SkillSpace,
+        signals: Sequence[str],
+        likelihood: Sequence[Sequence[Number]],
+        values: Sequence[Number] | None = None,
+    ):
+        self.__dict__.update(
+            space=space,
+            signals=tuple(signals),
+            likelihood=tuple(tuple(row) for row in likelihood),
+            values=None if values is None else tuple(values),
         )
-        if self.values is not None:
-            object.__setattr__(self, "values", tuple(self.values))
         self._settle(None)
 
     @classmethod
@@ -259,10 +283,12 @@ class SignalStructure:
         """
         rows, scale = _lowest_terms(*form)
         self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "signals", signals)
-        object.__setattr__(self, "likelihood", _entries(rows, scale, whole))
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(
+            space=space,
+            signals=signals,
+            likelihood=_entries(rows, scale, whole),
+            values=values,
+        )
         self._settle((rows, scale))
         return self
 
@@ -296,7 +322,7 @@ class SignalStructure:
         for label, col in zip(self.signals, zip(*rows)):
             if not max(col) > 0:  # rows were checked, so no nan is left
                 raise InputError(f"signal {label!r} has zero likelihood everywhere")
-        object.__setattr__(self, "int_form", form)
+        self.__dict__["int_form"] = form
         if self.values is not None:
             if len(self.values) != len(self.signals):
                 raise InputError("signal values must match signal count")
@@ -326,21 +352,19 @@ class SignalStructure:
         )
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(_Frozen):
     """True distribution, perceived distribution, and signal structure."""
 
-    p: Dist
-    q: Dist
-    sig: SignalStructure
+    _fields = ("p", "q", "sig")
 
-    def __post_init__(self):
-        if not (self.p.space == self.q.space == self.sig.space):
+    def __init__(self, p: Dist, q: Dist, sig: SignalStructure):
+        if not (p.space == q.space == sig.space):
             raise InputError("population components use different skill spaces")
-        if not self.p.full_support:
+        if not p.full_support:
             raise InputError("true distribution must have full support")
-        if not self.q.full_support:
+        if not q.full_support:
             raise InputError("perceived distribution must have full support")
+        self.__dict__.update(p=p, q=q, sig=sig)
 
     def to_float(self) -> "Population":
         return Population(self.p.to_float(), self.q.to_float(), self.sig.to_float())

@@ -31,7 +31,9 @@ Tolerance registry (float mode):
 * ``DIST_SUM_TOL``  -- probability vectors must sum to 1 within this.
 
 ``claim_slacks`` turns exactness and a user ``tol`` into the slacks of
-every claim check; exact values get zero slack everywhere.
+every claim check; exact values get zero slack everywhere.  ``check_tol``
+is the one test of a user ``tol``: every public function that takes one
+applies it, in either mode.
 """
 
 from __future__ import annotations
@@ -191,6 +193,16 @@ def ratio_sum(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
     return Fraction(num, den * scale)
 
 
+def check_tol(tol: float | None, default: float | None = None) -> float | None:
+    """``tol``, or ``default`` when it is None.  A ``tol`` that is not a
+    finite real of at least 0 raises ``InputError``."""
+    if tol is None:
+        return default
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tolerance must be a finite nonnegative number, got {tol!r}")
+    return tol
+
+
 def claim_slacks(
     exact: bool, tol: float | None = None
 ) -> tuple[Number, Number, Number]:
@@ -201,10 +213,7 @@ def claim_slacks(
     ``SIGN_TOL`` and ``INSTRUMENTAL_FLOOR``.  A ``tol`` that is not a
     finite number of at least 0 raises ``InputError`` in either mode.
     """
-    if tol is not None and not (
-        isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0
-    ):
-        raise InputError(f"tolerance must be a finite nonnegative number, got {tol!r}")
+    check_tol(tol)
     if exact:
         return 0, 0, 0
     if tol is None:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .model import Dist, SignalStructure, SkillSpace
-from .numeric import ORDER_TOL, Number, join_rows
+from .numeric import ORDER_TOL, Number, check_tol, join_rows
 
 __all__ = [
     "PerceptionClass",
@@ -75,9 +75,10 @@ def _check_spaces(a: Dist, b: Dist) -> None:
 def _entries(hi: Dist, lo: Dist, tol: float | None):
     """(hi entries, lo entries, slack): the int forms at one scale and
     zero slack when both are exact, the probs and float slack otherwise."""
+    slack = check_tol(tol, ORDER_TOL)
     _check_spaces(hi, lo)
     if hi.int_form is None or lo.int_form is None:
-        return hi.probs, lo.probs, ORDER_TOL if tol is None else tol
+        return hi.probs, lo.probs, slack
     (hi_ints, lo_ints), _ = join_rows((hi.int_form, lo.int_form))
     return hi_ints, lo_ints, 0
 
@@ -106,10 +107,11 @@ def is_mlr(sig: SignalStructure, tol: float | None = None) -> bool:
     Requires valued signals (ascending by construction); quantifies the
     cross-product inequality over all signal pairs and type pairs.
     """
+    slack = check_tol(tol, ORDER_TOL)
     if sig.values is None:
         raise InputError("monotone-likelihood-ratio check requires valued signals")
     if sig.int_form is None:
-        rows, slack = sig.likelihood, ORDER_TOL if tol is None else tol
+        rows = sig.likelihood
     else:
         rows, slack = sig.int_form[0], 0
     # over the signals, each higher type's row is LR-above each lower one's

@@ -12,7 +12,6 @@ failing trial with the instance the claim was judged on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -74,26 +73,32 @@ from .orders import (
 __all__ = ["ClaimStats", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass
 class ClaimStats:
-    name: str
-    passes: int = 0
-    failures: int = 0
-    first_failure: str | None = None
+    """Pass and failure counts of one claim, with its first counterexample."""
+
+    def __init__(self, name: str, passes: int = 0, failures: int = 0,
+                 first_failure: str | None = None):
+        self.name = name
+        self.passes = passes
+        self.failures = failures
+        self.first_failure = first_failure
 
     @property
     def attempts(self) -> int:
         return self.passes + self.failures
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    trials: int
-    seed: int
-    mode: str
-    prng: str
-    claims: tuple[ClaimStats, ...]
+    """The claims one suite run booked, and the run's settings."""
+
+    def __init__(self, suite: str, trials: int, seed: int, mode: str, prng: str,
+                 claims: tuple[ClaimStats, ...]):
+        self.suite = suite
+        self.trials = trials
+        self.seed = seed
+        self.mode = mode
+        self.prng = prng
+        self.claims = claims
 
     @property
     def ok(self) -> bool:

@@ -10,9 +10,8 @@ columns so the kinks are visible in the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .model import (
@@ -45,8 +44,7 @@ FIGURE1_COLUMNS = (
 DEFAULT_GRID_SPEC = "1/2:1:1/520"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     accuracy: Number
     w_i: Number
     w_j: Number

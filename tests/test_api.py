@@ -2,12 +2,15 @@
 
 import functools
 import importlib
+import math
 import pkgutil
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 
 import infopay
+from infopay import InputError
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(infopay.__path__, "infopay.")
@@ -54,3 +57,56 @@ def test_removed_names_stay_removed(name):
     # at the scales they are kept at
     *path, attr = name.split(".")
     assert not hasattr(functools.reduce(getattr, path, infopay), attr)
+
+
+
+def _judges(mode):
+    """Every public function that takes a ``tol``, each called on the
+    kink-crossing scenario (or its float twin) with a given ``tol``."""
+    s = infopay.narrowing_counterexamples()[-1].scenario
+    if mode == "float":
+        s = s.to_float()
+    firm, p, q, coarse, fine = s.firm, s.p, s.q_i, s.coarse, s.fine
+    kernel = infopay.find_garbling(fine, coarse)
+    return {
+        "lr_geq": lambda t: infopay.lr_geq(p, q, tol=t),
+        "lr_violation": lambda t: infopay.lr_violation(p, q, tol=t),
+        "fosd_geq": lambda t: infopay.fosd_geq(p, q, tol=t),
+        "perception_class": lambda t: infopay.perception_class(p, q, tol=t),
+        "is_mlr": lambda t: infopay.is_mlr(fine, t),
+        "find_garbling": lambda t: infopay.find_garbling(fine, coarse, tol=t),
+        "kernel_reproduces": lambda t: infopay.kernel_reproduces(
+            kernel, fine, coarse, tol=t
+        ),
+        "is_slightly_more_informative": lambda t: (
+            infopay.is_slightly_more_informative(firm, q, fine, coarse, kernel, tol=t)
+        ),
+        "within_eps_of_full": lambda t: infopay.within_eps_of_full(fine, F(1, 2), tol=t),
+        "decompose": lambda t: infopay.decompose(firm, p, q, coarse, fine, tol=t),
+        "decompose-with-kernel": lambda t: infopay.decompose(
+            firm, p, q, coarse, fine, kernel, tol=t
+        ),
+        "check_signs": lambda t: infopay.check_signs(
+            firm, p, q, coarse, fine, kernel, tol=t
+        ),
+        "check_gap_ranking": lambda t: infopay.check_gap_ranking(
+            firm, p, s.q_i, s.q_j, fine, coarse, kernel, tol=t
+        ),
+        "check_narrowing": lambda t: infopay.check_narrowing(s, kernel, tol=t),
+        "check_nearly_full": lambda t: infopay.check_nearly_full(s, F(1, 2), tol=t),
+    }
+
+
+JUDGES = list(_judges("rational"))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=str)
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("judge", JUDGES)
+def test_judges_reject_a_bad_tol(judge, mode, tol):
+    # a nan slack makes every float comparison False and a negative one
+    # flips verdicts, so each public judge refuses such a tol outright
+    call = _judges(mode)[judge]
+    call(None)  # the instance itself is fine
+    with pytest.raises(InputError, match="tolerance must be a finite nonnegative"):
+        call(tol)

@@ -1,6 +1,5 @@
 """Exit codes, flag handling, and output shape of the command line."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -283,6 +282,25 @@ def test_check_skips_examples_suites_and_generators(scenario_file):
     assert not loaded & {"examples", "suites", "generators", "sweep"}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("example", "ex1-reversal"),
+        ("check", "{scenario}", "--claim", "theorem1"),
+        ("sweep-figure1",),
+        ("--mode", "float", "sweep-figure1"),
+    ],
+    ids=["example", "check", "sweep", "float-sweep"],
+)
+def test_cold_commands_skip_dataclasses_and_inspect(args, scenario_file):
+    # the value classes and reports are built without the dataclass
+    # machinery, whose import alone (with inspect, ast and dis) cost more
+    # than the rest of a cold sweep's package import
+    args = [a.format(scenario=scenario_file) for a in args]
+    loaded = _loaded_modules("-m", "infopay", *args)
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_sweep_help_names_the_default_grid(monkeypatch, capsys):
     # the help text spells the default out, so building the parser needs
     # no import of infopay.sweep
@@ -489,10 +507,12 @@ def test_check_theorem1_reports_perception_and_sign(kink_file, capsys, mode):
 
 def test_check_invariants_judges_perception_at_tol(tmp_path, capsys):
     # the favored perception is 1e-8 off the truth: accurate within --tol
-    scenario = make_scenario()
-    near = Dist(scenario.p.space, (Fraction(50000001, 10**8), Fraction(49999999, 10**8)))
+    from infopay.discrimination import GapScenario
+
+    s = make_scenario()
+    near = Dist(s.p.space, (Fraction(50000001, 10**8), Fraction(49999999, 10**8)))
     path = tmp_path / "near.inst"
-    save_instance(dataclasses.replace(scenario, q_i=near), str(path))
+    save_instance(GapScenario(s.firm, s.p, near, s.q_j, s.coarse, s.fine), str(path))
     flags = ["--mode", "float", "--tol", "1e-6", "check", str(path), "--claim"]
     assert main([*flags, "invariants"]) == 0
     assert "favored perception class: accurate" in capsys.readouterr().out.splitlines()

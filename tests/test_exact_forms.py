@@ -12,7 +12,6 @@ producers that hold ints must build from them, not from Fractions.
 """
 
 import copy
-import dataclasses
 import pickle
 import sys
 from fractions import Fraction as F
@@ -25,8 +24,10 @@ from hypothesis import strategies as st
 from infopay import (
     Dist,
     Firm,
+    GapScenario,
     GarblingKernel,
     InputError,
+    Population,
     SignalStructure,
     SkillSpace,
     Task,
@@ -38,6 +39,7 @@ from infopay import (
     is_slightly_more_informative,
     kernel_reproduces,
     lr_geq,
+    uninformative_structure,
     within_eps_of_full,
 )
 from infopay.generators import (
@@ -246,11 +248,31 @@ def test_numpy_scalars_take_the_float_path():
 
 # -- the cache is invisible to equality, hashing, repr and copies --------------
 
+# the fields each public constructor takes, in order: the value's fields
+INIT_FIELDS = {
+    SkillSpace: ("thetas",),
+    Dist: ("space", "probs"),
+    Task: ("surplus",),
+    Firm: ("tasks",),
+    SignalStructure: ("space", "signals", "likelihood", "values"),
+    Population: ("p", "q", "sig"),
+    GarblingKernel: ("coarse_signals", "fine_signals", "matrix"),
+    GapScenario: ("firm", "p", "q_i", "q_j", "coarse", "fine"),
+}
+CACHED = ("int_form", "full_support", "_float_twin")
+
 
 def objects():
     space = SkillSpace((0, 1))
     sig = SignalStructure(space, ("a", "b"), ((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))))
     kernel = GarblingKernel(("c",), ("a", "b"), ((1, 1),))
+    p, q = Dist(space, (F(1, 4), F(3, 4))), Dist(space, (F(1, 2), F(1, 2)))
+    pop = Population(p, q, sig)
+    scenario = GapScenario(
+        Firm((Task((0, 1)),)), q, p, q, uninformative_structure(space), sig
+    )
+    for obj in (pop, scenario):
+        obj.to_float()  # the space now caches its float twin
     return [
         Dist(space, (F(1, 4), F(3, 4))),
         Dist(space, (0.25, 0.75)),
@@ -260,32 +282,52 @@ def objects():
         sig.to_float(),
         kernel,
         kernel.to_float(),
+        space,
+        space.to_float(),
+        pop,
+        pop.to_float(),
+        scenario,
+        scenario.to_float(),
     ]
 
 
 @pytest.mark.parametrize("obj", objects(), ids=lambda o: type(o).__name__)
 def test_cache_is_invisible(obj):
-    names = [f.name for f in dataclasses.fields(obj) if f.init]
-    twin = type(obj)(*(getattr(obj, n) for n in names))
+    names = INIT_FIELDS[type(obj)]
+    values = [getattr(obj, n) for n in names]
+    twin = type(obj)(*values)
     assert twin == obj and hash(twin) == hash(obj)
-    assert "int_form" not in repr(obj) and "full_support" not in repr(obj)
+    assert obj != tuple(values)  # equal only to its own class
+    assert not any(c in repr(obj) for c in CACHED)
     assert repr(obj) == f"{type(obj).__name__}(" + ", ".join(
-        f"{n}={getattr(obj, n)!r}" for n in names
+        f"{n}={v!r}" for n, v in zip(names, values)
     ) + ")"
+    form = getattr(obj, "int_form", None)
     for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
-        assert clone == obj and clone.int_form == obj.int_form
-    replaced = dataclasses.replace(obj)
-    assert replaced == obj and replaced.int_form == obj.int_form
-    with pytest.raises(ValueError):
-        dataclasses.replace(obj, int_form=None)
+        assert clone == obj and getattr(clone, "int_form", None) == form
+    rebuilt = type(obj)(**dict(zip(names, values)))
+    assert rebuilt == obj and getattr(rebuilt, "int_form", None) == form
+    with pytest.raises(TypeError):
+        type(obj)(**dict(zip(names, values)), int_form=None)
+
+
+@pytest.mark.parametrize("obj", objects(), ids=lambda o: type(o).__name__)
+def test_fields_cannot_be_assigned(obj):
+    before = repr(obj), hash(obj)
+    for name in (*INIT_FIELDS[type(obj)], *CACHED):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (repr(obj), hash(obj)) == before
 
 
 def test_replace_recomputes_the_form():
     d = Dist(SkillSpace((0, 1)), (F(1, 4), F(3, 4)))
-    assert dataclasses.replace(d, probs=(F(1, 6), F(5, 6))).int_form == ((1, 5), 6)
-    assert dataclasses.replace(d, probs=(0.5, 0.5)).int_form is None
+    assert Dist(d.space, probs=(F(1, 6), F(5, 6))).int_form == ((1, 5), 6)
+    assert Dist(d.space, probs=(0.5, 0.5)).int_form is None
     with pytest.raises(InputError, match="entries sum to"):
-        dataclasses.replace(d, probs=(F(1, 6), F(4, 6)))
+        Dist(d.space, probs=(F(1, 6), F(4, 6)))
 
 
 # -- hot paths read the cache ------------------------------------------------------

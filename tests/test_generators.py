@@ -1,7 +1,6 @@
 """Generated instances satisfy their advertised invariants exactly, and
 the trial stream draws what numpy's ``default_rng((seed, trial))`` draws."""
 
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from infopay import (
     Dist,
     InputError,
+    SignalStructure,
     SkillSpace,
     check_narrowing,
     find_garbling,
@@ -218,7 +218,9 @@ def generated_reprs(seed):
     rng = trial_rng(seed, 0)
     space = random_skill_space(rng)
     sig = random_signal_structure(rng, space)
-    sig = dataclasses.replace(sig, values=tuple(range(sig.n_signals)))
+    sig = SignalStructure(
+        sig.space, sig.signals, sig.likelihood, tuple(range(sig.n_signals))
+    )
     lo = random_dist(rng, space)
     out = [
         space,

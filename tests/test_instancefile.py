@@ -1,6 +1,5 @@
 """Instance file parsing, validation diagnostics, and round trips."""
 
-import dataclasses
 import io
 import os
 import tempfile
@@ -232,7 +231,9 @@ def random_instance(seed, kind, mode):
         p, q, q_j = (random_dist(rng, space) for _ in range(3))
         sig = random_signal_structure(rng, space)
         if seed % 2 == 0:
-            sig = dataclasses.replace(sig, values=tuple(range(sig.n_signals)))
+            sig = SignalStructure(
+                sig.space, sig.signals, sig.likelihood, tuple(range(sig.n_signals))
+            )
         obj = Population(p, q, sig)
         if kind == "scenario":
             fine, coarse, _ = random_garbling_pair(rng, space)
