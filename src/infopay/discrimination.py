@@ -92,16 +92,6 @@ class GapScenario(_Frozen):
                 raise InputError(f"{name} distribution must have full support")
         self.__dict__.update(firm=firm, p=p, q_i=q_i, q_j=q_j, coarse=coarse, fine=fine)
 
-    def to_float(self) -> "GapScenario":
-        return GapScenario(
-            self.firm.to_float(),
-            self.p.to_float(),
-            self.q_i.to_float(),
-            self.q_j.to_float(),
-            self.coarse.to_float(),
-            self.fine.to_float(),
-        )
-
 
 def pay_gap(
     firm: Firm, p: Dist, q_i: Dist, q_j: Dist, sig: SignalStructure
@@ -339,7 +329,6 @@ class Counterexample(NamedTuple):
 
     name: str
     violated: str
-    note: str
     scenario: GapScenario
 
 
@@ -354,14 +343,11 @@ def narrowing_counterexamples() -> tuple[Counterexample, ...]:
     q_lo = Dist(bin_space, (F(3, 4), F(1, 4)))
     theta_task = Firm((Task((0, 1)),))
 
+    # one task rewarding the low type: full information equalizes pay at the
+    # true mean, widening a gap that favored the group perceived as low-skilled
     decreasing = Counterexample(
         name="single-decreasing-task",
         violated="monotone_firm",
-        note=(
-            "one task rewarding the low type: full information equalizes "
-            "pay at the true mean, widening a gap that favored the group "
-            "perceived as low-skilled"
-        ),
         scenario=GapScenario(
             firm=Firm((Task((1, 0)),)),
             p=half,
@@ -372,15 +358,12 @@ def narrowing_counterexamples() -> tuple[Counterexample, ...]:
         ),
     )
 
+    # the fine structure separates the middle type from the pooled extremes:
+    # not MLR in either signal order, and the pool pays the favored group more
     delta = F(1, 25)
     pooled = Counterexample(
         name="pooled-extremes",
         violated="fine_mlr",
-        note=(
-            "three types, fine structure separating the middle type from "
-            "the pooled extremes: not MLR under either signal order, and "
-            "the revealed pool pays the favored group disproportionately"
-        ),
         scenario=GapScenario(
             firm=Firm((Task((0, 1, 2)),)),
             p=Dist(tri_space, (F(1, 4) - 3 * delta, F(1, 4) + delta, F(1, 2) + 2 * delta)),
@@ -396,14 +379,11 @@ def narrowing_counterexamples() -> tuple[Counterexample, ...]:
         ),
     )
 
+    # the favored group is perceived LR-below the truth, so its positive
+    # perception-correcting value outruns the other group's
     favored_low = Counterexample(
         name="favored-under-perceived",
         violated="favored_over_perceived",
-        note=(
-            "the favored group is perceived LR-below the truth, so its "
-            "perception-correcting value is positive and outruns the "
-            "other group's"
-        ),
         scenario=GapScenario(
             firm=theta_task,
             p=Dist(bin_space, (F(1, 4), F(3, 4))),
@@ -414,14 +394,11 @@ def narrowing_counterexamples() -> tuple[Counterexample, ...]:
         ),
     )
 
+    # the other group is perceived LR-above the truth, so finer information
+    # deflates its pay faster than the favored group's
     other_high = Counterexample(
         name="other-over-perceived",
         violated="other_under_perceived",
-        note=(
-            "the other group is perceived LR-above the truth, so finer "
-            "information deflates its pay faster than the favored "
-            "group's"
-        ),
         scenario=GapScenario(
             firm=theta_task,
             p=Dist(bin_space, (F(3, 4), F(1, 4))),
@@ -432,13 +409,11 @@ def narrowing_counterexamples() -> tuple[Counterexample, ...]:
         ),
     )
 
+    # a refinement crossing the favored group's task-switch kink: the
+    # reassignment payoff widens the gap
     kink = Counterexample(
         name="kink-crossing",
         violated="slight_gain",
-        note=(
-            "two tasks and a refinement crossing the favored group's "
-            "task-switch kink: the reassignment payoff widens the gap"
-        ),
         scenario=GapScenario(
             firm=Firm((Task((0, 1)), Task((-4, 4)))),
             p=half,

@@ -3,7 +3,9 @@
 Every example builds a small exact instance, runs the decomposition or
 the pay-gap machinery, and confirms the known closed-form value of each
 quantity.  The first four are parameterized; the free numbers default to
-the values used in the worked write-ups and can be overridden.
+the values used in the worked write-ups and can be overridden.  An
+example returns only its facts and checks; ``run_example`` builds the
+report around them.
 """
 
 from __future__ import annotations
@@ -74,13 +76,40 @@ def _as_mode(value, mode: str):
     return float(value) if mode == "float" else Fraction(value)
 
 
-def _unit_interval(name: str, value) -> None:
-    if not 0 < value < 1:
-        raise InputError(f"{name} must lie strictly between 0 and 1")
+def _unit_interval(**params) -> None:
+    for name, value in params.items():
+        if not 0 < value < 1:
+            raise InputError(f"{name} must lie strictly between 0 and 1")
+
+
+def _delta_range(delta) -> None:
+    if not Fraction(-1, 4) < delta < Fraction(1, 12):
+        raise InputError("delta must lie strictly between -1/4 and 1/12")
 
 
 def _binary(space: SkillSpace, hi) -> Dist:
     return Dist(space, (1 - hi, hi))
+
+
+def _matches(name: str, got, want, eq, formula: str = "") -> ExampleCheck:
+    """``got`` equals its closed form ``want`` within ``eq``; both show."""
+    return ExampleCheck(
+        name, abs(got - want) <= eq,
+        f"{format_number(got)} vs {formula}{format_number(want)}",
+    )
+
+
+def _equals(name: str, got, want, eq) -> ExampleCheck:
+    """``got`` equals ``want`` within ``eq``; the value alone shows."""
+    return ExampleCheck(name, abs(got - want) <= eq, format_number(got))
+
+
+def _parts(res) -> tuple:
+    return (
+        ("total change", res.total),
+        ("perception-correcting", res.perception_correcting),
+        ("instrumental", res.instrumental),
+    )
 
 
 def _sign_flip(report: SignReport) -> tuple[bool, str]:
@@ -98,162 +127,98 @@ def _sign_flip(report: SignReport) -> tuple[bool, str]:
 # -- single-population reversals and sign failures -------------------------------
 
 
-def _ex1_reversal(mode, tol, p1, q1) -> ExampleReport:
+def _ex1_reversal(mode, tol, eq, p1, q1):
     """One increasing task, uninformative to fully informative: the pay
     change is p1 - q1, all of it perception-correcting."""
-    _unit_interval("p1", p1)
-    _unit_interval("q1", q1)
-    eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
-    firm = Firm((Task((0, 1)),))
-    p, q = _binary(space, p1), _binary(space, q1)
-    coarse = uninformative_structure(space)
-    fine = fully_informative_structure(space)
-    res = decompose(firm, p, q, coarse, fine, tol=tol)
+    res = decompose(
+        Firm((Task((0, 1)),)), _binary(space, p1), _binary(space, q1),
+        uninformative_structure(space), fully_informative_structure(space), tol=tol,
+    )
     expected = p1 - q1
     checks = [
-        ExampleCheck(
-            "total-matches-p1-minus-q1", abs(res.total - expected) <= eq,
-            f"{format_number(res.total)} vs {format_number(expected)}",
-        ),
-        ExampleCheck(
-            "instrumental-zero", abs(res.instrumental) <= eq,
-            format_number(res.instrumental),
-        ),
-        ExampleCheck(
-            "correction-carries-whole-change",
-            abs(res.perception_correcting - expected) <= eq,
-            format_number(res.perception_correcting),
+        _matches("total-matches-p1-minus-q1", res.total, expected, eq),
+        _equals("instrumental-zero", res.instrumental, 0, eq),
+        _equals(
+            "correction-carries-whole-change", res.perception_correcting, expected, eq
         ),
     ]
-    if q1 > p1:
+    if q1 > p1 + eq:  # beyond the slack: a float total cannot round to 0
         checks.append(
             ExampleCheck(
                 "more-information-lowers-pay", res.total < 0,
                 f"over-perceived, total {format_number(res.total)}",
             )
         )
-    return ExampleReport(
-        example="ex1-reversal",
-        mode=mode,
-        params=(("p1", format_number(p1)), ("q1", format_number(q1))),
-        facts=(
-            ("total change", format_number(res.total)),
-            ("perception-correcting", format_number(res.perception_correcting)),
-            ("instrumental", format_number(res.instrumental)),
-        ),
-        checks=tuple(checks),
-    )
+    return _parts(res), checks
 
 
-def _ex2_monotone_fail(mode, tol, p1, q1) -> ExampleReport:
+def _ex2_monotone_fail(mode, tol, eq, p1, q1):
     """Same move with the one task decreasing: the correction becomes
     p(0) - q(0), whose sign contradicts the monotone-firm sign rule."""
-    _unit_interval("p1", p1)
-    _unit_interval("q1", q1)
-    eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
-    firm = Firm((Task((1, 0)),))
-    p, q = _binary(space, p1), _binary(space, q1)
     report = check_signs(
-        firm, p, q,
+        Firm((Task((1, 0)),)), _binary(space, p1), _binary(space, q1),
         uninformative_structure(space), fully_informative_structure(space), tol=tol,
     )
-    res, c = report.result, report.result.perception_correcting
-    expected = (1 - p1) - (1 - q1)
+    res = report.result
     checks = (
         ExampleCheck(
             "firm-not-monotone", not report.monotone, "task surplus decreasing"
         ),
-        ExampleCheck(
-            "correction-matches-p0-minus-q0", abs(c - expected) <= eq,
-            f"{format_number(c)} vs {format_number(expected)}",
+        _matches(
+            "correction-matches-p0-minus-q0", res.perception_correcting,
+            (1 - p1) - (1 - q1), eq,
         ),
-        ExampleCheck(
-            "instrumental-zero", abs(res.instrumental) <= eq,
-            format_number(res.instrumental),
-        ),
+        _equals("instrumental-zero", res.instrumental, 0, eq),
         ExampleCheck("sign-rule-fails-without-monotonicity", *_sign_flip(report)),
     )
-    return ExampleReport(
-        example="ex2-monotone-fail",
-        mode=mode,
-        params=(("p1", format_number(p1)), ("q1", format_number(q1))),
-        facts=(
-            ("perception class", report.perception.value),
-            ("total change", format_number(res.total)),
-            ("perception-correcting", format_number(c)),
-            ("instrumental", format_number(res.instrumental)),
-        ),
-        checks=checks,
-    )
+    return (("perception class", report.perception.value), *_parts(res)), checks
 
 
-def _ex3_mlr_fail(mode, tol, delta) -> ExampleReport:
+def _ex3_mlr_fail(mode, tol, eq, delta):
     """Ternary types; the finer structure pools the extreme types, so it
     is not MLR, and the correction is (1/4 - p(1))/3 = -delta/3, whose
     sign contradicts the MLR sign rule."""
-    lo, hi = Fraction(-1, 4), Fraction(1, 12)
-    if not lo < delta < hi:
-        raise InputError("delta must lie strictly between -1/4 and 1/12")
-    eq, _, _ = claim_slacks(mode == "rational", tol)
     one = 1.0 if mode == "float" else Fraction(1)
     space = SkillSpace((0, 1, 2))
-    firm = Firm((Task((0, 1, 2)),))
     q = Dist(space, (one / 4, one / 4, one / 2))
     p = Dist(space, (one / 4 - 3 * delta, one / 4 + delta, one / 2 + 2 * delta))
-    coarse = uninformative_structure(space)
     # reveals whether the middle type holds, pooling the extremes
     fine = SignalStructure(
-        space, ("pool", "mid"),
-        ((one, 0), (0, one), (one, 0)),
-        values=(0, 1),
+        space, ("pool", "mid"), ((one, 0), (0, one), (one, 0)), values=(0, 1)
     )
-    report = check_signs(firm, p, q, coarse, fine, tol=tol)
-    res, c = report.result, report.result.perception_correcting
-    expected = (one / 4 - p.probs[1]) / 3
+    report = check_signs(
+        Firm((Task((0, 1, 2)),)), p, q, uninformative_structure(space), fine, tol=tol
+    )
+    res = report.result
     checks = (
         ExampleCheck("fine-structure-not-mlr", not report.fine_mlr),
-        ExampleCheck(
-            "correction-matches-formula", abs(c - expected) <= eq,
-            f"{format_number(c)} vs (1/4 - p1)/3 = {format_number(expected)}",
+        _matches(
+            "correction-matches-formula", res.perception_correcting,
+            (one / 4 - p.probs[1]) / 3, eq, "(1/4 - p1)/3 = ",
         ),
-        ExampleCheck(
-            "instrumental-zero", abs(res.instrumental) <= eq,
-            format_number(res.instrumental),
-        ),
+        _equals("instrumental-zero", res.instrumental, 0, eq),
         ExampleCheck("sign-rule-fails-without-mlr", *_sign_flip(report)),
     )
-    return ExampleReport(
-        example="ex3-mlr-fail",
-        mode=mode,
-        params=(("delta", format_number(delta)),),
-        facts=(
-            ("p", " ".join(format_number(v) for v in p.probs)),
-            ("perception class", report.perception.value),
-            ("total change", format_number(res.total)),
-            ("perception-correcting", format_number(c)),
-            ("instrumental", format_number(res.instrumental)),
-        ),
-        checks=checks,
+    facts = (
+        ("p", " ".join(format_number(v) for v in p.probs)),
+        ("perception class", report.perception.value),
+        *_parts(res),
     )
+    return facts, checks
 
 
 # -- two-population gap ----------------------------------------------------------
 
 
-def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
+def _ex1_disc(mode, tol, eq, p1, qi1, qj1):
     """Fully informed, favorably perceived population against an
     uninformative, over-perceived one: the gap is p1 - qj1, so the
     better-placed population earns strictly less when qj1 > p1."""
-    params = (("p1", p1), ("qi1", qi1), ("qj1", qj1))
-    for name, v in params:
-        _unit_interval(name, v)
-    eq, _, _ = claim_slacks(mode == "rational", tol)
     space = SkillSpace((0, 1))
     firm = Firm((Task((0, 1)),))
-    p = _binary(space, p1)
-    q_i, q_j = _binary(space, qi1), _binary(space, qj1)
+    p, q_i, q_j = _binary(space, p1), _binary(space, qi1), _binary(space, qj1)
     fine = fully_informative_structure(space)
     coarse = uninformative_structure(space)
     gap_at_fine = pay_gap(firm, p, q_i, q_j, fine)
@@ -261,27 +226,13 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
     total_gap = report.w_i - report.w_j
     expected = p1 - qj1
     checks = [
-        ExampleCheck(
-            "gap-matches-p1-minus-qj1", abs(total_gap - expected) <= eq,
-            f"{format_number(total_gap)} vs {format_number(expected)}",
+        _matches("gap-matches-p1-minus-qj1", total_gap, expected, eq),
+        _equals("favorableness-term-zero", report.favorableness, 0, eq),
+        _matches(
+            "favorableness-matches-direct-gap", report.favorableness, gap_at_fine, eq
         ),
-        ExampleCheck(
-            "favorableness-term-zero", abs(report.favorableness) <= eq,
-            format_number(report.favorableness),
-        ),
-        ExampleCheck(
-            "favorableness-matches-direct-gap",
-            abs(report.favorableness - gap_at_fine) <= eq,
-            f"{format_number(report.favorableness)} vs {format_number(gap_at_fine)}",
-        ),
-        ExampleCheck(
-            "correction-carries-whole-gap",
-            abs(report.correction - expected) <= eq, format_number(report.correction),
-        ),
-        ExampleCheck(
-            "instrumental-zero", abs(report.instrumental) <= eq,
-            format_number(report.instrumental),
-        ),
+        _equals("correction-carries-whole-gap", report.correction, expected, eq),
+        _equals("instrumental-zero", report.instrumental, 0, eq),
     ]
     if qi1 >= qj1:
         checks.append(
@@ -290,36 +241,29 @@ def _ex1_disc(mode, tol, p1, qi1, qj1) -> ExampleReport:
                 lr_geq(q_i, q_j, tol), "qi1 >= qj1",
             )
         )
-    if qj1 > p1:
-        checks.append(
+    if qj1 > p1 + eq:
+        checks += (
             ExampleCheck(
                 "better-informed-population-paid-less", total_gap < 0,
                 f"qj1 > p1 and gap {format_number(total_gap)}",
-            )
-        )
-        checks.append(
+            ),
             ExampleCheck(
                 "ranking-hypotheses-fail-as-expected",
                 not report.hypotheses["other_under_perceived"]
                 and not report.violation,
                 "the disfavored population is over-perceived",
-            )
+            ),
         )
-    return ExampleReport(
-        example="ex1-disc",
-        mode=mode,
-        params=tuple((name, format_number(v)) for name, v in params),
-        facts=(
-            ("pay population I", format_number(report.w_i)),
-            ("pay population J", format_number(report.w_j)),
-            ("gap", format_number(total_gap)),
-            ("favorableness", format_number(report.favorableness)),
-            ("perception-correcting", format_number(report.correction)),
-            ("instrumental", format_number(report.instrumental)),
-            ("gap at shared fine structure", format_number(gap_at_fine)),
-        ),
-        checks=tuple(checks),
+    facts = (
+        ("pay population I", report.w_i),
+        ("pay population J", report.w_j),
+        ("gap", total_gap),
+        ("favorableness", report.favorableness),
+        ("perception-correcting", report.correction),
+        ("instrumental", report.instrumental),
+        ("gap at shared fine structure", gap_at_fine),
     )
+    return facts, checks
 
 
 # -- accurate perceptions: information is worth a nonnegative amount -------------
@@ -347,38 +291,36 @@ def _judge_forward(inst, trial, slacks, tol, book) -> None:
     )
 
 
-def _blackwell_forward(mode, tol, trials, seed) -> ExampleReport:
+def _blackwell_forward(mode, tol, eq, trials, seed):
     """Random garbling-ordered pairs with accurate perceptions: the
     correction vanishes and the whole nonnegative gain is instrumental."""
-    require_count(trials, "trials", 1)
     checks = tuple(
         ExampleCheck(c.name, True, f"{trials}/{trials} trials") if c.failures == 0
         else ExampleCheck(c.name, False, f"first failure at {c.first_failure}")
         for c in _run_trials(_draw_forward, _judge_forward, trials, seed, mode, tol)
     )
-    return ExampleReport(
-        example="blackwell-forward",
-        mode=mode,
-        params=(("trials", str(trials)), ("seed", str(seed))),
-        facts=(),
-        checks=checks,
-        prng=PRNG_ID,
-    )
+    return (), checks
 
 
+def _trial_count(trials, seed) -> None:
+    require_count(trials, "trials", 1)  # the trial loop checks the seed
+
+
+# name -> (example, parameter check, default parameters in report order)
 _EXAMPLES = {
     "ex1-reversal": (
-        _ex1_reversal, {"p1": Fraction(1, 2), "q1": Fraction(3, 4)}
+        _ex1_reversal, _unit_interval, {"p1": Fraction(1, 2), "q1": Fraction(3, 4)}
     ),
     "ex2-monotone-fail": (
-        _ex2_monotone_fail, {"p1": Fraction(1, 2), "q1": Fraction(3, 4)}
+        _ex2_monotone_fail, _unit_interval,
+        {"p1": Fraction(1, 2), "q1": Fraction(3, 4)},
     ),
-    "ex3-mlr-fail": (_ex3_mlr_fail, {"delta": Fraction(1, 25)}),
+    "ex3-mlr-fail": (_ex3_mlr_fail, _delta_range, {"delta": Fraction(1, 25)}),
     "ex1-disc": (
-        _ex1_disc,
+        _ex1_disc, _unit_interval,
         {"p1": Fraction(1, 2), "qi1": Fraction(5, 6), "qj1": Fraction(3, 4)},
     ),
-    "blackwell-forward": (_blackwell_forward, {"trials": 25, "seed": 0}),
+    "blackwell-forward": (_blackwell_forward, _trial_count, {"trials": 25, "seed": 0}),
 }
 
 EXAMPLE_NAMES = tuple(_EXAMPLES)
@@ -388,14 +330,20 @@ def run_example(
     name: str, mode: str = "rational", tol: float | None = None, **overrides
 ) -> ExampleReport:
     """Build and check one named example; numeric parameters may be
-    overridden by keyword."""
+    overridden by keyword.
+
+    The parameters are checked before ``tol``.  Each example returns its
+    facts (numbers or text) and its checks; the report names the
+    example, its mode and its parameters in registry order, and the PRNG
+    of the seeded one.
+    """
     if name not in _EXAMPLES:
         raise InputError(
             f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
         )
     if mode not in ("rational", "float"):
         raise InputError(f"unknown mode {mode!r}")
-    fn, defaults = _EXAMPLES[name]
+    fn, check, defaults = _EXAMPLES[name]
     params = {}
     for key, default in defaults.items():
         if key in overrides:
@@ -410,4 +358,16 @@ def run_example(
             f"example {name!r} does not take parameter(s) "
             + ", ".join(sorted(overrides))
         )
-    return fn(mode, tol, **params)
+    check(**params)
+    eq, _, _ = claim_slacks(mode == "rational", tol)
+    facts, checks = fn(mode, tol, eq, **params)
+    return ExampleReport(
+        example=name,
+        mode=mode,
+        params=tuple((k, format_number(v)) for k, v in params.items()),
+        facts=tuple(
+            (k, v if isinstance(v, str) else format_number(v)) for k, v in facts
+        ),
+        checks=tuple(checks),
+        prng=PRNG_ID if "seed" in params else None,
+    )

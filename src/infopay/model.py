@@ -57,6 +57,7 @@ __all__ = [
     "uninformative_structure",
     "fully_informative_structure",
     "binary_symmetric_structure",
+    "twin",
 ]
 
 
@@ -67,7 +68,9 @@ class _Frozen:
     class only), hash and repr read those alone, so cached attributes such
     as ``int_form`` stay invisible.  Constructors store into ``__dict__``;
     any later assignment or deletion raises ``AttributeError``.  Pickle
-    and deepcopy restore the ``__dict__`` without assigning.
+    and deepcopy restore the ``__dict__`` without assigning.  ``to_float``
+    passes the ``twin`` of each field to the constructor; the classes
+    that hold numbers define their own.
     """
 
     _fields: tuple[str, ...] = ()
@@ -94,6 +97,17 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def to_float(self):
+        return type(self)(*[twin(getattr(self, name)) for name in self._fields])
+
+
+def twin(obj):
+    """The float twin: ``to_float`` of a model object, a tuple entry by
+    entry, anything else (exact numbers, text) as it is."""
+    if isinstance(obj, tuple):
+        return tuple(map(twin, obj))
+    return obj.to_float() if isinstance(obj, _Frozen) else obj
 
 
 class SkillSpace(_Frozen):
@@ -235,9 +249,6 @@ class Firm(_Frozen):
         """True when every task has strictly increasing surplus."""
         return all(t.is_increasing for t in self.tasks)
 
-    def to_float(self) -> "Firm":
-        return Firm(tuple(t.to_float() for t in self.tasks))
-
 
 class SignalStructure(_Frozen):
     """Likelihood matrix: one row per type, one column per signal label.
@@ -365,9 +376,6 @@ class Population(_Frozen):
         if not q.full_support:
             raise InputError("perceived distribution must have full support")
         self.__dict__.update(p=p, q=q, sig=sig)
-
-    def to_float(self) -> "Population":
-        return Population(self.p.to_float(), self.q.to_float(), self.sig.to_float())
 
 
 # -- belief updating and assignment ------------------------------------------
@@ -528,23 +536,9 @@ def average_pay(firm: Firm, pop: Population) -> Number:
 # -- common structure constructors -------------------------------------------
 
 
-def uninformative_structure(
-    space: SkillSpace, weights: Sequence[Number] | None = None
-) -> SignalStructure:
-    """Structure whose likelihood rows are identical across types.
-
-    With no arguments this is the single-signal structure; ``weights``
-    gives a common marginal over several signals.
-    """
-    if weights is None:
-        weights = (1,)
-    weights = tuple(weights)
-    validate_prob_vector(weights, "uninformative structure weights")
-    if any(not w > 0 for w in weights):
-        raise InputError("uninformative structure weights must be positive")
-    labels = tuple(f"u{k}" for k in range(len(weights)))
-    rows = tuple(weights for _ in range(space.size))
-    return SignalStructure(space, labels, rows)
+def uninformative_structure(space: SkillSpace) -> SignalStructure:
+    """The single-signal structure: it tells every type the same."""
+    return SignalStructure(space, ("u0",), ((1,),) * space.size)
 
 
 def fully_informative_structure(space: SkillSpace) -> SignalStructure:

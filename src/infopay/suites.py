@@ -57,6 +57,7 @@ from .model import (
     fully_informative_structure,
     pay_table,
     posterior,
+    twin,
     uninformative_structure,
 )
 from .numeric import claim_slacks, format_number, require_count
@@ -129,7 +130,9 @@ class _Book:
         self.claims: dict[str, ClaimStats] = {}
 
     def check(self, name, ok, trial, carrier=None, detail="") -> bool:
-        stats = self.claims.setdefault(name, ClaimStats(name))
+        stats = self.claims.get(name)
+        if stats is None:  # a claim's first booking
+            stats = self.claims[name] = ClaimStats(name)
         if ok:
             stats.passes += 1
         else:
@@ -147,14 +150,6 @@ class _Book:
         return bool(ok)
 
 
-def _twin(inst):
-    """A drawn instance's float twin: ``to_float`` of each model object,
-    tuples entry by entry, anything else (exact numbers, text) unchanged."""
-    if isinstance(inst, tuple):
-        return tuple(map(_twin, inst))
-    return inst.to_float() if hasattr(inst, "to_float") else inst
-
-
 def _run_trials(draw, judge, trials, seed, mode, tol) -> tuple[ClaimStats, ...]:
     """Judge ``trials`` drawn instances, each on its own stream; float mode
     judges each instance's twin."""
@@ -162,7 +157,7 @@ def _run_trials(draw, judge, trials, seed, mode, tol) -> tuple[ClaimStats, ...]:
     book = _Book()
     for trial in range(trials):
         inst = draw(trial_rng(seed, trial), trial)
-        judge(inst if mode == "rational" else _twin(inst), trial, slacks, tol, book)
+        judge(inst if mode == "rational" else twin(inst), trial, slacks, tol, book)
     return tuple(book.claims.values())
 
 

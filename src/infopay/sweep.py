@@ -22,6 +22,7 @@ from .model import (
     binary_symmetric_structure,
     pay_table,
     table_pay,
+    twin,
 )
 from .numeric import Number, format_number, parse_exact
 
@@ -113,9 +114,7 @@ def figure1_rows(
     firm, p, q_i, q_j = figure1_instance()
     space = p.space
     if mode == "float":
-        firm, p, q_i, q_j = (
-            firm.to_float(), p.to_float(), q_i.to_float(), q_j.to_float()
-        )
+        firm, p, q_i, q_j = twin((firm, p, q_i, q_j))
         space = p.space
     rows = []
     for lam in sorted(grid):

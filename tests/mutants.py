@@ -40,6 +40,13 @@ Known equivalent mutants, which no test can kill:
   float input).  No signal has zero likelihood everywhere, so the
   column's largest entry is positive, and it then passes as well: the
   verdict is the same.
+* ``examples``: ``res.total < 0`` (ex1-reversal) and ``total_gap < 0``
+  (ex1-disc) flipped to ``<=``.  Each check is made only when the
+  perception exceeds the truth by more than the equality slack, so the
+  total is ``p1 - q1`` (or ``p1 - qj1``) below 0: exactly on exact
+  input, and by more than the slack, up to rounding, on float input.
+  Only a float run at ``tol = 0`` could meet a total of 0 there, and at
+  that tolerance every closed-form check compares floats with no slack.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from infopay import (
     fully_informative_structure,
     garble,
     kernel_reproduces,
-    uninformative_structure,
 )
 from infopay.errors import InputError
 from infopay.generators import (
@@ -279,7 +278,7 @@ def test_kernel_check_matches_fraction_oracle(instance, row, exponent):
 def test_kernel_missing_by_one_in_ten_to_the_thirty_is_rejected():
     space = random_skill_space(trial_rng(1, 0), max_types=2)
     fine = fully_informative_structure(space)
-    coarse = uninformative_structure(space, (F(1, 3), F(2, 3)))
+    coarse = SignalStructure(space, ("u0", "u1"), ((F(1, 3), F(2, 3)),) * 2)
     kernel = find_garbling(fine, coarse)
     assert kernel_reproduces(kernel, fine, coarse)
     tiny = F(1, 10**30)

@@ -1,5 +1,6 @@
 """Named worked instances: closed-form values, overrides, validation."""
 
+import hashlib
 import inspect
 import math
 from fractions import Fraction
@@ -21,6 +22,34 @@ def test_example_passes(name, mode):
     report = run_example(name, mode=mode)
     assert report.ok, report.render()
     assert report.mode == mode
+
+
+# the parameter overrides the tests below use, on top of every default
+OVERRIDES = [
+    ("ex1-reversal", {"p1": Fraction(1, 4), "q1": Fraction(1, 8)}),
+    ("ex3-mlr-fail", {"delta": Fraction(-1, 50)}),
+    ("ex1-disc", {"qj1": Fraction(1, 4)}),
+    ("blackwell-forward", {"trials": 8, "seed": 11}),
+]
+
+
+def test_renders_are_pinned():
+    # one digest over every example's render, with its defaults and with
+    # the overrides, in both modes, with and without a tol
+    digest = hashlib.sha256()
+    for mode in ("rational", "float"):
+        as_mode = float if mode == "float" else Fraction
+        for tol in (None, 1e-6):
+            for name, params in [(name, {}) for name in EXAMPLE_NAMES] + OVERRIDES:
+                params = {
+                    k: as_mode(v) if isinstance(v, Fraction) else v
+                    for k, v in params.items()
+                }
+                report = run_example(name, mode=mode, tol=tol, **params)
+                digest.update(report.render().encode())
+    assert digest.hexdigest() == (
+        "23f2c172d86894271b3eba5538efc070a1f87d087845070e2d7bd2ef513031e5"
+    )
 
 
 def test_ex1_reversal_defaults():
@@ -68,8 +97,64 @@ def test_ex3_negative_delta_flips_sign():
 
 @pytest.mark.parametrize("delta", [Fraction(1, 12), Fraction(-1, 4), Fraction(1)])
 def test_ex3_delta_range_enforced(delta):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="delta must lie strictly between"):
         run_example("ex3-mlr-fail", delta=delta)
+
+
+@pytest.mark.parametrize("name", ["ex1-reversal", "ex2-monotone-fail", "ex1-disc"])
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1)])
+def test_unit_interval_bounds_are_open(name, value):
+    # each bound is refused by the range check itself, before a
+    # distribution without full support fails elsewhere
+    with pytest.raises(InputError, match="p1 must lie strictly between 0 and 1"):
+        run_example(name, p1=value)
+
+
+def test_parameters_are_checked_before_tol():
+    with pytest.raises(InputError, match="p1 must lie strictly"):
+        run_example("ex1-reversal", mode="float", tol=math.nan, p1=1.0)
+    with pytest.raises(InputError, match="delta must lie strictly"):
+        run_example("ex3-mlr-fail", tol=-1.0, delta=Fraction(1, 12))
+    with pytest.raises(InputError, match="trials must be an integer"):
+        run_example("blackwell-forward", tol=math.inf, trials=0)
+
+
+def test_ex1_reversal_without_over_perception_has_no_reversal_check():
+    report = run_example("ex1-reversal", p1=Fraction(1, 2), q1=Fraction(1, 2))
+    assert report.ok, report.render()
+    assert dict(report.facts)["total change"] == "0"
+    assert "more-information-lowers-pay" not in by_name(report)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_float_sign_checks_need_a_gap_beyond_the_slack(tol):
+    # one ulp of over-perception: the float total can round to 0 and the
+    # judge classes the perception as accurate, so no sign is claimed
+    p1 = 0.7230713612861879
+    q1 = math.nextafter(p1, 1)
+    for name, params in [
+        ("ex1-reversal", {"p1": p1, "q1": q1}),
+        ("ex1-disc", {"p1": p1, "qi1": 0.9, "qj1": q1}),
+    ]:
+        report = run_example(name, mode="float", tol=tol, **params)
+        assert report.ok, report.render()
+        assert not {
+            "more-information-lowers-pay", "better-informed-population-paid-less"
+        } & set(by_name(report))
+    report = run_example("ex1-disc", mode="float", tol=tol, p1=p1, qj1=p1 + 2e-6)
+    assert "better-informed-population-paid-less" in by_name(report)
+    assert report.ok, report.render()
+
+
+def test_ex1_disc_at_equal_perceptions():
+    # qi1 = qj1 = p1: the favored population is (weakly) more favorably
+    # perceived, and the other one is not over-perceived
+    half = Fraction(1, 2)
+    report = run_example("ex1-disc", p1=half, qi1=half, qj1=half)
+    assert report.ok, report.render()
+    assert by_name(report)["favored-population-more-favorably-perceived"].ok
+    assert "better-informed-population-paid-less" not in by_name(report)
+    assert "ranking-hypotheses-fail-as-expected" not in by_name(report)
 
 
 def test_ex1_disc_within_hypotheses_override():

@@ -80,7 +80,7 @@ def test_identity_garbling():
 
 def test_everything_dominates_uninformative():
     fine = sym(F(3, 5))
-    coarse = uninformative_structure(BIN, (F(1, 3), F(2, 3)))
+    coarse = SignalStructure(BIN, ("u0", "u1"), ((F(1, 3), F(2, 3)),) * 2)
     kernel = find_garbling(fine, coarse)
     assert kernel is not None
     assert kernel_reproduces(kernel, fine, coarse)

@@ -234,8 +234,6 @@ def test_pay_table_rejects_signals_the_truth_never_sends():
 
 
 def test_structure_builders_check_their_parameters():
-    with pytest.raises(InputError, match="weights must be positive"):
-        uninformative_structure(BIN, (1, 0))
     for accuracy in (0, 1):
         sig = sym(accuracy)
         assert sig.likelihood == ((accuracy, 1 - accuracy), (1 - accuracy, accuracy))

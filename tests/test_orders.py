@@ -20,7 +20,6 @@ from infopay import (
     perception_class,
     posterior,
     separating_signal_structure,
-    uninformative_structure,
 )
 
 BIN = SkillSpace((0, 1))
@@ -119,7 +118,7 @@ def test_mlr_pooling_outer_types_fails_under_any_value_order():
 
 def test_mlr_requires_signal_values():
     with pytest.raises(InputError):
-        is_mlr(uninformative_structure(BIN, (F(1, 2), F(1, 2))))
+        is_mlr(SignalStructure(BIN, ("u0", "u1"), ((F(1, 2), F(1, 2)),) * 2))
 
 
 # -- perception classes -------------------------------------------------------

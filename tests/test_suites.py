@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from infopay import examples, suites
+from infopay import examples, model, suites
 from infopay.errors import InputError
 from infopay.generators import trial_rng
 from infopay.model import Dist, Population, SkillSpace, uninformative_structure
@@ -100,7 +100,7 @@ def test_float_twin_gets_the_exact_instance_verdicts(name):
             inst = draw(trial_rng(seed, trial), trial)
             want, got = _Verdicts(), _Verdicts()
             judge(inst, trial, exact, None, want)
-            judge(suites._twin(inst), trial, floats, None, got)
+            judge(model.twin(inst), trial, floats, None, got)
             assert got == want, (seed, trial)
 
 
@@ -175,3 +175,18 @@ def test_failure_bookkeeping_and_render():
 def test_claim_stats_attempts():
     c = ClaimStats("x", passes=3, failures=2)
     assert c.attempts == 5
+
+
+def test_book_builds_one_claim_stats_per_claim(monkeypatch):
+    # a claim's stats are built on its first booking only, not once per check
+    built = []
+
+    class Counting(ClaimStats):
+        def __init__(self, name):
+            built.append(name)
+            super().__init__(name)
+
+    monkeypatch.setattr(suites, "ClaimStats", Counting)
+    res = run_suite("theorem1", trials=10, seed=5)
+    assert sum(c.attempts for c in res.claims) > len(res.claims)
+    assert built == [c.name for c in res.claims]
