@@ -21,23 +21,23 @@ perceived weights and one tie-broken assignment per signal.  The
 remaining conditional probabilities cancel algebraically, so the parts
 come from one pass over the linked (coarse, fine) signal pairs, those
 with a nonzero kernel entry: each pair's perceived value of the kept
-coarse task is computed once and added into per-fine and per-coarse
-sums.  Rational inputs stay exact: the tables hold Python ints, the
-kernel enters through the int form it carries (an exact instance takes
-no float kernel), every per-signal sum is an int, and each part is one
-``Fraction`` sum over signals divided by the product of the scales.
+coarse task is read from the fine table's scores and added into
+per-fine and per-coarse sums.  Rational inputs stay exact: the tables
+hold Python ints, the kernel enters through its ``number_forms`` (an
+exact instance takes no float kernel), every per-signal sum is an int,
+and each part is one ``Fraction`` sum over signals divided by the
+product of the scales.
 ``check_signs`` is the one judge of Theorem 1 on an instance: the
 identity, the instrumental floor and, under the hypotheses, the sign.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, OrderingError
 from .garbling import GarblingKernel, find_garbling, kernel_reproduces
-from .model import Dist, Firm, SignalStructure, pay_table, table_pay
+from .model import Dist, Firm, SignalStructure, number_forms, pay_table, table_pay
 from .numeric import Number, all_exact, claim_slacks, format_number, ratio_sum
 from .orders import PerceptionClass, is_mlr, perception_class
 
@@ -125,29 +125,28 @@ def decompose(
     n_c = coarse.n_signals
     table_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
     table_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
-    rows_f, surplus, g = table_f.rows, table_f.surplus, kernel.matrix
-    exact = table_f.exact
-    g_scale = 1
-    if exact:  # every sum below is an int at scale g_scale * (score scale)
-        if kernel.int_form is None:
-            raise InputError(
-                "a float kernel needs a float instance: convert the "
-                "instance with to_float()"
-            )
-        g, g_scale = kernel.int_form
+    rows_f = table_f.rows
+    # when exact, every sum below is an int at scale g_scale * (score scale)
+    exact, ((g, g_scale), *_) = number_forms(kernel, firm, p, q, fine)
+    if table_f.exact and not exact:
+        raise InputError(
+            "a float kernel needs a float instance: convert the "
+            "instance with to_float()"
+        )
 
-    # e = dot(q-weights at fine signal f, surplus of the task kept at coarse
-    # s) is the unnormalized perceived fine-posterior value of that task; the
-    # Bayes denominators cancel against the joint-law weights, so the linked
-    # pairs with a zero kernel entry drop out exactly (and a zero perceived
-    # pair weight implies a zero true one, both being the kernel entry times
-    # a positive marginal).  Each part is a list of (m_p, m_q, value) terms
+    # e(s, f) = row_f.scores[task kept at coarse s], the q-weights at fine
+    # signal f dotted with that task's surplus, is the unnormalized
+    # perceived fine-posterior value of the task; the Bayes denominators
+    # cancel against the joint-law weights, so the linked pairs with a zero
+    # kernel entry drop out exactly (and a zero perceived pair weight
+    # implies a zero true one, both being the kernel entry times a positive
+    # marginal).  Each part is a list of (m_p, m_q, value) terms
     # that m_p / m_q weights: the fine terms, and for the correction the
     # negated coarse terms sum_s mu_p(s)/mu_q(s) * sum_f g[s][f] * e(s, f).
     # Float sums keep one order, which the pinned decomposition digest
     # fixes: per-coarse over f ascending, per-fine over s ascending, fine
     # terms before coarse ones.
-    kept = [surplus[r.task] for r in table_c.rows]
+    kept = [r.task for r in table_c.rows]
     mu_p, mu_q, inner = [0] * n_c, [0] * n_c, [0] * n_c
     correction, joint, signalwise = [], [], []
     for row_f, col in zip(rows_f, zip(*g)):
@@ -156,7 +155,7 @@ def decompose(
         gap = 0  # sum over s of g[s][f] * (best - e(s, f))
         for s, coef in enumerate(col):
             if coef != 0:
-                e = sum(map(mul, row_f.weights, kept[s]))
+                e = row_f.scores[kept[s]]
                 linked = coef * e
                 mixed += linked
                 gap += coef * (best - e)

@@ -112,16 +112,20 @@ def _parts(res) -> tuple:
     )
 
 
-def _sign_flip(report: SignReport) -> tuple[bool, str]:
-    """Whether the correction breaks the sign rule its perception class
-    implies, and a note; an accurate one has no sign, so it must vanish."""
-    c = format_number(report.result.perception_correcting)
+def _sign_flip(name: str, report: SignReport, eq) -> tuple[ExampleCheck, ...]:
+    """The check that the correction breaks the sign rule its perception
+    class implies; an accurate one has no sign, so it must vanish.  A
+    misperception is checked only when the correction exceeds ``eq`` in
+    size: within the slack, a correction of either sign holds the rule."""
+    c = report.result.perception_correcting
     rule, holds = report.correction_sign_rule, report.correction_sign_holds
-    if rule == "nonneg":
-        return holds is False, f"under-perceived yet correction {c} < 0"
-    if rule == "nonpos":
-        return holds is False, f"over-perceived yet correction {c} > 0"
-    return holds is True, "no misperception, no sign to flip"
+    if rule not in ("nonneg", "nonpos"):
+        return (ExampleCheck(name, holds is True, "no misperception, no sign to flip"),)
+    if abs(c) <= eq:
+        return ()
+    side, sign = ("under", "<") if rule == "nonneg" else ("over", ">")
+    note = f"{side}-perceived yet correction {format_number(c)} {sign} 0"
+    return (ExampleCheck(name, holds is False, note),)
 
 
 # -- single-population reversals and sign failures -------------------------------
@@ -171,7 +175,7 @@ def _ex2_monotone_fail(mode, tol, eq, p1, q1):
             (1 - p1) - (1 - q1), eq,
         ),
         _equals("instrumental-zero", res.instrumental, 0, eq),
-        ExampleCheck("sign-rule-fails-without-monotonicity", *_sign_flip(report)),
+        *_sign_flip("sign-rule-fails-without-monotonicity", report, eq),
     )
     return (("perception class", report.perception.value), *_parts(res)), checks
 
@@ -199,7 +203,7 @@ def _ex3_mlr_fail(mode, tol, eq, delta):
             (one / 4 - p.probs[1]) / 3, eq, "(1/4 - p1)/3 = ",
         ),
         _equals("instrumental-zero", res.instrumental, 0, eq),
-        ExampleCheck("sign-rule-fails-without-mlr", *_sign_flip(report)),
+        *_sign_flip("sign-rule-fails-without-mlr", report, eq),
     )
     facts = (
         ("p", " ".join(format_number(v) for v in p.probs)),

@@ -17,7 +17,9 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .model import Dist, Firm, IntRows, SignalStructure, _Frozen, pay_table
+from .model import (
+    Dist, Firm, IntRows, SignalStructure, _Frozen, number_forms, pay_table
+)
 from .numeric import (
     LP_TOL,
     ORDER_TOL,
@@ -54,6 +56,7 @@ class GarblingKernel(_Frozen):
     """
 
     _fields = ("coarse_signals", "fine_signals", "matrix")
+    _numbers = "matrix"
 
     def __init__(
         self,
@@ -153,22 +156,18 @@ def kernel_reproduces(
     """Does mixing the fine likelihoods through the kernel recover the
     coarse likelihoods (exactly, or within ``tol`` for floats)?
 
-    Exact input is compared as cross-multiplied ints: the int forms the
-    three matrices carry, each at its own scale.  A float in any of them
-    makes every entry a float comparison with slack ``tol`` (default
-    ``LP_TOL``); the scales are then 1.
+    The three matrices are compared cross-multiplied, each in its
+    ``number_forms`` at its own scale: as ints with no slack on exact
+    input, otherwise entry by entry with slack ``tol`` (default
+    ``LP_TOL``).
     """
     slack = check_tol(tol, LP_TOL)
     _check_shared_space(fine, coarse)
     _check_kernel_labels(kernel, fine, coarse)
-    forms = (kernel.int_form, fine.int_form, coarse.int_form)
-    if None in forms:
-        g, fine_lik, coarse_lik = kernel.matrix, fine.likelihood, coarse.likelihood
-        coarse_scale = mixed_scale = 1
-    else:
-        (g, g_scale), (fine_lik, fine_scale), (coarse_lik, coarse_scale) = forms
-        mixed_scale = g_scale * fine_scale
-        slack = 0
+    exact, ((g, g_scale), (fine_lik, fine_scale), (coarse_lik, coarse_scale)) = (
+        number_forms(kernel, fine, coarse)
+    )
+    mixed_scale, slack = g_scale * fine_scale, 0 if exact else slack
     return all(
         abs(sum(map(mul, g_row, fine_row)) * coarse_scale
             - coarse_row[s] * mixed_scale) <= slack
@@ -183,21 +182,17 @@ def find_garbling(
     """A kernel witnessing that ``coarse`` is a garbling of ``fine``,
     or None when no such kernel exists (within tolerance for floats).
 
-    Exact structures give an int program: both int forms brought to the
-    lcm of their scales, the one scale ``clear_denominators`` would give
-    the Fraction program, so the pivots and the witness are the same.
+    The program holds both ``number_forms`` at the lcm of their scales:
+    on exact input an int program at the scale ``clear_denominators``
+    gives the Fraction program, so the pivots and witness are the same.
     """
     check_tol(tol)
     _check_shared_space(fine, coarse)
     n_f, n_c, n_t = fine.n_signals, coarse.n_signals, fine.space.size
-    forms = fine.int_form, coarse.int_form
-    if None in forms:
-        fine_lik, coarse_lik, one = fine.likelihood, coarse.likelihood, 1
-    else:
-        (fine_lik, fine_scale), (coarse_lik, coarse_scale) = forms
-        one = math.lcm(fine_scale, coarse_scale)
-        fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
-        coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
+    _, ((fine_lik, fine_scale), (coarse_lik, coarse_scale)) = number_forms(fine, coarse)
+    one = math.lcm(fine_scale, coarse_scale)
+    fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
+    coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
     n_var = n_c * n_f  # x[s * n_f + f] = g(s | f)
     rows: list[list[Number]] = []
     rhs: list[Number] = []
@@ -237,23 +232,18 @@ def garble(fine: SignalStructure, kernel: GarblingKernel) -> SignalStructure:
     """The coarse structure obtained by reporting fine signals through
     the kernel.
 
-    Exact entries are mixed as ints, from the int forms of the kernel and
-    the likelihoods, and the structure is built from the int rows; an
-    entry stays an int when its kernel row and its likelihood row hold no
-    Fraction, as a sum of int products would.
+    Mixes the ``number_forms`` of the kernel and the likelihoods; exact
+    input builds the structure from the int rows, where an entry stays an
+    int when its kernel row and likelihood row hold no Fraction.
     """
     if kernel.fine_signals != fine.signals:
         raise InputError("kernel fine signals do not match the fine structure")
-    g, lik = kernel.matrix, fine.likelihood
-    exact = kernel.int_form is not None and fine.int_form is not None
-    if exact:
-        whole = _whole(lik, g)
-        (g, g_scale), (lik, lik_scale) = kernel.int_form, fine.int_form
+    exact, ((g, g_scale), (lik, lik_scale)) = number_forms(kernel, fine)
     rows = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
     if exact:
-        form = (rows, g_scale * lik_scale)
         return SignalStructure._from_ints(
-            fine.space, kernel.coarse_signals, form, whole=whole
+            fine.space, kernel.coarse_signals, (rows, g_scale * lik_scale),
+            whole=_whole(fine.likelihood, kernel.matrix),
         )
     return SignalStructure(fine.space, kernel.coarse_signals, rows)
 
@@ -262,22 +252,19 @@ def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKer
     """Chain two garblings: ``inner`` maps A to B, ``outer`` maps B to C;
     the result maps A straight to C (the transitivity witness).
 
-    Exact kernels are mixed as ints, from their int forms, and the result
-    is built from the int rows; an entry stays an int when its outer row
-    and its inner column hold no Fraction, as a sum of int products would.
+    Mixes the ``number_forms`` of the kernels; exact input builds the
+    result from the int rows, where an entry stays an int when its outer
+    row and inner column hold no Fraction, as a sum of int products would.
     """
     if inner.coarse_signals != outer.fine_signals:
         raise InputError("kernels do not chain: signal sets mismatch")
     labels = outer.coarse_signals, inner.fine_signals
-    g_outer, g_inner = outer.matrix, inner.matrix
-    exact = outer.int_form is not None and inner.int_form is not None
-    if exact:
-        whole = _whole(g_outer, zip(*g_inner))
-        (g_outer, outer_scale), (g_inner, inner_scale) = outer.int_form, inner.int_form
+    exact, ((g_outer, outer_scale), (g_inner, inner_scale)) = number_forms(outer, inner)
     cols = list(zip(*g_inner))
     rows = [[sum(map(mul, row, col)) for col in cols] for row in g_outer]
     if exact:
         form = (rows, outer_scale * inner_scale)
+        whole = _whole(outer.matrix, zip(*inner.matrix))
         return GarblingKernel._from_ints(*labels, form, whole)
     return GarblingKernel(*labels, rows)
 
@@ -304,10 +291,8 @@ def is_slightly_more_informative(
     _check_shared_space(fine, coarse)
     if not kernel_reproduces(kernel, fine, coarse, tol=tol):
         raise InputError("kernel does not reproduce the coarse structure")
-    if kernel.int_form is None:
-        links, positive = kernel.matrix, ORDER_TOL
-    else:
-        links, positive = kernel.int_form[0], 0
+    exact, ((links, _),) = number_forms(kernel)
+    positive = 0 if exact else ORDER_TOL
     coarse_rows = pay_table(firm, q, q, coarse, what="coarse signal").rows
     fine_rows = pay_table(firm, q, q, fine, what="fine signal").rows
     for row_c, g_row in zip(coarse_rows, links):
@@ -329,15 +314,14 @@ def within_eps_of_full(
     ``eps = 0`` means fully informative; ``math.inf`` accepts anything.
     """
     slack = check_tol(tol, ORDER_TOL)
-    eps_exact = exact_entries((eps,), "eps")
+    exact_entries((eps,), "eps")
     if isinstance(eps, float) and math.isinf(eps) and eps > 0:
         return True
     if not eps >= 0:  # nan as well as negative
         raise InputError(f"eps must be a nonnegative number, got {eps!r}")
-    # exact input compares int likelihoods: every test below is
-    # invariant under scaling a column
-    exact = eps_exact and sig.int_form is not None
-    lik = sig.int_form[0] if exact else sig.likelihood
+    # exact input compares int likelihoods, and eps as ints over its
+    # scale: every test below is invariant under scaling a column
+    exact, ((lik, _), ((eps,), eps_scale)) = number_forms(sig, eps)
     n_t = sig.space.size
     for j in range(sig.n_signals):
         col = [lik[t][j] for t in range(n_t)]
@@ -347,7 +331,7 @@ def within_eps_of_full(
                 continue
             bound = eps * col[star]
             pad = 0 if exact else slack * max(1, col[star])
-            if all(col[t] <= bound + pad for t in range(n_t) if t != star):
+            if all(col[t] * eps_scale <= bound + pad for t in range(n_t) if t != star):
                 ok = True
                 break
         if not ok:

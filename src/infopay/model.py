@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 from .errors import InputError
 from .numeric import (
     DEFAULT_TOL,
+    EXACT_TYPES,
     Number,
     _check_prob_vector,
     _entries,
@@ -48,6 +49,7 @@ __all__ = [
     "Firm",
     "SignalStructure",
     "Population",
+    "number_forms",
     "posterior",
     "SignalRow",
     "PayTable",
@@ -152,6 +154,7 @@ class Dist(_Frozen):
     """
 
     _fields = ("space", "probs")
+    _numbers = "probs"
 
     def __init__(self, space: SkillSpace, probs: Sequence[Number]):
         self.__dict__.update(space=space, probs=tuple(probs))
@@ -224,11 +227,13 @@ class Task(_Frozen):
 class Firm(_Frozen):
     """Nonempty set of tasks of equal width.
 
-    When every surplus is exact, ``int_form = (rows, scale)`` holds one
-    int row per task over the lcm of all their denominators.
+    ``surplus`` holds one surplus row per task.  When every surplus is
+    exact, ``int_form = (rows, scale)`` holds those rows as ints over the
+    lcm of all their denominators.
     """
 
     _fields = ("tasks",)
+    _numbers = "surplus"
 
     def __init__(self, tasks: Sequence[Task]):
         tasks = tuple(tasks)
@@ -242,7 +247,8 @@ class Firm(_Frozen):
             raise InputError("all tasks in a firm must cover the same types")
         forms = [t.int_form for t in tasks]
         form = None if None in forms else join_rows(forms)
-        self.__dict__.update(tasks=tasks, int_form=form)
+        surplus = tuple([t.surplus for t in tasks])
+        self.__dict__.update(tasks=tasks, int_form=form, surplus=surplus)
 
     @property
     def is_monotone(self) -> bool:
@@ -261,6 +267,7 @@ class SignalStructure(_Frozen):
     """
 
     _fields = ("space", "signals", "likelihood", "values")
+    _numbers = "likelihood"
 
     def __init__(
         self,
@@ -378,6 +385,26 @@ class Population(_Frozen):
         self.__dict__.update(p=p, q=q, sig=sig)
 
 
+def number_forms(*objs) -> tuple[bool, list]:
+    """``(exact, forms)``: each object's int form ``(ints, scale)`` when
+    every one is exact, else its numbers as given (the attribute its class
+    names in ``_numbers``) at scale 1: one float makes the whole call a
+    float call.  A bare number is a row of one.  ``exact`` then picks the
+    slack and the builder, never the arithmetic.
+    """
+    forms = [
+        obj.int_form if isinstance(obj, _Frozen)
+        else int_row((obj,)) if type(obj) in EXACT_TYPES else None
+        for obj in objs
+    ]
+    if None not in forms:
+        return True, forms
+    return False, [
+        (getattr(obj, obj._numbers) if isinstance(obj, _Frozen) else (obj,), 1)
+        for obj in objs
+    ]
+
+
 # -- belief updating and assignment ------------------------------------------
 
 
@@ -390,18 +417,14 @@ def posterior(q: Dist, sig: SignalStructure, signal: str) -> Dist:
     """Bayes posterior over types after observing ``signal`` under ``q``.
 
     Requires a full-support prior, so the posterior is defined for every
-    signal (each signal has positive likelihood under some type).  Exact
-    input is weighed in ints, from the int forms of ``q`` and ``sig``.
+    signal (each signal has positive likelihood under some type).  It
+    weighs the ``number_forms`` of ``q`` and ``sig``: ints on exact input.
     """
     _check_same_space(sig, q, "posterior")
     if not q.full_support:
         raise InputError("posterior requires a full-support prior")
     j = sig.index(signal)
-    exact = q.int_form is not None and sig.int_form is not None
-    if exact:
-        probs, lik = q.int_form[0], sig.int_form[0]
-    else:
-        probs, lik = q.probs, sig.likelihood
+    exact, ((probs, _), (lik, _)) = number_forms(q, sig)
     weights = [v * row[j] for v, row in zip(probs, lik)]
     total = sum(weights)
     if not total > 0:
@@ -431,6 +454,7 @@ class SignalRow(NamedTuple):
     task: int  # tie-broken expected-surplus maximizer under ``weights``
     score: Number  # that task's surplus dotted with ``weights``
     ties: list[int]  # every maximizer under the tie rule; ``task`` is an end
+    scores: list[Number]  # every task's surplus dotted with ``weights``
 
 
 class PayTable(NamedTuple):
@@ -439,17 +463,16 @@ class PayTable(NamedTuple):
     On exact input every number in the table is an int.  ``m_p``, ``m_q``
     and ``weights`` are the true values times ``freq_scale``: the lcm of
     the denominators of p and q together, times that of the likelihoods.
-    ``surplus`` holds the firm's surpluses times ``surplus_scale``, the
-    lcm of their denominators, and ``score`` is the true value times
-    ``freq_scale * surplus_scale``.  Otherwise both scales are 1 and the
-    numbers are the true values.
+    ``score`` and ``scores`` are the true values times ``freq_scale *
+    surplus_scale``, where ``surplus_scale`` is the lcm of the
+    denominators of the firm's surpluses.  Otherwise both scales are 1
+    and the numbers are the true values.
     """
 
     rows: tuple[SignalRow, ...]
     exact: bool
     freq_scale: int
     surplus_scale: int
-    surplus: tuple[Sequence[Number], ...]  # one row per task
 
     def signal_pay(self, j: int) -> Number:
         """Pay at signal ``j``: the perceived expected surplus of its task."""
@@ -472,13 +495,12 @@ def pay_table(
     This is the one place that decides which tasks are optimal at a
     signal: each row holds the tie set and its tie-broken end.  Scores
     stay unnormalized: dividing by ``m_q > 0`` cannot change an
-    argmax, and pay at a signal is ``score / m_q``.  When p, q, the
-    surpluses and the likelihoods are all exact, the table reads the int
-    forms the objects carry (p and q joined at the lcm of their two
-    scales; the likelihood matrix and the firm's surpluses each at their
-    own) and every product, sum and comparison is an int operation; all
-    scores share one positive scale, so the argmax and its ties are those
-    of the true values.  Exact input breaks ties with zero slack, other
+    argmax, and pay at a signal is ``score / m_q``.  The table reads the
+    ``number_forms`` of p, q, the likelihoods and the surpluses, with p
+    and q joined at the lcm of their two scales.  On exact input every
+    product, sum and comparison is then an int operation; all scores
+    share one positive scale, so the argmax and its ties are those of
+    the true values.  Exact input breaks ties with zero slack, other
     input within ``DEFAULT_TOL * m_q``.  A signal with zero true or
     perceived frequency (float underflow) raises ``InputError``; ``what``
     names such signals in the message.
@@ -488,16 +510,10 @@ def pay_table(
         raise InputError("distributions and signal structure disagree on types")
     if len(firm.tasks[0].surplus) != q.space.size:
         raise InputError("firm tasks and belief cover different type counts")
-    exact = None not in (p.int_form, q.int_form, sig.int_form, firm.int_form)
-    if exact:
-        (p_t, q_t), pq_scale = join_rows((p.int_form, q.int_form))
-        lik, lik_scale = sig.int_form
-        surplus, surplus_scale = firm.int_form
-        freq_scale = pq_scale * lik_scale
-    else:
-        p_t, q_t, lik = p.probs, q.probs, sig.likelihood
-        surplus = tuple(task.surplus for task in firm.tasks)
-        freq_scale = surplus_scale = 1
+    exact, (p_form, q_form, *forms) = number_forms(p, q, sig, firm)
+    (p_t, q_t), pq_scale = join_rows((p_form, q_form))
+    (lik, lik_scale), (surplus, surplus_scale) = forms
+    freq_scale = pq_scale * lik_scale
     rows = []
     for label, col in zip(sig.signals, zip(*lik)):
         weights = list(map(mul, q_t, col))
@@ -511,8 +527,8 @@ def pay_table(
         scores = [sum(map(mul, weights, a)) for a in surplus]
         ties = _near_max(scores, 0 if exact else DEFAULT_TOL * m_q)
         task = ties[0] if tie_break == "lowest" else ties[-1]
-        rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties))
-    return PayTable(tuple(rows), exact, freq_scale, surplus_scale, surplus)
+        rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties, scores))
+    return PayTable(tuple(rows), exact, freq_scale, surplus_scale)
 
 
 def table_pay(table: PayTable) -> Number:

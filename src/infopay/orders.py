@@ -1,11 +1,12 @@
 """Stochastic orders on beliefs and signal structures.
 
 The likelihood-ratio order compares cross products, so zero entries are
-handled without forming ratios.  Exact objects are compared through the
-int forms they carry: cross products and cumulative sums keep their
-order under a positive scale, so the int tests are the exact ones.  In
-float mode (any object with a float entry) each product comparison
-carries an absolute slack scaled by the larger operand.
+handled without forming ratios.  Every test reads the ``number_forms``
+of its objects: exact objects give their int forms, and cross products
+and cumulative sums keep their order under a positive scale, so the int
+tests are the exact ones.  In float mode (any object with a float entry)
+each product comparison carries an absolute slack scaled by the larger
+operand.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import InputError
-from .model import Dist, SignalStructure, SkillSpace
+from .model import Dist, SignalStructure, SkillSpace, number_forms
 from .numeric import ORDER_TOL, Number, check_tol, join_rows
 
 __all__ = [
@@ -73,14 +74,13 @@ def _check_spaces(a: Dist, b: Dist) -> None:
 
 
 def _entries(hi: Dist, lo: Dist, tol: float | None):
-    """(hi entries, lo entries, slack): the int forms at one scale and
-    zero slack when both are exact, the probs and float slack otherwise."""
+    """(hi entries, lo entries, slack): the ``number_forms`` at one scale,
+    with zero slack when both are exact and the float slack otherwise."""
     slack = check_tol(tol, ORDER_TOL)
     _check_spaces(hi, lo)
-    if hi.int_form is None or lo.int_form is None:
-        return hi.probs, lo.probs, slack
-    (hi_ints, lo_ints), _ = join_rows((hi.int_form, lo.int_form))
-    return hi_ints, lo_ints, 0
+    exact, forms = number_forms(hi, lo)
+    (hi_entries, lo_entries), _ = join_rows(forms)
+    return hi_entries, lo_entries, 0 if exact else slack
 
 
 def lr_geq(q_hi: Dist, q_lo: Dist, tol: float | None = None) -> bool:
@@ -110,10 +110,8 @@ def is_mlr(sig: SignalStructure, tol: float | None = None) -> bool:
     slack = check_tol(tol, ORDER_TOL)
     if sig.values is None:
         raise InputError("monotone-likelihood-ratio check requires valued signals")
-    if sig.int_form is None:
-        rows = sig.likelihood
-    else:
-        rows, slack = sig.int_form[0], 0
+    exact, ((rows, _),) = number_forms(sig)
+    slack = 0 if exact else slack
     # over the signals, each higher type's row is LR-above each lower one's
     return all(
         _lr_violation_vec(rows[u], rows[t], slack) is None

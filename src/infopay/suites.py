@@ -13,7 +13,6 @@ failing trial with the instance the claim was judged on.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .decomposition import check_signs
 from .discrimination import (
@@ -252,10 +251,9 @@ def _kept_task_values_monotone(s: GapScenario, assignment_coarse, eq) -> bool:
     monotone).  Exact values carry the table's positive surplus scale."""
     table = pay_table(s.firm, s.q_i, s.q_i, s.fine)
     for idx in set(assignment_coarse):
-        surplus = table.surplus[idx]
         prev = None
         for row in table.rows:
-            dot = sum(map(mul, row.weights, surplus))
+            dot = row.scores[idx]
             v = Fraction(dot, row.m_q) if table.exact else dot / row.m_q
             if prev is not None and v < prev - eq:
                 return False

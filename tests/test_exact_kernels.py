@@ -53,7 +53,7 @@ def fraction_pay_table(firm, p, q, sig, tie_break="lowest"):
         best = max(scores)
         ties = [i for i, v in enumerate(scores) if v == best]
         task = ties[0] if tie_break == "lowest" else ties[-1]
-        rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties))
+        rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties, scores))
     return rows
 
 
@@ -200,7 +200,7 @@ def test_pay_table_matches_fraction_oracle(instance):
             assert all(
                 type(v) is int
                 for r in table.rows
-                for v in (r.m_p, r.m_q, r.score, *r.weights)
+                for v in (r.m_p, r.m_q, r.score, *r.weights, *r.scores)
             )
             # the scales the PayTable docstring documents
             f, fs = table.freq_scale, table.freq_scale * table.surplus_scale
@@ -210,6 +210,7 @@ def test_pay_table_matches_fraction_oracle(instance):
                     row.m_p * f, row.m_q * f, row.score * fs
                 )
                 assert got.weights == [w * f for w in row.weights]
+                assert got.scores == [v * fs for v in row.scores]
                 assert (got.task, got.ties) == (row.task, row.ties)
             same(table_pay(table), fraction_table_pay(want))
             for j, row in enumerate(want):

@@ -146,6 +146,49 @@ def test_float_sign_checks_need_a_gap_beyond_the_slack(tol):
     assert report.ok, report.render()
 
 
+SIGN_RULE = ("sign-rule-fails-without-mlr", "sign-rule-fails-without-monotonicity")
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("ex3-mlr-fail", {"delta": 1e-10}),
+        ("ex3-mlr-fail", {"delta": -1e-10}),
+        ("ex2-monotone-fail", {"p1": 0.5, "q1": 0.5000000001}),
+        ("ex2-monotone-fail", {"p1": 0.5000000001, "q1": 0.5}),
+    ],
+)
+def test_float_sign_rule_checks_need_a_correction_beyond_the_slack(name, params):
+    # a misperception of 1e-10 is classed as one, but its correction is
+    # inside the sign slack, where either sign holds the rule: no failure
+    # of the rule is claimed, up to a slack of exactly the correction's size
+    report = run_example(name, mode="float", **params)
+    correction = abs(float(dict(report.facts)["perception-correcting"]))
+    for tol in (None, correction):
+        report = run_example(name, mode="float", tol=tol, **params)
+        assert dict(report.facts)["perception class"] != "accurate"
+        assert report.ok, report.render()
+        assert not set(SIGN_RULE) & set(by_name(report))
+    # below the correction's size the rule is checked, and fails as it should
+    report = run_example(name, mode="float", tol=correction / 2, **params)
+    assert report.ok, report.render()
+    assert len(set(SIGN_RULE) & set(by_name(report))) == 1
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_sign_rule_checks_stay_for_an_accurate_perception(mode):
+    for name, params in [
+        ("ex3-mlr-fail", {"delta": 0}),
+        ("ex2-monotone-fail", {"p1": Fraction(1, 3), "q1": Fraction(1, 3)}),
+    ]:
+        if mode == "float":
+            params = {k: float(v) for k, v in params.items()}
+        report = run_example(name, mode=mode, **params)
+        assert dict(report.facts)["perception class"] == "accurate"
+        assert report.ok, report.render()
+        assert len(set(SIGN_RULE) & set(by_name(report))) == 1
+
+
 def test_ex1_disc_at_equal_perceptions():
     # qi1 = qj1 = p1: the favored population is (weakly) more favorably
     # perceived, and the other one is not over-perceived
