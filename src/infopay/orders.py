@@ -125,8 +125,9 @@ def perception_class(p: Dist, q: Dist, tol: float | None = None) -> PerceptionCl
     _check_spaces(p, q)
     if not (p.full_support and q.full_support):
         raise InputError("perception_class requires full-support distributions")
-    under = lr_geq(p, q, tol)
-    over = lr_geq(q, p, tol)
+    p_entries, q_entries, slack = _entries(p, q, tol)  # one read, both directions
+    under = _lr_violation_vec(p_entries, q_entries, slack) is None
+    over = _lr_violation_vec(q_entries, p_entries, slack) is None
     if under and over:
         return PerceptionClass.ACCURATE
     if under:

@@ -43,6 +43,7 @@ FIGURE1_COLUMNS = (
 )
 
 DEFAULT_GRID_SPEC = "1/2:1:1/520"
+MAX_GRID_POINTS = 10**6
 
 
 class SweepRow(NamedTuple):
@@ -81,7 +82,7 @@ def figure1_instance() -> tuple[Firm, Dist, Dist, Dist]:
 
 def parse_grid(text: str) -> tuple[Fraction, ...]:
     """Evenly spaced accuracies from "start:stop:step", exact, inside
-    [1/2, 1]."""
+    [1/2, 1]; at most ``MAX_GRID_POINTS`` of them, counted first."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"grid must read start:stop:step, got {text!r}")
@@ -95,15 +96,10 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
         raise InputError("grid start exceeds stop")
     if start < Fraction(1, 2) or stop > 1:
         raise InputError("accuracy grid must stay within [1/2, 1]")
-    out = []
-    k = 0
-    while True:
-        lam = start + k * step
-        if lam > stop:
-            break
-        out.append(lam)
-        k += 1
-    return tuple(out)
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return tuple(start + k * step for k in range(count))
 
 
 def figure1_rows(

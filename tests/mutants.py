@@ -28,7 +28,9 @@ Known equivalent mutants, which no test can kill:
   ``0 <= idx_lo`` and ``idx_lo < idx_hi`` are checked too.
 * ``simplex``, the ratio-test tie rule of both loops: ``basis[i] <
   basis[leave]`` flipped to ``<=``.  Two rows never hold the same basic
-  variable, so the two sides are never equal.
+  variable, so the two sides are never equal.  (The exact loop's first
+  candidate beats its starting ratio ``1 / 0`` outright, so the tie rule
+  never reads ``basis[-1]``.)
 * ``simplex``, Bland's slot scan of both loops: ``var < enter`` flipped
   to ``<=``.  The slots hold distinct variables and ``enter`` starts at
   ``n + m``, which no slot holds, so the two sides are never equal.

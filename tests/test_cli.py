@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -94,6 +95,17 @@ def test_sweep_to_file(tmp_path, capsys):
 def test_sweep_bad_grid(capsys):
     assert main(["sweep-figure1", "--grid", "0:1:1/10"]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["1/2:1:1e-400", "1/2:1:1/2000000"])
+def test_sweep_grid_over_the_point_cap_fails_before_building(grid, capsys):
+    # 5 * 10**399 and 1000001 points: counted, not built
+    start = time.perf_counter()
+    assert main(["sweep-figure1", "--grid", grid]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: grid ")
 
 
 def test_suite_pass(capsys):

@@ -139,6 +139,27 @@ def test_perception_incomparable():
     assert perception_class(p, q) is PerceptionClass.INCOMPARABLE
 
 
+@given(
+    dist3,
+    dist3,
+    st.sampled_from(["", "p", "q", "pq"]),
+    st.sampled_from([None, 0.0, 1e-3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_perception_class_is_both_lr_directions(p_probs, q_probs, floats, tol):
+    p, q = d(TRI, *p_probs), d(TRI, *q_probs)
+    p = p.to_float() if "p" in floats else p
+    q = q.to_float() if "q" in floats else q
+    want = {
+        (True, True): PerceptionClass.ACCURATE,
+        (True, False): PerceptionClass.UNDER_PERCEIVED,
+        (False, True): PerceptionClass.OVER_PERCEIVED,
+        (False, False): PerceptionClass.INCOMPARABLE,
+    }[lr_geq(p, q, tol), lr_geq(q, p, tol)]
+    assert perception_class(p, q, tol) is want
+    assert perception_class(p, p, tol) is PerceptionClass.ACCURATE
+
+
 # -- separating structures ----------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infopay import garbling, simplex
@@ -156,9 +156,10 @@ def test_scaling_spans_all_denominators():
 def test_rows_left_stale_across_pivots_catch_up_exactly():
     # Pivots 2, 5 and 17 on rows 0, 1 and 2.  Row 3 is updated at the
     # first pivot and has zero entering entries at the next two, so it
-    # waits at row_d = 2 until it leaves at the fourth pivot; row 4 waits
-    # at 1 through three pivots and is then updated.  Both catch up to
-    # d = 17 (17 / 2 is no integer).
+    # waits at row_d = 2 until it leaves at the fourth pivot, and is
+    # brought to d = 17 first (17 / 2 is no integer).  Row 4 waits at 1
+    # through three pivots and is then updated in one pass from its own
+    # scale, with leaving entry -factor * 17.
     a_rows = [
         [2, 1, 1, 0, 0],
         [1, 3, 1, 0, 0],
@@ -167,17 +168,7 @@ def test_rows_left_stale_across_pivots_catch_up_exactly():
         [0, 0, 0, 1, 2],
     ]
     b = [4, 5, 6, 9, 3]
-    caught_up = []
-    at = simplex._at
-
-    def record(tableau, row_d, i, d):
-        if row_d[i] != d:
-            caught_up.append((i, row_d[i], d))
-        return at(tableau, row_d, i, d)
-
-    with mock.patch.object(simplex, "_at", record):
-        x = feasible_point(a_rows, b)
-    assert caught_up == [(3, 2, 17), (4, 1, 17)]
+    x = feasible_point(a_rows, b)
     assert satisfies(x, a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))
 
@@ -259,6 +250,40 @@ def lp_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(lp_systems())
 def test_matches_fraction_oracle_on_random_systems(system):
+    a_rows, b = system
+    x = feasible_point(a_rows, b)
+    assert_same(x, fraction_feasible_point(a_rows, b))
+    if x is not None:
+        assert satisfies(x, a_rows, b)
+
+
+# 12 of 16 entries are 0, about the share in the garbling programs, so
+# rows keep zero entering entries and stay stale across several pivots
+sparse_ints = st.sampled_from([0] * 12 + [1, 2, 3, -1])
+
+
+@st.composite
+def sparse_int_systems(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
+    a_rows = [[draw(sparse_ints) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # feasible by construction
+        x0 = [draw(st.sampled_from([0, 0, 1, 2])) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, x0)) for row in a_rows]
+    else:
+        b = [draw(st.integers(-3, 6)) for _ in range(m)]
+    return a_rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_systems())
+# row 2 waits at row_d = 2 while d moves on to 1, then is updated in one
+# pass over 2, which does not divide d
+@example(([[2, 1, -1], [1, 0, -1], [2, 1, 0]], [2, -1, 4]))
+# rows 0 and 1 are updated from row_d = 1 at d = 2 and d = 3; a leaving
+# entry of -factor, not -factor * d, would make this program infeasible
+@example(([[0, 1, -1, -1], [0, 0, 0, 2], [2, 0, 3, 0]], [-2, 4, 2]))
+def test_matches_fraction_oracle_on_sparse_int_systems(system):
     a_rows, b = system
     x = feasible_point(a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))

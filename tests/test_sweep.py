@@ -6,6 +6,7 @@ import pytest
 
 from infopay.errors import InputError
 from infopay.model import binary_symmetric_structure, pay_table
+from infopay import sweep
 from infopay.numeric import DEFAULT_TOL
 from infopay.sweep import (
     DEFAULT_GRID_SPEC,
@@ -40,6 +41,15 @@ def test_parse_grid():
 def test_parse_grid_rejects(text):
     with pytest.raises(InputError):
         parse_grid(text)
+
+
+def test_parse_grid_caps_the_point_count(monkeypatch):
+    # the default grid's 261 points sit exactly at a cap of 261
+    monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 261)
+    assert len(parse_grid(DEFAULT_GRID_SPEC)) == 261
+    monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 260)
+    with pytest.raises(InputError, match="has more than 260 points"):
+        parse_grid(DEFAULT_GRID_SPEC)
 
 
 def test_endpoint_rows():
