@@ -12,19 +12,23 @@ operations take the kernel they are given and never re-solve.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
 from .model import (
-    Dist, Firm, IntRows, SignalStructure, _Frozen, number_forms, pay_table
+    Dist,
+    Firm,
+    IntRows,
+    SignalStructure,
+    _Frozen,
+    number_forms,
+    pay_table,
 )
 from .numeric import (
     LP_TOL,
     ORDER_TOL,
     Number,
-    _entries,
     _lowest_terms,
     check_tol,
     clear_denominators,
@@ -80,38 +84,39 @@ class GarblingKernel(_Frozen):
         whole: Sequence[Sequence[bool]] | None = None,
     ) -> "GarblingKernel":
         """The kernel with entries ``rows[s][f] / scale`` (``scale > 0``),
-        as the public constructor would build it from those values.
+        as the public constructor would build it from those values; its
+        ``matrix`` is built on first read.
 
         Entries are Fractions, except where ``whole[s][f]`` holds: there
         the value is a whole number and is kept as an int.
         """
-        rows, scale = _lowest_terms(*form)
-        self = object.__new__(cls)
-        self.__dict__.update(
+        return cls._from_form(
+            _lowest_terms(*form),
+            whole,
             coarse_signals=coarse_signals,
             fine_signals=fine_signals,
-            matrix=_entries(rows, scale, whole),
         )
-        self._settle((rows, scale))
-        return self
 
-    def _settle(self, form: IntRows | None) -> None:
+    def _settle(self, form: IntRows | None, exact: bool = True) -> None:
         """Validate the fields and cache ``int_form``.
 
-        ``form`` is the lowest int form the matrix was built from, or None
-        to classify the entries and derive it from them.
+        ``form`` holds the entries the kernel was built from: their lowest
+        int form when ``exact``, else their floats at scale 1.  None
+        classifies the ``matrix`` given to the constructor and derives the
+        form from it.
         """
         n_c, n_f = len(self.coarse_signals), len(self.fine_signals)
         if not n_c or not n_f:
             raise InputError("kernel needs nonempty signal sets")
-        if len(self.matrix) != n_c or any(len(r) != n_f for r in self.matrix):
+        rows = self.matrix if form is None else form[0]
+        if len(rows) != n_c or any(len(r) != n_f for r in rows):
             raise InputError("kernel matrix shape does not match signal sets")
-        if form is None and exact_entries(
-            [v for row in self.matrix for v in row], "kernel entries"
-        ):
-            form = clear_denominators(self.matrix)
+        if form is None:
+            exact = exact_entries([v for row in rows for v in row], "kernel entries")
+            form = clear_denominators(rows) if exact else (rows, 1)
         # exact entries are tested as ints against the scale, with no slack
-        rows, one, tol = (self.matrix, 1, LP_TOL) if form is None else (*form, 0)
+        rows, one = form
+        tol = 0 if exact else LP_TOL
         for row in rows:
             for v in row:
                 if v < -tol or v > one + tol:
@@ -123,13 +128,13 @@ class GarblingKernel(_Frozen):
                     f"kernel column for fine signal "
                     f"{self.fine_signals[f]!r} sums to {col!r}, expected 1"
                 )
-        self.__dict__["int_form"] = form
+        self.__dict__["int_form"] = form if exact else None
 
     def to_float(self) -> "GarblingKernel":
-        return GarblingKernel(
-            self.coarse_signals,
-            self.fine_signals,
-            float_rows(self.matrix, self.int_form, "kernel entries"),
+        return GarblingKernel._from_floats(
+            float_rows(*self._float_form(), "kernel entries"),
+            coarse_signals=self.coarse_signals,
+            fine_signals=self.fine_signals,
         )
 
 
@@ -219,13 +224,13 @@ def find_garbling(
 
 
 def _whole(
-    left: Iterable[Sequence[Number]], right: Iterable[Sequence[Number]]
+    left: Iterable[Sequence[bool]], right: Iterable[Sequence[bool]]
 ) -> list[list[bool]]:
-    """``whole[i][j]``: no Fraction in ``left[i]`` or ``right[j]``, so a sum
-    of their int products stays an int."""
-    frac_left = [any(isinstance(v, Fraction) for v in row) for row in left]
-    frac_right = [any(isinstance(v, Fraction) for v in row) for row in right]
-    return [[not (fl or fr) for fr in frac_right] for fl in frac_left]
+    """``whole[i][j]``: ``left[i]`` and ``right[j]`` mark only ints (see
+    ``_Frozen._int_mask``), so a sum of their products stays an int."""
+    int_left = [all(row) for row in left]
+    int_right = [all(row) for row in right]
+    return [[il and ir for ir in int_right] for il in int_left]
 
 
 def garble(fine: SignalStructure, kernel: GarblingKernel) -> SignalStructure:
@@ -243,7 +248,7 @@ def garble(fine: SignalStructure, kernel: GarblingKernel) -> SignalStructure:
     if exact:
         return SignalStructure._from_ints(
             fine.space, kernel.coarse_signals, (rows, g_scale * lik_scale),
-            whole=_whole(fine.likelihood, kernel.matrix),
+            whole=_whole(fine._int_mask(), kernel._int_mask()),
         )
     return SignalStructure(fine.space, kernel.coarse_signals, rows)
 
@@ -264,7 +269,7 @@ def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKer
     rows = [[sum(map(mul, row, col)) for col in cols] for row in g_outer]
     if exact:
         form = (rows, outer_scale * inner_scale)
-        whole = _whole(outer.matrix, zip(*inner.matrix))
+        whole = _whole(outer._int_mask(), zip(*inner._int_mask()))
         return GarblingKernel._from_ints(*labels, form, whole)
     return GarblingKernel(*labels, rows)
 

@@ -7,7 +7,9 @@ methods.  Inputs must be exact too: ``random_lr_above`` and
 ``extreme_structure`` raise ``InputError`` on floats.  Distributions,
 signal structures and kernels are built from the drawn ints over their
 row or column sums (``_from_ints``), with the public constructors'
-validation, so no Fraction is made only to be cleared again.
+validation.  They store only that int form and build their Fraction
+fields on first read, so an instance costs what its ints cost: no
+Fraction is made only to be cleared again or never read.
 Per-trial reproducibility: each trial seeds its own stream from the
 ``(seed, trial)`` pair, which yields independent streams for any trial
 order.

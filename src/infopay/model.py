@@ -12,7 +12,11 @@ computed under the perceived distribution, while signal frequencies are
 weighted by the *true* one.
 
 All numbers may be floats or exact rationals; computations never force
-a conversion, so rational inputs give exact results.
+a conversion, so rational inputs give exact results.  Exact objects
+carry their numbers' int form, which every exact computation reads
+(``number_forms``); objects built from ints keep only that form and
+build their public Fraction field when it is first read, and float
+twins are divided out of it directly (``to_float``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import NamedTuple, Sequence
 from .errors import InputError
 from .numeric import (
     DEFAULT_TOL,
+    DIST_SUM_TOL,
     EXACT_TYPES,
     Number,
     _check_prob_vector,
@@ -72,10 +77,76 @@ class _Frozen:
     any later assignment or deletion raises ``AttributeError``.  Pickle
     and deepcopy restore the ``__dict__`` without assigning.  ``to_float``
     passes the ``twin`` of each field to the constructor; the classes
-    that hold numbers define their own.
+    that hold numbers define their own, on ``_from_floats``.
+
+    ``_numbers`` names the field that holds the numbers.  An object built
+    by ``_from_ints`` (through ``_from_form``) stores only its int form
+    and its ``_whole`` mask; ``__getattr__`` builds that field from them
+    on its first read, a view of Fractions and ints equal to what the
+    public constructor would hold, and keeps it.  Equality, hash, repr,
+    pickle and deepcopy see the same value before and after that read.
     """
 
     _fields: tuple[str, ...] = ()
+    _numbers: str | None = None
+
+    def __getattr__(self, name):
+        # reached only for a name missing from __dict__
+        d = self.__dict__
+        if name != self._numbers or "_whole" not in d:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = d[name] = self._view(*d["int_form"], d["_whole"])
+        return value
+
+    @classmethod
+    def _from_form(cls, form, whole=None, **fields):
+        """An exact object holding ``fields`` and the lowest int form
+        ``form`` of its numbers, validated by ``_settle``; ``__getattr__``
+        builds its numbers field from ``form`` and the mask ``whole``."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields, int_form=form, _whole=whole)
+        self._settle(form)
+        return self
+
+    @classmethod
+    def _from_floats(cls, numbers, **fields):
+        """The float twin holding ``fields`` and the floats ``numbers`` of
+        its numbers field.  The floats came from ``float_entries``, so they
+        are finite and need no classification; ``_settle`` checks them
+        for what rounding can break (sums, underflow, order)."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields, int_form=None)
+        self.__dict__[cls._numbers] = numbers
+        self._settle((numbers, 1), exact=False)
+        return self
+
+    def _settle(self, form, exact: bool = True) -> None:
+        """Validate the numbers and cache what they decide; the classes
+        that check their numbers define their own."""
+
+    def _view(self, rows, scale, whole):
+        """The numbers field of the int form ``(rows, scale)``: Fractions,
+        or ints where ``whole`` holds (``numeric._entries``)."""
+        return _entries(rows, scale, whole)
+
+    def _int_mask(self) -> Sequence[Sequence[bool]]:
+        """Per entry of an exact matrix of numbers: is it an int, not a
+        Fraction?  An object built by ``_from_ints`` reads its ``_whole``
+        mask, so no Fraction is built."""
+        d = self.__dict__
+        if "_whole" not in d:
+            rows = getattr(self, self._numbers)
+            return [[not isinstance(v, Fraction) for v in row] for row in rows]
+        if d["_whole"] is None:  # all Fractions
+            return [[False] * len(row) for row in d["int_form"][0]]
+        return d["_whole"]
+
+    def _float_form(self):
+        """The numbers as ``float_entries`` takes them: ``(ints, scale)``
+        when exact, else ``(numbers, None)``."""
+        return self.int_form or (getattr(self, self._numbers), None)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -128,18 +199,24 @@ class SkillSpace(_Frozen):
             raise InputError("skill space needs at least two types")
         exact_entries(thetas, "skill levels")
         require_finite(thetas, "skill levels")
-        for lo, hi in zip(thetas, thetas[1:]):
+        self.__dict__["thetas"] = thetas
+        self._check_order()
+
+    def _check_order(self) -> None:
+        for lo, hi in zip(self.thetas, self.thetas[1:]):
             if not lo < hi:
                 raise InputError("skill levels must be strictly increasing")
-        self.__dict__["thetas"] = thetas
 
     @property
     def size(self) -> int:
         return len(self.thetas)
 
     def to_float(self) -> "SkillSpace":
+        # the floats of finite numbers are finite: only rounding can fail
         if self._float_twin is None:
-            twin = SkillSpace(float_entries(self.thetas, None, "skill levels"))
+            twin = object.__new__(SkillSpace)
+            twin.__dict__["thetas"] = float_entries(self.thetas, None, "skill levels")
+            twin._check_order()
             self.__dict__["_float_twin"] = twin
         return self._float_twin
 
@@ -163,36 +240,42 @@ class Dist(_Frozen):
     @classmethod
     def _from_ints(cls, space: SkillSpace, form: IntRow) -> "Dist":
         """The distribution ``ints[i] / scale`` (``scale > 0``), as the
-        public constructor would build it from those Fractions."""
+        public constructor would build it from those Fractions; its
+        ``probs`` are built on first read."""
         (ints,), scale = _lowest_terms((form[0],), form[1])
-        self = object.__new__(cls)
-        probs = tuple([Fraction(n, scale) for n in ints])
-        self.__dict__.update(space=space, probs=probs)
-        self._settle((ints, scale))
-        return self
+        return cls._from_form((ints, scale), space=space)
 
-    def _settle(self, form: IntRow | None) -> None:
+    def _view(self, ints, scale, whole):
+        return tuple([Fraction(n, scale) for n in ints])
+
+    def _settle(self, form: IntRow | None, exact: bool = True) -> None:
         """Validate the fields and cache ``int_form`` and ``full_support``.
 
-        ``form`` is the lowest int form the fields were built from, or
-        None to classify the fields and derive it from them.
+        ``form`` holds the numbers the object was built from: its lowest
+        int form when ``exact``, else its floats at scale 1.  None
+        classifies the ``probs`` given to the constructor and derives the
+        form from them.
         """
-        if len(self.probs) != self.space.size:
+        n = len(self.probs if form is None else form[0])
+        if n != self.space.size:
             raise InputError(
-                f"distribution has {len(self.probs)} entries for "
-                f"{self.space.size} types"
+                f"distribution has {n} entries for {self.space.size} types"
             )
         if form is None:
             form = validate_prob_vector(self.probs, "distribution")
+            exact = form is not None
+            form = form or (self.probs, 1)
         else:
-            _check_prob_vector(self.probs, form, "distribution")
-        entries = self.probs if form is None else form[0]
-        self.__dict__.update(int_form=form, full_support=all(v > 0 for v in entries))
+            tol = 0 if exact else DIST_SUM_TOL
+            _check_prob_vector(form, tol, "distribution", lambda: self.probs)
+        self.__dict__.update(
+            int_form=form if exact else None, full_support=all(v > 0 for v in form[0])
+        )
 
     def to_float(self) -> "Dist":
-        return Dist(
-            self.space.to_float(),
-            float_entries(self.probs, self.int_form, "distribution"),
+        space = self.space.to_float()
+        return Dist._from_floats(
+            float_entries(*self._float_form(), "distribution"), space=space
         )
 
 
@@ -203,6 +286,7 @@ class Task(_Frozen):
     """
 
     _fields = ("surplus",)
+    _numbers = "surplus"
 
     def __init__(self, surplus: Sequence[Number]):
         surplus = tuple(surplus)
@@ -221,7 +305,7 @@ class Task(_Frozen):
         return all(a < b for a, b in zip(v, v[1:]))
 
     def to_float(self) -> "Task":
-        return Task(float_entries(self.surplus, self.int_form, "task surplus"))
+        return Task._from_floats(float_entries(*self._float_form(), "task surplus"))
 
 
 class Firm(_Frozen):
@@ -290,62 +374,63 @@ class SignalStructure(_Frozen):
         space: SkillSpace,
         signals: tuple[str, ...],
         form: IntRows,
-        values: tuple[Number, ...] | None = None,
+        values: tuple[int, ...] | None = None,
         whole: Sequence[Sequence[bool]] | None = None,
     ) -> "SignalStructure":
         """The structure with likelihoods ``rows[t][j] / scale`` (``scale >
-        0``), as the public constructor would build it from those values.
+        0``) and exact ``values``, as the public constructor would build
+        it from those values; its ``likelihood`` is built on first read.
 
         Entries are Fractions, except where ``whole[t][j]`` holds: there
         the value is a whole number and is kept as an int.
         """
-        rows, scale = _lowest_terms(*form)
-        self = object.__new__(cls)
-        self.__dict__.update(
-            space=space,
-            signals=signals,
-            likelihood=_entries(rows, scale, whole),
-            values=values,
+        return cls._from_form(
+            _lowest_terms(*form), whole, space=space, signals=signals, values=values
         )
-        self._settle((rows, scale))
-        return self
 
-    def _settle(self, form: IntRows | None) -> None:
+    def _settle(self, form: IntRows | None, exact: bool = True) -> None:
         """Validate the fields and cache ``int_form``.
 
-        ``form`` is the lowest int form the likelihoods were built from,
-        or None to classify them and derive it from them.
+        ``form`` holds the likelihoods the object was built from: their
+        lowest int form when ``exact``, else their floats at scale 1.
+        None classifies the ``likelihood`` given to the constructor, and
+        its ``values``, and derives the form from them.
         """
         if not self.signals:
             raise InputError("signal structure needs at least one signal")
         if len(set(self.signals)) != len(self.signals):
             raise InputError("signal labels must be unique")
-        if len(self.likelihood) != self.space.size:
+        given = form is None
+        rows = self.likelihood if given else form[0]
+        if len(rows) != self.space.size:
             raise InputError(
-                f"likelihood has {len(self.likelihood)} rows for "
-                f"{self.space.size} types"
+                f"likelihood has {len(rows)} rows for {self.space.size} types"
             )
         forms = []
-        for k, row in enumerate(self.likelihood):
+        tol = 0 if exact else DIST_SUM_TOL
+        for k, row in enumerate(rows):
             if len(row) != len(self.signals):
                 raise InputError(f"likelihood row for type index {k} has wrong width")
             what = f"likelihood row for type index {k}"
-            if form is None:
+            if given:
                 forms.append(validate_prob_vector(row, what))
             else:
-                _check_prob_vector(row, (form[0][k], form[1]), what)
-        if form is None:
-            form = None if None in forms else join_rows(forms)
-        rows = self.likelihood if form is None else form[0]
-        for label, col in zip(self.signals, zip(*rows)):
+                _check_prob_vector(
+                    (row, form[1]), tol, what, lambda: self.likelihood[k]
+                )
+        if given:
+            exact = None not in forms
+            form = join_rows(forms) if exact else (rows, 1)
+        for label, col in zip(self.signals, zip(*form[0])):
             if not max(col) > 0:  # rows were checked, so no nan is left
                 raise InputError(f"signal {label!r} has zero likelihood everywhere")
-        self.__dict__["int_form"] = form
+        self.__dict__["int_form"] = form if exact else None
         if self.values is not None:
             if len(self.values) != len(self.signals):
                 raise InputError("signal values must match signal count")
-            exact_entries(self.values, "signal values")
-            require_finite(self.values, "signal values")
+            if given:  # a twin's values are finite floats, _from_ints' exact
+                exact_entries(self.values, "signal values")
+                require_finite(self.values, "signal values")
             for lo, hi in zip(self.values, self.values[1:]):
                 if not lo < hi:
                     raise InputError("signal values must be strictly increasing")
@@ -361,12 +446,13 @@ class SignalStructure(_Frozen):
             raise InputError(f"unknown signal label {label!r}") from None
 
     def to_float(self) -> "SignalStructure":
-        return SignalStructure(
-            self.space.to_float(),
-            self.signals,
-            float_rows(self.likelihood, self.int_form, "likelihood"),
-            None if self.values is None
-            else float_entries(self.values, None, "signal values"),
+        space = self.space.to_float()
+        lik = float_rows(*self._float_form(), "likelihood")
+        values = self.values
+        if values is not None:
+            values = float_entries(values, None, "signal values")
+        return SignalStructure._from_floats(
+            lik, space=space, signals=self.signals, values=values
         )
 
 

@@ -42,7 +42,7 @@ import math
 import numbers
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -57,6 +57,7 @@ LP_TOL = 1e-8
 SIGN_TOL = 1e-9
 INSTRUMENTAL_FLOOR = -(DEFAULT_TOL + 1e-12)
 DIST_SUM_TOL = 1e-9
+MAX_EXPONENT = 10_000  # largest decimal exponent, in size, parse_exact accepts
 
 
 def all_exact(values: Iterable[Number]) -> bool:
@@ -100,36 +101,29 @@ def int_row(values: Sequence[Number]) -> tuple[tuple[int, ...], int]:
 
 
 def float_entries(
-    values: Sequence[Number], form: tuple[Sequence[int], int] | None, what: str
+    values: Sequence[Number], scale: int | None, what: str
 ) -> tuple[float, ...]:
-    """``values`` as floats: ``n / scale`` over the int form ``(ints,
-    scale)`` of exact values, ``float(v)`` when ``form`` is None.
+    """``values`` as floats: ``n / scale`` for the ints of an int form
+    over ``scale``, ``float(v)`` when ``scale`` is None.
 
     Int true division is correctly rounded, so ``n / scale`` is the
     double ``float(Fraction(n, scale))`` gives, without the pure-Python
-    ``Fraction.__float__``.  A value beyond float range raises
-    ``InputError`` naming ``what``.
+    ``Fraction.__float__``.  Either way the result is a finite float: a
+    value beyond float range raises ``InputError`` naming ``what``.
     """
     try:
-        if form is None:
+        if scale is None:
             return tuple([float(v) for v in values])
-        ints, scale = form
-        return tuple([n / scale for n in ints])
+        return tuple([n / scale for n in values])
     except OverflowError:
         raise InputError(f"{what}: a value is beyond float range") from None
 
 
 def float_rows(
-    rows: Sequence[Sequence[Number]],
-    form: tuple[Sequence[Sequence[int]], int] | None,
-    what: str,
+    rows: Sequence[Sequence[Number]], scale: int | None, what: str
 ) -> tuple[tuple[float, ...], ...]:
-    """``float_entries`` of each row, over the int form ``(int rows,
-    scale)`` of exact ``rows`` or None."""
-    if form is None:
-        return tuple([float_entries(row, None, what) for row in rows])
-    ints, scale = form
-    return tuple([float_entries(row, (n, scale), what) for row, n in zip(rows, ints)])
+    """``float_entries`` of each row, over one ``scale`` or None."""
+    return tuple([float_entries(row, scale, what) for row in rows])
 
 
 def join_rows(
@@ -235,7 +229,22 @@ def require_count(value: object, what: str, minimum: int) -> None:
 
 
 def parse_exact(text: str) -> Fraction:
-    """Parse ``a/b`` or decimal text to an exact rational."""
+    """Parse ``a/b`` or decimal text to an exact rational.
+
+    A decimal exponent larger than ``MAX_EXPONENT`` in size is refused
+    before ``Fraction`` builds its power of ten, which takes seconds for
+    exponents in the millions.
+    """
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_large = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:  # not an exponent: Fraction words the error
+        too_large = False
+    if too_large:
+        raise InputError(
+            f"not a rational number: {text!r} "
+            f"(exponent larger than {MAX_EXPONENT} in size)"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -274,23 +283,29 @@ def validate_prob_vector(
     Returns the int form ``int_row(probs)`` of exact entries, None for
     float and mixed ones.
     """
-    form = int_row(probs) if exact_entries(probs, what) else None
-    _check_prob_vector(probs, form, what)
-    return form
+    exact = exact_entries(probs, what)
+    form = int_row(probs) if exact else (probs, 1)
+    _check_prob_vector(form, 0 if exact else DIST_SUM_TOL, what, lambda: probs)
+    return form if exact else None
 
 
 def _check_prob_vector(
-    probs: Sequence[Number], form: tuple[Sequence[int], int] | None, what: str
+    form: tuple[Sequence[Number], int],
+    tol: float,
+    what: str,
+    quote: Callable[[], Sequence[Number]],
 ) -> None:
     """The checks of ``validate_prob_vector`` once exactness is decided.
 
-    ``form`` is the int form of exact ``probs`` (any scale), None for
-    float ones.  Exact entries are tested as ints: each at least 0, their
-    sum equal to the scale.  Messages quote ``probs``.
+    ``form`` is ``(entries, scale)``: the ints of exact values over any
+    scale, tested with ``tol`` 0, or float entries at scale 1.  Each
+    entry must be at least 0 and their sum within ``tol`` of the scale.
+    Messages quote the values ``quote()`` returns; it is called only to
+    word a failure.
     """
-    entries, one, tol = (probs, 1, DIST_SUM_TOL) if form is None else (*form, 0)
+    entries, one = form
     for k, v in enumerate(entries):
         if v < 0:
-            raise InputError(f"{what}: entry {k} is negative ({probs[k]!r})")
+            raise InputError(f"{what}: entry {k} is negative ({quote()[k]!r})")
     if not (one - tol <= sum(entries) <= one + tol):
-        raise InputError(f"{what}: entries sum to {sum(probs)!r}, expected 1")
+        raise InputError(f"{what}: entries sum to {sum(quote())!r}, expected 1")

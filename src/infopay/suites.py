@@ -54,6 +54,7 @@ from .model import (
     Population,
     average_pay,
     fully_informative_structure,
+    number_forms,
     pay_table,
     posterior,
     twin,
@@ -129,6 +130,9 @@ class _Book:
         self.claims: dict[str, ClaimStats] = {}
 
     def check(self, name, ok, trial, carrier=None, detail="") -> bool:
+        """Book one check of claim ``name``.  ``detail`` is the failure's
+        text, or a function giving it, called only on a first failure, so
+        a passing check builds no text."""
         stats = self.claims.get(name)
         if stats is None:  # a claim's first booking
             stats = self.claims[name] = ClaimStats(name)
@@ -138,6 +142,8 @@ class _Book:
             stats.failures += 1
             if stats.first_failure is None:
                 text = f"trial {trial}"
+                if callable(detail):
+                    detail = detail()
                 if detail:
                     text += f"; {detail}"
                 if carrier is not None:
@@ -196,30 +202,30 @@ def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
     res = report.result
     book.check(
         "decomposition-identity", report.identity_ok, trial, s,
-        f"identity gap {format_number(res.identity_gap)}",
+        lambda: f"identity gap {format_number(res.identity_gap)}",
     )
     report_hi = check_signs(
         s.firm, s.p, s.q_i, s.coarse, s.fine, kernel, tie_break="highest", tol=tol
     )
     book.check(
         "identity-other-tiebreak", report_hi.identity_ok, trial, s,
-        f"identity gap {format_number(report_hi.result.identity_gap)}",
+        lambda: f"identity gap {format_number(report_hi.result.identity_gap)}",
     )
     direct = average_pay(s.firm, Population(s.p, s.q_i, s.fine)) - average_pay(
         s.firm, Population(s.p, s.q_i, s.coarse)
     )
     book.check(
         "total-matches-pay-difference", abs(res.total - direct) <= eq, trial, s,
-        f"total {format_number(res.total)} vs {format_number(direct)}",
+        lambda: f"total {format_number(res.total)} vs {format_number(direct)}",
     )
     book.check(
         "instrumental-nonneg", report.instrumental_ok, trial, s,
-        f"instrumental {format_number(res.instrumental)}",
+        lambda: f"instrumental {format_number(res.instrumental)}",
     )
     other = res.instrumental_signalwise
     book.check(
         "instrumental-forms-agree", abs(res.instrumental - other) <= eq, trial, s,
-        f"{format_number(res.instrumental)} vs {format_number(other)}",
+        lambda: f"{format_number(res.instrumental)} vs {format_number(other)}",
     )
 
     rotation = trial % 3
@@ -227,7 +233,7 @@ def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
     res_w = report_w.result
     book.check(
         "correction-sign-within-hypotheses", report_w.correction_sign_ok, trial, w,
-        f"rotation {('under', 'over', 'accurate')[rotation]}, "
+        lambda: f"rotation {('under', 'over', 'accurate')[rotation]}, "
         f"correction {format_number(res_w.perception_correcting)}",
     )
     book.check(
@@ -263,9 +269,12 @@ def _kept_task_values_monotone(s: GapScenario, assignment_coarse, eq) -> bool:
 
 def _conditional_fosd(s: GapScenario, kernel, eq) -> bool:
     """Given each coarse signal, the true fine-signal law must FOSD the
-    perceived one when the truth is LR-above the perception."""
+    perceived one when the truth is LR-above the perception.  The kernel
+    is read in its ``number_forms``: each test is invariant under its
+    positive scale."""
     rows = pay_table(s.firm, s.p, s.q_i, s.fine).rows
-    for g_row in kernel.matrix:
+    _, ((links, _),) = number_forms(kernel)
+    for g_row in links:
         a = [g * r.m_p for g, r in zip(g_row, rows)]
         b = [g * r.m_q for g, r in zip(g_row, rows)]
         total_a, total_b = sum(a), sum(b)
@@ -304,7 +313,7 @@ def _judge_lemma1(inst, trial, slacks, tol, book: _Book) -> None:
     w_lo = average_pay(firm, Population(favored.p, lo, favored.sig))
     book.check(
         "lr-favorable-earns-at-least", w_hi >= w_lo - sign, trial, favored,
-        f"lo {' '.join(format_number(v) for v in lo.probs)}, "
+        lambda: f"lo {' '.join(format_number(v) for v in lo.probs)}, "
         f"pay {format_number(w_hi)} vs {format_number(w_lo)}",
     )
 
@@ -312,7 +321,7 @@ def _judge_lemma1(inst, trial, slacks, tol, book: _Book) -> None:
     strict = all(average_pay(f, bad) < average_pay(f, ref) for f in firms)
     book.check(
         "separating-structure-strictly-separates", strict, trial, bad,
-        f"reference {' '.join(format_number(v) for v in q_ref.probs)}",
+        lambda: f"reference {' '.join(format_number(v) for v in q_ref.probs)}",
     )
 
 
@@ -331,12 +340,12 @@ def _judge_corollary1(inst, trial, slacks, tol, book: _Book) -> None:
     res = report.result
     book.check(
         "information-gain-nonneg-when-under-perceived",
-        res.total >= -sign, trial, s, f"total {format_number(res.total)}",
+        res.total >= -sign, trial, s, lambda: f"total {format_number(res.total)}",
     )
     book.check(
         "correction-nonneg-when-under-perceived",
         report.correction_sign_ok, trial, s,
-        f"correction {format_number(res.perception_correcting)}",
+        lambda: f"correction {format_number(res.perception_correcting)}",
     )
 
 
@@ -358,11 +367,11 @@ def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
     )
     book.check(
         "hypotheses-constructed", report.all_hypotheses_hold, trial, s,
-        f"hypotheses {report.hypotheses}",
+        lambda: f"hypotheses {report.hypotheses}",
     )
     book.check(
         "favored-earns-at-least", report.conclusion_holds, trial, s,
-        f"pay {format_number(report.w_i)} vs {format_number(report.w_j)}",
+        lambda: f"pay {format_number(report.w_i)} vs {format_number(report.w_j)}",
     )
     terms_ok = (
         report.favorableness >= -sign
@@ -371,7 +380,7 @@ def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
     )
     book.check(
         "three-terms-nonneg", terms_ok, trial, s,
-        f"favorableness {format_number(report.favorableness)}, "
+        lambda: f"favorableness {format_number(report.favorableness)}, "
         f"correction {format_number(report.correction)}, "
         f"instrumental {format_number(report.instrumental)}",
     )
@@ -380,7 +389,7 @@ def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
     )
     book.check(
         "terms-sum-to-gap", abs(resid) <= eq, trial, s,
-        f"residual {format_number(resid)}",
+        lambda: f"residual {format_number(resid)}",
     )
 
 
@@ -394,11 +403,12 @@ def _judge_prop1(inst, trial, slacks, tol, book: _Book) -> None:
     book.check(
         "hypotheses-constructed",
         report.all_hypotheses_hold and report.baseline_lr,
-        trial, scenario, f"hypotheses {report.hypotheses}",
+        trial, scenario, lambda: f"hypotheses {report.hypotheses}",
     )
     book.check(
         "gap-narrowed", report.star_holds, trial, scenario,
-        f"gap {format_number(report.gap_coarse)} -> {format_number(report.gap_fine)}",
+        lambda: f"gap {format_number(report.gap_coarse)} -> "
+        f"{format_number(report.gap_fine)}",
     )
 
 
@@ -419,19 +429,20 @@ def _judge_prop2(inst, trial, slacks, tol, book: _Book) -> None:
         failed = [k for k, v in report.hypotheses.items() if not v]
         book.check(
             "designated-hypothesis-fails-alone", failed == [violated],
-            trial, scenario, f"{name}: failed {failed}",
+            trial, scenario, lambda: f"{name}: failed {failed}",
         )
         book.check("baseline-order-holds", report.baseline_lr, trial, scenario, name)
         book.check(
             "gap-widens", (not report.star_holds) and report.gap_change > eq,
-            trial, scenario, f"{name}: change {format_number(report.gap_change)}",
+            trial, scenario,
+            lambda: f"{name}: change {format_number(report.gap_change)}",
         )
         if violated in expected_changes:
             want = expected_changes[violated]
             got = report.gap_change
             book.check(
                 "frozen-gap-change-values", abs(got - want) <= eq, trial, scenario,
-                f"{name}: {format_number(got)} vs {format_number(want)}",
+                lambda: f"{name}: {format_number(got)} vs {format_number(want)}",
             )
 
 
@@ -480,13 +491,13 @@ def _judge_prop3(inst, trial, slacks, tol, book: _Book) -> None:
     )
     book.check(
         "extremeness-bound-forces-extreme-posteriors", extreme_ok, trial, extreme,
-        f"delta {format_number(delta)}, eps {format_number(eps)}",
+        lambda: f"delta {format_number(delta)}, eps {format_number(eps)}",
     )
 
     gap = pay_gap(fully.firm, fully.p, fully.q_i, fully.q_j, fully.fine)
     book.check(
         "fully-informative-gap-zero", abs(gap) <= eq, trial, fully,
-        f"gap {format_number(gap)}",
+        lambda: f"gap {format_number(gap)}",
     )
 
     if near is not None:
@@ -496,7 +507,8 @@ def _judge_prop3(inst, trial, slacks, tol, book: _Book) -> None:
             report.within_eps and report.ok
             and report.gap_fine <= report.gap_coarse + sign,
             trial, near,
-            f"eta {format_number(eta)}, fine gap {format_number(report.gap_fine)}",
+            lambda: f"eta {format_number(eta)}, "
+            f"fine gap {format_number(report.gap_fine)}",
         )
 
 
@@ -509,7 +521,8 @@ def _draw_orders(rng, trial):
         f"lo {' '.join(format_number(v) for v in lo.probs)}"
     )
     pair = Population(hi, lo, random_signal_structure(rng, space))
-    return pair, random_mlr_structure(rng, space), hi.probs == lo.probs, detail
+    same = hi.int_form == lo.int_form  # lowest terms: equal forms, equal probs
+    return pair, random_mlr_structure(rng, space), same, detail
 
 
 def _judge_orders(inst, trial, slacks, tol, book: _Book) -> None:
@@ -532,7 +545,7 @@ def _judge_orders(inst, trial, slacks, tol, book: _Book) -> None:
     )
     book.check(
         "perception-class-consistent", (cls, mirror) == expected, trial, None,
-        f"got {cls.value} / {mirror.value}",
+        lambda: f"got {cls.value} / {mirror.value}",
     )
 
 

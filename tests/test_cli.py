@@ -108,6 +108,16 @@ def test_sweep_grid_over_the_point_cap_fails_before_building(grid, capsys):
     assert err.count("\n") == 1 and err.startswith("error: grid ")
 
 
+def test_sweep_grid_with_a_huge_exponent_fails_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["sweep-figure1", "--grid", "1/2:1:1e-100000000"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: bad grid ")
+    assert "exponent larger than 10000 in size" in err
+
+
 def test_suite_pass(capsys):
     assert main(["suite", "prop2"]) == 0
     out = capsys.readouterr().out

@@ -3,9 +3,11 @@
 A twin's entries must be the doubles ``float(Fraction(v))`` of its
 source's, bit for bit, whether they come from the int form or from
 ``float(v)``.  Twins of objects on one exact space share one float
-space.  Each twin is built through its public constructor, so a value
-that rounds badly (underflow to 0, two levels that collapse) is refused
-with the constructor's own error, and a value beyond float range raises
+space.  Each twin is built directly from its doubles, and must equal
+the object the public constructor builds from the same doubles: its
+fields, ``int_form`` None and ``full_support``.  A value that rounds
+badly (underflow to 0, two levels that collapse) is refused with the
+constructor's own message, and a value beyond float range raises
 ``InputError`` naming the object.
 """
 
@@ -56,9 +58,40 @@ def assert_rows(source, twin):
         assert_entries(row, t_row)
 
 
+def doubles(values):
+    return tuple(float(F(v)) for v in values)
+
+
+def public_twin(obj):
+    """The public constructor applied to the doubles of ``obj``'s entries."""
+    if isinstance(obj, SkillSpace):
+        return SkillSpace(doubles(obj.thetas))
+    if isinstance(obj, Dist):
+        return Dist(public_twin(obj.space), doubles(obj.probs))
+    if isinstance(obj, Task):
+        return Task(doubles(obj.surplus))
+    if isinstance(obj, SignalStructure):
+        values = None if obj.values is None else doubles(obj.values)
+        rows = tuple(map(doubles, obj.likelihood))
+        return SignalStructure(public_twin(obj.space), obj.signals, rows, values)
+    if isinstance(obj, GarblingKernel):
+        rows = tuple(map(doubles, obj.matrix))
+        return GarblingKernel(obj.coarse_signals, obj.fine_signals, rows)
+    fields = [getattr(obj, name) for name in obj._fields]
+    return type(obj)(*[
+        tuple(map(public_twin, v)) if isinstance(v, tuple) else public_twin(v)
+        for v in fields
+    ])
+
+
 def check_twin(obj):
-    """Compare ``obj.to_float()`` with ``obj`` entry by entry; return it."""
+    """Compare ``obj.to_float()`` with ``obj`` entry by entry, and with the
+    public constructor's object on the same doubles; return it."""
     twin = obj.to_float()
+    public = public_twin(obj)
+    assert twin == public and repr(twin) == repr(public)
+    if isinstance(obj, Dist):
+        assert twin.full_support == public.full_support
     if isinstance(obj, SkillSpace):
         assert_entries(obj.thetas, twin.thetas)
         return twin
@@ -74,7 +107,7 @@ def check_twin(obj):
         spaces = [getattr(twin, name).space for name in parts[1:]]
         assert all(s is spaces[0] for s in spaces)
         return twin
-    assert twin.int_form is None
+    assert twin.int_form is None and public.int_form is None
     if isinstance(obj, Dist):
         assert_entries(obj.probs, twin.probs)
         assert twin.space is obj.space.to_float()
@@ -235,6 +268,7 @@ def test_space_beyond_float_range_fails_its_objects_twins():
 # -- twins keep their checks ----------------------------------------------------------
 
 TINY = F(1, 10**400)  # positive, but 0.0 as a float
+SUBNORMAL_GAP = F(1, 2**1100)  # below the least subnormal, 2**-1074: 0.0
 BIN = SkillSpace((0, 1))
 HALF = Dist(BIN, (F(1, 2), F(1, 2)))
 FULL = fully_informative_structure(BIN)
@@ -252,7 +286,19 @@ FULL = fully_informative_structure(BIN)
             "^perceived distribution must have full support$",
         ),
         (
+            lambda: Population(
+                Dist(BIN, (SUBNORMAL_GAP, 1 - SUBNORMAL_GAP)), HALF, FULL
+            ),
+            "^true distribution must have full support$",
+        ),
+        (
             lambda: SignalStructure(BIN, ("a", "b"), ((1 - TINY, TINY), (1 - TINY, TINY))),
+            "^signal 'b' has zero likelihood everywhere$",
+        ),
+        (
+            lambda: SignalStructure(
+                BIN, ("a", "b"), ((1 - SUBNORMAL_GAP, SUBNORMAL_GAP), (1, 0))
+            ),
             "^signal 'b' has zero likelihood everywhere$",
         ),
         (
@@ -273,8 +319,12 @@ FULL = fully_informative_structure(BIN)
 )
 def test_twins_keep_their_checks(build, message):
     obj = build()  # valid in exact arithmetic
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=message) as twin_error:
         obj.to_float()
+    # the public constructor on the same doubles refuses them alike
+    with pytest.raises(InputError) as public_error:
+        public_twin(obj)
+    assert str(twin_error.value) == str(public_error.value)
 
 
 # -- the entry classifier on float entries -------------------------------------------

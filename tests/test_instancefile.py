@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -38,6 +39,7 @@ from infopay.instancefile import (
     save_instance,
     serialize_instance,
 )
+from infopay.numeric import parse_exact
 
 BIN = SkillSpace((0, 1))
 
@@ -173,6 +175,40 @@ def test_unknown_section_kind():
 def test_bad_number_names_line():
     with pytest.raises(ParseError, match="line 2.*1/x"):
         loads_instance("[skill_space]\n0 1/x\n")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e-10000", F(1, 10**10000)),  # the largest exponent accepted
+        ("2.5E+3", 2500),
+        ("-1_0e-0_2", F(-1, 10)),
+        ("0.000125", F(1, 8000)),
+        ("3/4", F(3, 4)),
+    ],
+)
+def test_decimal_numbers_parse_as_before(text, value):
+    assert parse_exact(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e10001", "1e-100000000", "-2.5E+99999999999"])
+def test_huge_exponents_are_refused_before_building(text):
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="exponent larger than 10000 in size"):
+        parse_exact(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_huge_exponent_in_a_file_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.inst"
+    path.write_text(SCENARIO_TEXT.replace("0.25 3/4", "1e-100000000 3/4"))
+    start = time.perf_counter()
+    assert main(["check", str(path), "--claim", "invariants"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err == "error: line 9: not a number: '1e-100000000'\n"
 
 
 def test_non_stochastic_row_names_type():

@@ -172,6 +172,21 @@ def test_failure_bookkeeping_and_render():
     assert text.splitlines()[-1] == "result: FAIL"
 
 
+def test_detail_text_is_built_only_for_a_first_failure():
+    built = []
+
+    def detail():
+        built.append(1)
+        return "built late"
+
+    book = _Book()
+    book.check("c", True, 0, detail=detail)
+    book.check("c", False, 1, detail=detail)
+    book.check("c", False, 2, detail=detail)
+    assert built == [1]
+    assert book.claims["c"].first_failure == "trial 1; built late"
+
+
 def test_claim_stats_attempts():
     c = ClaimStats("x", passes=3, failures=2)
     assert c.attempts == 5
