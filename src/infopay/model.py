@@ -32,7 +32,6 @@ from .numeric import (
     EXACT_TYPES,
     Number,
     _check_prob_vector,
-    _entries,
     _lowest_terms,
     exact_entries,
     float_entries,
@@ -127,9 +126,15 @@ class _Frozen:
         that check their numbers define their own."""
 
     def _view(self, rows, scale, whole):
-        """The numbers field of the int form ``(rows, scale)``: Fractions,
-        or ints where ``whole`` holds (``numeric._entries``)."""
-        return _entries(rows, scale, whole)
+        """The numbers field of the int form ``(rows, scale)``: each value
+        ``rows[i][j] / scale`` a Fraction, except where ``whole[i][j]``
+        holds: there it is a whole number, kept as an int."""
+        if whole is None:
+            return tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
+        return tuple([
+            tuple([n // scale if w else Fraction(n, scale) for n, w in zip(row, mask)])
+            for row, mask in zip(rows, whole)
+        ])
 
     def _int_mask(self) -> Sequence[Sequence[bool]]:
         """Per entry of an exact matrix of numbers: is it an int, not a

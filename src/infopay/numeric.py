@@ -147,22 +147,6 @@ def _lowest_terms(
     return tuple([tuple([n // g for n in row]) for row in rows]), scale // g
 
 
-def _entries(
-    rows: Sequence[Sequence[int]],
-    scale: int,
-    whole: Sequence[Sequence[bool]] | None = None,
-) -> tuple[tuple[Number, ...], ...]:
-    """The values ``rows[i][j] / scale`` as Fractions, except where
-    ``whole[i][j]`` holds: there the value is a whole number, kept as an
-    int."""
-    if whole is None:
-        return tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
-    return tuple([
-        tuple([n // scale if w else Fraction(n, scale) for n, w in zip(row, mask)])
-        for row, mask in zip(rows, whole)
-    ])
-
-
 def clear_denominators(
     rows: Sequence[Sequence[Number]],
 ) -> tuple[tuple[Sequence[int], ...], int]:
