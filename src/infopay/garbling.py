@@ -22,6 +22,7 @@ from .model import (
     IntRows,
     SignalStructure,
     _Frozen,
+    _View,
     number_forms,
     pay_table,
 )
@@ -61,6 +62,7 @@ class GarblingKernel(_Frozen):
 
     _fields = ("coarse_signals", "fine_signals", "matrix")
     _numbers = "matrix"
+    matrix = _View()
 
     def __init__(
         self,

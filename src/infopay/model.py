@@ -67,6 +67,26 @@ __all__ = [
 ]
 
 
+class _View:
+    """The numbers field of a class whose objects ``_from_form`` builds.
+
+    Public constructors and twins store the field in the object's
+    ``__dict__``, which a non-data descriptor yields to; an object built
+    from its int form has none, so its first read lands here, builds the
+    field with ``_view`` and stores it there for every later read.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        d = obj.__dict__
+        value = d[self.name] = obj._view(*d["int_form"], d["_whole"])
+        return value
+
+
 class _Frozen:
     """Base of the immutable value classes.
 
@@ -80,29 +100,19 @@ class _Frozen:
 
     ``_numbers`` names the field that holds the numbers.  An object built
     by ``_from_ints`` (through ``_from_form``) stores only its int form
-    and its ``_whole`` mask; ``__getattr__`` builds that field from them
-    on its first read, a view of Fractions and ints equal to what the
-    public constructor would hold, and keeps it.  Equality, hash, repr,
-    pickle and deepcopy see the same value before and after that read.
+    and its ``_whole`` mask; a ``_View`` builds that field from them on
+    its first read, a view of Fractions and ints equal to what the public
+    constructor would hold, and keeps it.  Equality, hash, repr, pickle
+    and deepcopy see the same value before and after that read.
     """
 
     _fields: tuple[str, ...] = ()
     _numbers: str | None = None
 
-    def __getattr__(self, name):
-        # reached only for a name missing from __dict__
-        d = self.__dict__
-        if name != self._numbers or "_whole" not in d:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        value = d[name] = self._view(*d["int_form"], d["_whole"])
-        return value
-
     @classmethod
     def _from_form(cls, form, whole=None, **fields):
         """An exact object holding ``fields`` and the lowest int form
-        ``form`` of its numbers, validated by ``_settle``; ``__getattr__``
+        ``form`` of its numbers, validated by ``_settle``; its ``_View``
         builds its numbers field from ``form`` and the mask ``whole``."""
         self = object.__new__(cls)
         self.__dict__.update(fields, int_form=form, _whole=whole)
@@ -237,6 +247,7 @@ class Dist(_Frozen):
 
     _fields = ("space", "probs")
     _numbers = "probs"
+    probs = _View()
 
     def __init__(self, space: SkillSpace, probs: Sequence[Number]):
         self.__dict__.update(space=space, probs=tuple(probs))
@@ -357,6 +368,7 @@ class SignalStructure(_Frozen):
 
     _fields = ("space", "signals", "likelihood", "values")
     _numbers = "likelihood"
+    likelihood = _View()
 
     def __init__(
         self,

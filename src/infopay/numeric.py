@@ -269,7 +269,7 @@ def validate_prob_vector(
     """
     exact = exact_entries(probs, what)
     form = int_row(probs) if exact else (probs, 1)
-    _check_prob_vector(form, 0 if exact else DIST_SUM_TOL, what, lambda: probs)
+    _check_prob_vector(form, 0 if exact else DIST_SUM_TOL, what, probs)
     return form if exact else None
 
 
@@ -277,19 +277,21 @@ def _check_prob_vector(
     form: tuple[Sequence[Number], int],
     tol: float,
     what: str,
-    quote: Callable[[], Sequence[Number]],
+    quote: Sequence[Number] | Callable[[], Sequence[Number]],
 ) -> None:
     """The checks of ``validate_prob_vector`` once exactness is decided.
 
     ``form`` is ``(entries, scale)``: the ints of exact values over any
     scale, tested with ``tol`` 0, or float entries at scale 1.  Each
     entry must be at least 0 and their sum within ``tol`` of the scale.
-    Messages quote the values ``quote()`` returns; it is called only to
-    word a failure.
+    Messages quote the values ``quote``, or those it returns when it is
+    a function; it is called only to word a failure.
     """
     entries, one = form
     for k, v in enumerate(entries):
         if v < 0:
-            raise InputError(f"{what}: entry {k} is negative ({quote()[k]!r})")
+            values = quote() if callable(quote) else quote
+            raise InputError(f"{what}: entry {k} is negative ({values[k]!r})")
     if not (one - tol <= sum(entries) <= one + tol):
-        raise InputError(f"{what}: entries sum to {sum(quote())!r}, expected 1")
+        values = quote() if callable(quote) else quote
+        raise InputError(f"{what}: entries sum to {sum(values)!r}, expected 1")
