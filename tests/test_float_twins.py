@@ -285,21 +285,23 @@ FULL = fully_informative_structure(BIN)
             lambda: Population(HALF, Dist(BIN, (1 - TINY, TINY)), FULL),
             "^perceived distribution must have full support$",
         ),
-        (
+        pytest.param(
             lambda: Population(
                 Dist(BIN, (SUBNORMAL_GAP, 1 - SUBNORMAL_GAP)), HALF, FULL
             ),
             "^true distribution must have full support$",
+            id="subnormal-gap-probability",
         ),
         (
             lambda: SignalStructure(BIN, ("a", "b"), ((1 - TINY, TINY), (1 - TINY, TINY))),
             "^signal 'b' has zero likelihood everywhere$",
         ),
-        (
+        pytest.param(
             lambda: SignalStructure(
                 BIN, ("a", "b"), ((1 - SUBNORMAL_GAP, SUBNORMAL_GAP), (1, 0))
             ),
             "^signal 'b' has zero likelihood everywhere$",
+            id="subnormal-gap-column",
         ),
         (
             lambda: SkillSpace((1, 1 + F(1, 10**20))),
