@@ -32,7 +32,7 @@ from .model import (
     fully_informative_structure,
     uninformative_structure,
 )
-from .numeric import claim_slacks, format_number, require_count
+from .numeric import check_mode, claim_slacks, format_number, require_count
 from .orders import lr_geq
 from .suites import _run_trials
 
@@ -345,8 +345,7 @@ def run_example(
         raise InputError(
             f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
         )
-    if mode not in ("rational", "float"):
-        raise InputError(f"unknown mode {mode!r}")
+    check_mode(mode)
     fn, check, defaults = _EXAMPLES[name]
     params = {}
     for key, default in defaults.items():

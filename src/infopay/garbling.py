@@ -12,6 +12,8 @@ operations take the kernel they are given and never re-solve.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -22,7 +24,7 @@ from .model import (
     IntRows,
     SignalStructure,
     _Frozen,
-    _View,
+    _fraction_rows,
     number_forms,
     pay_table,
 )
@@ -62,7 +64,7 @@ class GarblingKernel(_Frozen):
 
     _fields = ("coarse_signals", "fine_signals", "matrix")
     _numbers = "matrix"
-    matrix = _View()
+    matrix = cached_property(_fraction_rows)
 
     def __init__(
         self,
@@ -70,12 +72,14 @@ class GarblingKernel(_Frozen):
         fine_signals: Sequence[str],
         matrix: Sequence[Sequence[Number]],
     ):
+        matrix = tuple([tuple(row) for row in matrix])
+        exact = exact_entries([v for row in matrix for v in row], "kernel entries")
         self.__dict__.update(
             coarse_signals=tuple(coarse_signals),
             fine_signals=tuple(fine_signals),
-            matrix=tuple(tuple(row) for row in matrix),
+            matrix=matrix,
         )
-        self._settle(None)
+        self._settle(clear_denominators(matrix) if exact else (matrix, 1), exact)
 
     @classmethod
     def _from_ints(
@@ -99,25 +103,15 @@ class GarblingKernel(_Frozen):
             fine_signals=fine_signals,
         )
 
-    def _settle(self, form: IntRows | None, exact: bool = True) -> None:
-        """Validate the fields and cache ``int_form``.
-
-        ``form`` holds the entries the kernel was built from: their lowest
-        int form when ``exact``, else their floats at scale 1.  None
-        classifies the ``matrix`` given to the constructor and derives the
-        form from it.
-        """
+    def _settle(self, form: IntRows, exact: bool) -> None:
+        """Validate the fields and cache ``int_form``; exact entries are
+        tested as ints against the scale, with no slack."""
         n_c, n_f = len(self.coarse_signals), len(self.fine_signals)
         if not n_c or not n_f:
             raise InputError("kernel needs nonempty signal sets")
-        rows = self.matrix if form is None else form[0]
+        rows, one = form
         if len(rows) != n_c or any(len(r) != n_f for r in rows):
             raise InputError("kernel matrix shape does not match signal sets")
-        if form is None:
-            exact = exact_entries([v for row in rows for v in row], "kernel entries")
-            form = clear_denominators(rows) if exact else (rows, 1)
-        # exact entries are tested as ints against the scale, with no slack
-        rows, one = form
         tol = 0 if exact else LP_TOL
         for row in rows:
             for v in row:
@@ -362,5 +356,10 @@ def extremeness_eps_bound(q: Dist, delta: Number) -> Number:
         raise InputError("delta must lie in (0, 1]")
     if delta == 1:
         return math.inf
-    min_odds = min(v / (1 - v) for v in q.probs)
+    exact, ((probs, scale),) = number_forms(q)
+    if exact:  # the odds n / (scale - n) grow with n
+        n = min(probs)
+        min_odds = Fraction(n, scale - n)
+    else:
+        min_odds = min(v / (1 - v) for v in probs)
     return (delta / (1 - delta)) * min_odds / (q.space.size - 1)

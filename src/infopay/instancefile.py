@@ -24,7 +24,7 @@ from __future__ import annotations
 from .discrimination import GapScenario
 from .errors import InputError, ParseError
 from .model import Dist, Firm, Population, SignalStructure, SkillSpace, Task
-from .numeric import Number, format_number, parse_exact, parse_float
+from .numeric import Number, check_mode, format_number, parse_exact, parse_float
 
 __all__ = [
     "load_instance",
@@ -126,8 +126,7 @@ def _parse_structure(section: _Section, space: SkillSpace, parse) -> SignalStruc
 
 def loads_instance(text: str, mode: str = "rational"):
     """Parse instance text into a GapScenario, Population, or Firm."""
-    if mode not in ("rational", "float"):
-        raise InputError(f"unknown mode {mode!r}")
+    check_mode(mode)
     parse = parse_exact if mode == "rational" else parse_float
     sections = _split_sections(text)
     if not sections:

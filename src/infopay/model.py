@@ -16,12 +16,16 @@ a conversion, so rational inputs give exact results.  Exact objects
 carry their numbers' int form, which every exact computation reads
 (``number_forms``); objects built from ints keep only that form and
 build their public Fraction field when it is first read, and float
-twins are divided out of it directly (``to_float``).
+twins are divided out of it directly (``to_float``).  Each value class
+checks its numbers in one validator, whichever of the three builders
+made it; an object with any float entry is a float object, checked with
+float slack throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -31,8 +35,9 @@ from .numeric import (
     DIST_SUM_TOL,
     EXACT_TYPES,
     Number,
-    _check_prob_vector,
+    _check_prob_rows,
     _lowest_terms,
+    clear_denominators,
     exact_entries,
     float_entries,
     float_rows,
@@ -40,7 +45,6 @@ from .numeric import (
     join_rows,
     ratio_sum,
     require_finite,
-    validate_prob_vector,
 )
 
 IntRow = tuple[tuple[int, ...], int]  # (ints, scale)
@@ -67,24 +71,18 @@ __all__ = [
 ]
 
 
-class _View:
-    """The numbers field of a class whose objects ``_from_form`` builds.
-
-    Public constructors and twins store the field in the object's
-    ``__dict__``, which a non-data descriptor yields to; an object built
-    from its int form has none, so its first read lands here, builds the
-    field with ``_view`` and stores it there for every later read.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        d = obj.__dict__
-        value = d[self.name] = obj._view(*d["int_form"], d["_whole"])
-        return value
+def _fraction_rows(obj):
+    """The numbers field of an object ``_from_form`` built, from its int
+    form ``(rows, scale)``: each value ``rows[i][j] / scale`` a Fraction,
+    except where its ``_whole`` mask holds: there it is a whole number,
+    kept as an int."""
+    (rows, scale), whole = obj.int_form, obj._whole
+    if whole is None:
+        return tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
+    return tuple([
+        tuple([n // scale if w else Fraction(n, scale) for n, w in zip(row, mask)])
+        for row, mask in zip(rows, whole)
+    ])
 
 
 class _Frozen:
@@ -98,12 +96,19 @@ class _Frozen:
     passes the ``twin`` of each field to the constructor; the classes
     that hold numbers define their own, on ``_from_floats``.
 
-    ``_numbers`` names the field that holds the numbers.  An object built
-    by ``_from_ints`` (through ``_from_form``) stores only its int form
-    and its ``_whole`` mask; a ``_View`` builds that field from them on
-    its first read, a view of Fractions and ints equal to what the public
-    constructor would hold, and keeps it.  Equality, hash, repr, pickle
-    and deepcopy see the same value before and after that read.
+    ``_numbers`` names the field that holds the numbers.  A class that
+    checks its numbers has one validator, ``_settle(form, exact)``, which
+    all three builders reach: the public constructor classifies the
+    numbers once (``exact_entries``) and passes their int form, or the
+    numbers themselves at scale 1 when any is a float; ``_from_ints``
+    (through ``_from_form``) passes its lowest int form, and
+    ``_from_floats`` the twin's floats.  An object built from ints stores
+    only its int form and its ``_whole`` mask; its numbers field, a
+    ``functools.cached_property``, builds the view of Fractions and ints
+    the public constructor would hold on first read and keeps it in
+    ``__dict__``, where the other builders store the field at once.
+    Equality, hash, repr, pickle and deepcopy see the same value before
+    and after that read.
     """
 
     _fields: tuple[str, ...] = ()
@@ -112,11 +117,11 @@ class _Frozen:
     @classmethod
     def _from_form(cls, form, whole=None, **fields):
         """An exact object holding ``fields`` and the lowest int form
-        ``form`` of its numbers, validated by ``_settle``; its ``_View``
-        builds its numbers field from ``form`` and the mask ``whole``."""
+        ``form`` of its numbers, validated by ``_settle``; its numbers
+        field is built from ``form`` and the mask ``whole`` on first read."""
         self = object.__new__(cls)
         self.__dict__.update(fields, int_form=form, _whole=whole)
-        self._settle(form)
+        self._settle(form, True)
         return self
 
     @classmethod
@@ -128,23 +133,13 @@ class _Frozen:
         self = object.__new__(cls)
         self.__dict__.update(fields, int_form=None)
         self.__dict__[cls._numbers] = numbers
-        self._settle((numbers, 1), exact=False)
+        self._settle((numbers, 1), False)
         return self
 
-    def _settle(self, form, exact: bool = True) -> None:
-        """Validate the numbers and cache what they decide; the classes
-        that check their numbers define their own."""
-
-    def _view(self, rows, scale, whole):
-        """The numbers field of the int form ``(rows, scale)``: each value
-        ``rows[i][j] / scale`` a Fraction, except where ``whole[i][j]``
-        holds: there it is a whole number, kept as an int."""
-        if whole is None:
-            return tuple([tuple([Fraction(n, scale) for n in row]) for row in rows])
-        return tuple([
-            tuple([n // scale if w else Fraction(n, scale) for n, w in zip(row, mask)])
-            for row, mask in zip(rows, whole)
-        ])
+    def _settle(self, form, exact: bool) -> None:
+        """Validate the numbers and cache what they decide, given their
+        lowest int form when ``exact``, else the numbers at scale 1; the
+        classes that check their numbers define their own."""
 
     def _int_mask(self) -> Sequence[Sequence[bool]]:
         """Per entry of an exact matrix of numbers: is it an int, not a
@@ -247,11 +242,12 @@ class Dist(_Frozen):
 
     _fields = ("space", "probs")
     _numbers = "probs"
-    probs = _View()
 
     def __init__(self, space: SkillSpace, probs: Sequence[Number]):
-        self.__dict__.update(space=space, probs=tuple(probs))
-        self._settle(None)
+        probs = tuple(probs)
+        exact = exact_entries(probs, "distribution")
+        self.__dict__.update(space=space, probs=probs)
+        self._settle(int_row(probs) if exact else (probs, 1), exact)
 
     @classmethod
     def _from_ints(cls, space: SkillSpace, form: IntRow) -> "Dist":
@@ -261,31 +257,24 @@ class Dist(_Frozen):
         (ints,), scale = _lowest_terms((form[0],), form[1])
         return cls._from_form((ints, scale), space=space)
 
-    def _view(self, ints, scale, whole):
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:  # read by objects _from_ints built
+        ints, scale = self.int_form
         return tuple([Fraction(n, scale) for n in ints])
 
-    def _settle(self, form: IntRow | None, exact: bool = True) -> None:
-        """Validate the fields and cache ``int_form`` and ``full_support``.
-
-        ``form`` holds the numbers the object was built from: its lowest
-        int form when ``exact``, else its floats at scale 1.  None
-        classifies the ``probs`` given to the constructor and derives the
-        form from them.
-        """
-        n = len(self.probs if form is None else form[0])
-        if n != self.space.size:
+    def _settle(self, form: IntRow, exact: bool) -> None:
+        """Validate the fields and cache ``int_form`` and ``full_support``."""
+        entries, scale = form
+        if len(entries) != self.space.size:
             raise InputError(
-                f"distribution has {n} entries for {self.space.size} types"
+                f"distribution has {len(entries)} entries for {self.space.size} types"
             )
-        if form is None:
-            form = validate_prob_vector(self.probs, "distribution")
-            exact = form is not None
-            form = form or (self.probs, 1)
-        else:
-            tol = 0 if exact else DIST_SUM_TOL
-            _check_prob_vector(form, tol, "distribution", lambda: self.probs)
+        _check_prob_rows(
+            ((entries,), scale), 0 if exact else DIST_SUM_TOL, "distribution",
+            lambda: (self.probs,),
+        )
         self.__dict__.update(
-            int_form=form if exact else None, full_support=all(v > 0 for v in form[0])
+            int_form=form if exact else None, full_support=min(entries) > 0
         )
 
     def to_float(self) -> "Dist":
@@ -368,7 +357,7 @@ class SignalStructure(_Frozen):
 
     _fields = ("space", "signals", "likelihood", "values")
     _numbers = "likelihood"
-    likelihood = _View()
+    likelihood = cached_property(_fraction_rows)
 
     def __init__(
         self,
@@ -377,13 +366,19 @@ class SignalStructure(_Frozen):
         likelihood: Sequence[Sequence[Number]],
         values: Sequence[Number] | None = None,
     ):
+        likelihood = tuple([tuple(row) for row in likelihood])
+        exact = all([  # a list: rows after a float one are classified too
+            exact_entries(row, f"likelihood row for type index {k}")
+            for k, row in enumerate(likelihood)
+        ])
+        if values is not None:
+            values = tuple(values)
+            exact_entries(values, "signal values")
+            require_finite(values, "signal values")
         self.__dict__.update(
-            space=space,
-            signals=tuple(signals),
-            likelihood=tuple(tuple(row) for row in likelihood),
-            values=None if values is None else tuple(values),
+            space=space, signals=tuple(signals), likelihood=likelihood, values=values
         )
-        self._settle(None)
+        self._settle(clear_denominators(likelihood) if exact else (likelihood, 1), exact)
 
     @classmethod
     def _from_ints(
@@ -405,49 +400,33 @@ class SignalStructure(_Frozen):
             _lowest_terms(*form), whole, space=space, signals=signals, values=values
         )
 
-    def _settle(self, form: IntRows | None, exact: bool = True) -> None:
-        """Validate the fields and cache ``int_form``.
-
-        ``form`` holds the likelihoods the object was built from: their
-        lowest int form when ``exact``, else their floats at scale 1.
-        None classifies the ``likelihood`` given to the constructor, and
-        its ``values``, and derives the form from them.
-        """
+    def _settle(self, form: IntRows, exact: bool) -> None:
+        """Validate the fields and cache ``int_form``.  The signal values
+        are classified by the public constructor: a twin's are finite
+        floats, and ``_from_ints``' exact."""
         if not self.signals:
             raise InputError("signal structure needs at least one signal")
         if len(set(self.signals)) != len(self.signals):
             raise InputError("signal labels must be unique")
-        given = form is None
-        rows = self.likelihood if given else form[0]
+        rows = form[0]
         if len(rows) != self.space.size:
             raise InputError(
                 f"likelihood has {len(rows)} rows for {self.space.size} types"
             )
-        forms = []
-        tol = 0 if exact else DIST_SUM_TOL
         for k, row in enumerate(rows):
             if len(row) != len(self.signals):
                 raise InputError(f"likelihood row for type index {k} has wrong width")
-            what = f"likelihood row for type index {k}"
-            if given:
-                forms.append(validate_prob_vector(row, what))
-            else:
-                _check_prob_vector(
-                    (row, form[1]), tol, what, lambda: self.likelihood[k]
-                )
-        if given:
-            exact = None not in forms
-            form = join_rows(forms) if exact else (rows, 1)
-        for label, col in zip(self.signals, zip(*form[0])):
+        _check_prob_rows(
+            form, 0 if exact else DIST_SUM_TOL, "likelihood row for type index {}",
+            lambda: self.likelihood,
+        )
+        for label, col in zip(self.signals, zip(*rows)):
             if not max(col) > 0:  # rows were checked, so no nan is left
                 raise InputError(f"signal {label!r} has zero likelihood everywhere")
         self.__dict__["int_form"] = form if exact else None
         if self.values is not None:
             if len(self.values) != len(self.signals):
                 raise InputError("signal values must match signal count")
-            if given:  # a twin's values are finite floats, _from_ints' exact
-                exact_entries(self.values, "signal values")
-                require_finite(self.values, "signal values")
             for lo, hi in zip(self.values, self.values[1:]):
                 if not lo < hi:
                     raise InputError("signal values must be strictly increasing")

@@ -5,9 +5,10 @@ type of its inputs: plain ``float`` (the default mode) or exact
 rationals (``int`` / ``fractions.Fraction``).  Exactness is detected
 from the values themselves, by ``exact_entries``: model objects classify
 their entries once, at construction, and keep the int form
-(``int_row``, ``join_rows``) of exact ones.  When every input is exact,
-comparisons use zero slack, otherwise the documented float tolerances
-apply.
+(``int_row``, ``clear_denominators``) of exact ones.  When every input
+is exact, comparisons use zero slack, otherwise the documented float
+tolerances apply.  ``_check_prob_rows`` is the probability check of the
+value classes' validators, on int rows or on floats.
 
 Tolerance registry (float mode):
 
@@ -33,7 +34,8 @@ Tolerance registry (float mode):
 ``claim_slacks`` turns exactness and a user ``tol`` into the slacks of
 every claim check; exact values get zero slack everywhere.  ``check_tol``
 is the one test of a user ``tol``: every public function that takes one
-applies it, in either mode.
+applies it, in either mode.  ``check_mode`` is the one test of a
+``mode`` argument (``"rational"`` or ``"float"``).
 """
 
 from __future__ import annotations
@@ -181,6 +183,12 @@ def check_tol(tol: float | None, default: float | None = None) -> float | None:
     return tol
 
 
+def check_mode(mode: str) -> None:
+    """Reject a ``mode`` other than ``"rational"`` and ``"float"``."""
+    if mode not in ("rational", "float"):
+        raise InputError(f"unknown mode {mode!r}")
+
+
 def claim_slacks(
     exact: bool, tol: float | None = None
 ) -> tuple[Number, Number, Number]:
@@ -259,39 +267,28 @@ def format_number(x: Number) -> str:
     return repr(float(x))
 
 
-def validate_prob_vector(
-    probs: Sequence[Number], what: str
-) -> tuple[tuple[int, ...], int] | None:
-    """Nonnegative entries summing to 1 (exactly for exact input).
-
-    Returns the int form ``int_row(probs)`` of exact entries, None for
-    float and mixed ones.
-    """
-    exact = exact_entries(probs, what)
-    form = int_row(probs) if exact else (probs, 1)
-    _check_prob_vector(form, 0 if exact else DIST_SUM_TOL, what, probs)
-    return form if exact else None
-
-
-def _check_prob_vector(
-    form: tuple[Sequence[Number], int],
+def _check_prob_rows(
+    form: tuple[Sequence[Sequence[Number]], int],
     tol: float,
     what: str,
-    quote: Sequence[Number] | Callable[[], Sequence[Number]],
+    quote: Callable[[], Sequence[Sequence[Number]]],
 ) -> None:
-    """The checks of ``validate_prob_vector`` once exactness is decided.
+    """Rows of probabilities: nonnegative entries summing to 1.
 
-    ``form`` is ``(entries, scale)``: the ints of exact values over any
-    scale, tested with ``tol`` 0, or float entries at scale 1.  Each
-    entry must be at least 0 and their sum within ``tol`` of the scale.
-    Messages quote the values ``quote``, or those it returns when it is
-    a function; it is called only to word a failure.
+    ``form`` is ``(rows, scale)``: the ints of exact values over one
+    scale, tested with ``tol`` 0, or float (or mixed) entries at scale 1.
+    Each entry must be at least 0 and each row's sum within ``tol`` of
+    the scale.  A failure names row ``k`` ``what.format(k)`` and quotes
+    its values, ``quote()[k]``; ``quote`` is called only then.
     """
-    entries, one = form
-    for k, v in enumerate(entries):
-        if v < 0:
-            values = quote() if callable(quote) else quote
-            raise InputError(f"{what}: entry {k} is negative ({values[k]!r})")
-    if not (one - tol <= sum(entries) <= one + tol):
-        values = quote() if callable(quote) else quote
-        raise InputError(f"{what}: entries sum to {sum(values)!r}, expected 1")
+    rows, one = form
+    for k, row in enumerate(rows):
+        if min(row) >= 0 and one - tol <= sum(row) <= one + tol:
+            continue  # a nan fails the sum
+        values = quote()[k]
+        for i, v in enumerate(row):
+            if v < 0:
+                raise InputError(
+                    f"{what.format(k)}: entry {i} is negative ({values[i]!r})"
+                )
+        raise InputError(f"{what.format(k)}: entries sum to {sum(values)!r}, expected 1")

@@ -60,7 +60,7 @@ from .model import (
     twin,
     uninformative_structure,
 )
-from .numeric import claim_slacks, format_number, require_count
+from .numeric import check_mode, claim_slacks, format_number, require_count
 from .orders import (
     PerceptionClass,
     fosd_geq,
@@ -604,8 +604,7 @@ def run_suite(
         raise InputError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    if mode not in ("rational", "float"):
-        raise InputError(f"unknown mode {mode!r}")
+    check_mode(mode)
     require_count(trials, "trials", 1)
     require_count(seed, "seed", 0)
     draw, judge, fixed = SUITES[name]

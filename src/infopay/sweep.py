@@ -24,7 +24,7 @@ from .model import (
     table_pay,
     twin,
 )
-from .numeric import Number, format_number, parse_exact
+from .numeric import Number, check_mode, format_number, parse_exact
 
 __all__ = [
     "FIGURE1_COLUMNS",
@@ -105,8 +105,7 @@ def parse_grid(text: str) -> tuple[Fraction, ...]:
 def figure1_rows(
     grid: Sequence[Number], mode: str = "rational"
 ) -> tuple[SweepRow, ...]:
-    if mode not in ("rational", "float"):
-        raise InputError(f"unknown mode {mode!r}")
+    check_mode(mode)
     firm, p, q_i, q_j = figure1_instance()
     space = p.space
     if mode == "float":

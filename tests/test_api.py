@@ -110,3 +110,29 @@ def test_judges_reject_a_bad_tol(judge, mode, tol):
     call(None)  # the instance itself is fine
     with pytest.raises(InputError, match="tolerance must be a finite nonnegative"):
         call(tol)
+
+
+def _mode_calls():
+    """Every public entry point that takes a ``mode``, on a small input."""
+    from infopay.examples import run_example
+    from infopay.instancefile import loads_instance
+    from infopay.suites import run_suite
+    from infopay.sweep import figure1_rows
+
+    return {
+        "run_suite": lambda m: run_suite("theorem1", trials=1, mode=m),
+        "run_example": lambda m: run_example("ex1-reversal", mode=m),
+        "figure1_rows": lambda m: figure1_rows((F(1, 2), F(3, 4)), mode=m),
+        "loads_instance": lambda m: loads_instance("[firm]\n0 1\n", mode=m),
+    }
+
+
+@pytest.mark.parametrize("mode", ["exact", "Float", "", None], ids=repr)
+@pytest.mark.parametrize("entry", list(_mode_calls()))
+def test_entry_points_reject_an_unknown_mode(entry, mode):
+    call = _mode_calls()[entry]
+    call("rational")
+    call("float")
+    with pytest.raises(InputError) as info:
+        call(mode)
+    assert str(info.value) == f"unknown mode {mode!r}"

@@ -357,6 +357,28 @@ def test_eps_bound_examples():
         extremeness_eps_bound(Dist(BIN, (F(1, 2), F(1, 2))), F(3, 2))
 
 
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_eps_bound_reads_the_int_form(seed):
+    # the bound equals the formula over the probs, in value and type, on
+    # exact, float and mixed distributions and exact or float delta; an
+    # exact distribution built from ints keeps its probs unbuilt
+    def formula(q, delta):
+        min_odds = min(v / (1 - v) for v in q.probs)
+        return (delta / (1 - delta)) * min_odds / (q.space.size - 1)
+
+    for trial in range(25):
+        rng = trial_rng(seed, trial)
+        space = random_skill_space(rng)
+        for delta in (F(1, 3), 0.25):
+            q = random_dist(rng, space)
+            got = extremeness_eps_bound(q, delta)
+            assert "probs" not in q.__dict__
+            mixed = Dist(space, (float(q.probs[0]), *q.probs[1:]))
+            for dist in (q, q.to_float(), mixed):
+                value = got if dist is q else extremeness_eps_bound(dist, delta)
+                want = formula(dist, delta)
+                assert type(value) is type(want) and value == want
 @given(
     st.integers(1, 9),
     st.integers(1, 9),
