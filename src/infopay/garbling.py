@@ -38,7 +38,7 @@ from .numeric import (
     exact_entries,
     float_rows,
 )
-from .simplex import feasible_point
+from .simplex import _exact_feasible_point, feasible_point
 
 __all__ = [
     "GarblingKernel",
@@ -186,11 +186,16 @@ def find_garbling(
     The program holds both ``number_forms`` at the lcm of their scales:
     on exact input an int program at the scale ``clear_denominators``
     gives the Fraction program, so the pivots and witness are the same.
+    It goes straight to the simplex's exact loop, whose int pairs become
+    the kernel's int form: the entry types of ``feasible_point``'s
+    witness, with no Fraction built.
     """
     check_tol(tol)
     _check_shared_space(fine, coarse)
     n_f, n_c, n_t = fine.n_signals, coarse.n_signals, fine.space.size
-    _, ((fine_lik, fine_scale), (coarse_lik, coarse_scale)) = number_forms(fine, coarse)
+    exact, ((fine_lik, fine_scale), (coarse_lik, coarse_scale)) = (
+        number_forms(fine, coarse)
+    )
     one = math.lcm(fine_scale, coarse_scale)
     fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
     coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
@@ -210,13 +215,19 @@ def find_garbling(
                 row[s * n_f + f] = fine_lik[t][f]
             rows.append(row)
             rhs.append(coarse_lik[t][s])
-    x = feasible_point(rows, rhs, tol=tol)
+    x = _exact_feasible_point(rows, rhs) if exact else feasible_point(rows, rhs, tol)
     if x is None:
         return None
-    matrix = tuple(
-        tuple(x[s * n_f + f] for f in range(n_f)) for s in range(n_c)
+    cuts = [slice(s * n_f, (s + 1) * n_f) for s in range(n_c)]  # x by coarse signal
+    if not exact:
+        return GarblingKernel(coarse.signals, fine.signals, [x[c] for c in cuts])
+    scale = math.lcm(*[v[1] for v in x if v is not None])
+    ints = [0 if v is None else v[0] * (scale // v[1]) for v in x]
+    whole = [v is None for v in x]  # nonbasic: int 0; basic: a Fraction
+    form = [ints[c] for c in cuts], scale
+    return GarblingKernel._from_ints(
+        coarse.signals, fine.signals, form, [whole[c] for c in cuts]
     )
-    return GarblingKernel(coarse.signals, fine.signals, matrix)
 
 
 def _whole(
@@ -351,7 +362,7 @@ def extremeness_eps_bound(q: Dist, delta: Number) -> Number:
     """
     if not q.full_support:
         raise InputError("eps bound requires a full-support distribution")
-    exact_entries((delta,), "delta")
+    exact_delta = exact_entries((delta,), "delta")
     if not (0 < delta <= 1):
         raise InputError("delta must lie in (0, 1]")
     if delta == 1:
@@ -359,6 +370,9 @@ def extremeness_eps_bound(q: Dist, delta: Number) -> Number:
     exact, ((probs, scale),) = number_forms(q)
     if exact:  # the odds n / (scale - n) grow with n
         n = min(probs)
+        if exact_delta:  # delta = a / b: the bound in one Fraction
+            a, b = delta.as_integer_ratio()
+            return Fraction(a * n, (b - a) * (scale - n) * (q.space.size - 1))
         min_odds = Fraction(n, scale - n)
     else:
         min_odds = min(v / (1 - v) for v in probs)

@@ -632,11 +632,15 @@ def average_pay(firm: Firm, pop: Population) -> Number:
 
 
 # -- common structure constructors -------------------------------------------
+# exact structures are built from ints, with the public constructor's entry types
 
 
 def uninformative_structure(space: SkillSpace) -> SignalStructure:
     """The single-signal structure: it tells every type the same."""
-    return SignalStructure(space, ("u0",), ((1,),) * space.size)
+    n = space.size
+    return SignalStructure._from_ints(
+        space, ("u0",), (((1,),) * n, 1), whole=((True,),) * n
+    )
 
 
 def fully_informative_structure(space: SkillSpace) -> SignalStructure:
@@ -644,7 +648,9 @@ def fully_informative_structure(space: SkillSpace) -> SignalStructure:
     n = space.size
     labels = tuple(f"r{k}" for k in range(n))
     rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    return SignalStructure(space, labels, rows, values=tuple(range(n)))
+    return SignalStructure._from_ints(
+        space, labels, (rows, 1), tuple(range(n)), whole=((True,) * n,) * n
+    )
 
 
 def binary_symmetric_structure(space: SkillSpace, accuracy: Number) -> SignalStructure:
@@ -655,6 +661,12 @@ def binary_symmetric_structure(space: SkillSpace, accuracy: Number) -> SignalStr
     exact_entries((accuracy,), "accuracy")
     if not (0 <= accuracy <= 1):
         raise InputError("accuracy must lie in [0, 1]")
+    if type(accuracy) in EXACT_TYPES:  # a subclass keeps its type on the public path
+        a, b = accuracy.as_integer_ratio()
+        whole = ((True, True),) * 2 if type(accuracy) is int else None
+        return SignalStructure._from_ints(
+            space, ("s0", "s1"), (((a, b - a), (b - a, a)), b), (0, 1), whole
+        )
     lam = accuracy
     rows = ((lam, 1 - lam), (1 - lam, lam))
     return SignalStructure(space, ("s0", "s1"), rows, values=(0, 1))

@@ -41,6 +41,11 @@ test may read stale rows and Bland's rule picks the same pivots.  The
 reduced-cost row stays at ``d``.  Every comparison is exact and
 termination is guaranteed.  With float entries the same loop runs on
 floats, and a small pivot epsilon guards against noise.
+
+The exact loop ends in ints, each basic value the pair ``tableau[i][n]``
+over ``row_d[i]``: ``feasible_point`` makes its Fractions from them, and
+``garbling.find_garbling`` (an all-int program by construction) runs
+the loop itself and builds its kernel from the pairs, with no Fraction.
 """
 
 from __future__ import annotations
@@ -79,7 +84,8 @@ def feasible_point(
             return _float_feasible_point(a_rows, b, LP_TOL if tol is None else tol)
         rows, _ = clear_denominators(rows)  # one positive scale: same pivots
     *a_ints, b_ints = rows
-    return _exact_feasible_point(a_ints, b_ints)
+    x = _exact_feasible_point(a_ints, b_ints)
+    return None if x is None else [0 if v is None else Fraction(*v) for v in x]
 
 
 def _condensed(
@@ -100,7 +106,10 @@ def _condensed(
 
 def _exact_feasible_point(
     a_rows: Sequence[Sequence[int]], b: Sequence[int]
-) -> list[Number] | None:
+) -> list[tuple[int, int] | None] | None:
+    """A nonnegative solution of the all-int program ``A x = b``, or None
+    if infeasible: each basic variable's value as ``(num, den)``, ints
+    with ``den > 0``, and None for each nonbasic (zero) variable."""
     tableau, red = _condensed(a_rows, b)
     m = len(tableau)
     n = len(red) - 1
@@ -153,10 +162,10 @@ def _exact_feasible_point(
 
     if red[n] < 0:  # the phase-1 objective is positive
         return None
-    x: list[Number] = [0] * n
+    x: list[tuple[int, int] | None] = [None] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tableau[i][n], row_d[i])
+            x[var] = tableau[i][n], row_d[i]
     return x
 
 

@@ -5,9 +5,11 @@ The binary symmetric pair has a unique kernel, solved by hand from the
 for coarse accuracy c and fine accuracy f.
 """
 
+import contextlib
 import hashlib
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,10 @@ from infopay.generators import (
     random_skill_space,
     trial_rng,
 )
+from infopay import garbling, simplex
 from infopay.numeric import ORDER_TOL
+from infopay.simplex import feasible_point
+from infopay.suites import run_suite
 from joint_law import build_joints
 from posterior_argmax import slight_per_coarse_signal
 
@@ -52,6 +57,20 @@ FIRM2 = Firm((Task((0, 1)), Task((-4, 4))))
 
 def sym(lam):
     return binary_symmetric_structure(BIN, lam)
+
+
+@contextlib.contextmanager
+def fractions_built():
+    """A list that gets the arguments of every ``Fraction`` built inside."""
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(F, "__new__", counting):
+        yield built
 
 
 # -- find_garbling ------------------------------------------------------------
@@ -108,6 +127,66 @@ def test_incomparable_structures():
     pool_12 = SignalStructure(TRI, ("x", "y"), ((1, 0), (0, 1), (0, 1)))
     assert find_garbling(pool_01, pool_12) is None
     assert find_garbling(pool_12, pool_01) is None
+
+
+def pinned_pairs():
+    """The exact (fine, coarse) pairs ``test_witnesses_are_pinned`` solves:
+    a constructed pair and a random pair per draw, both directions."""
+    for seed in range(20):
+        for trial in range(3):
+            rng = trial_rng(seed, trial)
+            space = random_skill_space(rng, max_types=4)
+            fine, coarse, _ = random_garbling_pair(rng, space, max_fine=4, max_coarse=3)
+            a = random_signal_structure(rng, space, max_signals=4)
+            b = random_signal_structure(rng, space, max_signals=4)
+            yield from ((fine, coarse), (coarse, fine), (a, b), (b, a))
+
+
+def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
+    # find_garbling builds its kernel from the exact loop's int pairs: it
+    # must be the kernel the public constructor builds from feasible_point's
+    # Fraction witness of the same program, its matrix unbuilt until read
+    feasible = 0
+    for fine, coarse in pinned_pairs():
+        programs = []
+
+        def record(a_rows, b):
+            programs.append((a_rows, b))
+            return simplex._exact_feasible_point(a_rows, b)
+
+        with mock.patch.object(garbling, "_exact_feasible_point", record):
+            kernel = find_garbling(fine, coarse)
+        (a_rows, b), = programs
+        x = feasible_point(a_rows, b)
+        assert (kernel is None) == (x is None)
+        if x is None:
+            continue
+        feasible += 1
+        n_f = fine.n_signals
+        public = GarblingKernel(
+            coarse.signals, fine.signals,
+            [x[s * n_f:(s + 1) * n_f] for s in range(coarse.n_signals)],
+        )
+        assert "matrix" not in kernel.__dict__
+        assert kernel.int_form == public.int_form
+        assert [list(row) for row in kernel._int_mask()] == public._int_mask()
+        assert "matrix" not in kernel.__dict__
+        assert repr(kernel) == repr(public)
+        assert hash(kernel) == hash(public)
+        assert kernel == public
+        assert [[type(v) for v in row] for row in kernel.matrix] == (
+            [[type(v) for v in row] for row in public.matrix]
+        )
+    assert feasible >= 60  # every constructed pair, fine to coarse
+
+
+def test_exact_garbling_suite_builds_no_fraction():
+    # the witnesses stay ints from the simplex to the kernel, and the
+    # structures of the draw are built from ints
+    with fractions_built() as built:
+        for seed in (0, 1, 2):
+            run_suite("garbling", 4, seed)
+    assert built == []
 
 
 def test_witnesses_are_pinned():
@@ -362,7 +441,8 @@ def test_eps_bound_examples():
 def test_eps_bound_reads_the_int_form(seed):
     # the bound equals the formula over the probs, in value and type, on
     # exact, float and mixed distributions and exact or float delta; an
-    # exact distribution built from ints keeps its probs unbuilt
+    # exact distribution built from ints keeps its probs unbuilt, and the
+    # bound on it builds one Fraction
     def formula(q, delta):
         min_odds = min(v / (1 - v) for v in q.probs)
         return (delta / (1 - delta)) * min_odds / (q.space.size - 1)
@@ -372,7 +452,9 @@ def test_eps_bound_reads_the_int_form(seed):
         space = random_skill_space(rng)
         for delta in (F(1, 3), 0.25):
             q = random_dist(rng, space)
-            got = extremeness_eps_bound(q, delta)
+            with fractions_built() as built:
+                got = extremeness_eps_bound(q, delta)
+            assert len(built) == 1
             assert "probs" not in q.__dict__
             mixed = Dist(space, (float(q.probs[0]), *q.probs[1:]))
             for dist in (q, q.to_float(), mixed):

@@ -2,9 +2,10 @@
 
 In-package producers that already hold ints (the generators, among them
 ``extreme_structure``, ``garble``, ``compose_kernels``, the exact
-``posterior``) build ``Dist``, ``SignalStructure`` and
-``GarblingKernel`` from ``(ints, scale)`` with the private
-``_from_ints`` builders.  On the same values
+``posterior``, the exact ``find_garbling``, and the uninformative, fully
+informative and exact binary symmetric structures) build ``Dist``,
+``SignalStructure`` and ``GarblingKernel`` from ``(ints, scale)`` with
+the private ``_from_ints`` builders.  On the same values
 the result must be the object the public constructor builds from
 Fractions: equal fields, the same entry types, the same ``int_form`` and
 ``full_support``; and a bad form must raise the same ``InputError``.
@@ -12,6 +13,7 @@ Fractions: equal fields, the same entry types, the same ``int_form`` and
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,11 @@ from infopay import (
     InputError,
     SignalStructure,
     SkillSpace,
+    binary_symmetric_structure,
     compose_kernels,
+    fully_informative_structure,
     garble,
+    uninformative_structure,
 )
 from infopay.generators import extreme_structure
 from infopay.model import posterior
@@ -232,3 +237,43 @@ def test_extreme_structure_matches_fraction_formula(n, eps):
     public = SignalStructure(SPACES[n], built.signals, rows)
     same_object(built, public)
     assert types(built.likelihood) == types(public.likelihood)
+
+
+def same_structure(built, public):
+    """``same_object``, and the hash, entry types and int mask too; an
+    exact structure must keep its likelihood unbuilt until it is read."""
+    if public.int_form is not None:
+        assert "likelihood" not in built.__dict__
+    assert [list(row) for row in built._int_mask()] == public._int_mask()
+    same_object(built, public)
+    assert hash(built) == hash(public)
+    assert types(built.likelihood) == types(public.likelihood)
+    assert built.values == public.values
+    assert built.values is None or types([built.values]) == types([public.values])
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_fixed_structures_match_constructor(n):
+    for space in (SkillSpace(tuple(range(n))), SkillSpace(tuple(k / 2 for k in range(n)))):
+        same_structure(
+            uninformative_structure(space), SignalStructure(space, ("u0",), ((1,),) * n)
+        )
+        rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        labels = tuple(f"r{k}" for k in range(n))
+        same_structure(
+            fully_informative_structure(space),
+            SignalStructure(space, labels, rows, values=tuple(range(n))),
+        )
+
+
+@pytest.mark.parametrize(
+    "accuracy", [0, 1, F(1), F(0), F(1, 2), F(9, 13), F(4, 5), 0.8], ids=repr
+)
+def test_binary_symmetric_builder_matches_constructor(accuracy):
+    for space in (SPACES[2], SkillSpace((0.0, 1.5))):
+        lam = accuracy
+        rows = ((lam, 1 - lam), (1 - lam, lam))
+        same_structure(
+            binary_symmetric_structure(space, accuracy),
+            SignalStructure(space, ("s0", "s1"), rows, values=(0, 1)),
+        )

@@ -317,11 +317,11 @@ def test_matches_fraction_oracle_on_garbling_programs(seed, trial, swap):
         fine, coarse = coarse, fine
     programs = []
 
-    def record(a_rows, b, tol=None):
+    def record(a_rows, b):  # find_garbling hands exact programs to this loop
         programs.append((a_rows, b))
-        return feasible_point(a_rows, b, tol=tol)
+        return simplex._exact_feasible_point(a_rows, b)
 
-    with mock.patch.object(garbling, "feasible_point", record):
+    with mock.patch.object(garbling, "_exact_feasible_point", record):
         kernel = find_garbling(fine, coarse)
     (a_rows, b), = programs
     # exact structures give an int program: the Fraction program over the
