@@ -12,11 +12,10 @@ and on files that cannot be read or written.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import InfopayError, InputError
-from .numeric import parse_exact, parse_float
+from .numeric import check_tol, parse_exact, parse_float
 
 __all__ = ["CLAIM_IDS", "build_parser", "main"]
 
@@ -30,11 +29,10 @@ def _nonneg_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite nonnegative number, got {text!r}"
-        )
-    return value
+    try:
+        return check_tol(value)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_shared(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -175,6 +173,8 @@ def _cmd_example(args, mode: str, tol) -> int:
 def _cmd_sweep(args, mode: str, tol) -> int:
     from .sweep import DEFAULT_GRID_SPEC, run_figure1
 
+    if tol is not None:  # the sweep compares nothing against a tolerance
+        raise InputError("--tol does not apply to sweep-figure1")
     grid = DEFAULT_GRID_SPEC if args.grid is None else args.grid
     csv = run_figure1(grid, mode=mode)
     if args.out is None:

@@ -187,8 +187,9 @@ def find_garbling(
     on exact input an int program at the scale ``clear_denominators``
     gives the Fraction program, so the pivots and witness are the same.
     It goes straight to the simplex's exact loop, whose int pairs become
-    the kernel's int form: the entry types of ``feasible_point``'s
-    witness, with no Fraction built.
+    the kernel's int form, with no Fraction built: a basic entry reads
+    as a Fraction and a nonbasic one as int ``0``.  Float input goes to
+    ``simplex.feasible_point``.
     """
     check_tol(tol)
     _check_shared_space(fine, coarse)

@@ -13,10 +13,13 @@ Flat, diff-friendly sections; numbers are decimals or exact fractions
 
 A ``[signal_structure]`` section starts with a ``signals:`` line, an
 optional ``values:`` line, then one likelihood row per type.  Blank
-lines and ``#`` comments are ignored.  ``serialize_instance`` emits a
-canonical form (sections in fixed order, canonical reference names,
-reduced fractions) that reparses to an equal object and survives a
-serialize-parse-serialize round trip byte-identically.
+lines and whole-line ``#`` comments are ignored; a ``#`` after data is
+data (a signal label may hold one).  ``[skill_space]`` precedes every
+distribution and structure, and a file holds at most one ``[scenario]``
+or ``[population]``.  ``serialize_instance`` emits a canonical form
+(sections in fixed order, canonical reference names, reduced fractions)
+that reparses to an equal object and survives a serialize-parse-serialize
+round trip byte-identically.
 """
 
 from __future__ import annotations
@@ -134,10 +137,9 @@ def loads_instance(text: str, mode: str = "rational"):
 
     space: SkillSpace | None = None
     dists: dict[str, Dist] = {}
-    struct_sections: list[_Section] = []
+    structs: dict[str, SignalStructure] = {}
     firm: Firm | None = None
-    scenario_s: _Section | None = None
-    population_s: _Section | None = None
+    top: _Section | None = None  # the one [scenario] or [population]
 
     for sec in sections:
         if sec.kind == "skill_space":
@@ -165,7 +167,15 @@ def loads_instance(text: str, mode: str = "rational"):
             lineno, line = sec.lines[0]
             dists[sec.name] = Dist(space, tuple(_numbers(lineno, line, parse)))
         elif sec.kind == "signal_structure":
-            struct_sections.append(sec)
+            if space is None:
+                raise ParseError(
+                    f"line {sec.header_line}: [skill_space] must precede signal structures"
+                )
+            if sec.name in structs:
+                raise ParseError(
+                    f"line {sec.header_line}: duplicate signal structure {sec.name!r}"
+                )
+            structs[sec.name] = _parse_structure(sec, space, parse)
         elif sec.kind == "firm":
             if firm is not None:
                 raise ParseError(f"line {sec.header_line}: duplicate [firm]")
@@ -174,22 +184,15 @@ def loads_instance(text: str, mode: str = "rational"):
             firm = Firm(
                 tuple(Task(tuple(_numbers(n, text, parse))) for n, text in sec.lines)
             )
-        elif sec.kind == "population":
-            population_s = sec
-        elif sec.kind == "scenario":
-            scenario_s = sec
-
-    structs: dict[str, SignalStructure] = {}
-    for sec in struct_sections:
-        if space is None:
-            raise ParseError(
-                f"line {sec.header_line}: [skill_space] must precede signal structures"
-            )
-        if sec.name in structs:
-            raise ParseError(
-                f"line {sec.header_line}: duplicate signal structure {sec.name!r}"
-            )
-        structs[sec.name] = _parse_structure(sec, space, parse)
+        else:  # population or scenario
+            if top is not None:
+                raise ParseError(
+                    f"line {sec.header_line}: duplicate [{sec.kind}]"
+                    if top.kind == sec.kind else
+                    f"line {sec.header_line}: a file holds one [scenario] or "
+                    "[population], not both"
+                )
+            top = sec
 
     def resolve(sec, refs, key, table, what):
         if key not in refs:
@@ -201,34 +204,34 @@ def loads_instance(text: str, mode: str = "rational"):
             )
         return table[name]
 
-    if scenario_s is not None:
+    if top is not None and top.kind == "scenario":
         if firm is None:
-            raise ParseError(f"line {scenario_s.header_line}: [scenario] needs a [firm]")
-        refs = _key_values(scenario_s)
+            raise ParseError(f"line {top.header_line}: [scenario] needs a [firm]")
+        refs = _key_values(top)
         extra = set(refs) - {"p", "q_i", "q_j", "coarse", "fine"}
         if extra:
             raise ParseError(
-                f"line {scenario_s.header_line}: unknown scenario keys {sorted(extra)}"
+                f"line {top.header_line}: unknown scenario keys {sorted(extra)}"
             )
         return GapScenario(
             firm=firm,
-            p=resolve(scenario_s, refs, "p", dists, "distribution"),
-            q_i=resolve(scenario_s, refs, "q_i", dists, "distribution"),
-            q_j=resolve(scenario_s, refs, "q_j", dists, "distribution"),
-            coarse=resolve(scenario_s, refs, "coarse", structs, "signal structure"),
-            fine=resolve(scenario_s, refs, "fine", structs, "signal structure"),
+            p=resolve(top, refs, "p", dists, "distribution"),
+            q_i=resolve(top, refs, "q_i", dists, "distribution"),
+            q_j=resolve(top, refs, "q_j", dists, "distribution"),
+            coarse=resolve(top, refs, "coarse", structs, "signal structure"),
+            fine=resolve(top, refs, "fine", structs, "signal structure"),
         )
-    if population_s is not None:
-        refs = _key_values(population_s)
+    if top is not None:
+        refs = _key_values(top)
         extra = set(refs) - {"p", "q", "sig"}
         if extra:
             raise ParseError(
-                f"line {population_s.header_line}: unknown population keys {sorted(extra)}"
+                f"line {top.header_line}: unknown population keys {sorted(extra)}"
             )
         return Population(
-            p=resolve(population_s, refs, "p", dists, "distribution"),
-            q=resolve(population_s, refs, "q", dists, "distribution"),
-            sig=resolve(population_s, refs, "sig", structs, "signal structure"),
+            p=resolve(top, refs, "p", dists, "distribution"),
+            q=resolve(top, refs, "q", dists, "distribution"),
+            sig=resolve(top, refs, "sig", structs, "signal structure"),
         )
     if firm is not None:
         return firm

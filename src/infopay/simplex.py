@@ -16,15 +16,15 @@ costs, ratios and the tie rule are the full tableau's, so the pivots,
 witnesses and entry types are too.  Artificial i's reduced cost is its
 slot's entry while it is nonbasic and 0 while it is basic.
 
-With int or Fraction entries the solver pivots fraction-free
+The exact loop takes an all-int program and pivots it fraction-free
 (integer-preserving pivoting, Edmonds 1967; Bareiss 1968) on Python
-ints, and each pivot divides exactly by the previous pivot ``d``.  An
-all-int program is pivoted as given; one holding a Fraction is first
-scaled by the lcm ``D`` of all its denominators.  The scale must be one
-global factor: scaling rows separately would change the phase-1 cost
-row (minus the sum of the rows), so Bland's rule would pick other
-pivots and return other witnesses.  The artificial columns hold 1, not
-``D``: a positive scale of those columns, which changes no pivot either.
+ints: each pivot divides exactly by the previous pivot ``d``.  Its one
+caller, ``garbling.find_garbling``, builds that program at the lcm
+``D`` of the denominators of the rational program, one global factor:
+scaling rows separately would change the phase-1 cost row (minus the
+sum of the rows), so Bland's rule would pick other pivots and return
+other witnesses.  The artificial columns hold 1, not ``D``: a positive
+scale of those columns, which changes no pivot either.
 
 Each row keeps its own denominator ``row_d[i]``, the pivot at which it
 was last updated.  A row whose entering entry is 0 is left as it is
@@ -39,53 +39,27 @@ over ``d`` telescopes to exactly these, so both divisions are exact.
 A positive factor per row changes no sign and no ratio, so the ratio
 test may read stale rows and Bland's rule picks the same pivots.  The
 reduced-cost row stays at ``d``.  Every comparison is exact and
-termination is guaranteed.  With float entries the same loop runs on
-floats, and a small pivot epsilon guards against noise.
+termination is guaranteed.  The exact loop ends in ints, each basic
+value the pair ``tableau[i][n]`` over ``row_d[i]``, from which
+``find_garbling`` builds its kernel's int form.
 
-The exact loop ends in ints, each basic value the pair ``tableau[i][n]``
-over ``row_d[i]``: ``feasible_point`` makes its Fractions from them, and
-``garbling.find_garbling`` (an all-int program by construction) runs
-the loop itself and builds its kernel from the pairs, with no Fraction.
+``feasible_point`` is the float loop: the same pivots on floats, with a
+small pivot epsilon against noise and a tolerance on the phase-1
+objective.  It refuses a program with no float entry, which belongs to
+the exact loop.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
 from .errors import InputError
-from .numeric import LP_TOL, Number, all_exact, clear_denominators
+from .numeric import LP_TOL, Number, all_exact
 
 __all__ = ["feasible_point"]
 
 _FLOAT_EPS = 1e-11
-
-
-def feasible_point(
-    a_rows: Sequence[Sequence[Number]],
-    b: Sequence[Number],
-    tol: float | None = None,
-) -> list[Number] | None:
-    """A nonnegative solution of ``A x = b``, or None if infeasible.
-
-    ``tol`` bounds the acceptable phase-1 objective in float mode
-    (default ``LP_TOL``); with exact entries the objective must vanish
-    exactly.  Exact input gives Fraction values for basic variables and
-    int ``0`` for the others.  A ragged ``A``, or a ``b`` whose length
-    is not the row count, raises ``InputError``.
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
-        raise InputError("simplex needs equal-length rows and one b entry per row")
-    rows = [*a_rows, b]
-    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
-        if not all(map(all_exact, rows)):
-            return _float_feasible_point(a_rows, b, LP_TOL if tol is None else tol)
-        rows, _ = clear_denominators(rows)  # one positive scale: same pivots
-    *a_ints, b_ints = rows
-    x = _exact_feasible_point(a_ints, b_ints)
-    return None if x is None else [0 if v is None else Fraction(*v) for v in x]
 
 
 def _condensed(
@@ -169,9 +143,26 @@ def _exact_feasible_point(
     return x
 
 
-def _float_feasible_point(
-    a_rows: Sequence[Sequence[Number]], b: Sequence[Number], feas_tol: float
+def feasible_point(
+    a_rows: Sequence[Sequence[Number]],
+    b: Sequence[Number],
+    tol: float | None = None,
 ) -> list[Number] | None:
+    """A nonnegative solution of the float program ``A x = b``, or None
+    if infeasible within ``tol`` on the phase-1 objective (default
+    ``LP_TOL``).  Basic values within ``tol`` below 0 become int ``0``,
+    as do nonbasic ones.  A ragged ``A``, or a ``b`` whose length is not
+    the row count, raises ``InputError``; so does a program with no float
+    entry, whose exact loop ``garbling.find_garbling`` runs itself.
+    """
+    n = len(a_rows[0]) if a_rows else 0
+    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
+        raise InputError("simplex needs equal-length rows and one b entry per row")
+    if all_exact(chain(b, *a_rows)):
+        raise InputError(
+            "feasible_point solves float programs; find_garbling solves exact ones"
+        )
+    feas_tol = LP_TOL if tol is None else tol
     tableau, red = _condensed(a_rows, b)
     m = len(tableau)
     n = len(red) - 1

@@ -12,9 +12,11 @@ from unittest import mock
 import pytest
 
 from infopay.cli import main
+from infopay.errors import InputError
 from infopay.examples import EXAMPLE_NAMES
 from infopay.instancefile import save_instance
 from infopay.model import Dist, Firm, SignalStructure, SkillSpace, Task
+from infopay.numeric import check_tol
 from infopay.suites import SUITE_NAMES
 from infopay.sweep import DEFAULT_GRID_SPEC
 
@@ -173,6 +175,35 @@ def test_check_eps_rejected_elsewhere(scenario_file, capsys):
         ["check", scenario_file, "--claim", "narrowing", "--eps", "1/4"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "float", "--tol", "0.5", "sweep-figure1", "--grid", "1/2:1:1/20"],
+        ["sweep-figure1", "--tol", "0", "--grid", "1/2:1:1/20"],
+    ],
+    ids=["root-flag", "subcommand-flag"],
+)
+def test_sweep_refuses_tol(argv, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tol does not apply to sweep-figure1\n"
+    assert not out.exists()
+
+
+def test_tol_flag_reports_check_tols_refusal(capsys):
+    # the flag's check is numeric.check_tol, whose refusal is the usage error
+    with pytest.raises(InputError) as refused:
+        check_tol(-0.5)
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol=-0.5", "example", "ex1-reversal"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith(f"infopay: error: argument --tol: {refused.value}\n")
 
 
 def test_check_unordered_structures(tmp_path, capsys):

@@ -43,9 +43,9 @@ from infopay.generators import (
     random_skill_space,
     trial_rng,
 )
+from fraction_simplex import fraction_feasible_point
 from infopay import garbling, simplex
 from infopay.numeric import ORDER_TOL
-from infopay.simplex import feasible_point
 from infopay.suites import run_suite
 from joint_law import build_joints
 from posterior_argmax import slight_per_coarse_signal
@@ -144,8 +144,9 @@ def pinned_pairs():
 
 def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
     # find_garbling builds its kernel from the exact loop's int pairs: it
-    # must be the kernel the public constructor builds from feasible_point's
-    # Fraction witness of the same program, its matrix unbuilt until read
+    # must be the kernel the public constructor builds from the Fraction
+    # oracle's witness of the same program (Fractions and int zeros, the
+    # loop's entry types), its matrix unbuilt until read
     feasible = 0
     for fine, coarse in pinned_pairs():
         programs = []
@@ -157,7 +158,7 @@ def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
         with mock.patch.object(garbling, "_exact_feasible_point", record):
             kernel = find_garbling(fine, coarse)
         (a_rows, b), = programs
-        x = feasible_point(a_rows, b)
+        x = fraction_feasible_point(a_rows, b)
         assert (kernel is None) == (x is None)
         if x is None:
             continue

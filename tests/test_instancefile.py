@@ -253,6 +253,101 @@ def test_no_terminal_section():
         loads_instance("[skill_space]\n0 1\n")
 
 
+def population_text() -> str:
+    s = showcase_scenario()
+    return serialize_instance(Population(s.p, s.q_i, s.coarse))
+
+
+def next_line(text: str) -> int:
+    return text.count("\n") + 1
+
+
+SCENARIO_HEAD, SCENARIO_SECTION = SCENARIO_TEXT.split("[scenario]")
+SCENARIO_SECTION = "[scenario]" + SCENARIO_SECTION
+POPULATION_SECTION = "[population]\np: p\nq: q_I\nsig: fine\n"
+
+# (a valid file, a valid section appended to it, the refusal at the
+# section's header line); the later section used to win, or the scenario
+REFUSED_TOP_SECTIONS = {
+    "second-scenario": (
+        SCENARIO_TEXT, SCENARIO_SECTION.replace("q_I\n", "q_J\n", 1),
+        "duplicate [scenario]",
+    ),
+    "second-population": (
+        population_text(), "[population]\np: q\nq: p\nsig: sig\n",
+        "duplicate [population]",
+    ),
+    "population-after-scenario": (
+        SCENARIO_TEXT, POPULATION_SECTION,
+        "a file holds one [scenario] or [population], not both",
+    ),
+    "scenario-after-population": (
+        SCENARIO_HEAD + POPULATION_SECTION, SCENARIO_SECTION,
+        "a file holds one [scenario] or [population], not both",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_TOP_SECTIONS, ids=str)
+def test_one_scenario_or_population_per_file(case):
+    text, extra, message = REFUSED_TOP_SECTIONS[case]
+    loads_instance(text)
+    with pytest.raises(ParseError) as exc:
+        loads_instance(text + extra)
+    assert str(exc.value) == f"line {next_line(text)}: {message}"
+
+
+STRUCTURE = "[signal_structure sig]\nsignals: a b\n1 0\n0 1\n"
+DISTRIBUTION = "[distribution p]\n1/2 1/2\n"
+
+
+@pytest.mark.parametrize(
+    "section, what",
+    [(STRUCTURE, "signal structures"), (DISTRIBUTION, "distributions")],
+    ids=["structure", "distribution"],
+)
+def test_skill_space_precedes_structures_and_distributions(section, what):
+    # after [skill_space] the section parses; before it, its header line
+    # is refused, ahead of any later section
+    loads_instance("[skill_space]\n0 1\n" + section + "[firm]\n0 1\n")
+    text = "[firm]\n0 1\n" + section + "[skill_space]\n0 1\n[firm]\n0 1\n"
+    with pytest.raises(ParseError) as exc:
+        loads_instance(text)
+    assert str(exc.value) == f"line 3: [skill_space] must precede {what}"
+
+
+def test_only_whole_line_comments_are_ignored():
+    assert loads_instance("# a firm\n[firm]\n  # flat\n0 1\n") == Firm((Task((0, 1)),))
+    # a '#' after data is data: signal labels may hold one
+    with pytest.raises(ParseError, match="line 2: not a number: '#'"):
+        loads_instance("[firm]\n0 1  # flat\n")
+    pop = loads_instance(population_text().replace("signals: s0 s1", "signals: #0 s#1"))
+    assert pop.sig.signals == ("#0", "s#1")
+    assert loads_instance(serialize_instance(pop)) == pop
+
+
+REFUSED_FILES = {
+    **{
+        case: (text + extra, f"line {next_line(text)}: {message}")
+        for case, (text, extra, message) in REFUSED_TOP_SECTIONS.items()
+    },
+    # a structure no section names, refused only for its place
+    "structure-before-skill-space": (
+        STRUCTURE.replace(" sig]", " early]") + population_text(),
+        "line 1: [skill_space] must precede signal structures",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_FILES, ids=str)
+def test_refused_file_exits_2_with_one_error_line(case, tmp_path, capsys):
+    text, message = REFUSED_FILES[case]
+    path = tmp_path / "refused.inst"
+    path.write_text(text)
+    assert main(["check", str(path), "--claim", "invariants"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # -- properties ------------------------------------------------------------------
 
 SEEDS = st.integers(0, 2**32 - 1)

@@ -1,11 +1,13 @@
 """Phase-1 simplex: verdicts, witnesses and value types.
 
-The exact path pivots fraction-free on Python ints, on the condensed
-tableau (nonbasic columns only).  The full Fraction tableau loop it
-replaced is kept here as the oracle: both follow Bland's rule, and the
-condensed rows are the full rows' nonbasic entries up to positive row
-factors, so they must return the same witness, element by element and
-type by type.
+The exact loop pivots fraction-free on Python ints, on the condensed
+tableau (nonbasic columns only).  ``find_garbling`` is its one caller in
+the package; here it runs on programs cleared of denominators by
+``clear_denominators``, one global scale that changes no pivot, and its
+``(num, den)`` pairs are read as Fractions.  The full Fraction tableau
+loop it replaced is the oracle (``fraction_simplex``): they must return
+the same witness, element by element and type by type.  The float loop,
+``feasible_point``, refuses a program with no float entry.
 """
 
 import math
@@ -16,78 +18,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraction_simplex import fraction_feasible_point
 from infopay import garbling, simplex
 from infopay.errors import InputError
 from infopay.garbling import find_garbling
 from infopay.generators import random_garbling_pair, random_skill_space, trial_rng
+from infopay.numeric import clear_denominators
 from infopay.simplex import feasible_point
 
 
-def fraction_feasible_point(a_rows, b):
-    """Textbook phase-1 simplex on a Fraction tableau, Bland's rule."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):  # artificial basis needs b >= 0
-        if b[i] < 0:
-            rows.append([-F(v) for v in a_rows[i]])
-            rhs.append(-F(b[i]))
-        else:
-            rows.append([F(v) for v in a_rows[i]])
-            rhs.append(F(b[i]))
+def exact_point(a_rows, b):
+    """The exact loop's witness of ``A x = b`` over one common scale:
+    a Fraction for each basic variable and int 0 for each other one."""
+    (*a_ints, b_ints), _ = clear_denominators([*a_rows, b])
+    return witness(simplex._exact_feasible_point(a_ints, b_ints))
 
-    total = n + m
-    tableau = [
-        rows[i] + [1 if j == i else 0 for j in range(m)] + [rhs[i]]
-        for i in range(m)
-    ]
-    basis = [n + i for i in range(m)]
-    red = [0] * (total + 1)
-    for j in range(n):
-        red[j] = -sum(tableau[i][j] for i in range(m))
-    red[total] = -sum(rhs)
 
-    while True:
-        enter = -1
-        for j in range(total):
-            if red[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best_ratio = None
-        for i in range(m):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][total] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        pivot_row = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                factor = tableau[i][enter]
-                tableau[i] = [v - factor * w for v, w in zip(tableau[i], pivot_row)]
-        if red[enter] != 0:
-            factor = red[enter]
-            red = [v - factor * w for v, w in zip(red, pivot_row)]
-        basis[leave] = enter
-
-    if -red[total] > 0:
-        return None
-    x = [0] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][total]
-    return x
+def witness(pairs):
+    return None if pairs is None else [0 if v is None else F(*v) for v in pairs]
 
 
 def assert_same(got, want):
@@ -107,18 +55,20 @@ def satisfies(x, a_rows, b):
 
 def test_infeasible_systems():
     # x0 + x1 = 1 and x0 + x1 = 2 contradict each other
-    assert feasible_point([[1, 1], [1, 1]], [1, 2]) is None
+    assert exact_point([[1, 1], [1, 1]], [1, 2]) is None
     # x0 = -1/2 has no nonnegative solution
-    assert feasible_point([[F(1)]], [F(-1, 2)]) is None
+    assert exact_point([[F(1)]], [F(-1, 2)]) is None
     # feasible over the reals, not over x >= 0
-    assert feasible_point([[1, -1], [1, 1]], [F(1, 3), F(-1, 3)]) is None
+    assert exact_point([[1, -1], [1, 1]], [F(1, 3), F(-1, 3)]) is None
+    # and the float loop agrees
+    assert feasible_point([[1.0, -1.0], [1.0, 1.0]], [1 / 3, -1 / 3]) is None
 
 
 def test_negative_right_hand_sides():
     # -x0 - x1 = -1 and x0 - x1 = 0: rows are negated before pivoting
     a_rows = [[F(-1), F(-1)], [F(1), F(-1)]]
     b = [F(-1), F(0)]
-    x = feasible_point(a_rows, b)
+    x = exact_point(a_rows, b)
     assert x == [F(1, 2), F(1, 2)]
     assert all(type(v) is F for v in x)
     assert_same(x, fraction_feasible_point(a_rows, b))
@@ -130,25 +80,32 @@ def test_degenerate_ratio_tie_goes_to_the_lower_basis_index():
     # instead would end at the other vertex (0, 0, 1, 1).
     a_rows = [[-1, 0, 0, 0], [1, 1, 1, 0], [1, -1, 0, 1]]
     b = [0, 1, 1]
-    x = feasible_point(a_rows, b)
+    x = witness(simplex._exact_feasible_point(a_rows, b))
     assert_same(x, [0, F(1), 0, F(2)])
     assert_same(x, fraction_feasible_point(a_rows, b))
 
 
 def test_int_input_gives_fractions_and_int_zeros():
+    # the loop returns ints: (num, den) for basic values, None for zeros,
+    # which read as the oracle's Fractions and int zeros
     a_rows = [[2, 1, 0], [0, 1, 3]]
     b = [4, 3]
-    x = feasible_point(a_rows, b)
+    pairs = simplex._exact_feasible_point(a_rows, b)
+    assert None in pairs
+    assert all(
+        v is None or (type(v[0]) is int and type(v[1]) is int and v[1] > 0)
+        for v in pairs
+    )
+    x = witness(pairs)
     assert satisfies(x, a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))
-    assert all(type(v) is F or (type(v) is int and v == 0) for v in x)
 
 
 def test_scaling_spans_all_denominators():
     # denominators 2, 3, 5 and 7 across rows and the right-hand side
     a_rows = [[F(1, 2), F(1, 3), 0], [0, F(2, 5), F(3, 7)]]
     b = [F(5, 6), F(29, 35)]
-    x = feasible_point(a_rows, b)
+    x = exact_point(a_rows, b)
     assert satisfies(x, a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))
 
@@ -168,7 +125,7 @@ def test_rows_left_stale_across_pivots_catch_up_exactly():
         [0, 0, 0, 1, 2],
     ]
     b = [4, 5, 6, 9, 3]
-    x = feasible_point(a_rows, b)
+    x = witness(simplex._exact_feasible_point(a_rows, b))
     assert satisfies(x, a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))
 
@@ -200,7 +157,7 @@ def test_float_negated_row_keeps_its_signed_zero():
 
 
 def test_empty_system():
-    assert feasible_point([], []) == []
+    assert simplex._exact_feasible_point([], []) == []
 
 
 @pytest.mark.parametrize(
@@ -219,14 +176,24 @@ def test_shape_mismatch_raises_input_error(a_rows, b):
         feasible_point(a_rows, b)
 
 
-def test_int_program_is_classified_without_all_exact():
-    def refuse(values):
-        raise AssertionError("all_exact read an all-int program")
+@pytest.mark.parametrize(
+    "a_rows, b",
+    [
+        ([[2, 1], [0, 1]], [4, 1]),
+        ([[F(1, 2)]], [1]),
+        ([], []),
+    ],
+    ids=["int", "fraction", "empty"],
+)
+def test_float_loop_refuses_a_program_with_no_float(a_rows, b):
+    with pytest.raises(InputError, match="find_garbling"):
+        feasible_point(a_rows, b)
 
-    with mock.patch.object(simplex, "all_exact", refuse):
-        assert_same(feasible_point([[2, 1], [0, 1]], [4, 1]), [F(3, 2), F(1)])
-    # a Fraction still takes the exact path through all_exact
-    assert_same(feasible_point([[F(1, 2)]], [1]), [F(2)])
+
+def test_one_float_anywhere_makes_a_float_program():
+    # a float in b alone, as when only the coarse structure is float
+    assert_same(feasible_point([[F(1, 2)]], [1.0]), [2.0])
+    assert_same(feasible_point([[1, 0], [0, 2.0]], [1, 1]), [1.0, 0.5])
 
 
 fractions = st.builds(
@@ -251,7 +218,7 @@ def lp_systems(draw):
 @given(lp_systems())
 def test_matches_fraction_oracle_on_random_systems(system):
     a_rows, b = system
-    x = feasible_point(a_rows, b)
+    x = exact_point(a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))
     if x is not None:
         assert satisfies(x, a_rows, b)
@@ -285,7 +252,7 @@ def sparse_int_systems(draw):
 @example(([[0, 1, -1, -1], [0, 0, 0, 2], [2, 0, 3, 0]], [-2, 4, 2]))
 def test_matches_fraction_oracle_on_sparse_int_systems(system):
     a_rows, b = system
-    x = feasible_point(a_rows, b)
+    x = witness(simplex._exact_feasible_point(a_rows, b))
     assert_same(x, fraction_feasible_point(a_rows, b))
     if x is not None:
         assert satisfies(x, a_rows, b)
@@ -332,8 +299,8 @@ def test_matches_fraction_oracle_on_garbling_programs(seed, trial, swap):
     assert [list(row) for row in a_rows] == [[v * scale for v in row] for row in frac_rows]
     assert list(b) == [v * scale for v in frac_b]
     want = fraction_feasible_point(frac_rows, frac_b)
-    assert_same(feasible_point(a_rows, b), want)
-    assert_same(feasible_point(frac_rows, frac_b), want)
+    assert_same(witness(simplex._exact_feasible_point(a_rows, b)), want)
+    assert_same(exact_point(frac_rows, frac_b), want)
     if want is None:
         assert kernel is None
         return
