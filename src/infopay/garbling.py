@@ -38,7 +38,7 @@ from .numeric import (
     exact_entries,
     float_rows,
 )
-from .simplex import _exact_feasible_point, feasible_point
+from .simplex import _exact_feasible_point, _float_feasible_point
 
 __all__ = [
     "GarblingKernel",
@@ -183,40 +183,54 @@ def find_garbling(
     """A kernel witnessing that ``coarse`` is a garbling of ``fine``,
     or None when no such kernel exists (within tolerance for floats).
 
-    The program holds both ``number_forms`` at the lcm of their scales:
-    on exact input an int program at the scale ``clear_denominators``
-    gives the Fraction program, so the pivots and witness are the same.
-    It goes straight to the simplex's exact loop, whose int pairs become
-    the kernel's int form, with no Fraction built: a basic entry reads
-    as a Fraction and a nonbasic one as int ``0``.  Float input goes to
-    ``simplex.feasible_point``.
+    The program holds both ``number_forms`` at the lcm ``one`` of their
+    scales: on exact input an int program at the scale
+    ``clear_denominators`` gives the Fraction program, so the pivots and
+    witness are the same.  Variable ``s * n_f + f`` is ``g(s | f)``.  Row
+    ``f`` (fine signal ``f`` reports somewhere) holds ``one`` in each
+    column ``(s, f)``, with right-hand side ``one``; row ``(t, s)``
+    (mixing reproduces the coarse likelihood) holds fine row ``t`` in the
+    columns of ``s``, with right-hand side coarse entry ``(t, s)``.
+
+    It writes the simplex's condensed tableau ``A | b`` directly, for
+    either loop.  Every entry of ``b`` is ``one`` or a likelihood, so
+    ``b >= 0`` and no row is negated.  The phase-1 cost row (minus the
+    column sums) is written in closed form: column ``(s, f)`` sums
+    ``one`` and fine column ``f``, and ``b`` sums ``n_f * one`` and the
+    coarse entries in row order.  These add the nonzero entries of each
+    column in row order, so float sums equal ``simplex._condensed``'s.
+
+    Exact input goes to the exact loop, whose int pairs become the
+    kernel's int form, with no Fraction built: a basic entry reads as a
+    Fraction and a nonbasic one as int ``0``.  Float input goes to the
+    float loop.
     """
-    check_tol(tol)
+    feas_tol = check_tol(tol, LP_TOL)
     _check_shared_space(fine, coarse)
-    n_f, n_c, n_t = fine.n_signals, coarse.n_signals, fine.space.size
+    n_f, n_c = fine.n_signals, coarse.n_signals
     exact, ((fine_lik, fine_scale), (coarse_lik, coarse_scale)) = (
         number_forms(fine, coarse)
     )
     one = math.lcm(fine_scale, coarse_scale)
-    fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
-    coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
-    n_var = n_c * n_f  # x[s * n_f + f] = g(s | f)
-    rows: list[list[Number]] = []
-    rhs: list[Number] = []
+    if one != fine_scale:
+        fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
+    if one != coarse_scale:
+        coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
+    tableau: list[list[Number]] = []
     for f in range(n_f):  # each fine signal reports somewhere
-        row = [0] * n_var
-        for s in range(n_c):
-            row[s * n_f + f] = one
-        rows.append(row)
-        rhs.append(one)
-    for t in range(n_t):  # mixing reproduces the coarse likelihoods
-        for s in range(n_c):
-            row = [0] * n_var
-            for f in range(n_f):
-                row[s * n_f + f] = fine_lik[t][f]
-            rows.append(row)
-            rhs.append(coarse_lik[t][s])
-    x = _exact_feasible_point(rows, rhs) if exact else feasible_point(rows, rhs, tol)
+        row = [0] * n_f
+        row[f] = one
+        tableau.append([*row * n_c, one])
+    zeros = [0] * n_f
+    for fine_row, coarse_row in zip(fine_lik, coarse_lik):
+        for s, rhs in enumerate(coarse_row):  # mixing reproduces coarse entry (t, s)
+            tableau.append([*zeros * s, *fine_row, *zeros * (n_c - 1 - s), rhs])
+    red = [-sum(col, one) for col in zip(*fine_lik)] * n_c
+    red.append(-sum([v for row in coarse_lik for v in row], n_f * one))
+    x = (
+        _exact_feasible_point(tableau, red) if exact
+        else _float_feasible_point(tableau, red, feas_tol)
+    )
     if x is None:
         return None
     cuts = [slice(s * n_f, (s + 1) * n_f) for s in range(n_c)]  # x by coarse signal

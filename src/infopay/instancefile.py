@@ -16,7 +16,9 @@ optional ``values:`` line, then one likelihood row per type.  Blank
 lines and whole-line ``#`` comments are ignored; a ``#`` after data is
 data (a signal label may hold one).  ``[skill_space]`` precedes every
 distribution and structure, and a file holds at most one ``[scenario]``
-or ``[population]``.  ``serialize_instance`` emits a canonical form
+or ``[population]``.  A ``[firm]`` goes with a ``[scenario]`` or stands
+alone: beside a ``[population]`` it is refused, and a firm-only file
+holds no other section.  ``serialize_instance`` emits a canonical form
 (sections in fixed order, canonical reference names, reduced fractions)
 that reparses to an equal object and survives a serialize-parse-serialize
 round trip byte-identically.
@@ -193,6 +195,8 @@ def loads_instance(text: str, mode: str = "rational"):
                     "[population], not both"
                 )
             top = sec
+        if firm is not None and top is not None and top.kind == "population":
+            raise ParseError(f"line {sec.header_line}: a [population] takes no [firm]")
 
     def resolve(sec, refs, key, table, what):
         if key not in refs:
@@ -234,6 +238,11 @@ def loads_instance(text: str, mode: str = "rational"):
             sig=resolve(top, refs, "sig", structs, "signal structure"),
         )
     if firm is not None:
+        for sec in sections:
+            if sec.kind != "firm":  # a skill space, distribution or structure
+                raise ParseError(
+                    f"line {sec.header_line}: a [firm] alone takes no [{sec.kind}]"
+                )
         return firm
     raise ParseError("instance file has no [scenario], [population], or [firm]")
 

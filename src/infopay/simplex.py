@@ -16,10 +16,19 @@ costs, ratios and the tie rule are the full tableau's, so the pivots,
 witnesses and entry types are too.  Artificial i's reduced cost is its
 slot's entry while it is nonbasic and 0 while it is basic.
 
-The exact loop takes an all-int program and pivots it fraction-free
+Both loops take that tableau, rows ``A | b`` with ``b >= 0`` so that the
+artificial basis starts feasible, and its reduced costs for min
+sum(artificials), minus the column sums; they consume the tableau.
+``garbling.find_garbling`` writes its program's tableau itself: its
+right-hand sides are probabilities and 1s, never negative, so no row is
+negated, and its column sums have a closed form.  ``_condensed`` builds
+the tableau of a general program, negating each row whose ``b`` is
+negative; it serves ``feasible_point``.
+
+The exact loop takes an all-int tableau and pivots it fraction-free
 (integer-preserving pivoting, Edmonds 1967; Bareiss 1968) on Python
 ints: each pivot divides exactly by the previous pivot ``d``.  Its one
-caller, ``garbling.find_garbling``, builds that program at the lcm
+caller, ``garbling.find_garbling``, writes that tableau at the lcm
 ``D`` of the denominators of the rational program, one global factor:
 scaling rows separately would change the phase-1 cost row (minus the
 sum of the rows), so Bland's rule would pick other pivots and return
@@ -43,10 +52,11 @@ termination is guaranteed.  The exact loop ends in ints, each basic
 value the pair ``tableau[i][n]`` over ``row_d[i]``, from which
 ``find_garbling`` builds its kernel's int form.
 
-``feasible_point`` is the float loop: the same pivots on floats, with a
-small pivot epsilon against noise and a tolerance on the phase-1
-objective.  It refuses a program with no float entry, which belongs to
-the exact loop.
+The float loop makes the same pivots on floats, with a small pivot
+epsilon against noise and a tolerance on the phase-1 objective.
+``feasible_point`` is its public entry for a dense program ``A x = b``:
+it refuses a program with no float entry, which belongs to the exact
+loop.
 """
 
 from __future__ import annotations
@@ -65,9 +75,10 @@ _FLOAT_EPS = 1e-11
 def _condensed(
     a_rows: Sequence[Sequence[Number]], b: Sequence[Number]
 ) -> tuple[list[list[Number]], list[Number]]:
-    """(A | b) on the structural slots, each row negated where b < 0 so
-    that the artificial basis starts feasible, and its reduced costs for
-    min sum(artificials): minus the sum of the rows."""
+    """The condensed tableau of a general program: (A | b) on the
+    structural slots, each row negated where b < 0 so that the artificial
+    basis starts feasible, and its reduced costs for min
+    sum(artificials): minus the sum of the rows."""
     tableau = [
         [-v for v in (*row, rhs)] if rhs < 0 else [*row, rhs]
         for row, rhs in zip(a_rows, b)
@@ -79,12 +90,13 @@ def _condensed(
 
 
 def _exact_feasible_point(
-    a_rows: Sequence[Sequence[int]], b: Sequence[int]
+    tableau: list[list[int]], red: list[int]
 ) -> list[tuple[int, int] | None] | None:
-    """A nonnegative solution of the all-int program ``A x = b``, or None
-    if infeasible: each basic variable's value as ``(num, den)``, ints
-    with ``den > 0``, and None for each nonbasic (zero) variable."""
-    tableau, red = _condensed(a_rows, b)
+    """A nonnegative solution of the all-int program whose condensed
+    tableau is ``tableau`` with reduced costs ``red`` (see ``_condensed``),
+    or None if infeasible: each basic variable's value as ``(num, den)``,
+    ints with ``den > 0``, and None for each nonbasic (zero) variable.
+    The tableau is consumed."""
     m = len(tableau)
     n = len(red) - 1
     basis = list(range(n, n + m))
@@ -143,27 +155,14 @@ def _exact_feasible_point(
     return x
 
 
-def feasible_point(
-    a_rows: Sequence[Sequence[Number]],
-    b: Sequence[Number],
-    tol: float | None = None,
+def _float_feasible_point(
+    tableau: list[list[Number]], red: list[Number], tol: float
 ) -> list[Number] | None:
-    """A nonnegative solution of the float program ``A x = b``, or None
-    if infeasible within ``tol`` on the phase-1 objective (default
-    ``LP_TOL``).  Basic values within ``tol`` below 0 become int ``0``,
-    as do nonbasic ones.  A ragged ``A``, or a ``b`` whose length is not
-    the row count, raises ``InputError``; so does a program with no float
-    entry, whose exact loop ``garbling.find_garbling`` runs itself.
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
-        raise InputError("simplex needs equal-length rows and one b entry per row")
-    if all_exact(chain(b, *a_rows)):
-        raise InputError(
-            "feasible_point solves float programs; find_garbling solves exact ones"
-        )
-    feas_tol = LP_TOL if tol is None else tol
-    tableau, red = _condensed(a_rows, b)
+    """A nonnegative solution of the float program whose condensed
+    tableau is ``tableau`` with reduced costs ``red`` (see ``_condensed``),
+    or None if infeasible within ``tol`` on the phase-1 objective.  Basic
+    values within ``tol`` below 0 become int ``0``, as do nonbasic ones.
+    The tableau is consumed."""
     m = len(tableau)
     n = len(red) - 1
     basis = list(range(n, n + m))
@@ -204,13 +203,35 @@ def feasible_point(
         slots[col] = basis[leave]
         basis[leave] = enter
 
-    if -red[n] > feas_tol:  # the phase-1 objective
+    if -red[n] > tol:  # the phase-1 objective
         return None
     x: list[Number] = [0] * n
     for i, var in enumerate(basis):
         if var < n:
             value = tableau[i][n]
-            if -feas_tol < value < 0:
+            if -tol < value < 0:
                 value = 0
             x[var] = value
     return x
+
+
+def feasible_point(
+    a_rows: Sequence[Sequence[Number]],
+    b: Sequence[Number],
+    tol: float | None = None,
+) -> list[Number] | None:
+    """A nonnegative solution of the float program ``A x = b``, or None
+    if infeasible within ``tol`` on the phase-1 objective (default
+    ``LP_TOL``).  Basic values within ``tol`` below 0 become int ``0``,
+    as do nonbasic ones.  A ragged ``A``, or a ``b`` whose length is not
+    the row count, raises ``InputError``; so does a program with no float
+    entry, whose exact loop ``garbling.find_garbling`` runs itself.
+    """
+    n = len(a_rows[0]) if a_rows else 0
+    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
+        raise InputError("simplex needs equal-length rows and one b entry per row")
+    if all_exact(chain(b, *a_rows)):
+        raise InputError(
+            "feasible_point solves float programs; find_garbling solves exact ones"
+        )
+    return _float_feasible_point(*_condensed(a_rows, b), LP_TOL if tol is None else tol)

@@ -6,6 +6,8 @@ tableau; the condensed rows are the full rows' nonbasic entries up to
 positive row factors, so the two must return the same witness.  Its
 witness holds a Fraction for each basic variable and int ``0`` for each
 other one, the entry types the exact ``find_garbling`` kernel reads as.
+``fraction_program`` is the garbling program on two structures' own
+entries, the dense program ``find_garbling`` writes its tableau from.
 """
 
 from __future__ import annotations
@@ -78,3 +80,19 @@ def fraction_feasible_point(a_rows, b):
         if var < n:
             x[var] = tableau[i][total]
     return x
+
+
+def fraction_program(fine, coarse):
+    """The garbling program on the structures' own entries, 1s and all."""
+    n_f, n_c = fine.n_signals, coarse.n_signals
+    rows, rhs = [], []
+    for f in range(n_f):
+        rows.append([1 if k % n_f == f else 0 for k in range(n_c * n_f)])
+        rhs.append(1)
+    for fine_row, coarse_row in zip(fine.likelihood, coarse.likelihood):
+        for s in range(n_c):
+            rows.append([
+                fine_row[k % n_f] if k // n_f == s else 0 for k in range(n_c * n_f)
+            ])
+            rhs.append(coarse_row[s])
+    return rows, rhs

@@ -43,7 +43,7 @@ from infopay.generators import (
     random_skill_space,
     trial_rng,
 )
-from fraction_simplex import fraction_feasible_point
+from fraction_simplex import fraction_feasible_point, fraction_program
 from infopay import garbling, simplex
 from infopay.numeric import ORDER_TOL
 from infopay.suites import run_suite
@@ -142,22 +142,116 @@ def pinned_pairs():
             yield from ((fine, coarse), (coarse, fine), (a, b), (b, a))
 
 
+def recorded_program(fine, coarse):
+    """``(tableau, red, kernel)``: the condensed tableau and cost row that
+    ``find_garbling`` hands its simplex loop, copied before the loop
+    consumes them, and the kernel it returns."""
+    programs = []
+
+    def recording(loop):
+        def record(tableau, red, *tol):
+            programs.append(([list(row) for row in tableau], list(red)))
+            return loop(tableau, red, *tol)
+        return record
+
+    with mock.patch.object(
+        garbling, "_exact_feasible_point", recording(simplex._exact_feasible_point)
+    ), mock.patch.object(
+        garbling, "_float_feasible_point", recording(simplex._float_feasible_point)
+    ):
+        kernel = find_garbling(fine, coarse)
+    (tableau, red), = programs
+    return tableau, red, kernel
+
+
+def dense_program(fine, coarse):
+    """The dense program ``(A, b)`` that ``find_garbling`` condenses: the
+    Fraction program as ints over the lcm of the two int forms' scales on
+    exact input, else the structures' own entries with int 1s and 0s."""
+    rows, rhs = fraction_program(fine, coarse)
+    if fine.int_form is None or coarse.int_form is None:
+        return rows, rhs
+    scale = math.lcm(fine.int_form[1], coarse.int_form[1])
+    return [[int(v * scale) for v in row] for row in rows], [int(v * scale) for v in rhs]
+
+
+def assert_same_numbers(got, want):
+    """Entry by entry: the same type, and a float with the same bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w), (got, want)
+        assert (g.hex() == w.hex()) if type(g) is float else (g == w), (got, want)
+
+
+def assert_tableau_is_condensed(fine, coarse):
+    # find_garbling writes the tableau and its closed-form cost row; the
+    # general _condensed of the dense program must give them bit for bit
+    tableau, red, _ = recorded_program(fine, coarse)
+    want_tableau, want_red = simplex._condensed(*dense_program(fine, coarse))
+    assert len(tableau) == len(want_tableau)
+    for row, want in zip(tableau, want_tableau):
+        assert_same_numbers(row, want)
+    assert_same_numbers(red, want_red)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_tableau_is_the_condensed_dense_program_on_pinned_pairs(mode):
+    for fine, coarse in pinned_pairs():
+        if mode == "float":
+            fine, coarse = fine.to_float(), coarse.to_float()
+        assert_tableau_is_condensed(fine, coarse)
+
+
+@st.composite
+def garbling_pairs(draw):
+    """A garbling-ordered pair, MLR or not, swapped half the time (then
+    mostly infeasible)."""
+    rng = trial_rng(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 10**6)))
+    space = random_skill_space(rng, max_types=4)
+    fine, coarse, _ = random_garbling_pair(
+        rng, space, mlr=draw(st.booleans()), max_fine=4, max_coarse=3
+    )
+    return (coarse, fine) if draw(st.booleans()) else (fine, coarse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(garbling_pairs(), st.booleans())
+def test_tableau_is_the_condensed_dense_program(pair, to_float):
+    fine, coarse = pair
+    if to_float:
+        fine, coarse = fine.to_float(), coarse.to_float()
+    assert_tableau_is_condensed(fine, coarse)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_garbling_suite_never_condenses_a_dense_program(mode):
+    loop = "_exact_feasible_point" if mode == "rational" else "_float_feasible_point"
+    solve = mock.Mock(wraps=getattr(simplex, loop))
+    with mock.patch.object(simplex, "_condensed", side_effect=AssertionError), \
+            mock.patch.object(garbling, loop, solve):
+        result = run_suite("garbling", 4, 0, mode=mode)
+    assert solve.call_count == 16  # four programs per trial
+    assert result.ok
+
+
 def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
     # find_garbling builds its kernel from the exact loop's int pairs: it
     # must be the kernel the public constructor builds from the Fraction
     # oracle's witness of the same program (Fractions and int zeros, the
-    # loop's entry types), its matrix unbuilt until read
+    # loop's entry types), its matrix unbuilt until read.  The program is
+    # read off the tableau find_garbling writes: the scaled Fraction
+    # program with its right-hand sides, and the cost row _condensed
+    # builds from it.
     feasible = 0
     for fine, coarse in pinned_pairs():
-        programs = []
-
-        def record(a_rows, b):
-            programs.append((a_rows, b))
-            return simplex._exact_feasible_point(a_rows, b)
-
-        with mock.patch.object(garbling, "_exact_feasible_point", record):
-            kernel = find_garbling(fine, coarse)
-        (a_rows, b), = programs
+        tableau, red, kernel = recorded_program(fine, coarse)
+        a_rows, b = [row[:-1] for row in tableau], [row[-1] for row in tableau]
+        frac_rows, frac_b = fraction_program(fine, coarse)
+        scale = math.lcm(fine.int_form[1], coarse.int_form[1])
+        assert tableau == [
+            [v * scale for v in (*row, rhs)] for row, rhs in zip(frac_rows, frac_b)
+        ]
+        assert red == simplex._condensed(a_rows, b)[1]
         x = fraction_feasible_point(a_rows, b)
         assert (kernel is None) == (x is None)
         if x is None:

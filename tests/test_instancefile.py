@@ -264,6 +264,8 @@ def next_line(text: str) -> int:
 
 SCENARIO_HEAD, SCENARIO_SECTION = SCENARIO_TEXT.split("[scenario]")
 SCENARIO_SECTION = "[scenario]" + SCENARIO_SECTION
+FIRM_SECTION = "[firm]\n0 1\n-4 4\n"
+POPULATION_HEAD = SCENARIO_HEAD.replace(FIRM_SECTION, "")  # no [firm]
 POPULATION_SECTION = "[population]\np: p\nq: q_I\nsig: fine\n"
 
 # (a valid file, a valid section appended to it, the refusal at the
@@ -282,7 +284,7 @@ REFUSED_TOP_SECTIONS = {
         "a file holds one [scenario] or [population], not both",
     ),
     "scenario-after-population": (
-        SCENARIO_HEAD + POPULATION_SECTION, SCENARIO_SECTION,
+        POPULATION_HEAD + POPULATION_SECTION, SCENARIO_SECTION,
         "a file holds one [scenario] or [population], not both",
     ),
 }
@@ -299,6 +301,10 @@ def test_one_scenario_or_population_per_file(case):
 
 STRUCTURE = "[signal_structure sig]\nsignals: a b\n1 0\n0 1\n"
 DISTRIBUTION = "[distribution p]\n1/2 1/2\n"
+POPULATION_BODY = (
+    STRUCTURE + DISTRIBUTION + "[distribution q]\n1/4 3/4\n"
+    "[population]\np: p\nq: q\nsig: sig\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -307,13 +313,47 @@ DISTRIBUTION = "[distribution p]\n1/2 1/2\n"
     ids=["structure", "distribution"],
 )
 def test_skill_space_precedes_structures_and_distributions(section, what):
-    # after [skill_space] the section parses; before it, its header line
-    # is refused, ahead of any later section
-    loads_instance("[skill_space]\n0 1\n" + section + "[firm]\n0 1\n")
+    # after [skill_space] the section parses (here first in a population);
+    # before it, its header line is refused, ahead of any later section
+    loads_instance("[skill_space]\n0 1\n" + section + POPULATION_BODY.replace(section, ""))
     text = "[firm]\n0 1\n" + section + "[skill_space]\n0 1\n[firm]\n0 1\n"
     with pytest.raises(ParseError) as exc:
         loads_instance(text)
     assert str(exc.value) == f"line 3: [skill_space] must precede {what}"
+
+
+# (a file, the refusal); each used to load, dropping the firm or the
+# sections a firm-only file has no use for
+REFUSED_FIRMS = {
+    "firm-after-population": (
+        population_text() + FIRM_SECTION,
+        f"line {next_line(population_text())}: a [population] takes no [firm]",
+    ),
+    "population-after-firm": (
+        SCENARIO_HEAD + POPULATION_SECTION,
+        f"line {next_line(SCENARIO_HEAD)}: a [population] takes no [firm]",
+    ),
+    "firm-with-skill-space": (
+        FIRM_SECTION + "[skill_space]\n0 1\n",
+        "line 4: a [firm] alone takes no [skill_space]",
+    ),
+    "firm-with-distribution": (
+        "[skill_space]\n0 1\n" + DISTRIBUTION + FIRM_SECTION,
+        "line 1: a [firm] alone takes no [skill_space]",
+    ),
+    "firm-with-structure": (
+        FIRM_SECTION + "[skill_space]\n0 1\n" + STRUCTURE,
+        "line 4: a [firm] alone takes no [skill_space]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_FIRMS, ids=str)
+def test_firm_goes_with_a_scenario_or_alone(case):
+    text, message = REFUSED_FIRMS[case]
+    with pytest.raises(ParseError) as exc:
+        loads_instance(text)
+    assert str(exc.value) == message
 
 
 def test_only_whole_line_comments_are_ignored():
@@ -331,6 +371,7 @@ REFUSED_FILES = {
         case: (text + extra, f"line {next_line(text)}: {message}")
         for case, (text, extra, message) in REFUSED_TOP_SECTIONS.items()
     },
+    **REFUSED_FIRMS,
     # a structure no section names, refused only for its place
     "structure-before-skill-space": (
         STRUCTURE.replace(" sig]", " early]") + population_text(),

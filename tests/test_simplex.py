@@ -2,7 +2,8 @@
 
 The exact loop pivots fraction-free on Python ints, on the condensed
 tableau (nonbasic columns only).  ``find_garbling`` is its one caller in
-the package; here it runs on programs cleared of denominators by
+the package and writes its tableau itself; here it runs on the tableau
+``_condensed`` builds from programs cleared of denominators by
 ``clear_denominators``, one global scale that changes no pivot, and its
 ``(num, den)`` pairs are read as Fractions.  The full Fraction tableau
 loop it replaced is the oracle (``fraction_simplex``): they must return
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_simplex import fraction_feasible_point
+from fraction_simplex import fraction_feasible_point, fraction_program
 from infopay import garbling, simplex
 from infopay.errors import InputError
 from infopay.garbling import find_garbling
@@ -27,11 +28,17 @@ from infopay.numeric import clear_denominators
 from infopay.simplex import feasible_point
 
 
+def exact_loop(a_rows, b):
+    """The exact loop's pairs for the all-int program ``A x = b``, on the
+    condensed tableau ``_condensed`` builds for a general program."""
+    return simplex._exact_feasible_point(*simplex._condensed(a_rows, b))
+
+
 def exact_point(a_rows, b):
     """The exact loop's witness of ``A x = b`` over one common scale:
     a Fraction for each basic variable and int 0 for each other one."""
     (*a_ints, b_ints), _ = clear_denominators([*a_rows, b])
-    return witness(simplex._exact_feasible_point(a_ints, b_ints))
+    return witness(exact_loop(a_ints, b_ints))
 
 
 def witness(pairs):
@@ -80,7 +87,7 @@ def test_degenerate_ratio_tie_goes_to_the_lower_basis_index():
     # instead would end at the other vertex (0, 0, 1, 1).
     a_rows = [[-1, 0, 0, 0], [1, 1, 1, 0], [1, -1, 0, 1]]
     b = [0, 1, 1]
-    x = witness(simplex._exact_feasible_point(a_rows, b))
+    x = witness(exact_loop(a_rows, b))
     assert_same(x, [0, F(1), 0, F(2)])
     assert_same(x, fraction_feasible_point(a_rows, b))
 
@@ -90,7 +97,7 @@ def test_int_input_gives_fractions_and_int_zeros():
     # which read as the oracle's Fractions and int zeros
     a_rows = [[2, 1, 0], [0, 1, 3]]
     b = [4, 3]
-    pairs = simplex._exact_feasible_point(a_rows, b)
+    pairs = exact_loop(a_rows, b)
     assert None in pairs
     assert all(
         v is None or (type(v[0]) is int and type(v[1]) is int and v[1] > 0)
@@ -125,7 +132,7 @@ def test_rows_left_stale_across_pivots_catch_up_exactly():
         [0, 0, 0, 1, 2],
     ]
     b = [4, 5, 6, 9, 3]
-    x = witness(simplex._exact_feasible_point(a_rows, b))
+    x = witness(exact_loop(a_rows, b))
     assert satisfies(x, a_rows, b)
     assert_same(x, fraction_feasible_point(a_rows, b))
 
@@ -157,7 +164,7 @@ def test_float_negated_row_keeps_its_signed_zero():
 
 
 def test_empty_system():
-    assert simplex._exact_feasible_point([], []) == []
+    assert exact_loop([], []) == []
 
 
 @pytest.mark.parametrize(
@@ -252,26 +259,10 @@ def sparse_int_systems(draw):
 @example(([[0, 1, -1, -1], [0, 0, 0, 2], [2, 0, 3, 0]], [-2, 4, 2]))
 def test_matches_fraction_oracle_on_sparse_int_systems(system):
     a_rows, b = system
-    x = witness(simplex._exact_feasible_point(a_rows, b))
+    x = witness(exact_loop(a_rows, b))
     assert_same(x, fraction_feasible_point(a_rows, b))
     if x is not None:
         assert satisfies(x, a_rows, b)
-
-
-def fraction_program(fine, coarse):
-    """The garbling program on the structures' own entries, 1s and all."""
-    n_f, n_c = fine.n_signals, coarse.n_signals
-    rows, rhs = [], []
-    for f in range(n_f):
-        rows.append([1 if k % n_f == f else 0 for k in range(n_c * n_f)])
-        rhs.append(1)
-    for fine_row, coarse_row in zip(fine.likelihood, coarse.likelihood):
-        for s in range(n_c):
-            rows.append([
-                fine_row[k % n_f] if k // n_f == s else 0 for k in range(n_c * n_f)
-            ])
-            rhs.append(coarse_row[s])
-    return rows, rhs
 
 
 @settings(max_examples=120, deadline=None)
@@ -284,22 +275,25 @@ def test_matches_fraction_oracle_on_garbling_programs(seed, trial, swap):
         fine, coarse = coarse, fine
     programs = []
 
-    def record(a_rows, b):  # find_garbling hands exact programs to this loop
-        programs.append((a_rows, b))
-        return simplex._exact_feasible_point(a_rows, b)
+    def record(tableau, red):  # find_garbling hands its tableau to this loop
+        programs.append(([list(row) for row in tableau], list(red)))
+        return simplex._exact_feasible_point(tableau, red)
 
     with mock.patch.object(garbling, "_exact_feasible_point", record):
         kernel = find_garbling(fine, coarse)
-    (a_rows, b), = programs
-    # exact structures give an int program: the Fraction program over the
-    # lcm of the two scales, which gives the same witness
-    assert all(type(v) is int for row in (*a_rows, b) for v in row)
+    (tableau, red), = programs
+    # exact structures give an int tableau: the Fraction program over the
+    # lcm of the two scales, which gives the same witness, with the cost
+    # row the general _condensed builds from it
+    assert all(type(v) is int for row in (*tableau, red) for v in row)
+    a_rows, b = [row[:-1] for row in tableau], [row[-1] for row in tableau]
     frac_rows, frac_b = fraction_program(fine, coarse)
     scale = math.lcm(fine.int_form[1], coarse.int_form[1])
-    assert [list(row) for row in a_rows] == [[v * scale for v in row] for row in frac_rows]
-    assert list(b) == [v * scale for v in frac_b]
+    assert a_rows == [[v * scale for v in row] for row in frac_rows]
+    assert b == [v * scale for v in frac_b]
+    assert (tableau, red) == simplex._condensed(a_rows, b)
     want = fraction_feasible_point(frac_rows, frac_b)
-    assert_same(witness(simplex._exact_feasible_point(a_rows, b)), want)
+    assert_same(witness(exact_loop(a_rows, b)), want)
     assert_same(exact_point(frac_rows, frac_b), want)
     if want is None:
         assert kernel is None
