@@ -38,7 +38,7 @@ from .numeric import (
     exact_entries,
     float_rows,
 )
-from .simplex import _exact_feasible_point, _float_feasible_point
+from .simplex import _exact_feasible_point, feasible_point
 
 __all__ = [
     "GarblingKernel",
@@ -192,27 +192,25 @@ def find_garbling(
     (mixing reproduces the coarse likelihood) holds fine row ``t`` in the
     columns of ``s``, with right-hand side coarse entry ``(t, s)``.
 
-    It writes the simplex's condensed tableau ``A | b`` directly, for
-    either loop.  Every entry of ``b`` is ``one`` or a likelihood, so
-    ``b >= 0`` and no row is negated.  The phase-1 cost row (minus the
-    column sums) is written in closed form: column ``(s, f)`` sums
-    ``one`` and fine column ``f``, and ``b`` sums ``n_f * one`` and the
-    coarse entries in row order.  These add the nonzero entries of each
-    column in row order, so float sums equal ``simplex._condensed``'s.
-
-    Exact input goes to the exact loop, whose int pairs become the
-    kernel's int form, with no Fraction built: a basic entry reads as a
-    Fraction and a nonbasic one as int ``0``.  Float input goes to the
-    float loop.
+    Exact input goes to the simplex's exact loop as the condensed
+    tableau ``A | b`` written here.  Every entry of ``b`` is ``one`` or a
+    likelihood, so ``b >= 0`` and no row is negated.  The phase-1 cost
+    row (minus the column sums) is written in closed form: column
+    ``(s, f)`` sums ``one`` and fine column ``f``, and ``b`` sums
+    ``n_f * one`` and the coarse entries, as ``simplex._condensed`` would
+    sum them.  The loop's int pairs become the kernel's int form, with no
+    Fraction built: a basic entry reads as a Fraction and a nonbasic one
+    as int ``0``.  Float input goes to ``simplex.feasible_point`` as the
+    dense program ``(A, b)``.
     """
-    feas_tol = check_tol(tol, LP_TOL)
+    check_tol(tol)
     _check_shared_space(fine, coarse)
     n_f, n_c = fine.n_signals, coarse.n_signals
     exact, ((fine_lik, fine_scale), (coarse_lik, coarse_scale)) = (
         number_forms(fine, coarse)
     )
     one = math.lcm(fine_scale, coarse_scale)
-    if one != fine_scale:
+    if one != fine_scale:  # rescaled only when off the common scale
         fine_lik = [[v * (one // fine_scale) for v in row] for row in fine_lik]
     if one != coarse_scale:
         coarse_lik = [[v * (one // coarse_scale) for v in row] for row in coarse_lik]
@@ -225,17 +223,18 @@ def find_garbling(
     for fine_row, coarse_row in zip(fine_lik, coarse_lik):
         for s, rhs in enumerate(coarse_row):  # mixing reproduces coarse entry (t, s)
             tableau.append([*zeros * s, *fine_row, *zeros * (n_c - 1 - s), rhs])
-    red = [-sum(col, one) for col in zip(*fine_lik)] * n_c
-    red.append(-sum([v for row in coarse_lik for v in row], n_f * one))
-    x = (
-        _exact_feasible_point(tableau, red) if exact
-        else _float_feasible_point(tableau, red, feas_tol)
-    )
-    if x is None:
-        return None
     cuts = [slice(s * n_f, (s + 1) * n_f) for s in range(n_c)]  # x by coarse signal
     if not exact:
+        a_rows, b = [row[:-1] for row in tableau], [row[-1] for row in tableau]
+        x = feasible_point(a_rows, b, tol)
+        if x is None:
+            return None
         return GarblingKernel(coarse.signals, fine.signals, [x[c] for c in cuts])
+    red = [-sum(col, one) for col in zip(*fine_lik)] * n_c
+    red.append(-sum([v for row in coarse_lik for v in row], n_f * one))
+    x = _exact_feasible_point(tableau, red)
+    if x is None:
+        return None
     scale = math.lcm(*[v[1] for v in x if v is not None])
     ints = [0 if v is None else v[0] * (scale // v[1]) for v in x]
     whole = [v is None for v in x]  # nonbasic: int 0; basic: a Fraction

@@ -16,14 +16,14 @@ costs, ratios and the tie rule are the full tableau's, so the pivots,
 witnesses and entry types are too.  Artificial i's reduced cost is its
 slot's entry while it is nonbasic and 0 while it is basic.
 
-Both loops take that tableau, rows ``A | b`` with ``b >= 0`` so that the
-artificial basis starts feasible, and its reduced costs for min
-sum(artificials), minus the column sums; they consume the tableau.
-``garbling.find_garbling`` writes its program's tableau itself: its
-right-hand sides are probabilities and 1s, never negative, so no row is
-negated, and its column sums have a closed form.  ``_condensed`` builds
-the tableau of a general program, negating each row whose ``b`` is
-negative; it serves ``feasible_point``.
+Both loops pivot that tableau, rows ``A | b`` with ``b >= 0`` so that
+the artificial basis starts feasible, and its reduced costs for min
+sum(artificials): minus the column sums.  ``feasible_point`` condenses
+the general program it is given with ``_condensed``, which negates each
+row whose ``b`` is negative.  ``garbling.find_garbling`` writes the
+exact loop's tableau itself: its right-hand sides are probabilities and
+1s, never negative, so no row is negated, and its column sums have a
+closed form.
 
 The exact loop takes an all-int tableau and pivots it fraction-free
 (integer-preserving pivoting, Edmonds 1967; Bareiss 1968) on Python
@@ -52,11 +52,10 @@ termination is guaranteed.  The exact loop ends in ints, each basic
 value the pair ``tableau[i][n]`` over ``row_d[i]``, from which
 ``find_garbling`` builds its kernel's int form.
 
-The float loop makes the same pivots on floats, with a small pivot
-epsilon against noise and a tolerance on the phase-1 objective.
-``feasible_point`` is its public entry for a dense program ``A x = b``:
-it refuses a program with no float entry, which belongs to the exact
-loop.
+``feasible_point`` is the float loop: the same pivots on floats, with a
+small pivot epsilon against noise and a tolerance on the phase-1
+objective.  It refuses a program with no float entry, which belongs to
+the exact loop.
 """
 
 from __future__ import annotations
@@ -75,10 +74,9 @@ _FLOAT_EPS = 1e-11
 def _condensed(
     a_rows: Sequence[Sequence[Number]], b: Sequence[Number]
 ) -> tuple[list[list[Number]], list[Number]]:
-    """The condensed tableau of a general program: (A | b) on the
-    structural slots, each row negated where b < 0 so that the artificial
-    basis starts feasible, and its reduced costs for min
-    sum(artificials): minus the sum of the rows."""
+    """(A | b) on the structural slots, each row negated where b < 0 so
+    that the artificial basis starts feasible, and its reduced costs for
+    min sum(artificials): minus the sum of the rows."""
     tableau = [
         [-v for v in (*row, rhs)] if rhs < 0 else [*row, rhs]
         for row, rhs in zip(a_rows, b)
@@ -155,14 +153,27 @@ def _exact_feasible_point(
     return x
 
 
-def _float_feasible_point(
-    tableau: list[list[Number]], red: list[Number], tol: float
+def feasible_point(
+    a_rows: Sequence[Sequence[Number]],
+    b: Sequence[Number],
+    tol: float | None = None,
 ) -> list[Number] | None:
-    """A nonnegative solution of the float program whose condensed
-    tableau is ``tableau`` with reduced costs ``red`` (see ``_condensed``),
-    or None if infeasible within ``tol`` on the phase-1 objective.  Basic
-    values within ``tol`` below 0 become int ``0``, as do nonbasic ones.
-    The tableau is consumed."""
+    """A nonnegative solution of the float program ``A x = b``, or None
+    if infeasible within ``tol`` on the phase-1 objective (default
+    ``LP_TOL``).  Basic values within ``tol`` below 0 become int ``0``,
+    as do nonbasic ones.  A ragged ``A``, or a ``b`` whose length is not
+    the row count, raises ``InputError``; so does a program with no float
+    entry, whose exact loop ``garbling.find_garbling`` runs itself.
+    """
+    n = len(a_rows[0]) if a_rows else 0
+    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
+        raise InputError("simplex needs equal-length rows and one b entry per row")
+    if all_exact(chain(b, *a_rows)):
+        raise InputError(
+            "feasible_point solves float programs; find_garbling solves exact ones"
+        )
+    feas_tol = LP_TOL if tol is None else tol
+    tableau, red = _condensed(a_rows, b)
     m = len(tableau)
     n = len(red) - 1
     basis = list(range(n, n + m))
@@ -203,35 +214,13 @@ def _float_feasible_point(
         slots[col] = basis[leave]
         basis[leave] = enter
 
-    if -red[n] > tol:  # the phase-1 objective
+    if -red[n] > feas_tol:  # the phase-1 objective
         return None
     x: list[Number] = [0] * n
     for i, var in enumerate(basis):
         if var < n:
             value = tableau[i][n]
-            if -tol < value < 0:
+            if -feas_tol < value < 0:
                 value = 0
             x[var] = value
     return x
-
-
-def feasible_point(
-    a_rows: Sequence[Sequence[Number]],
-    b: Sequence[Number],
-    tol: float | None = None,
-) -> list[Number] | None:
-    """A nonnegative solution of the float program ``A x = b``, or None
-    if infeasible within ``tol`` on the phase-1 objective (default
-    ``LP_TOL``).  Basic values within ``tol`` below 0 become int ``0``,
-    as do nonbasic ones.  A ragged ``A``, or a ``b`` whose length is not
-    the row count, raises ``InputError``; so does a program with no float
-    entry, whose exact loop ``garbling.find_garbling`` runs itself.
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
-        raise InputError("simplex needs equal-length rows and one b entry per row")
-    if all_exact(chain(b, *a_rows)):
-        raise InputError(
-            "feasible_point solves float programs; find_garbling solves exact ones"
-        )
-    return _float_feasible_point(*_condensed(a_rows, b), LP_TOL if tol is None else tol)

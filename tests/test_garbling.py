@@ -143,31 +143,33 @@ def pinned_pairs():
 
 
 def recorded_program(fine, coarse):
-    """``(tableau, red, kernel)``: the condensed tableau and cost row that
-    ``find_garbling`` hands its simplex loop, copied before the loop
-    consumes them, and the kernel it returns."""
+    """``(program, kernel)``: what ``find_garbling`` hands the simplex,
+    copied before the loop consumes it, and the kernel it returns.  On
+    exact input that is the exact loop's condensed tableau and cost row
+    ``(tableau, red)``; on float input, the dense program ``(A, b)``
+    that ``feasible_point`` condenses itself."""
     programs = []
 
-    def recording(loop):
-        def record(tableau, red, *tol):
-            programs.append(([list(row) for row in tableau], list(red)))
-            return loop(tableau, red, *tol)
+    def recording(solve):
+        def record(rows, last, *tol):
+            programs.append(([list(row) for row in rows], list(last)))
+            return solve(rows, last, *tol)
         return record
 
     with mock.patch.object(
         garbling, "_exact_feasible_point", recording(simplex._exact_feasible_point)
     ), mock.patch.object(
-        garbling, "_float_feasible_point", recording(simplex._float_feasible_point)
+        garbling, "feasible_point", recording(simplex.feasible_point)
     ):
         kernel = find_garbling(fine, coarse)
-    (tableau, red), = programs
-    return tableau, red, kernel
+    program, = programs
+    return program, kernel
 
 
 def dense_program(fine, coarse):
-    """The dense program ``(A, b)`` that ``find_garbling`` condenses: the
-    Fraction program as ints over the lcm of the two int forms' scales on
-    exact input, else the structures' own entries with int 1s and 0s."""
+    """The dense program ``(A, b)`` of ``find_garbling``: the Fraction
+    program as ints over the lcm of the two int forms' scales on exact
+    input, else the structures' own entries with int 1s and 0s."""
     rows, rhs = fraction_program(fine, coarse)
     if fine.int_form is None or coarse.int_form is None:
         return rows, rhs
@@ -183,23 +185,26 @@ def assert_same_numbers(got, want):
         assert (g.hex() == w.hex()) if type(g) is float else (g == w), (got, want)
 
 
-def assert_tableau_is_condensed(fine, coarse):
-    # find_garbling writes the tableau and its closed-form cost row; the
-    # general _condensed of the dense program must give them bit for bit
-    tableau, red, _ = recorded_program(fine, coarse)
-    want_tableau, want_red = simplex._condensed(*dense_program(fine, coarse))
-    assert len(tableau) == len(want_tableau)
-    for row, want in zip(tableau, want_tableau):
+def assert_program_is_the_dense_program(fine, coarse):
+    # exact: find_garbling writes the tableau and its closed-form cost
+    # row, and the general _condensed of the dense program must give them
+    # bit for bit; float: feasible_point gets the dense program itself
+    (rows, last), _ = recorded_program(fine, coarse)
+    a_rows, b = dense_program(fine, coarse)
+    if fine.int_form is not None and coarse.int_form is not None:
+        a_rows, b = simplex._condensed(a_rows, b)
+    assert len(rows) == len(a_rows)
+    for row, want in zip(rows, a_rows):
         assert_same_numbers(row, want)
-    assert_same_numbers(red, want_red)
+    assert_same_numbers(last, b)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
-def test_tableau_is_the_condensed_dense_program_on_pinned_pairs(mode):
+def test_find_garbling_writes_the_dense_program_on_pinned_pairs(mode):
     for fine, coarse in pinned_pairs():
         if mode == "float":
             fine, coarse = fine.to_float(), coarse.to_float()
-        assert_tableau_is_condensed(fine, coarse)
+        assert_program_is_the_dense_program(fine, coarse)
 
 
 @st.composite
@@ -216,21 +221,29 @@ def garbling_pairs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(garbling_pairs(), st.booleans())
-def test_tableau_is_the_condensed_dense_program(pair, to_float):
+def test_find_garbling_writes_the_dense_program(pair, to_float):
     fine, coarse = pair
     if to_float:
         fine, coarse = fine.to_float(), coarse.to_float()
-    assert_tableau_is_condensed(fine, coarse)
+    assert_program_is_the_dense_program(fine, coarse)
 
 
-@pytest.mark.parametrize("mode", ["rational", "float"])
-def test_garbling_suite_never_condenses_a_dense_program(mode):
-    loop = "_exact_feasible_point" if mode == "rational" else "_float_feasible_point"
-    solve = mock.Mock(wraps=getattr(simplex, loop))
+def test_exact_garbling_suite_never_condenses_a_dense_program():
+    solve = mock.Mock(wraps=simplex._exact_feasible_point)
     with mock.patch.object(simplex, "_condensed", side_effect=AssertionError), \
-            mock.patch.object(garbling, loop, solve):
-        result = run_suite("garbling", 4, 0, mode=mode)
+            mock.patch.object(garbling, "_exact_feasible_point", solve):
+        result = run_suite("garbling", 4, 0)
     assert solve.call_count == 16  # four programs per trial
+    assert result.ok
+
+
+def test_float_garbling_suite_solves_through_feasible_point():
+    # the float simplex's public entry, the one a caller outside the
+    # package can wrap, runs every float garbling program
+    solve = mock.Mock(wraps=simplex.feasible_point)
+    with mock.patch.object(garbling, "feasible_point", solve):
+        result = run_suite("garbling", 4, 0, mode="float")
+    assert solve.call_count == 16
     assert result.ok
 
 
@@ -244,7 +257,7 @@ def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
     # builds from it.
     feasible = 0
     for fine, coarse in pinned_pairs():
-        tableau, red, kernel = recorded_program(fine, coarse)
+        (tableau, red), kernel = recorded_program(fine, coarse)
         a_rows, b = [row[:-1] for row in tableau], [row[-1] for row in tableau]
         frac_rows, frac_b = fraction_program(fine, coarse)
         scale = math.lcm(fine.int_form[1], coarse.int_form[1])
