@@ -192,16 +192,17 @@ def find_garbling(
     (mixing reproduces the coarse likelihood) holds fine row ``t`` in the
     columns of ``s``, with right-hand side coarse entry ``(t, s)``.
 
-    Exact input goes to the simplex's exact loop as the condensed
-    tableau ``A | b`` written here.  Every entry of ``b`` is ``one`` or a
-    likelihood, so ``b >= 0`` and no row is negated.  The phase-1 cost
-    row (minus the column sums) is written in closed form: column
+    Both arithmetics write one program for the simplex: the condensed
+    tableau ``A | b`` and its phase-1 cost row.  Every entry of ``b`` is
+    ``one`` or a likelihood, so ``b >= 0`` and no row is negated.  The
+    cost row (minus the column sums) is written in closed form: column
     ``(s, f)`` sums ``one`` and fine column ``f``, and ``b`` sums
-    ``n_f * one`` and the coarse entries, as ``simplex._condensed`` would
-    sum them.  The loop's int pairs become the kernel's int form, with no
-    Fraction built: a basic entry reads as a Fraction and a nonbasic one
-    as int ``0``.  Float input goes to ``simplex.feasible_point`` as the
-    dense program ``(A, b)``.
+    ``n_f * one`` and the coarse entries, in row order.  On float input
+    ``one`` is int 1, so the float sums add the same numbers in the same
+    order as summing each column down its rows.  Float input goes to
+    ``simplex.feasible_point``, exact input to the exact loop, whose int
+    pairs become the kernel's int form, with no Fraction built: a basic
+    entry reads as a Fraction and a nonbasic one as int ``0``.
     """
     check_tol(tol)
     _check_shared_space(fine, coarse)
@@ -223,15 +224,14 @@ def find_garbling(
     for fine_row, coarse_row in zip(fine_lik, coarse_lik):
         for s, rhs in enumerate(coarse_row):  # mixing reproduces coarse entry (t, s)
             tableau.append([*zeros * s, *fine_row, *zeros * (n_c - 1 - s), rhs])
+    red = [-sum(col, one) for col in zip(*fine_lik)] * n_c
+    red.append(-sum([v for row in coarse_lik for v in row], n_f * one))
     cuts = [slice(s * n_f, (s + 1) * n_f) for s in range(n_c)]  # x by coarse signal
     if not exact:
-        a_rows, b = [row[:-1] for row in tableau], [row[-1] for row in tableau]
-        x = feasible_point(a_rows, b, tol)
+        x = feasible_point(tableau, red, tol)  # positional: perfbench reads args[0]
         if x is None:
             return None
         return GarblingKernel(coarse.signals, fine.signals, [x[c] for c in cuts])
-    red = [-sum(col, one) for col in zip(*fine_lik)] * n_c
-    red.append(-sum([v for row in coarse_lik for v in row], n_f * one))
     x = _exact_feasible_point(tableau, red)
     if x is None:
         return None

@@ -16,20 +16,18 @@ costs, ratios and the tie rule are the full tableau's, so the pivots,
 witnesses and entry types are too.  Artificial i's reduced cost is its
 slot's entry while it is nonbasic and 0 while it is basic.
 
-Both loops pivot that tableau, rows ``A | b`` with ``b >= 0`` so that
-the artificial basis starts feasible, and its reduced costs for min
-sum(artificials): minus the column sums.  ``feasible_point`` condenses
-the general program it is given with ``_condensed``, which negates each
-row whose ``b`` is negative.  ``garbling.find_garbling`` writes the
-exact loop's tableau itself: its right-hand sides are probabilities and
-1s, never negative, so no row is negated, and its column sums have a
-closed form.
+Both loops take that tableau from their one caller,
+``garbling.find_garbling``, which writes it with its cost row: rows
+``A | b`` with ``b >= 0`` so that the artificial basis starts feasible,
+and the reduced costs for min sum(artificials), minus the column sums.
+There is no path for a general program: neither loop checks a shape,
+negates a row or sums a column.  Each consumes the tableau it is given.
 
 The exact loop takes an all-int tableau and pivots it fraction-free
 (integer-preserving pivoting, Edmonds 1967; Bareiss 1968) on Python
-ints: each pivot divides exactly by the previous pivot ``d``.  Its one
-caller, ``garbling.find_garbling``, writes that tableau at the lcm
-``D`` of the denominators of the rational program, one global factor:
+ints: each pivot divides exactly by the previous pivot ``d``.
+``find_garbling`` writes that tableau at the lcm ``D`` of the
+denominators of the rational program, one global factor:
 scaling rows separately would change the phase-1 cost row (minus the
 sum of the rows), so Bland's rule would pick other pivots and return
 other witnesses.  The artificial columns hold 1, not ``D``: a positive
@@ -54,47 +52,26 @@ value the pair ``tableau[i][n]`` over ``row_d[i]``, from which
 
 ``feasible_point`` is the float loop: the same pivots on floats, with a
 small pivot epsilon against noise and a tolerance on the phase-1
-objective.  It refuses a program with no float entry, which belongs to
-the exact loop.
+objective.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
-
-from .errors import InputError
-from .numeric import LP_TOL, Number, all_exact
+from .numeric import LP_TOL, Number
 
 __all__ = ["feasible_point"]
 
 _FLOAT_EPS = 1e-11
 
 
-def _condensed(
-    a_rows: Sequence[Sequence[Number]], b: Sequence[Number]
-) -> tuple[list[list[Number]], list[Number]]:
-    """(A | b) on the structural slots, each row negated where b < 0 so
-    that the artificial basis starts feasible, and its reduced costs for
-    min sum(artificials): minus the sum of the rows."""
-    tableau = [
-        [-v for v in (*row, rhs)] if rhs < 0 else [*row, rhs]
-        for row, rhs in zip(a_rows, b)
-    ]
-    n = len(a_rows[0]) if a_rows else 0
-    # summed by index: a zip(*tableau) transpose leaves its column tuples in
-    # the interpreter's free lists, up to 0.6 MB more garbling-exact peak RSS
-    return tableau, [-sum(row[j] for row in tableau) for j in range(n + 1)]
-
-
 def _exact_feasible_point(
     tableau: list[list[int]], red: list[int]
 ) -> list[tuple[int, int] | None] | None:
     """A nonnegative solution of the all-int program whose condensed
-    tableau is ``tableau`` with reduced costs ``red`` (see ``_condensed``),
-    or None if infeasible: each basic variable's value as ``(num, den)``,
-    ints with ``den > 0``, and None for each nonbasic (zero) variable.
-    The tableau is consumed."""
+    tableau is ``tableau`` with reduced costs ``red`` (see the module
+    docstring), or None if infeasible: each basic variable's value as
+    ``(num, den)``, ints with ``den > 0``, and None for each nonbasic
+    (zero) variable.  The tableau is consumed."""
     m = len(tableau)
     n = len(red) - 1
     basis = list(range(n, n + m))
@@ -154,26 +131,15 @@ def _exact_feasible_point(
 
 
 def feasible_point(
-    a_rows: Sequence[Sequence[Number]],
-    b: Sequence[Number],
-    tol: float | None = None,
+    tableau: list[list[Number]], red: list[Number], tol: float | None = None
 ) -> list[Number] | None:
-    """A nonnegative solution of the float program ``A x = b``, or None
-    if infeasible within ``tol`` on the phase-1 objective (default
-    ``LP_TOL``).  Basic values within ``tol`` below 0 become int ``0``,
-    as do nonbasic ones.  A ragged ``A``, or a ``b`` whose length is not
-    the row count, raises ``InputError``; so does a program with no float
-    entry, whose exact loop ``garbling.find_garbling`` runs itself.
+    """A nonnegative solution of the float program whose condensed
+    tableau is ``tableau`` with reduced costs ``red``, as for the exact
+    loop, or None if infeasible within ``tol`` on the phase-1 objective
+    (default ``LP_TOL``).  Basic values within ``tol`` below 0 become int
+    ``0``, as do nonbasic ones.  The tableau is consumed.
     """
-    n = len(a_rows[0]) if a_rows else 0
-    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
-        raise InputError("simplex needs equal-length rows and one b entry per row")
-    if all_exact(chain(b, *a_rows)):
-        raise InputError(
-            "feasible_point solves float programs; find_garbling solves exact ones"
-        )
     feas_tol = LP_TOL if tol is None else tol
-    tableau, red = _condensed(a_rows, b)
     m = len(tableau)
     n = len(red) - 1
     basis = list(range(n, n + m))

@@ -8,11 +8,27 @@ witness holds a Fraction for each basic variable and int ``0`` for each
 other one, the entry types the exact ``find_garbling`` kernel reads as.
 ``fraction_program`` is the garbling program on two structures' own
 entries, the dense program ``find_garbling`` writes its tableau from.
+``condensed`` turns a general dense program into the condensed tableau
+and cost row both simplex loops take: the reference that the tableau
+``find_garbling`` writes is compared against, and the way the tests
+hand a general program to a loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+
+
+def condensed(a_rows, b):
+    """(A | b) on the structural slots, each row negated where b < 0 so
+    that the artificial basis starts feasible, and its reduced costs for
+    min sum(artificials): minus the sum of the rows."""
+    tableau = [
+        [-v for v in (*row, rhs)] if rhs < 0 else [*row, rhs]
+        for row, rhs in zip(a_rows, b)
+    ]
+    n = len(a_rows[0]) if a_rows else 0
+    return tableau, [-sum(row[j] for row in tableau) for j in range(n + 1)]
 
 
 def fraction_feasible_point(a_rows, b):

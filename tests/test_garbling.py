@@ -43,7 +43,7 @@ from infopay.generators import (
     random_skill_space,
     trial_rng,
 )
-from fraction_simplex import fraction_feasible_point, fraction_program
+from fraction_simplex import condensed, fraction_feasible_point, fraction_program
 from infopay import garbling, simplex
 from infopay.numeric import ORDER_TOL
 from infopay.suites import run_suite
@@ -144,16 +144,16 @@ def pinned_pairs():
 
 def recorded_program(fine, coarse):
     """``(program, kernel)``: what ``find_garbling`` hands the simplex,
-    copied before the loop consumes it, and the kernel it returns.  On
-    exact input that is the exact loop's condensed tableau and cost row
-    ``(tableau, red)``; on float input, the dense program ``(A, b)``
-    that ``feasible_point`` condenses itself."""
+    copied before the loop consumes it, and the kernel it returns.  In
+    both modes that is the condensed tableau and cost row
+    ``(tableau, red)``, handed to the exact loop or to the float loop
+    ``feasible_point``."""
     programs = []
 
     def recording(solve):
-        def record(rows, last, *tol):
-            programs.append(([list(row) for row in rows], list(last)))
-            return solve(rows, last, *tol)
+        def record(tableau, red, *tol):
+            programs.append(([list(row) for row in tableau], list(red)))
+            return solve(tableau, red, *tol)
         return record
 
     with mock.patch.object(
@@ -186,17 +186,15 @@ def assert_same_numbers(got, want):
 
 
 def assert_program_is_the_dense_program(fine, coarse):
-    # exact: find_garbling writes the tableau and its closed-form cost
-    # row, and the general _condensed of the dense program must give them
-    # bit for bit; float: feasible_point gets the dense program itself
-    (rows, last), _ = recorded_program(fine, coarse)
-    a_rows, b = dense_program(fine, coarse)
-    if fine.int_form is not None and coarse.int_form is not None:
-        a_rows, b = simplex._condensed(a_rows, b)
-    assert len(rows) == len(a_rows)
-    for row, want in zip(rows, a_rows):
+    # in both modes find_garbling writes the tableau and its closed-form
+    # cost row, and the general condensed of the dense program must give
+    # them bit for bit: ints equal, floats with the same bits
+    (tableau, red), _ = recorded_program(fine, coarse)
+    want_tableau, want_red = condensed(*dense_program(fine, coarse))
+    assert len(tableau) == len(want_tableau)
+    for row, want in zip(tableau, want_tableau):
         assert_same_numbers(row, want)
-    assert_same_numbers(last, b)
+    assert_same_numbers(red, want_red)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -228,23 +226,23 @@ def test_find_garbling_writes_the_dense_program(pair, to_float):
     assert_program_is_the_dense_program(fine, coarse)
 
 
-def test_exact_garbling_suite_never_condenses_a_dense_program():
-    solve = mock.Mock(wraps=simplex._exact_feasible_point)
-    with mock.patch.object(simplex, "_condensed", side_effect=AssertionError), \
-            mock.patch.object(garbling, "_exact_feasible_point", solve):
-        result = run_suite("garbling", 4, 0)
-    assert solve.call_count == 16  # four programs per trial
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_garbling_suite_solves_each_program_in_its_own_loop(mode):
+    # feasible_point, the float loop's public name that perfbench's tracer
+    # wraps, gets the tableau as args[0] with len(red) columns per row
+    solvers = {
+        "rational": mock.Mock(wraps=simplex._exact_feasible_point),
+        "float": mock.Mock(wraps=simplex.feasible_point),
+    }
+    with mock.patch.object(garbling, "_exact_feasible_point", solvers["rational"]), \
+            mock.patch.object(garbling, "feasible_point", solvers["float"]):
+        result = run_suite("garbling", 4, 0, mode=mode)
     assert result.ok
-
-
-def test_float_garbling_suite_solves_through_feasible_point():
-    # the float simplex's public entry, the one a caller outside the
-    # package can wrap, runs every float garbling program
-    solve = mock.Mock(wraps=simplex.feasible_point)
-    with mock.patch.object(garbling, "feasible_point", solve):
-        result = run_suite("garbling", 4, 0, mode="float")
-    assert solve.call_count == 16
-    assert result.ok
+    for name, solve in solvers.items():
+        assert solve.call_count == (16 if name == mode else 0)  # four per trial
+    for (tableau, red, *_), kwargs in solvers["float"].call_args_list:
+        assert not kwargs
+        assert all(len(row) == len(red) for row in tableau)
 
 
 def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
@@ -253,7 +251,7 @@ def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
     # oracle's witness of the same program (Fractions and int zeros, the
     # loop's entry types), its matrix unbuilt until read.  The program is
     # read off the tableau find_garbling writes: the scaled Fraction
-    # program with its right-hand sides, and the cost row _condensed
+    # program with its right-hand sides, and the cost row condensed
     # builds from it.
     feasible = 0
     for fine, coarse in pinned_pairs():
@@ -264,7 +262,7 @@ def test_exact_kernel_is_the_public_kernel_of_the_fraction_witness():
         assert tableau == [
             [v * scale for v in (*row, rhs)] for row, rhs in zip(frac_rows, frac_b)
         ]
-        assert red == simplex._condensed(a_rows, b)[1]
+        assert red == condensed(a_rows, b)[1]
         x = fraction_feasible_point(a_rows, b)
         assert (kernel is None) == (x is None)
         if x is None:

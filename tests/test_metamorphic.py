@@ -12,9 +12,16 @@ one and the within-hypothesis one), at two seeds, under both tie rules.
   the tie-broken assignments unchanged.
 * Scale: multiplying every surplus by ``c > 0`` multiplies every value
   by ``c`` and leaves the assignments unchanged.
+* Reverse: listing the tasks in reverse order swaps the tie rules: the
+  "lowest" decomposition of the reversed firm gives every value of the
+  original's "highest" one, with each assigned task ``k`` read as
+  ``n_tasks - 1 - k``.
+* Dominated task: appending a task strictly below task 0 at every type
+  changes nothing, under either tie rule, since no posterior ever
+  assigns it.
 
-Both keep a monotone firm monotone (and a non-monotone one not), and
-neither changes the perception class or any verdict.
+All four keep a monotone firm monotone (and a non-monotone one not), and
+none changes the perception class or any verdict.
 """
 
 from fractions import Fraction as F
@@ -52,10 +59,12 @@ def _reports(s, kernel, firm):
     ]
 
 
-def _same_verdicts(moved, base):
+def _same_verdicts(moved, base, task=lambda k: k):
     assert moved._replace(result=None) == base._replace(result=None)
     for name in ("assignment_coarse", "assignment_fine"):
-        assert getattr(moved.result, name) == getattr(base.result, name)
+        assert getattr(moved.result, name) == tuple(
+            task(k) for k in getattr(base.result, name)
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -84,3 +93,30 @@ def test_scaling_every_surplus_scales_every_value(seed):
                 _same_verdicts(moved, was)
                 for name in VALUES:
                     assert getattr(moved.result, name) == getattr(was.result, name) * c
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reversing_the_tasks_swaps_the_tie_rules(seed):
+    for s, kernel in _instances(seed):
+        last = len(s.firm.tasks) - 1
+        firm = Firm(s.firm.tasks[::-1])
+        assert firm.is_monotone == s.firm.is_monotone
+        lowest, highest = _reports(s, kernel, firm)
+        was_lowest, was_highest = _reports(s, kernel, s.firm)
+        for moved, was in ((lowest, was_highest), (highest, was_lowest)):
+            _same_verdicts(moved, was, task=lambda k: last - k)
+            assert moved.result.kernel == was.result.kernel
+            for name in VALUES:
+                assert getattr(moved.result, name) == getattr(was.result, name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_appending_a_dominated_task_changes_nothing(seed):
+    for s, kernel in _instances(seed):
+        below = Task([v - 1 for v in s.firm.tasks[0].surplus])
+        firm = Firm([*s.firm.tasks, below])
+        assert firm.is_monotone == s.firm.is_monotone
+        for moved, was in zip(_reports(s, kernel, firm), _reports(s, kernel, s.firm)):
+            _same_verdicts(moved, was)
+            for name in VALUES:
+                assert getattr(moved.result, name) == getattr(was.result, name)
