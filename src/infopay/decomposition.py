@@ -275,10 +275,10 @@ def check_signs(
     perception-correcting part is only required when the firm is
     monotone, the fine structure is MLR, and the perception is
     LR-comparable to the truth.  ``tol`` sets every slack: the claim
-    slacks (``claim_slacks``) and those of the MLR and LR tests.
+    slack and floor (``claim_slacks``) and those of the MLR and LR tests.
     """
     result = decompose(firm, p, q, coarse, fine, kernel, tie_break, tol)
-    eq, slack, floor = claim_slacks(
+    slack, floor = claim_slacks(
         all_exact((result.total, result.perception_correcting, result.instrumental)),
         tol,
     )
@@ -295,7 +295,7 @@ def check_signs(
         monotone=monotone,
         fine_mlr=fine_mlr,
         perception=pclass,
-        identity_ok=bool(abs(result.identity_gap) <= eq),
+        identity_ok=bool(abs(result.identity_gap) <= slack),
         instrumental_ok=bool(result.instrumental >= floor),
         correction_sign_rule=rule,
         correction_sign_holds=holds,

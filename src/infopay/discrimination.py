@@ -182,7 +182,7 @@ def check_gap_ranking(
         "other_under_perceived": other_under,
         "favored_perception_above": lr_geq(q_i, q_j, tol=tol),
     }
-    _, slack, _ = claim_slacks(all_exact((w_i, w_j)), tol)
+    slack, _ = claim_slacks(all_exact((w_i, w_j)), tol)
     return GapRankingReport(
         hypotheses=hypotheses,
         w_i=w_i,
@@ -256,7 +256,7 @@ def check_narrowing(
         "other_under_perceived": lr_geq(p, q_j, tol=tol),
         "slight_gain": slight_i and slight_j,
     }
-    _, slack, _ = claim_slacks(all_exact((gap_coarse, gap_fine)), tol)
+    slack, _ = claim_slacks(all_exact((gap_coarse, gap_fine)), tol)
     return NarrowingReport(
         hypotheses=hypotheses,
         baseline_lr=lr_geq(q_i, q_j, tol=tol),
@@ -305,7 +305,7 @@ def check_nearly_full(
     within = within_eps_of_full(scenario.fine, eps, tol=tol)
     gap_coarse = pay_gap(firm, p, q_i, q_j, scenario.coarse)
     gap_fine = pay_gap(firm, p, q_i, q_j, scenario.fine)
-    _, slack, _ = claim_slacks(all_exact((gap_coarse, gap_fine)), tol)
+    slack, _ = claim_slacks(all_exact((gap_coarse, gap_fine)), tol)
     if gap_coarse > slack:
         ok = (not within) or gap_fine <= gap_coarse + slack
     elif gap_coarse >= -slack:

@@ -281,17 +281,16 @@ def _draw_forward(rng, trial):
     return firm, p, fine, coarse, kernel
 
 
-def _judge_forward(inst, trial, slacks, tol, book) -> None:
-    eq, sign, _ = slacks
+def _judge_forward(inst, trial, slack, tol, book) -> None:
     firm, p, fine, coarse, kernel = inst
     report = check_signs(firm, p, p, coarse, fine, kernel, tol=tol)
     res = report.result
-    book.check("more-information-never-hurts", res.total >= -sign, trial)
+    book.check("more-information-never-hurts", res.total >= -slack, trial)
     book.check(
         "correction-zero-when-perception-accurate", report.correction_sign_holds, trial
     )
     book.check(
-        "gain-entirely-instrumental", abs(res.total - res.instrumental) <= eq, trial
+        "gain-entirely-instrumental", abs(res.total - res.instrumental) <= slack, trial
     )
 
 
@@ -362,8 +361,8 @@ def run_example(
             + ", ".join(sorted(overrides))
         )
     check(**params)
-    eq, _, _ = claim_slacks(mode == "rational", tol)
-    facts, checks = fn(mode, tol, eq, **params)
+    slack, _ = claim_slacks(mode == "rational", tol)
+    facts, checks = fn(mode, tol, slack, **params)
     return ExampleReport(
         example=name,
         mode=mode,

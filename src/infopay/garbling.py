@@ -81,34 +81,13 @@ class GarblingKernel(_Frozen):
         )
         self._settle(clear_denominators(matrix) if exact else (matrix, 1), exact)
 
-    @classmethod
-    def _from_ints(
-        cls,
-        coarse_signals: tuple[str, ...],
-        fine_signals: tuple[str, ...],
-        form: IntRows,
-        whole: Sequence[Sequence[bool]] | None = None,
-    ) -> "GarblingKernel":
-        """The kernel with entries ``rows[s][f] / scale`` (``scale > 0``),
-        as the public constructor would build it from those values; its
-        ``matrix`` is built on first read.
-
-        Entries are Fractions, except where ``whole[s][f]`` holds: there
-        the value is a whole number and is kept as an int.
-        """
-        return cls._from_form(
-            _lowest_terms(*form),
-            whole,
-            coarse_signals=coarse_signals,
-            fine_signals=fine_signals,
-        )
-
     def _settle(self, form: IntRows, exact: bool) -> None:
-        """Validate the fields and cache ``int_form``; exact entries are
-        tested as ints against the scale, with no slack."""
+        """Validate the fields and cache ``int_form``, in lowest terms;
+        exact entries are tested as ints against the scale, with no slack."""
         n_c, n_f = len(self.coarse_signals), len(self.fine_signals)
         if not n_c or not n_f:
             raise InputError("kernel needs nonempty signal sets")
+        form = _lowest_terms(*form) if exact else form
         rows, one = form
         if len(rows) != n_c or any(len(r) != n_f for r in rows):
             raise InputError("kernel matrix shape does not match signal sets")
@@ -238,9 +217,9 @@ def find_garbling(
     scale = math.lcm(*[v[1] for v in x if v is not None])
     ints = [0 if v is None else v[0] * (scale // v[1]) for v in x]
     whole = [v is None for v in x]  # nonbasic: int 0; basic: a Fraction
-    form = [ints[c] for c in cuts], scale
     return GarblingKernel._from_ints(
-        coarse.signals, fine.signals, form, [whole[c] for c in cuts]
+        ([ints[c] for c in cuts], scale), [whole[c] for c in cuts],
+        coarse_signals=coarse.signals, fine_signals=fine.signals,
     )
 
 
@@ -268,8 +247,8 @@ def garble(fine: SignalStructure, kernel: GarblingKernel) -> SignalStructure:
     rows = [[sum(map(mul, g_row, lik_row)) for g_row in g] for lik_row in lik]
     if exact:
         return SignalStructure._from_ints(
-            fine.space, kernel.coarse_signals, (rows, g_scale * lik_scale),
-            whole=_whole(fine._int_mask(), kernel._int_mask()),
+            (rows, g_scale * lik_scale), _whole(fine._int_mask(), kernel._int_mask()),
+            space=fine.space, signals=kernel.coarse_signals, values=None,
         )
     return SignalStructure(fine.space, kernel.coarse_signals, rows)
 
@@ -284,15 +263,16 @@ def compose_kernels(outer: GarblingKernel, inner: GarblingKernel) -> GarblingKer
     """
     if inner.coarse_signals != outer.fine_signals:
         raise InputError("kernels do not chain: signal sets mismatch")
-    labels = outer.coarse_signals, inner.fine_signals
     exact, ((g_outer, outer_scale), (g_inner, inner_scale)) = number_forms(outer, inner)
     cols = list(zip(*g_inner))
     rows = [[sum(map(mul, row, col)) for col in cols] for row in g_outer]
     if exact:
-        form = (rows, outer_scale * inner_scale)
-        whole = _whole(outer._int_mask(), zip(*inner._int_mask()))
-        return GarblingKernel._from_ints(*labels, form, whole)
-    return GarblingKernel(*labels, rows)
+        return GarblingKernel._from_ints(
+            (rows, outer_scale * inner_scale),
+            _whole(outer._int_mask(), zip(*inner._int_mask())),
+            coarse_signals=outer.coarse_signals, fine_signals=inner.fine_signals,
+        )
+    return GarblingKernel(outer.coarse_signals, inner.fine_signals, rows)
 
 
 def is_slightly_more_informative(

@@ -6,8 +6,9 @@ with zero tolerance; float variants come from the objects' ``to_float``
 methods.  Inputs must be exact too: ``random_lr_above`` and
 ``extreme_structure`` raise ``InputError`` on floats.  Distributions,
 signal structures and kernels are built from the drawn ints over their
-row or column sums (``_from_ints``), with the public constructors'
-validation.  They store only that int form and build their Fraction
+row or column sums by the one int-form builder, ``_Frozen._from_ints``,
+which runs the public constructors' validation and brings the form to
+lowest terms.  They store only that int form and build their Fraction
 fields on first read, so an instance costs what its ints cost: no
 Fraction is made only to be cleared again or never read.
 Per-trial reproducibility: each trial seeds its own stream from the
@@ -176,7 +177,7 @@ def random_skill_space(rng: PCG64Stream, max_types: int = 5) -> SkillSpace:
 def random_dist(rng: PCG64Stream, space: SkillSpace) -> Dist:
     """Full-support rational distribution with small denominators."""
     weights = [_int(rng, 1, 9) for _ in range(space.size)]
-    return Dist._from_ints(space, (weights, sum(weights)))
+    return Dist._from_ints((weights, sum(weights)), space=space)
 
 
 def random_task(rng: PCG64Stream, n_types: int, monotone: bool = False) -> Task:
@@ -217,7 +218,7 @@ def random_signal_structure(
             weights[_int(rng, 0, n_t - 1)][j] = _int(rng, 1, 4)
     labels = tuple(f"s{k}" for k in range(n_s))
     form = join_rows([(row, sum(row)) for row in weights])
-    return SignalStructure._from_ints(space, labels, form)
+    return SignalStructure._from_ints(form, space=space, signals=labels, values=None)
 
 
 def random_mlr_structure(
@@ -237,8 +238,9 @@ def random_mlr_structure(
         rows.append((raw, sum(raw)))
         tilt += _int(rng, 0, 1)
     labels = tuple(f"s{k}" for k in range(n_s))
-    values = tuple(range(n_s))
-    return SignalStructure._from_ints(space, labels, join_rows(rows), values)
+    return SignalStructure._from_ints(
+        join_rows(rows), space=space, signals=labels, values=tuple(range(n_s))
+    )
 
 
 def extreme_structure(space: SkillSpace, eps: Fraction) -> SignalStructure:
@@ -253,7 +255,9 @@ def extreme_structure(space: SkillSpace, eps: Fraction) -> SignalStructure:
     labels = tuple(f"e{k}" for k in range(n))
     a, b = eps.numerator, eps.denominator  # eps = a/b: b own, a elsewhere
     rows = tuple(tuple(b if j == i else a for j in range(n)) for i in range(n))
-    return SignalStructure._from_ints(space, labels, (rows, b + (n - 1) * a))
+    return SignalStructure._from_ints(
+        (rows, b + (n - 1) * a), space=space, signals=labels, values=None
+    )
 
 
 def random_kernel(
@@ -278,7 +282,9 @@ def random_kernel(
                 cols[s % n_f][s] += 1
     cols, scale = join_rows([(col, sum(col)) for col in cols])
     labels = tuple(f"c{k}" for k in range(n_coarse))
-    return GarblingKernel._from_ints(labels, fine_labels, (tuple(zip(*cols)), scale))
+    return GarblingKernel._from_ints(
+        (tuple(zip(*cols)), scale), coarse_signals=labels, fine_signals=fine_labels
+    )
 
 
 def random_garbling_pair(
@@ -310,7 +316,7 @@ def random_lr_above(rng: PCG64Stream, lo: Dist) -> Dist:
     for v in lo.int_form[0]:
         raw.append(v * mult)
         mult += _int(rng, 0, 2)
-    return Dist._from_ints(lo.space, (raw, sum(raw)))
+    return Dist._from_ints((raw, sum(raw)), space=lo.space)
 
 
 def random_lr_pair(rng: PCG64Stream, space: SkillSpace) -> tuple[Dist, Dist]:

@@ -72,7 +72,7 @@ __all__ = [
 
 
 def _fraction_rows(obj):
-    """The numbers field of an object ``_from_form`` built, from its int
+    """The numbers field of an object ``_from_ints`` built, from its int
     form ``(rows, scale)``: each value ``rows[i][j] / scale`` a Fraction,
     except where its ``_whole`` mask holds: there it is a whole number,
     kept as an int."""
@@ -100,10 +100,13 @@ class _Frozen:
     checks its numbers has one validator, ``_settle(form, exact)``, which
     all three builders reach: the public constructor classifies the
     numbers once (``exact_entries``) and passes their int form, or the
-    numbers themselves at scale 1 when any is a float; ``_from_ints``
-    (through ``_from_form``) passes its lowest int form, and
-    ``_from_floats`` the twin's floats.  An object built from ints stores
-    only its int form and its ``_whole`` mask; its numbers field, a
+    numbers themselves at scale 1 when any is a float; ``_from_ints``, the
+    one builder from ints, passes the int form it is given, and
+    ``_from_floats`` the twin's floats.  The validator brings an exact
+    form to lowest terms (``_lowest_terms``), so every exact object keeps
+    the int form ``clear_denominators`` gives of its numbers, whichever
+    builder made it.  An object built from ints stores only its int form
+    and its ``_whole`` mask; its numbers field, a
     ``functools.cached_property``, builds the view of Fractions and ints
     the public constructor would hold on first read and keeps it in
     ``__dict__``, where the other builders store the field at once.
@@ -115,10 +118,13 @@ class _Frozen:
     _numbers: str | None = None
 
     @classmethod
-    def _from_form(cls, form, whole=None, **fields):
-        """An exact object holding ``fields`` and the lowest int form
-        ``form`` of its numbers, validated by ``_settle``; its numbers
-        field is built from ``form`` and the mask ``whole`` on first read."""
+    def _from_ints(cls, form, whole=None, **fields):
+        """The exact object holding ``fields`` and the numbers ``ints /
+        scale`` of the int form ``form`` (``scale > 0``), as the public
+        constructor would build it from those values.  ``_settle`` brings
+        ``form`` to lowest terms and validates it.  The numbers field is
+        built on first read: Fractions, except where the mask ``whole``
+        holds (None: nowhere), whose whole numbers are kept as ints."""
         self = object.__new__(cls)
         self.__dict__.update(fields, int_form=form, _whole=whole)
         self._settle(form, True)
@@ -249,21 +255,17 @@ class Dist(_Frozen):
         self.__dict__.update(space=space, probs=probs)
         self._settle(int_row(probs) if exact else (probs, 1), exact)
 
-    @classmethod
-    def _from_ints(cls, space: SkillSpace, form: IntRow) -> "Dist":
-        """The distribution ``ints[i] / scale`` (``scale > 0``), as the
-        public constructor would build it from those Fractions; its
-        ``probs`` are built on first read."""
-        (ints,), scale = _lowest_terms((form[0],), form[1])
-        return cls._from_form((ints, scale), space=space)
-
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:  # read by objects _from_ints built
         ints, scale = self.int_form
         return tuple([Fraction(n, scale) for n in ints])
 
     def _settle(self, form: IntRow, exact: bool) -> None:
-        """Validate the fields and cache ``int_form`` and ``full_support``."""
+        """Validate the fields and cache ``int_form``, in lowest terms, and
+        ``full_support``."""
+        if exact:
+            (ints,), scale = _lowest_terms((form[0],), form[1])
+            form = ints, scale
         entries, scale = form
         if len(entries) != self.space.size:
             raise InputError(
@@ -380,34 +382,15 @@ class SignalStructure(_Frozen):
         )
         self._settle(clear_denominators(likelihood) if exact else (likelihood, 1), exact)
 
-    @classmethod
-    def _from_ints(
-        cls,
-        space: SkillSpace,
-        signals: tuple[str, ...],
-        form: IntRows,
-        values: tuple[int, ...] | None = None,
-        whole: Sequence[Sequence[bool]] | None = None,
-    ) -> "SignalStructure":
-        """The structure with likelihoods ``rows[t][j] / scale`` (``scale >
-        0``) and exact ``values``, as the public constructor would build
-        it from those values; its ``likelihood`` is built on first read.
-
-        Entries are Fractions, except where ``whole[t][j]`` holds: there
-        the value is a whole number and is kept as an int.
-        """
-        return cls._from_form(
-            _lowest_terms(*form), whole, space=space, signals=signals, values=values
-        )
-
     def _settle(self, form: IntRows, exact: bool) -> None:
-        """Validate the fields and cache ``int_form``.  The signal values
-        are classified by the public constructor: a twin's are finite
-        floats, and ``_from_ints``' exact."""
+        """Validate the fields and cache ``int_form``, in lowest terms.  The
+        signal values are classified by the public constructor: a twin's
+        are finite floats, and ``_from_ints``' exact."""
         if not self.signals:
             raise InputError("signal structure needs at least one signal")
         if len(set(self.signals)) != len(self.signals):
             raise InputError("signal labels must be unique")
+        form = _lowest_terms(*form) if exact else form
         rows = form[0]
         if len(rows) != self.space.size:
             raise InputError(
@@ -512,7 +495,7 @@ def posterior(q: Dist, sig: SignalStructure, signal: str) -> Dist:
     if not total > 0:
         raise InputError(f"signal {signal!r} has zero probability under the prior")
     if exact:
-        return Dist._from_ints(q.space, (weights, total))
+        return Dist._from_ints((weights, total), space=q.space)
     return Dist(q.space, tuple(w / total for w in weights))
 
 
@@ -639,7 +622,7 @@ def uninformative_structure(space: SkillSpace) -> SignalStructure:
     """The single-signal structure: it tells every type the same."""
     n = space.size
     return SignalStructure._from_ints(
-        space, ("u0",), (((1,),) * n, 1), whole=((True,),) * n
+        (((1,),) * n, 1), ((True,),) * n, space=space, signals=("u0",), values=None
     )
 
 
@@ -649,7 +632,8 @@ def fully_informative_structure(space: SkillSpace) -> SignalStructure:
     labels = tuple(f"r{k}" for k in range(n))
     rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     return SignalStructure._from_ints(
-        space, labels, (rows, 1), tuple(range(n)), whole=((True,) * n,) * n
+        (rows, 1), ((True,) * n,) * n,
+        space=space, signals=labels, values=tuple(range(n)),
     )
 
 
@@ -665,7 +649,8 @@ def binary_symmetric_structure(space: SkillSpace, accuracy: Number) -> SignalStr
         a, b = accuracy.as_integer_ratio()
         whole = ((True, True),) * 2 if type(accuracy) is int else None
         return SignalStructure._from_ints(
-            space, ("s0", "s1"), (((a, b - a), (b - a, a)), b), (0, 1), whole
+            (((a, b - a), (b - a, a)), b), whole, space=space, signals=("s0", "s1"),
+            values=(0, 1),
         )
     lam = accuracy
     rows = ((lam, 1 - lam), (1 - lam, lam))

@@ -31,8 +31,9 @@ Tolerance registry (float mode):
   rounding; it was the whole floor before float ties were tolerant.
 * ``DIST_SUM_TOL``  -- probability vectors must sum to 1 within this.
 
-``claim_slacks`` turns exactness and a user ``tol`` into the slacks of
-every claim check; exact values get zero slack everywhere.  ``check_tol``
+``claim_slacks`` turns exactness and a user ``tol`` into the one slack of
+every claim check and the instrumental floor; exact values get zero
+slack everywhere.  ``check_tol``
 is the one test of a user ``tol``: every public function that takes one
 applies it, in either mode.  ``check_mode`` is the one test of a
 ``mode`` argument (``"rational"`` or ``"float"``).
@@ -189,22 +190,21 @@ def check_mode(mode: str) -> None:
         raise InputError(f"unknown mode {mode!r}")
 
 
-def claim_slacks(
-    exact: bool, tol: float | None = None
-) -> tuple[Number, Number, Number]:
-    """(equality slack, sign slack, instrumental floor) for claim checks.
+def claim_slacks(exact: bool, tol: float | None = None) -> tuple[Number, Number]:
+    """(slack, instrumental floor) for claim checks: one slack for every
+    equality and sign test.
 
-    Zero slack for exact values.  For floats a user ``tol`` sets all
-    three (the floor is ``-tol``); without one they are ``SIGN_TOL``,
-    ``SIGN_TOL`` and ``INSTRUMENTAL_FLOOR``.  A ``tol`` that is not a
-    finite number of at least 0 raises ``InputError`` in either mode.
+    Both are zero for exact values.  For floats a user ``tol`` sets both
+    (the floor is ``-tol``); without one they are ``SIGN_TOL`` and
+    ``INSTRUMENTAL_FLOOR``.  A ``tol`` that is not a finite number of at
+    least 0 raises ``InputError`` in either mode.
     """
     check_tol(tol)
     if exact:
-        return 0, 0, 0
+        return 0, 0
     if tol is None:
-        return SIGN_TOL, SIGN_TOL, INSTRUMENTAL_FLOOR
-    return tol, tol, -tol
+        return SIGN_TOL, INSTRUMENTAL_FLOOR
+    return tol, -tol
 
 
 def require_finite(values: Iterable[Number], what: str) -> None:

@@ -6,8 +6,8 @@ exact instance; its judge books the claims on the instance it is given,
 whatever the mode.  One trial loop seeds each trial's stream with ``(seed,
 trial)``, so results are reproducible and independent of execution order,
 takes the instance's float twin once per trial in float mode, and hands
-the judge the mode's ``claim_slacks``.  Counterexamples report the first
-failing trial with the instance the claim was judged on.
+the judge the mode's one claim slack (``claim_slacks``).  Counterexamples
+report the first failing trial with the instance the claim was judged on.
 """
 
 from __future__ import annotations
@@ -158,11 +158,11 @@ class _Book:
 def _run_trials(draw, judge, trials, seed, mode, tol) -> tuple[ClaimStats, ...]:
     """Judge ``trials`` drawn instances, each on its own stream; float mode
     judges each instance's twin."""
-    slacks = claim_slacks(mode == "rational", tol)
+    slack, _ = claim_slacks(mode == "rational", tol)
     book = _Book()
     for trial in range(trials):
         inst = draw(trial_rng(seed, trial), trial)
-        judge(inst if mode == "rational" else twin(inst), trial, slacks, tol, book)
+        judge(inst if mode == "rational" else twin(inst), trial, slack, tol, book)
     return tuple(book.claims.values())
 
 
@@ -194,8 +194,7 @@ def _draw_theorem1(rng, trial):
     return free, kernel, within, kernel_w
 
 
-def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
-    eq = slacks[0]
+def _judge_theorem1(inst, trial, slack, tol, book: _Book) -> None:
     s, kernel, w, kernel_w = inst
 
     report = check_signs(s.firm, s.p, s.q_i, s.coarse, s.fine, kernel, tol=tol)
@@ -215,7 +214,7 @@ def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
         s.firm, Population(s.p, s.q_i, s.coarse)
     )
     book.check(
-        "total-matches-pay-difference", abs(res.total - direct) <= eq, trial, s,
+        "total-matches-pay-difference", abs(res.total - direct) <= slack, trial, s,
         lambda: f"total {format_number(res.total)} vs {format_number(direct)}",
     )
     book.check(
@@ -224,7 +223,7 @@ def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
     )
     other = res.instrumental_signalwise
     book.check(
-        "instrumental-forms-agree", abs(res.instrumental - other) <= eq, trial, s,
+        "instrumental-forms-agree", abs(res.instrumental - other) <= slack, trial, s,
         lambda: f"{format_number(res.instrumental)} vs {format_number(other)}",
     )
 
@@ -238,11 +237,12 @@ def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
     )
     book.check(
         "conditional-task-value-monotone",
-        _kept_task_values_monotone(w, res_w.assignment_coarse, eq), trial, w,
+        _kept_task_values_monotone(w, res_w.assignment_coarse, slack), trial, w,
     )
     if rotation == 0:
         book.check(
-            "conditional-frequency-fosd", _conditional_fosd(w, kernel_w, eq), trial, w
+            "conditional-frequency-fosd",
+            _conditional_fosd(w, kernel_w, slack), trial, w,
         )
 
     if trial % 50 == 0:  # LP witness instead of the constructed kernel
@@ -251,7 +251,7 @@ def _judge_theorem1(inst, trial, slacks, tol, book: _Book) -> None:
         book.check("lp-witness-kernel-agrees", lp_ok, trial, w)
 
 
-def _kept_task_values_monotone(s: GapScenario, assignment_coarse, eq) -> bool:
+def _kept_task_values_monotone(s: GapScenario, assignment_coarse, slack) -> bool:
     """Perceived fine-posterior value of each kept coarse task must be
     nondecreasing along the fine signal order (fine is MLR, firm
     monotone).  Exact values carry the table's positive surplus scale."""
@@ -261,32 +261,32 @@ def _kept_task_values_monotone(s: GapScenario, assignment_coarse, eq) -> bool:
         for row in table.rows:
             dot = row.scores[idx]
             v = Fraction(dot, row.m_q) if table.exact else dot / row.m_q
-            if prev is not None and v < prev - eq:
+            if prev is not None and v < prev - slack:
                 return False
             prev = v
     return True
 
 
-def _conditional_fosd(s: GapScenario, kernel, eq) -> bool:
+def _conditional_fosd(s: GapScenario, kernel, slack) -> bool:
     """Given each coarse signal, the true fine-signal law must FOSD the
     perceived one when the truth is LR-above the perception.  The kernel
     is read in its ``number_forms``: each test is invariant under its
-    positive scale."""
+    positive scale.  The weights are nonnegative, so a coarse signal
+    with zero total weight under p or q reads ``0 > 0`` at every test
+    and passes."""
     rows = pay_table(s.firm, s.p, s.q_i, s.fine).rows
     _, ((links, _),) = number_forms(kernel)
     for g_row in links:
         a = [g * r.m_p for g, r in zip(g_row, rows)]
         b = [g * r.m_q for g, r in zip(g_row, rows)]
         total_a, total_b = sum(a), sum(b)
-        if total_a <= 0 or total_b <= 0:
-            continue
         cum_a = 0
         cum_b = 0
         for f in range(len(rows) - 1):
             cum_a += a[f]
             cum_b += b[f]
             # CDF under p must not exceed CDF under q (cross-multiplied)
-            if cum_a * total_b > cum_b * total_a + eq * total_a * total_b:
+            if cum_a * total_b > cum_b * total_a + slack * total_a * total_b:
                 return False
     return True
 
@@ -305,14 +305,13 @@ def _draw_lemma1(rng, trial):
     return firm, favored, lo, bad, q_ref, firms
 
 
-def _judge_lemma1(inst, trial, slacks, tol, book: _Book) -> None:
-    sign = slacks[1]
+def _judge_lemma1(inst, trial, slack, tol, book: _Book) -> None:
     firm, favored, lo, bad, q_ref, firms = inst
 
     w_hi = average_pay(firm, favored)
     w_lo = average_pay(firm, Population(favored.p, lo, favored.sig))
     book.check(
-        "lr-favorable-earns-at-least", w_hi >= w_lo - sign, trial, favored,
+        "lr-favorable-earns-at-least", w_hi >= w_lo - slack, trial, favored,
         lambda: f"lo {' '.join(format_number(v) for v in lo.probs)}, "
         f"pay {format_number(w_hi)} vs {format_number(w_lo)}",
     )
@@ -333,14 +332,13 @@ def _draw_corollary1(rng, trial):
     return GapScenario(firm, p, q, q, coarse, fine), kernel
 
 
-def _judge_corollary1(inst, trial, slacks, tol, book: _Book) -> None:
-    sign = slacks[1]
+def _judge_corollary1(inst, trial, slack, tol, book: _Book) -> None:
     s, kernel = inst
     report = check_signs(s.firm, s.p, s.q_i, s.coarse, s.fine, kernel, tol=tol)
     res = report.result
     book.check(
         "information-gain-nonneg-when-under-perceived",
-        res.total >= -sign, trial, s, lambda: f"total {format_number(res.total)}",
+        res.total >= -slack, trial, s, lambda: f"total {format_number(res.total)}",
     )
     book.check(
         "correction-nonneg-when-under-perceived",
@@ -359,8 +357,7 @@ def _draw_corollary2(rng, trial):
     return GapScenario(firm, p, q_i, q_j, coarse, fine), kernel
 
 
-def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
-    eq, sign, _ = slacks
+def _judge_corollary2(inst, trial, slack, tol, book: _Book) -> None:
     s, kernel = inst
     report = check_gap_ranking(
         s.firm, s.p, s.q_i, s.q_j, sig_i=s.fine, sig_j=s.coarse, kernel=kernel, tol=tol
@@ -374,7 +371,7 @@ def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
         lambda: f"pay {format_number(report.w_i)} vs {format_number(report.w_j)}",
     )
     terms_ok = (
-        report.favorableness >= -sign
+        report.favorableness >= -slack
         and report.signs.correction_sign_ok
         and report.signs.instrumental_ok
     )
@@ -388,7 +385,7 @@ def _judge_corollary2(inst, trial, slacks, tol, book: _Book) -> None:
         report.favorableness + report.correction + report.instrumental
     )
     book.check(
-        "terms-sum-to-gap", abs(resid) <= eq, trial, s,
+        "terms-sum-to-gap", abs(resid) <= slack, trial, s,
         lambda: f"residual {format_number(resid)}",
     )
 
@@ -397,7 +394,7 @@ def _draw_prop1(rng, trial):
     return random_narrowing_scenario(rng)
 
 
-def _judge_prop1(inst, trial, slacks, tol, book: _Book) -> None:
+def _judge_prop1(inst, trial, slack, tol, book: _Book) -> None:
     scenario, kernel = inst
     report = check_narrowing(scenario, kernel=kernel, tol=tol)
     book.check(
@@ -416,8 +413,7 @@ def _draw_prop2(rng, trial):
     return tuple((r.name, r.violated, r.scenario) for r in narrowing_counterexamples())
 
 
-def _judge_prop2(inst, trial, slacks, tol, book: _Book) -> None:
-    eq = slacks[0]
+def _judge_prop2(inst, trial, slack, tol, book: _Book) -> None:
     expected_changes = {
         "monotone_firm": Fraction(1, 2),
         "favored_over_perceived": Fraction(17, 1920),
@@ -433,7 +429,7 @@ def _judge_prop2(inst, trial, slacks, tol, book: _Book) -> None:
         )
         book.check("baseline-order-holds", report.baseline_lr, trial, scenario, name)
         book.check(
-            "gap-widens", (not report.star_holds) and report.gap_change > eq,
+            "gap-widens", (not report.star_holds) and report.gap_change > slack,
             trial, scenario,
             lambda: f"{name}: change {format_number(report.gap_change)}",
         )
@@ -441,7 +437,7 @@ def _judge_prop2(inst, trial, slacks, tol, book: _Book) -> None:
             want = expected_changes[violated]
             got = report.gap_change
             book.check(
-                "frozen-gap-change-values", abs(got - want) <= eq, trial, scenario,
+                "frozen-gap-change-values", abs(got - want) <= slack, trial, scenario,
                 lambda: f"{name}: {format_number(got)} vs {format_number(want)}",
             )
 
@@ -480,13 +476,12 @@ def _draw_prop3(rng, trial):
     return extreme, delta, eps, bound, fully, near, eta, eps_c
 
 
-def _judge_prop3(inst, trial, slacks, tol, book: _Book) -> None:
-    eq, sign, _ = slacks
+def _judge_prop3(inst, trial, slack, tol, book: _Book) -> None:
     extreme, delta, eps, bound, fully, near, eta, eps_c = inst
 
     q, sig = extreme.q, extreme.sig
     extreme_ok = within_eps_of_full(sig, bound) and all(
-        max(posterior(q, sig, label).probs) >= 1 - delta - sign
+        max(posterior(q, sig, label).probs) >= 1 - delta - slack
         for label in sig.signals
     )
     book.check(
@@ -496,7 +491,7 @@ def _judge_prop3(inst, trial, slacks, tol, book: _Book) -> None:
 
     gap = pay_gap(fully.firm, fully.p, fully.q_i, fully.q_j, fully.fine)
     book.check(
-        "fully-informative-gap-zero", abs(gap) <= eq, trial, fully,
+        "fully-informative-gap-zero", abs(gap) <= slack, trial, fully,
         lambda: f"gap {format_number(gap)}",
     )
 
@@ -505,7 +500,7 @@ def _judge_prop3(inst, trial, slacks, tol, book: _Book) -> None:
         book.check(
             "near-full-narrows-positive-gap",
             report.within_eps and report.ok
-            and report.gap_fine <= report.gap_coarse + sign,
+            and report.gap_fine <= report.gap_coarse + slack,
             trial, near,
             lambda: f"eta {format_number(eta)}, "
             f"fine gap {format_number(report.gap_fine)}",
@@ -525,7 +520,7 @@ def _draw_orders(rng, trial):
     return pair, random_mlr_structure(rng, space), same, detail
 
 
-def _judge_orders(inst, trial, slacks, tol, book: _Book) -> None:
+def _judge_orders(inst, trial, slack, tol, book: _Book) -> None:
     pair, mlr_sig, same, detail = inst
     hi, lo, sig = pair.p, pair.q, pair.sig
     book.check("lr-implies-fosd", fosd_geq(hi, lo, tol=tol), trial, None, detail)
@@ -560,7 +555,7 @@ def _draw_garbling(rng, trial):
     return sig, flat, full, fine, coarse, inner, outer
 
 
-def _judge_garbling(inst, trial, slacks, tol, book: _Book) -> None:
+def _judge_garbling(inst, trial, slack, tol, book: _Book) -> None:
     sig, flat, full, fine, coarse, inner, outer = inst
     for claim, source, target in (
         ("identity-target-feasible", sig, sig),

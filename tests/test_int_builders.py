@@ -5,10 +5,12 @@ In-package producers that already hold ints (the generators, among them
 ``posterior``, the exact ``find_garbling``, and the uninformative, fully
 informative and exact binary symmetric structures) build ``Dist``,
 ``SignalStructure`` and ``GarblingKernel`` from ``(ints, scale)`` with
-the private ``_from_ints`` builders.  On the same values
-the result must be the object the public constructor builds from
-Fractions: equal fields, the same entry types, the same ``int_form`` and
-``full_support``; and a bad form must raise the same ``InputError``.
+the one private builder ``_from_ints``, naming the other fields by
+keyword; each class's validator brings the form to lowest terms.  On
+the same values the result must be the object the public constructor
+builds from Fractions: equal fields, the same entry types, the same
+``int_form`` and ``full_support``; and a bad form must raise the same
+``InputError``.
 """
 
 from fractions import Fraction as F
@@ -89,7 +91,7 @@ def int_rows(draw, n_rows, width, faults):
 def test_dist_builder_matches_constructor(data):
     n = data.draw(st.integers(2, 4))
     (ints,), scale = data.draw(int_rows(1, n, ("negative", "sum-off-by-one")))
-    built, err = outcome(lambda: Dist._from_ints(SPACES[n], (ints, scale)))
+    built, err = outcome(lambda: Dist._from_ints((ints, scale), space=SPACES[n]))
     public, public_err = outcome(lambda: Dist(SPACES[n], tuple(F(v, scale) for v in ints)))
     assert err == public_err
     if public is not None:
@@ -107,9 +109,9 @@ def test_structure_builder_matches_constructor(data):
     )
     labels = tuple(f"s{k}" for k in range(n_s))
     values = data.draw(st.sampled_from((None, tuple(range(n_s)))))
-    built, err = outcome(
-        lambda: SignalStructure._from_ints(SPACES[n_t], labels, (rows, scale), values)
-    )
+    built, err = outcome(lambda: SignalStructure._from_ints(
+        (rows, scale), space=SPACES[n_t], signals=labels, values=values
+    ))
     fractions = tuple(tuple(F(v, scale) for v in row) for row in rows)
     public, public_err = outcome(
         lambda: SignalStructure(SPACES[n_t], labels, fractions, values=values)
@@ -128,7 +130,9 @@ def test_kernel_builder_matches_constructor(data):
     rows = [list(row) for row in zip(*cols)]  # columns drawn near the simplex
     coarse = tuple(f"c{k}" for k in range(n_c))
     fine = tuple(f"f{k}" for k in range(n_f))
-    built, err = outcome(lambda: GarblingKernel._from_ints(coarse, fine, (rows, scale)))
+    built, err = outcome(lambda: GarblingKernel._from_ints(
+        (rows, scale), coarse_signals=coarse, fine_signals=fine
+    ))
     fractions = tuple(tuple(F(v, scale) for v in row) for row in rows)
     public, public_err = outcome(lambda: GarblingKernel(coarse, fine, fractions))
     assert err == public_err

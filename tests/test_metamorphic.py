@@ -22,6 +22,21 @@ one and the within-hypothesis one), at two seeds, under both tie rules.
 
 All four keep a monotone firm monotone (and a non-monotone one not), and
 none changes the perception class or any verdict.
+
+Two more relations move the fine signals instead, rebuilding the fine
+structure and the kernel through their public constructors (Blackwell
+1953: neither move changes what the fine structure tells):
+
+* Split: fine signal 0 becomes two signals carrying 1/3 and 2/3 of its
+  likelihoods, and the kernel's column for it is duplicated.  Every
+  value and the coarse assignment stay the same, and the fine
+  assignment repeats that signal's task.
+* Reverse: the fine signals are listed in reverse order, together with
+  the kernel's columns.  Every value and the coarse assignment stay the
+  same, and the fine assignment is reversed.
+
+The rebuilt structures carry no signal values, so their MLR verdict is
+not compared; every other verdict is.
 """
 
 from fractions import Fraction as F
@@ -30,7 +45,8 @@ import pytest
 
 from infopay.decomposition import check_signs
 from infopay.generators import trial_rng
-from infopay.model import Firm, Task
+from infopay.garbling import GarblingKernel
+from infopay.model import Firm, SignalStructure, Task
 from infopay.suites import _draw_theorem1
 
 SEEDS = (1, 5)
@@ -120,3 +136,48 @@ def test_appending_a_dominated_task_changes_nothing(seed):
             _same_verdicts(moved, was)
             for name in VALUES:
                 assert getattr(moved.result, name) == getattr(was.result, name)
+
+
+def _fine_moved(s, kernel, cols):
+    """Decompositions, under both tie rules, with fine signal ``j`` of
+    the rebuilt pair read off ``cols[j] = (f, share)``: ``share`` of old
+    fine signal ``f``'s likelihoods, and the kernel's column ``f``."""
+    labels = tuple(f"m{j}" for j in range(len(cols)))
+    lik = [[row[f] * share for f, share in cols] for row in s.fine.likelihood]
+    matrix = [[row[f] for f, _ in cols] for row in kernel.matrix]
+    fine = SignalStructure(s.fine.space, labels, lik)
+    kernel = GarblingKernel(kernel.coarse_signals, labels, matrix)
+    return [
+        check_signs(s.firm, s.p, s.q_i, s.coarse, fine, kernel, tie_break=rule)
+        for rule in ("lowest", "highest")
+    ]
+
+
+def _same_but_fine_signals(moved, was, fine_assignment):
+    assert moved._replace(fine_mlr=None, result=None) == was._replace(
+        fine_mlr=None, result=None
+    )
+    r, b = moved.result, was.result
+    assert r.assignment_coarse == b.assignment_coarse
+    assert r.assignment_fine == fine_assignment(b.assignment_fine)
+    for name in VALUES:
+        assert getattr(r, name) == getattr(b, name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitting_a_fine_signal_changes_nothing(seed):
+    for s, kernel in _instances(seed):
+        rest = [(f, 1) for f in range(1, s.fine.n_signals)]
+        cols = [(0, F(1, 3)), (0, F(2, 3)), *rest]
+        base = _reports(s, kernel, s.firm)
+        for moved, was in zip(_fine_moved(s, kernel, cols), base):
+            _same_but_fine_signals(moved, was, lambda a: (a[0], *a))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reversing_the_fine_signals_changes_nothing(seed):
+    for s, kernel in _instances(seed):
+        cols = [(f, 1) for f in reversed(range(s.fine.n_signals))]
+        base = _reports(s, kernel, s.firm)
+        for moved, was in zip(_fine_moved(s, kernel, cols), base):
+            _same_but_fine_signals(moved, was, lambda a: a[::-1])

@@ -9,7 +9,17 @@ import pytest
 from infopay import examples, model, suites
 from infopay.errors import InputError
 from infopay.generators import trial_rng
-from infopay.model import Dist, Population, SkillSpace, uninformative_structure
+from infopay.discrimination import GapScenario
+from infopay.garbling import GarblingKernel
+from infopay.model import (
+    Dist,
+    Firm,
+    Population,
+    SkillSpace,
+    Task,
+    binary_symmetric_structure,
+    uninformative_structure,
+)
 from infopay.numeric import claim_slacks
 from infopay.suites import SUITE_NAMES, ClaimStats, SuiteResult, run_suite
 from infopay.suites import _Book
@@ -94,7 +104,7 @@ def test_float_twin_gets_the_exact_instance_verdicts(name):
     # each trial's instance is drawn once and judged exactly and as its
     # float twin: the claims booked and their verdicts must agree
     draw, judge = DRAW_JUDGE[name]
-    exact, floats = claim_slacks(True), claim_slacks(False)
+    exact, floats = claim_slacks(True)[0], claim_slacks(False)[0]
     for seed in (1, 5):
         for trial in range(30):
             inst = draw(trial_rng(seed, trial), trial)
@@ -102,6 +112,25 @@ def test_float_twin_gets_the_exact_instance_verdicts(name):
             judge(inst, trial, exact, None, want)
             judge(model.twin(inst), trial, floats, None, got)
             assert got == want, (seed, trial)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_conditional_fosd_fails_when_the_truth_is_lr_below(exact):
+    # p = (1/2, 1/2) is LR-below q = (1/4, 3/4): behind the one coarse
+    # signal the true fine law puts 1/2 on the low signal, the perceived
+    # one 3/8, so the p-CDF lies above the q-CDF; swapped, the claim holds
+    space = SkillSpace((0, 1))
+    low = Dist(space, (Fraction(1, 2), Fraction(1, 2)))
+    high = Dist(space, (Fraction(1, 4), Fraction(3, 4)))
+    firm = Firm([Task((0, 1))])
+    fine = binary_symmetric_structure(space, Fraction(3, 4))
+    coarse = uninformative_structure(space)
+    kernel = GarblingKernel(coarse.signals, fine.signals, ((1, 1),))
+    slack = claim_slacks(exact)[0]
+    for p, q, holds in ((low, high, False), (high, low, True)):
+        inst = (GapScenario(firm, p, q, q, coarse, fine), kernel)
+        s, g = inst if exact else model.twin(inst)
+        assert suites._conditional_fosd(s, g, slack) is holds
 
 
 def test_draws_are_pinned():
