@@ -389,6 +389,180 @@ def test_refused_file_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+
+# -- every refusal of the parser, pinned ----------------------------------------
+
+POPULATION_TEXT = (
+    "[skill_space]\n0 1\n"  # lines 1-2
+    "[distribution p]\n1/2 1/2\n"  # lines 3-4
+    "[distribution q]\n1/4 3/4\n"  # lines 5-6
+    "[signal_structure sig]\nsignals: a b\n1 0\n0 1\n"  # lines 7-10
+    "[population]\np: p\nq: q\nsig: sig\n"  # lines 11-14
+)
+POP = POPULATION_TEXT
+NO_FIRM = SCENARIO_TEXT.replace(FIRM_SECTION, "")  # its [scenario] on line 27
+
+# (a file, its exact refusal); SCENARIO_TEXT has [firm] on line 26 and
+# [scenario] on line 30.  Several cases pin which of two faults is named.
+REFUSALS = {
+    "empty-file": ("", "empty instance file"),
+    "comments-only": ("# nothing\n\n  # here\n", "empty instance file"),
+    "data-outside-any-section": ("0 1\n[firm]\n0 1\n", "line 1: data outside any section"),
+    "malformed-header": ("[firm\n0 1\n", "line 1: malformed section header '[firm'"),
+    "empty-header": ("[ ]\n0 1\n", "line 1: unknown section kind ''"),
+    "unknown-kind": ("[firms]\n0 1\n", "line 1: unknown section kind 'firms'"),
+    "unnamed-distribution": (
+        POP.replace("[distribution q]", "[distribution]"),
+        "line 5: section [distribution] needs a name",
+    ),
+    "unnamed-structure": (
+        POP.replace(" sig]", "]"), "line 7: section [signal_structure] needs a name",
+    ),
+    "named-firm": ("[firm f]\n0 1\n", "line 1: section [firm] takes no name"),
+    "named-population": (
+        POP.replace("[population]", "[population all]"),
+        "line 11: section [population] takes no name",
+    ),
+    "not-a-number": ("[firm]\n0 1\n1 x\n", "line 3: not a number: 'x'"),
+    "no-top-section": (
+        "[skill_space]\n0 1\n[distribution p]\n1/2 1/2\n",
+        "instance file has no [scenario], [population], or [firm]",
+    ),
+    "duplicate-skill-space": (
+        POP.replace("[distribution q]", "[skill_space]\n0 1\n[distribution q]"),
+        "line 5: duplicate [skill_space]",
+    ),
+    "skill-space-two-lines": (
+        POP.replace("0 1\n", "0 1\n0 1\n", 1), "line 1: [skill_space] needs exactly one line",
+    ),
+    "skill-space-no-line": (
+        POP.replace("0 1\n", "", 1), "line 1: [skill_space] needs exactly one line",
+    ),
+    "distribution-before-skill-space": (
+        "[distribution p]\n1/2 1/2\n" + POP, "line 1: [skill_space] must precede distributions",
+    ),
+    "structure-before-skill-space": (
+        "[signal_structure s]\nsignals: a\n" + POP,
+        "line 1: [skill_space] must precede signal structures",
+    ),
+    "duplicate-distribution": (
+        POP.replace("[distribution q]", "[distribution p]"), "line 5: duplicate distribution 'p'",
+    ),
+    "duplicate-distribution-before-its-lines": (
+        POP.replace("[distribution q]\n1/4 3/4", "[distribution p]\n1/4 3/4\n1/4 3/4"),
+        "line 5: duplicate distribution 'p'",
+    ),
+    "distribution-two-lines": (
+        POP.replace("1/4 3/4\n", "1/4 3/4\n1/4 3/4\n"), "line 5: distribution 'q' needs one line",
+    ),
+    "distribution-no-line": (
+        POP.replace("1/4 3/4\n", ""), "line 5: distribution 'q' needs one line",
+    ),
+    "duplicate-structure": (
+        POP.replace("[population]", "[signal_structure sig]\nsignals: a\n1\n1\n[population]"),
+        "line 11: duplicate signal structure 'sig'",
+    ),
+    "structure-without-signals": (
+        POP.replace("signals: a b\n", ""),
+        "line 7: signal structure 'sig' must start with a 'signals:' line",
+    ),
+    "structure-values-before-signals": (
+        POP.replace("signals: a b\n", "values: 0 1\nsignals: a b\n"),
+        "line 7: signal structure 'sig' must start with a 'signals:' line",
+    ),
+    "empty-signal-list": (POP.replace("signals: a b", "signals:"), "line 8: empty signal list"),
+    "structure-row-missing": (
+        POP.replace("0 1\n[population]", "[population]"),
+        "line 7: signal structure 'sig' has 1 likelihood rows for 2 types",
+    ),
+    "structure-row-extra": (
+        POP.replace("0 1\n[population]", "0 1\n0 1\n[population]"),
+        "line 7: signal structure 'sig' has 3 likelihood rows for 2 types",
+    ),
+    "values-not-a-number": (
+        POP.replace("signals: a b\n", "signals: a b\nvalues: 0 y\n"), "line 9: not a number: 'y'",
+    ),
+    "duplicate-firm": (
+        SCENARIO_TEXT.replace("[scenario]", FIRM_SECTION + "[scenario]"),
+        "line 30: duplicate [firm]",
+    ),
+    "firm-without-rows": ("[firm]\n", "line 1: [firm] needs task rows"),
+    "duplicate-population": (
+        POP + "[population]\np: q\nq: p\nsig: sig\n", "line 15: duplicate [population]",
+    ),
+    "duplicate-scenario": (
+        SCENARIO_TEXT + SCENARIO_SECTION, "line 36: duplicate [scenario]",
+    ),
+    "scenario-after-population": (
+        POP + "[scenario]\n", "line 15: a file holds one [scenario] or [population], not both",
+    ),
+    "population-takes-no-firm": (
+        POP + FIRM_SECTION, "line 15: a [population] takes no [firm]",
+    ),
+    "firm-rows-before-the-population-rule": (
+        POP + "[firm]\n", "line 15: [firm] needs task rows",
+    ),
+    "scenario-needs-a-firm": (NO_FIRM, "line 27: [scenario] needs a [firm]"),
+    "scenario-needs-a-firm-before-its-keys": (
+        NO_FIRM.replace("p: p", "p p"), "line 27: [scenario] needs a [firm]",
+    ),
+    "expected-key-name": (POP.replace("q: q", "q q"), "line 13: expected 'key: name', got 'q q'"),
+    "empty-reference": (POP.replace("q: q", "q:"), "line 13: empty reference for 'q'"),
+    "duplicate-key": (POP.replace("sig: sig", "q: q"), "line 14: duplicate key 'q'"),
+    "duplicate-key-before-unknown-keys": (
+        POP.replace("sig: sig", "z: p\nq: q"), "line 15: duplicate key 'q'",
+    ),
+    "unknown-population-keys": (
+        POP + "z: p\nfine: sig\n", "line 11: unknown population keys ['fine', 'z']",
+    ),
+    "unknown-scenario-keys": (
+        SCENARIO_TEXT + "q: p\n", "line 30: unknown scenario keys ['q']",
+    ),
+    "unknown-keys-before-missing-ones": (
+        POP.replace("sig: sig", "s: sig"), "line 11: unknown population keys ['s']",
+    ),
+    "population-missing-key": (
+        POP.replace("sig: sig\n", ""), "line 11: [population] is missing 'sig'",
+    ),
+    "scenario-missing-key": (
+        SCENARIO_TEXT.replace("q_j: q_J\n", ""), "line 30: [scenario] is missing 'q_j'",
+    ),
+    "unknown-distribution": (
+        POP.replace("q: q", "q: r"), "line 11: unknown distribution 'r' (for 'q')",
+    ),
+    "unknown-signal-structure": (
+        SCENARIO_TEXT.replace("coarse: coarse", "coarse: sig"),
+        "line 30: unknown signal structure 'sig' (for 'coarse')",
+    ),
+    "reference-to-another-kind": (
+        POP.replace("sig: sig", "sig: p"), "line 11: unknown signal structure 'p' (for 'sig')",
+    ),
+    "unknown-before-a-later-missing-key": (
+        SCENARIO_TEXT.replace("p: p", "p: nope").replace("fine: fine\n", ""),
+        "line 30: unknown distribution 'nope' (for 'p')",
+    ),
+    "missing-before-a-later-unknown-key": (
+        SCENARIO_TEXT.replace("p: p\n", "").replace("fine: fine", "fine: nope"),
+        "line 30: [scenario] is missing 'p'",
+    ),
+    "firm-alone-with-skill-space": (
+        "[firm]\n0 1\n[skill_space]\n0 1\n", "line 3: a [firm] alone takes no [skill_space]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=str)
+def test_refusal_is_pinned_to_its_line(case, tmp_path, capsys):
+    text, message = REFUSALS[case]
+    for mode in ("rational", "float"):
+        with pytest.raises(InputError) as exc:
+            loads_instance(text, mode=mode)
+        assert str(exc.value) == message
+    path = tmp_path / "refused.inst"
+    path.write_text(text)
+    assert main(["check", str(path), "--claim", "invariants"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
 # -- properties ------------------------------------------------------------------
 
 SEEDS = st.integers(0, 2**32 - 1)
