@@ -7,9 +7,14 @@ Flat, diff-friendly sections; numbers are decimals or exact fractions
 * a population: ``[skill_space]``, two ``[distribution <name>]``
   sections, one ``[signal_structure <name>]``, and a ``[population]``
   section referencing them by name;
-* a two-population scenario: as above with four distributions / two
-  structures and a ``[scenario]`` section (references ``p``, ``q_i``,
-  ``q_j``, ``coarse``, ``fine``).
+* a two-population scenario: as above with three distributions, two
+  structures, a ``[firm]`` and a ``[scenario]`` section (references
+  ``p``, ``q_i``, ``q_j``, ``coarse``, ``fine``).
+
+The table ``_TOPS`` is the one description of the two top sections: the
+class each builds and the keys it takes, with the kind of part each key
+names.  ``loads_instance`` resolves and refuses references from it, and
+``serialize_instance`` writes from it.
 
 A ``[signal_structure]`` section starts with a ``signals:`` line, an
 optional ``values:`` line, then one likelihood row per type.  Blank
@@ -18,10 +23,12 @@ data (a signal label may hold one).  ``[skill_space]`` precedes every
 distribution and structure, and a file holds at most one ``[scenario]``
 or ``[population]``.  A ``[firm]`` goes with a ``[scenario]`` or stands
 alone: beside a ``[population]`` it is refused, and a firm-only file
-holds no other section.  ``serialize_instance`` emits a canonical form
-(sections in fixed order, canonical reference names, reduced fractions)
-that reparses to an equal object and survives a serialize-parse-serialize
-round trip byte-identically.
+holds no other section.  A refusal of what a section holds names a
+line: the header line of the section when a value class refuses it.
+``serialize_instance`` emits a canonical form (sections in fixed order,
+canonical reference names, reduced fractions) that reparses to an equal
+object and survives a serialize-parse-serialize round trip
+byte-identically.
 """
 
 from __future__ import annotations
@@ -38,9 +45,22 @@ __all__ = [
     "serialize_instance",
 ]
 
-_SECTION_KINDS = ("skill_space", "distribution", "signal_structure", "firm",
-                  "population", "scenario")
-_NAMED_KINDS = ("distribution", "signal_structure")
+# the named section kinds, each with the words its refusals use
+_NAMED_KINDS = {"distribution": "distribution", "signal_structure": "signal structure"}
+
+# Each top section's class and the kind of every part it names, by key,
+# in the order the canonical form writes them.  A class with a ``firm``
+# field needs the file's [firm]; the others take none.
+_TOPS = {
+    "scenario": (GapScenario, {
+        "p": "distribution", "q_i": "distribution", "q_j": "distribution",
+        "coarse": "signal_structure", "fine": "signal_structure",
+    }),
+    "population": (Population, {
+        "p": "distribution", "q": "distribution", "sig": "signal_structure",
+    }),
+}
+_SECTION_KINDS = ("skill_space", "firm", *_NAMED_KINDS, *_TOPS)
 
 
 class _Section:
@@ -105,13 +125,24 @@ def _key_values(section: _Section) -> dict[str, str]:
     return refs
 
 
-def _parse_structure(section: _Section, space: SkillSpace, parse) -> SignalStructure:
+def _build(section: _Section, cls, *args, **fields):
+    """``cls(*args, **fields)``; a refusal names ``section``'s header line."""
+    try:
+        return cls(*args, **fields)
+    except InputError as exc:
+        raise InputError(f"line {section.header_line}: {exc}") from None
+
+
+def _parse_part(section: _Section, space: SkillSpace, parse) -> Dist | SignalStructure:
+    """The distribution or signal structure a named section holds."""
+    at = f"line {section.header_line}: {_NAMED_KINDS[section.kind]} {section.name!r}"
     lines = list(section.lines)
+    if section.kind == "distribution":
+        if len(lines) != 1:
+            raise ParseError(f"{at} needs one line")
+        return _build(section, Dist, space, tuple(_numbers(*lines[0], parse)))
     if not lines or not lines[0][1].startswith("signals:"):
-        raise ParseError(
-            f"line {section.header_line}: signal structure {section.name!r} "
-            f"must start with a 'signals:' line"
-        )
+        raise ParseError(f"{at} must start with a 'signals:' line")
     lineno, line = lines.pop(0)
     labels = tuple(line.partition(":")[2].split())
     if not labels:
@@ -121,12 +152,9 @@ def _parse_structure(section: _Section, space: SkillSpace, parse) -> SignalStruc
         lineno, line = lines.pop(0)
         values = tuple(_numbers(lineno, line.partition(":")[2], parse))
     if len(lines) != space.size:
-        raise ParseError(
-            f"line {section.header_line}: signal structure {section.name!r} "
-            f"has {len(lines)} likelihood rows for {space.size} types"
-        )
+        raise ParseError(f"{at} has {len(lines)} likelihood rows for {space.size} types")
     rows = tuple(tuple(_numbers(n, text, parse)) for n, text in lines)
-    return SignalStructure(space, labels, rows, values=values)
+    return _build(section, SignalStructure, space, labels, rows, values=values)
 
 
 def loads_instance(text: str, mode: str = "rational"):
@@ -138,113 +166,69 @@ def loads_instance(text: str, mode: str = "rational"):
         raise ParseError("empty instance file")
 
     space: SkillSpace | None = None
-    dists: dict[str, Dist] = {}
-    structs: dict[str, SignalStructure] = {}
+    parts: dict[str, dict] = {kind: {} for kind in _NAMED_KINDS}  # by kind, then name
     firm: Firm | None = None
     top: _Section | None = None  # the one [scenario] or [population]
 
     for sec in sections:
+        at = f"line {sec.header_line}:"
         if sec.kind == "skill_space":
             if space is not None:
-                raise ParseError(f"line {sec.header_line}: duplicate [skill_space]")
+                raise ParseError(f"{at} duplicate [skill_space]")
             if len(sec.lines) != 1:
-                raise ParseError(
-                    f"line {sec.header_line}: [skill_space] needs exactly one line"
-                )
-            lineno, line = sec.lines[0]
-            space = SkillSpace(tuple(_numbers(lineno, line, parse)))
-        elif sec.kind == "distribution":
+                raise ParseError(f"{at} [skill_space] needs exactly one line")
+            space = _build(sec, SkillSpace, tuple(_numbers(*sec.lines[0], parse)))
+        elif sec.kind in _NAMED_KINDS:
+            what = _NAMED_KINDS[sec.kind]
             if space is None:
-                raise ParseError(
-                    f"line {sec.header_line}: [skill_space] must precede distributions"
-                )
-            if sec.name in dists:
-                raise ParseError(
-                    f"line {sec.header_line}: duplicate distribution {sec.name!r}"
-                )
-            if len(sec.lines) != 1:
-                raise ParseError(
-                    f"line {sec.header_line}: distribution {sec.name!r} needs one line"
-                )
-            lineno, line = sec.lines[0]
-            dists[sec.name] = Dist(space, tuple(_numbers(lineno, line, parse)))
-        elif sec.kind == "signal_structure":
-            if space is None:
-                raise ParseError(
-                    f"line {sec.header_line}: [skill_space] must precede signal structures"
-                )
-            if sec.name in structs:
-                raise ParseError(
-                    f"line {sec.header_line}: duplicate signal structure {sec.name!r}"
-                )
-            structs[sec.name] = _parse_structure(sec, space, parse)
+                raise ParseError(f"{at} [skill_space] must precede {what}s")
+            if sec.name in parts[sec.kind]:
+                raise ParseError(f"{at} duplicate {what} {sec.name!r}")
+            parts[sec.kind][sec.name] = _parse_part(sec, space, parse)
         elif sec.kind == "firm":
             if firm is not None:
-                raise ParseError(f"line {sec.header_line}: duplicate [firm]")
+                raise ParseError(f"{at} duplicate [firm]")
             if not sec.lines:
-                raise ParseError(f"line {sec.header_line}: [firm] needs task rows")
-            firm = Firm(
-                tuple(Task(tuple(_numbers(n, text, parse))) for n, text in sec.lines)
+                raise ParseError(f"{at} [firm] needs task rows")
+            tasks = [Task(tuple(_numbers(n, text, parse))) for n, text in sec.lines]
+            firm = _build(sec, Firm, tasks)
+        elif top is not None:
+            raise ParseError(
+                f"{at} duplicate [{sec.kind}]" if top.kind == sec.kind else
+                f"{at} a file holds one [scenario] or [population], not both"
             )
-        else:  # population or scenario
-            if top is not None:
-                raise ParseError(
-                    f"line {sec.header_line}: duplicate [{sec.kind}]"
-                    if top.kind == sec.kind else
-                    f"line {sec.header_line}: a file holds one [scenario] or "
-                    "[population], not both"
-                )
+        else:
             top = sec
-        if firm is not None and top is not None and top.kind == "population":
-            raise ParseError(f"line {sec.header_line}: a [population] takes no [firm]")
+        if firm is not None and top is not None and "firm" not in _TOPS[top.kind][0]._fields:
+            raise ParseError(f"{at} a [{top.kind}] takes no [firm]")
 
-    def resolve(sec, refs, key, table, what):
-        if key not in refs:
-            raise ParseError(f"line {sec.header_line}: [{sec.kind}] is missing {key!r}")
-        name = refs[key]
-        if name not in table:
-            raise ParseError(
-                f"line {sec.header_line}: unknown {what} {name!r} (for {key!r})"
-            )
-        return table[name]
-
-    if top is not None and top.kind == "scenario":
-        if firm is None:
-            raise ParseError(f"line {top.header_line}: [scenario] needs a [firm]")
-        refs = _key_values(top)
-        extra = set(refs) - {"p", "q_i", "q_j", "coarse", "fine"}
-        if extra:
-            raise ParseError(
-                f"line {top.header_line}: unknown scenario keys {sorted(extra)}"
-            )
-        return GapScenario(
-            firm=firm,
-            p=resolve(top, refs, "p", dists, "distribution"),
-            q_i=resolve(top, refs, "q_i", dists, "distribution"),
-            q_j=resolve(top, refs, "q_j", dists, "distribution"),
-            coarse=resolve(top, refs, "coarse", structs, "signal structure"),
-            fine=resolve(top, refs, "fine", structs, "signal structure"),
-        )
     if top is not None:
+        cls, kinds = _TOPS[top.kind]
+        at = f"line {top.header_line}:"
+        fields = {}
+        if "firm" in cls._fields:
+            if firm is None:
+                raise ParseError(f"{at} [{top.kind}] needs a [firm]")
+            fields["firm"] = firm
         refs = _key_values(top)
-        extra = set(refs) - {"p", "q", "sig"}
+        extra = set(refs) - set(kinds)
         if extra:
-            raise ParseError(
-                f"line {top.header_line}: unknown population keys {sorted(extra)}"
-            )
-        return Population(
-            p=resolve(top, refs, "p", dists, "distribution"),
-            q=resolve(top, refs, "q", dists, "distribution"),
-            sig=resolve(top, refs, "sig", structs, "signal structure"),
-        )
-    if firm is not None:
-        for sec in sections:
-            if sec.kind != "firm":  # a skill space, distribution or structure
+            raise ParseError(f"{at} unknown {top.kind} keys {sorted(extra)}")
+        for key, kind in kinds.items():
+            if key not in refs:
+                raise ParseError(f"{at} [{top.kind}] is missing {key!r}")
+            if refs[key] not in parts[kind]:
                 raise ParseError(
-                    f"line {sec.header_line}: a [firm] alone takes no [{sec.kind}]"
+                    f"{at} unknown {_NAMED_KINDS[kind]} {refs[key]!r} (for {key!r})"
                 )
-        return firm
-    raise ParseError("instance file has no [scenario], [population], or [firm]")
+            fields[key] = parts[kind][refs[key]]
+        return _build(top, cls, **fields)
+    if firm is None:
+        raise ParseError("instance file has no [scenario], [population], or [firm]")
+    for sec in sections:
+        if sec.kind != "firm":  # a skill space, distribution or structure
+            raise ParseError(f"line {sec.header_line}: a [firm] alone takes no [{sec.kind}]")
+    return firm
 
 
 def load_instance(path: str, mode: str = "rational"):
@@ -267,43 +251,34 @@ def _check_label(label: str) -> str:
     return label
 
 
-def _structure_block(name: str, sig: SignalStructure) -> list[str]:
-    lines = [f"[signal_structure {name}]"]
-    lines.append("signals: " + " ".join(_check_label(s) for s in sig.signals))
-    if sig.values is not None:
-        lines.append("values: " + _fmt_line(sig.values))
-    lines.extend(_fmt_line(row) for row in sig.likelihood)
-    return lines
-
-
 def _firm_block(firm: Firm) -> list[str]:
     return ["[firm]"] + [_fmt_line(task.surplus) for task in firm.tasks]
 
 
 def serialize_instance(obj) -> str:
     """Canonical text form of a GapScenario, Population, or Firm."""
-    blocks: list[list[str]] = []
-    if isinstance(obj, GapScenario):
-        blocks.append(["[skill_space]", _fmt_line(obj.p.space.thetas)])
-        for name, dist in (("p", obj.p), ("q_i", obj.q_i), ("q_j", obj.q_j)):
-            blocks.append([f"[distribution {name}]", _fmt_line(dist.probs)])
-        blocks.append(_structure_block("coarse", obj.coarse))
-        blocks.append(_structure_block("fine", obj.fine))
-        blocks.append(_firm_block(obj.firm))
-        blocks.append(
-            ["[scenario]", "p: p", "q_i: q_i", "q_j: q_j", "coarse: coarse",
-             "fine: fine"]
-        )
-    elif isinstance(obj, Population):
-        blocks.append(["[skill_space]", _fmt_line(obj.p.space.thetas)])
-        for name, dist in (("p", obj.p), ("q", obj.q)):
-            blocks.append([f"[distribution {name}]", _fmt_line(dist.probs)])
-        blocks.append(_structure_block("sig", obj.sig))
-        blocks.append(["[population]", "p: p", "q: q", "sig: sig"])
-    elif isinstance(obj, Firm):
-        blocks.append(_firm_block(obj))
+    if isinstance(obj, Firm):
+        return "\n".join(_firm_block(obj)) + "\n"
+    for kind, (cls, kinds) in _TOPS.items():
+        if isinstance(obj, cls):
+            break
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
+    blocks = [["[skill_space]", _fmt_line(obj.p.space.thetas)]]
+    for key, part_kind in kinds.items():
+        part = getattr(obj, key)
+        block = [f"[{part_kind} {key}]"]
+        if part_kind == "distribution":
+            block.append(_fmt_line(part.probs))
+        else:
+            block.append("signals: " + " ".join(_check_label(s) for s in part.signals))
+            if part.values is not None:
+                block.append("values: " + _fmt_line(part.values))
+            block.extend(_fmt_line(row) for row in part.likelihood)
+        blocks.append(block)
+    if "firm" in cls._fields:
+        blocks.append(_firm_block(obj.firm))
+    blocks.append([f"[{kind}]"] + [f"{key}: {key}" for key in kinds])
     return "\n\n".join("\n".join(b) for b in blocks) + "\n"
 
 

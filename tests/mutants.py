@@ -6,7 +6,8 @@ Usage, from the repository root::
 
 For each module given, every comparison operator is flipped one at a
 time (``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``) in a
-temporary copy of the tree (``src/``, ``tests/`` and ``pyproject.toml``).
+temporary copy of the tree (``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md``).
 Each mutant first meets a fast subset, ``tests/test_<module>.py`` when
 that file exists, and a mutant that survives it meets the full tier-1
 suite.  A mutant is killed when the set of failing tests
@@ -169,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for sub in ("src", "tests"):
             shutil.copytree(ROOT / sub, tree / sub, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):  # a test reads README's samples
+            shutil.copy(ROOT / name, tree / name)
         full_base, full_secs = failing_tests(tree, [], None)
         print(f"baseline tier-1: {sorted(full_base)} fail, {full_secs:.0f} s")
         for module in args.modules:

@@ -22,6 +22,7 @@ from infopay import (
     SkillSpace,
     Task,
     binary_symmetric_structure,
+    narrowing_counterexamples,
     uninformative_structure,
 )
 from infopay.cli import main
@@ -548,6 +549,47 @@ REFUSALS = {
     "firm-alone-with-skill-space": (
         "[firm]\n0 1\n[skill_space]\n0 1\n", "line 3: a [firm] alone takes no [skill_space]",
     ),
+    # a value class refuses what a section holds: its header line is named
+    "skill-levels-not-increasing": (
+        POP.replace("0 1\n", "1 0\n", 1), "line 1: skill levels must be strictly increasing",
+    ),
+    "one-type-skill-space": (
+        "[skill_space]\n0\n[firm]\n0\n", "line 1: skill space needs at least two types",
+    ),
+    "distribution-entries-for-types": (
+        POP.replace("1/4 3/4", "1/4 1/4 1/2"), "line 5: distribution has 3 entries for 2 types",
+    ),
+    "likelihood-row-width": (
+        POP.replace("0 1\n[population]", "0 1 0\n[population]"),
+        "line 7: likelihood row for type index 1 has wrong width",
+    ),
+    "duplicate-signal-labels": (
+        POP.replace("signals: a b", "signals: a a"), "line 7: signal labels must be unique",
+    ),
+    "signal-values-not-increasing": (
+        POP.replace("signals: a b\n", "signals: a b\nvalues: 1 0\n"),
+        "line 7: signal values must be strictly increasing",
+    ),
+    "zero-likelihood-signal": (
+        POP.replace("signals: a b\n1 0\n0 1", "signals: a b c\n1 0 0\n0 1 0"),
+        "line 7: signal 'c' has zero likelihood everywhere",
+    ),
+    "firm-rows-of-two-widths": (
+        "[firm]\n0 1\n0 1 2\n", "line 1: all tasks in a firm must cover the same types",
+    ),
+    "scenario-firm-width": (
+        SCENARIO_TEXT.replace(FIRM_SECTION, "[firm]\n0 1 2\n"),
+        "line 29: firm tasks and scenario cover different type counts",
+    ),
+    "scenario-perception-without-full-support": (
+        SCENARIO_TEXT.replace("0.25 3/4", "0 1"), "line 30: q_i distribution must have full support",
+    ),
+    "population-truth-without-full-support": (
+        POP.replace("1/2 1/2", "1 0"), "line 11: true distribution must have full support",
+    ),
+    "population-perception-without-full-support": (
+        POP.replace("1/4 3/4", "0 1"), "line 11: perceived distribution must have full support",
+    ),
 }
 
 
@@ -562,6 +604,21 @@ def test_refusal_is_pinned_to_its_line(case, tmp_path, capsys):
     path.write_text(text)
     assert main(["check", str(path), "--claim", "invariants"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_instance_samples_load():
+    # every fenced block of README's "Instance files" section is a file
+    # that loads, in both modes
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Instance files\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    assert blocks
+    for block in blocks:
+        for mode in ("rational", "float"):
+            assert isinstance(loads_instance(block, mode=mode), GapScenario)
+
 
 # -- properties ------------------------------------------------------------------
 
@@ -671,3 +728,22 @@ def test_malformed_file_exits_2_through_cli(case):
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ")
+
+
+def assert_float_parse_is_the_twin(text):
+    # check --mode float judges the doubles the float suites judge
+    twin = loads_instance(text).to_float()
+    floats = loads_instance(text, mode="float")
+    assert floats == twin
+    assert repr(floats) == repr(twin)
+
+
+@given(SEEDS, st.sampled_from(("firm", "population", "scenario")))
+@settings(max_examples=60, deadline=None)
+def test_float_parse_is_the_twin_of_the_exact_parse(seed, kind):
+    assert_float_parse_is_the_twin(serialize_instance(random_instance(seed, kind, "rational")))
+
+
+@pytest.mark.parametrize("counterexample", narrowing_counterexamples(), ids=lambda c: c.name)
+def test_float_parse_of_a_counterexample_is_its_twin(counterexample):
+    assert_float_parse_is_the_twin(serialize_instance(counterexample.scenario))
