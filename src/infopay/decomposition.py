@@ -56,17 +56,10 @@ class DecompResult(NamedTuple):
     structures and ``total`` is their difference, while the two parts
     come from the joint-law formulas; their agreement is a theorem, not
     an arithmetic identity, so ``check_signs`` and the tests check it
-    rather than the constructor forcing it.  All three parts come from
-    one pass over the linked signal pairs.  ``instrumental`` sums over
-    those pairs; ``instrumental_signalwise`` is the algebraically equal
-    form that folds the kernel into the coarse task first, and their
-    agreement is itself a tested claim.  On exact input the two agree
-    term by term: each kernel column sums to the kernel's scale, so a
-    fine signal's sum over its pairs of the kernel entry times
-    (best - value) equals its best times that scale, less the mixed
-    value.  They can differ only on float input, by rounding and the
-    float kernel's column-sum tolerance, so ``instrumental-forms-agree``
-    can fail only there.
+    rather than the constructor forcing it.  Both parts come from one
+    pass over the linked signal pairs; ``instrumental`` sums each pair's
+    kernel entry times (best - value), which reads no column sum of the
+    kernel.
     """
 
     w_fine: Number
@@ -74,7 +67,6 @@ class DecompResult(NamedTuple):
     total: Number
     perception_correcting: Number
     instrumental: Number
-    instrumental_signalwise: Number
     kernel: GarblingKernel
     assignment_coarse: tuple[int, ...]
     assignment_fine: tuple[int, ...]
@@ -148,7 +140,7 @@ def decompose(
     # terms before coarse ones.
     kept = [r.task for r in table_c.rows]
     mu_p, mu_q, inner = [0] * n_c, [0] * n_c, [0] * n_c
-    correction, joint, signalwise = [], [], []
+    correction, joint = [], []
     for row_f, col in zip(rows_f, zip(*g)):
         m_p, m_q, best = row_f.m_p, row_f.m_q, row_f.score
         mixed = 0  # sum over s of g[s][f] * e(s, f)
@@ -162,10 +154,8 @@ def decompose(
                 mu_p[s] += coef * m_p
                 mu_q[s] += coef * m_q
                 inner[s] += linked
-        shortfall = best * g_scale - mixed  # best - mixed, at mixed's scale
         correction.append((m_p, m_q, mixed))
         joint.append((m_p, m_q, gap))
-        signalwise.append((m_p, m_q, shortfall))
     for s in range(n_c):
         if not mu_q[s] > 0:  # float kernels match coarse columns only within tol
             raise InputError(
@@ -191,7 +181,6 @@ def decompose(
         total=w_fine - w_coarse,
         perception_correcting=weigh(correction),
         instrumental=weigh(joint),
-        instrumental_signalwise=weigh(signalwise),
         kernel=kernel,
         assignment_coarse=tuple(r.task for r in table_c.rows),
         assignment_fine=tuple(r.task for r in rows_f),

@@ -37,6 +37,7 @@ from .numeric import (
     clear_denominators,
     exact_entries,
     float_rows,
+    format_number,
 )
 from .simplex import _exact_feasible_point, feasible_point
 
@@ -100,8 +101,8 @@ class GarblingKernel(_Frozen):
             if not (one - tol <= sum(col) <= one + tol):
                 col = sum(row[f] for row in self.matrix)
                 raise InputError(
-                    f"kernel column for fine signal "
-                    f"{self.fine_signals[f]!r} sums to {col!r}, expected 1"
+                    f"kernel column for fine signal {self.fine_signals[f]!r} "
+                    f"sums to {format_number(col)}, expected 1"
                 )
         self.__dict__["int_form"] = form if exact else None
 
@@ -324,7 +325,9 @@ def within_eps_of_full(
     if isinstance(eps, float) and math.isinf(eps) and eps > 0:
         return True
     if not eps >= 0:  # nan as well as negative
-        raise InputError(f"eps must be a nonnegative number, got {eps!r}")
+        raise InputError(
+            f"eps must be a nonnegative number, got {format_number(eps)}"
+        )
     # exact input compares int likelihoods, and eps as ints over its
     # scale: every test below is invariant under scaling a column
     exact, ((lik, _), ((eps,), eps_scale)) = number_forms(sig, eps)

@@ -539,13 +539,6 @@ class PayTable(NamedTuple):
     freq_scale: int
     surplus_scale: int
 
-    def signal_pay(self, j: int) -> Number:
-        """Pay at signal ``j``: the perceived expected surplus of its task."""
-        row = self.rows[j]
-        if self.exact:
-            return Fraction(row.score, row.m_q * self.surplus_scale)
-        return row.score / row.m_q
-
 
 def pay_table(
     firm: Firm,
@@ -560,15 +553,15 @@ def pay_table(
     This is the one place that decides which tasks are optimal at a
     signal: each row holds the tie set and its tie-broken end.  Scores
     stay unnormalized: dividing by ``m_q > 0`` cannot change an
-    argmax, and pay at a signal is ``score / m_q``.  The table reads the
-    ``number_forms`` of p, q, the likelihoods and the surpluses, with p
-    and q joined at the lcm of their two scales.  On exact input every
-    product, sum and comparison is then an int operation; all scores
-    share one positive scale, so the argmax and its ties are those of
-    the true values.  Exact input breaks ties with zero slack, other
-    input within ``DEFAULT_TOL * m_q``.  A signal with zero true or
-    perceived frequency (float underflow) raises ``InputError``; ``what``
-    names such signals in the message.
+    argmax, and pay at a signal is ``score / (m_q * surplus_scale)``.
+    The table reads the ``number_forms`` of p, q, the likelihoods and the
+    surpluses, with p and q joined at the lcm of their two scales.  On
+    exact input every product, sum and comparison is then an int
+    operation; all scores share one positive scale, so the argmax and
+    its ties are those of the true values.  Exact input breaks ties with
+    zero slack, other input within ``DEFAULT_TOL * m_q``.  A signal with
+    zero true or perceived frequency (float underflow) raises
+    ``InputError``; ``what`` names such signals in the message.
     """
     _check_tie_break(tie_break)
     if not (p.space == q.space == sig.space):

@@ -289,6 +289,9 @@ def _check_prob_rows(
         for i, v in enumerate(row):
             if v < 0:
                 raise InputError(
-                    f"{what.format(k)}: entry {i} is negative ({values[i]!r})"
+                    f"{what.format(k)}: entry {i} is negative "
+                    f"({format_number(values[i])})"
                 )
-        raise InputError(f"{what.format(k)}: entries sum to {sum(values)!r}, expected 1")
+        raise InputError(
+            f"{what.format(k)}: entries sum to {format_number(sum(values))}, expected 1"
+        )

@@ -210,21 +210,9 @@ def _judge_theorem1(inst, trial, slack, tol, book: _Book) -> None:
         "identity-other-tiebreak", report_hi.identity_ok, trial, s,
         lambda: f"identity gap {format_number(report_hi.result.identity_gap)}",
     )
-    direct = average_pay(s.firm, Population(s.p, s.q_i, s.fine)) - average_pay(
-        s.firm, Population(s.p, s.q_i, s.coarse)
-    )
-    book.check(
-        "total-matches-pay-difference", abs(res.total - direct) <= slack, trial, s,
-        lambda: f"total {format_number(res.total)} vs {format_number(direct)}",
-    )
     book.check(
         "instrumental-nonneg", report.instrumental_ok, trial, s,
         lambda: f"instrumental {format_number(res.instrumental)}",
-    )
-    other = res.instrumental_signalwise
-    book.check(
-        "instrumental-forms-agree", abs(res.instrumental - other) <= slack, trial, s,
-        lambda: f"{format_number(res.instrumental)} vs {format_number(other)}",
     )
 
     rotation = trial % 3
@@ -508,22 +496,21 @@ def _judge_prop3(inst, trial, slack, tol, book: _Book) -> None:
 
 
 def _draw_orders(rng, trial):
-    # the fosd detail quotes the exact pair in either mode
     space = random_skill_space(rng)
     hi, lo = random_lr_pair(rng, space)
-    detail = (
-        f"hi {' '.join(format_number(v) for v in hi.probs)}, "
-        f"lo {' '.join(format_number(v) for v in lo.probs)}"
-    )
     pair = Population(hi, lo, random_signal_structure(rng, space))
     same = hi.int_form == lo.int_form  # lowest terms: equal forms, equal probs
-    return pair, random_mlr_structure(rng, space), same, detail
+    return pair, random_mlr_structure(rng, space), same
 
 
 def _judge_orders(inst, trial, slack, tol, book: _Book) -> None:
-    pair, mlr_sig, same, detail = inst
+    pair, mlr_sig, same = inst
     hi, lo, sig = pair.p, pair.q, pair.sig
-    book.check("lr-implies-fosd", fosd_geq(hi, lo, tol=tol), trial, None, detail)
+    book.check(
+        "lr-implies-fosd", fosd_geq(hi, lo, tol=tol), trial, None,
+        lambda: f"hi {' '.join(format_number(v) for v in hi.probs)}, "
+        f"lo {' '.join(format_number(v) for v in lo.probs)}",
+    )
 
     posterior_ok = all(
         lr_geq(posterior(hi, sig, s), posterior(lo, sig, s), tol=tol)

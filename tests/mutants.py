@@ -3,6 +3,7 @@
 Usage, from the repository root::
 
     python tests/mutants.py src/infopay/decomposition.py src/infopay/orders.py
+    python tests/mutants.py --suites src/infopay/model.py
 
 For each module given, every comparison operator is flipped one at a
 time (``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``) in a
@@ -15,6 +16,13 @@ differs from the set the unmutated copy fails, so a test that fails by
 design (criterion 7) stays in both runs and is never deselected.  A
 mutant that runs past three times the baseline's time (plus a minute)
 counts as killed too.  The exit status is 1 when some mutant survives.
+
+``--suites`` measures the suites instead of the tests: each mutant runs
+all nine suites (100 trials, seed 1, both modes) and no test, and is
+killed when the renders differ from the unmutated copy's ("claim" when
+some claim then fails, "render" when only counts or texts differ), when
+the run raises, or when it passes the same timeout.  Mutants run one at
+a time in either mode.
 
 Pytest does not collect this file (its name does not start with
 ``test_``), as with ``joint_law.py``.
@@ -43,6 +51,12 @@ Known equivalent mutants, which no test can kill:
   float input).  No signal has zero likelihood everywhere, so the
   column's largest entry is positive, and it then passes as well: the
   verdict is the same.
+* ``suites._judge_prop2``: ``report.gap_change > slack`` flipped to
+  ``>=`` after ``not report.star_holds``.  ``star_holds`` is
+  ``gap_fine <= gap_coarse + slack``, so on exact input its negation
+  already means ``gap_change > slack``; on float input the two sides
+  differ only if ``gap_fine - gap_coarse`` rounds to exactly the slack
+  while ``gap_coarse + slack`` rounds below ``gap_fine``.
 * ``examples``: ``res.total < 0`` (ex1-reversal) and ``total_gap < 0``
   (ex1-disc) flipped to ``<=``.  Each check is made only when the
   perception exceeds the truth by more than the equality slack, so the
@@ -56,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import os
 import re
 import shutil
@@ -136,18 +151,65 @@ def _kill(tree: Path, tests: list[str], base, timeout: float, label: str):
     return f"killed ({label})" if failed != base else None
 
 
-def audit(tree: Path, rel: Path, fast: list[str], full_base, full_timeout) -> int:
-    """Run every mutant of the module at ``tree / rel``; the survivor count."""
+SUITE_RUN = """
+from infopay.suites import SUITE_NAMES, run_suite
+for mode in ("rational", "float"):
+    for name in SUITE_NAMES:
+        print(run_suite(name, trials=100, seed=1, mode=mode).render())
+"""
+
+
+def suite_renders(tree: Path, timeout: float | None):
+    """((exit status, renders), seconds) of one run of every suite, or
+    (None, seconds) on a timeout."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", SUITE_RUN], cwd=tree, env=env,
+            capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - start
+    return (done.returncode, done.stdout), time.perf_counter() - start
+
+
+def _suite_kill(tree: Path, base, timeout: float):
+    """The verdict on a mutant's suite run, or None when it renders ``base``."""
+    got, _ = suite_renders(tree, timeout)
+    if got is None:
+        return "killed (timeout)"
+    if got[0] != 0:
+        return "killed (raised)"
+    if got != base:
+        return "killed (claim)" if "result: FAIL" in got[1] else "killed (render)"
+    return None
+
+
+def _test_judge(tree: Path, rel: Path, full_base, full_timeout: float):
+    """The tests' verdict on a mutant of ``rel``: the fast subset first,
+    then tier-1."""
+    guess = Path("tests") / f"test_{rel.stem}.py"
+    fast = [str(guess)] if (tree / guess).exists() else []
+    fast_base, fast_secs = failing_tests(tree, fast, None) if fast else (None, 0)
+
+    def judge():
+        verdict = fast and _kill(tree, fast, fast_base, 3 * fast_secs + 60, "fast")
+        return verdict or _kill(tree, [], full_base, full_timeout, "tier-1")
+    return judge
+
+
+def audit(tree: Path, rel: Path, judge) -> int:
+    """Run every mutant of the module at ``tree / rel`` past ``judge()``,
+    which gives a verdict or None; the survivor count."""
     target = tree / rel
     original = target.read_bytes()
-    fast_base, fast_secs = failing_tests(tree, fast, None) if fast else (None, 0)
     found = mutants(original)
     survivors = 0
     for at, line, col, old, new in found:
         target.write_bytes(original[:at] + new.encode() + original[at + len(old):])
         try:
-            verdict = fast and _kill(tree, fast, fast_base, 3 * fast_secs + 60, "fast")
-            verdict = verdict or _kill(tree, [], full_base, full_timeout, "tier-1")
+            verdict = judge()
         finally:
             target.write_bytes(original)
         verdict = verdict or "SURVIVED"
@@ -161,6 +223,9 @@ def audit(tree: Path, rel: Path, fast: list[str], full_base, full_timeout) -> in
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="source files to mutate")
+    parser.add_argument(
+        "--suites", action="store_true", help="kill by suite renders, not tests"
+    )
     args = parser.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)
 
@@ -172,13 +237,19 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / sub, tree / sub, ignore=skip)
         for name in ("pyproject.toml", "README.md"):  # a test reads README's samples
             shutil.copy(ROOT / name, tree / name)
-        full_base, full_secs = failing_tests(tree, [], None)
-        print(f"baseline tier-1: {sorted(full_base)} fail, {full_secs:.0f} s")
+        if args.suites:
+            base, secs = suite_renders(tree, None)
+            print(f"baseline suites: exit {base[0]}, {secs:.0f} s")
+        else:
+            full_base, full_secs = failing_tests(tree, [], None)
+            print(f"baseline tier-1: {sorted(full_base)} fail, {full_secs:.0f} s")
         for module in args.modules:
             rel = Path(module).resolve().relative_to(ROOT)
-            guess = Path("tests") / f"test_{rel.stem}.py"
-            fast = [str(guess)] if (tree / guess).exists() else []
-            survivors += audit(tree, rel, fast, full_base, 3 * full_secs + 60)
+            if args.suites:
+                judge = functools.partial(_suite_kill, tree, base, 3 * secs + 60)
+            else:
+                judge = _test_judge(tree, rel, full_base, 3 * full_secs + 60)
+            survivors += audit(tree, rel, judge)
     return 1 if survivors else 0
 
 

@@ -49,12 +49,14 @@ def test_module_exports_resolve(name):
 @pytest.mark.parametrize(
     "name",
     ["argmax_task_set", "assign_task", "worker_pay", "instrumental",
-     "perception_correcting", "model.PayTable.true_rows"],
+     "perception_correcting", "model.PayTable.true_rows",
+     "model.PayTable.signal_pay"],
 )
 def test_removed_names_stay_removed(name):
-    # optimal tasks come from model.pay_table; both instrumental forms and
+    # optimal tasks come from model.pay_table; the instrumental part and
     # the correction are fields of decompose's result; pay-table rows stay
-    # at the scales they are kept at
+    # at the scales they are kept at, and the pay at a signal is read off
+    # a row's score
     *path, attr = name.split(".")
     assert not hasattr(functools.reduce(getattr, path, infopay), attr)
 

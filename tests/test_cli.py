@@ -170,6 +170,14 @@ def test_check_nearly_full_needs_eps(scenario_file, capsys):
     assert "--eps" in capsys.readouterr().err
 
 
+def test_check_negative_eps_is_quoted_as_written(scenario_file, capsys):
+    code = main(["check", scenario_file, "--claim", "nearly-full", "--eps=-1/2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: eps must be a nonnegative number, got -1/2\n"
+    )
+
+
 def test_check_eps_rejected_elsewhere(scenario_file, capsys):
     code = main(
         ["check", scenario_file, "--claim", "narrowing", "--eps", "1/4"]

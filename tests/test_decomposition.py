@@ -127,13 +127,25 @@ def test_total_matches_average_pay_difference():
 
 
 def test_instrumental_forms_agree():
+    # the signalwise form, sum_f m_p(f)/m_q(f) * (best(f) - mixed(f)),
+    # folds the kernel into the coarse task first; every kernel column
+    # sums to 1, so it equals decompose's joint form exactly
     p = Dist(BIN, (F(2, 5), F(3, 5)))
     q = Dist(BIN, (F(3, 4), F(1, 4)))
     coarse = binary_symmetric_structure(BIN, F(11, 20))
     fine = binary_symmetric_structure(BIN, F(9, 10))
     res = decompose(FIRM2, p, q, coarse, fine)
-    assert res.instrumental == res.instrumental_signalwise
-    assert res.instrumental >= 0
+    signalwise = 0
+    for f in range(fine.n_signals):
+        lik = [row[f] for row in fine.likelihood]
+        m_p = sum(a * b for a, b in zip(p.probs, lik))
+        weights = [a * b for a, b in zip(q.probs, lik)]  # m_q times the posterior
+        value = [sum(w * a for w, a in zip(weights, t.surplus)) for t in FIRM2.tasks]
+        kept = zip(res.kernel.matrix, res.assignment_coarse)
+        mixed = sum(g[f] * value[k] for g, k in kept)
+        signalwise += m_p / sum(weights) * (max(value) - mixed)
+    assert res.instrumental == signalwise
+    assert res.instrumental > 0
 
 
 def test_accurate_perception_kills_correction_term():
@@ -404,5 +416,5 @@ def test_decompositions_are_pinned():
                     res = decompose(*args, tie_break=tie_break)
                     digest.update(repr(res).encode())
     assert digest.hexdigest() == (
-        "3212f54ddb1696a390f9eb9bb6bc5ebe63ec3535f0633f6bbb0e2d8b6c531847"
+        "bd2c836cd8b136718c0b6b9a5e6d65a4ce96db9e59b92db68fa0db9690f7151c"
     )

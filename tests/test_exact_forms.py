@@ -55,7 +55,13 @@ from infopay.generators import (
     trial_rng,
 )
 from infopay.model import pay_table, posterior
-from infopay.numeric import DIST_SUM_TOL, LP_TOL, all_exact, clear_denominators
+from infopay.numeric import (
+    DIST_SUM_TOL,
+    LP_TOL,
+    all_exact,
+    clear_denominators,
+    format_number,
+)
 
 # -- the validation oracle -------------------------------------------------------
 
@@ -64,11 +70,11 @@ def oracle_prob_vector(probs, what):
     """The Fraction check the constructors replaced (raises or returns)."""
     for k, v in enumerate(probs):
         if v < 0:
-            raise InputError(f"{what}: entry {k} is negative ({v!r})")
+            raise InputError(f"{what}: entry {k} is negative ({format_number(v)})")
     total = sum(probs)
     tol = 0 if all_exact(probs) else DIST_SUM_TOL
     if not (1 - tol <= total <= 1 + tol):
-        raise InputError(f"{what}: entries sum to {total!r}, expected 1")
+        raise InputError(f"{what}: entries sum to {format_number(total)}, expected 1")
 
 
 def oracle_kernel(fine_signals, matrix):
@@ -83,7 +89,7 @@ def oracle_kernel(fine_signals, matrix):
         if not (1 - tol <= col <= 1 + tol):
             raise InputError(
                 f"kernel column for fine signal "
-                f"{fine_signals[f]!r} sums to {col!r}, expected 1"
+                f"{fine_signals[f]!r} sums to {format_number(col)}, expected 1"
             )
 
 

@@ -65,6 +65,9 @@ def fraction_table_pay(rows):
 
 
 def fraction_core(firm, p, q, coarse, fine, kernel, tie_break):
+    """The decomposition's fields by the Fraction formulas, and the
+    signalwise instrumental form: best less the mixed value, per fine
+    signal."""
     n_c, n_f = coarse.n_signals, fine.n_signals
     g = kernel.matrix
     rows_c = fraction_pay_table(firm, p, q, coarse, tie_break)
@@ -107,10 +110,9 @@ def fraction_core(firm, p, q, coarse, fine, kernel, tie_break):
         "w_coarse": fraction_table_pay(rows_c),
         "perception_correcting": correction,
         "instrumental": inst_joint,
-        "instrumental_signalwise": inst_signalwise,
         "assignment_coarse": tuple(r.task for r in rows_c),
         "assignment_fine": tuple(r.task for r in rows_f),
-    }
+    }, inst_signalwise
 
 
 def fraction_kernel_reproduces(kernel, fine, coarse):
@@ -213,14 +215,14 @@ def test_pay_table_matches_fraction_oracle(instance):
                 assert got.scores == [v * fs for v in row.scores]
                 assert (got.task, got.ties) == (row.task, row.ties)
             same(table_pay(table), fraction_table_pay(want))
-            for j, row in enumerate(want):
-                same(table.signal_pay(j), row.score / row.m_q)
+            for got, row in zip(table.rows, want):  # the pay at each signal
+                same(F(got.score, got.m_q * table.surplus_scale), row.score / row.m_q)
         same(average_pay(firm, Population(p, q, sig)), fraction_table_pay(
             fraction_pay_table(firm, p, q, sig)
         ))
         perceived = pay_table(firm, q, q, sig)
-        for j, row in enumerate(fraction_pay_table(firm, q, q, sig)):
-            same(perceived.signal_pay(j), row.score / row.m_q)
+        for got, row in zip(perceived.rows, fraction_pay_table(firm, q, q, sig)):
+            same(F(got.score, got.m_q * perceived.surplus_scale), row.score / row.m_q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,10 +231,13 @@ def test_core_matches_fraction_oracle(instance):
     firm, p, q, coarse, fine, kernel = instance
     for tie_break in ("lowest", "highest"):
         got = decompose(firm, p, q, coarse, fine, kernel, tie_break)
-        want = fraction_core(firm, p, q, coarse, fine, kernel, tie_break)
+        want, signalwise = fraction_core(firm, p, q, coarse, fine, kernel, tie_break)
         for field, value in want.items():
             same(getattr(got, field), value)
         same(got.total, want["w_fine"] - want["w_coarse"])
+        # the signalwise form folds the kernel into the coarse task first;
+        # every kernel column sums to 1, so it equals the joint form exactly
+        same(got.instrumental, signalwise)
 
 
 @settings(max_examples=30, deadline=None)

@@ -532,6 +532,25 @@ def test_within_eps_of_full():
     assert within_eps_of_full(uninformative_structure(BIN), math.inf)
 
 
+@pytest.mark.parametrize("eps, quoted", [
+    (F(-1, 2), "-1/2"), (-1, "-1"), (-0.5, "-0.5"), (math.nan, "nan"),
+])
+def test_eps_refusal_quotes_the_number_in_its_notation(eps, quoted):
+    # exact numbers read a/b, as an instance file or --eps writes them
+    with pytest.raises(InputError) as exc:
+        within_eps_of_full(sym(F(9, 10)), eps)
+    assert str(exc.value) == f"eps must be a nonnegative number, got {quoted}"
+
+
+@pytest.mark.parametrize("entry, quoted", [(F(1, 2), "1/2"), (0.5, "0.5")])
+def test_kernel_column_refusal_quotes_the_sum_in_its_notation(entry, quoted):
+    with pytest.raises(InputError) as exc:
+        GarblingKernel(("a",), ("x",), ((entry,),))
+    assert str(exc.value) == (
+        f"kernel column for fine signal 'x' sums to {quoted}, expected 1"
+    )
+
+
 def test_eps_bound_examples():
     assert extremeness_eps_bound(Dist(BIN, (F(1, 2), F(1, 2))), F(1, 2)) == 1
     assert extremeness_eps_bound(Dist(BIN, (F(3, 4), F(1, 4))), F(1, 10)) == F(1, 27)

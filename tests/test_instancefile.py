@@ -405,6 +405,8 @@ NO_FIRM = SCENARIO_TEXT.replace(FIRM_SECTION, "")  # its [scenario] on line 27
 
 # (a file, its exact refusal); SCENARIO_TEXT has [firm] on line 26 and
 # [scenario] on line 30.  Several cases pin which of two faults is named.
+# A refusal that quotes a number gives (rational, float) messages: each
+# mode quotes the number in its own notation.
 REFUSALS = {
     "empty-file": ("", "empty instance file"),
     "comments-only": ("# nothing\n\n  # here\n", "empty instance file"),
@@ -559,6 +561,16 @@ REFUSALS = {
     "distribution-entries-for-types": (
         POP.replace("1/4 3/4", "1/4 1/4 1/2"), "line 5: distribution has 3 entries for 2 types",
     ),
+    "distribution-sum": (
+        POP.replace("1/4 3/4", "1/4 1/4"),
+        ("line 5: distribution: entries sum to 1/2, expected 1",
+         "line 5: distribution: entries sum to 0.5, expected 1"),
+    ),
+    "distribution-negative-entry": (
+        POP.replace("1/4 3/4", "-1/4 5/4"),
+        ("line 5: distribution: entry 0 is negative (-1/4)",
+         "line 5: distribution: entry 0 is negative (-0.25)"),
+    ),
     "likelihood-row-width": (
         POP.replace("0 1\n[population]", "0 1 0\n[population]"),
         "line 7: likelihood row for type index 1 has wrong width",
@@ -596,14 +608,15 @@ REFUSALS = {
 @pytest.mark.parametrize("case", REFUSALS, ids=str)
 def test_refusal_is_pinned_to_its_line(case, tmp_path, capsys):
     text, message = REFUSALS[case]
-    for mode in ("rational", "float"):
+    messages = (message, message) if isinstance(message, str) else message
+    for mode, want in zip(("rational", "float"), messages):
         with pytest.raises(InputError) as exc:
             loads_instance(text, mode=mode)
-        assert str(exc.value) == message
+        assert str(exc.value) == want
     path = tmp_path / "refused.inst"
     path.write_text(text)
     assert main(["check", str(path), "--claim", "invariants"]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {messages[0]}\n")
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 

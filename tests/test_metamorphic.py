@@ -51,8 +51,7 @@ from infopay.suites import _draw_theorem1
 
 SEEDS = (1, 5)
 TRIALS = 100
-VALUES = ("w_fine", "w_coarse", "total", "perception_correcting",
-          "instrumental", "instrumental_signalwise")
+VALUES = ("w_fine", "w_coarse", "total", "perception_correcting", "instrumental")
 SHIFTS = (F(-7, 3), 5)
 SCALES = (F(2, 7), 3)
 

@@ -83,8 +83,11 @@ def outcome(call, *args):
 def table_facts(firm, p, q, sig):
     table = pay_table(firm, p, q, sig)
     rows = [(r.m_p, r.m_q, r.weights, r.task, r.score, r.ties) for r in table.rows]
-    pays = [table.signal_pay(j) for j in range(len(rows))]
     exact, scales = table.exact, (table.freq_scale, table.surplus_scale)
+    pays = [  # the pay at each signal
+        Fraction(r.score, r.m_q * table.surplus_scale) if exact else r.score / r.m_q
+        for r in table.rows
+    ]
     return rows, exact, *scales, pays, table_pay(table)
 
 
@@ -142,5 +145,5 @@ def test_mixed_calls_are_pinned():
         for line in mixed_lines(trial):
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == (
-        "c21474d3ce263068c76733c66d26b9bc2aa86bc989cd05fb5a9bfc4505c94563"
+        "6d54e241734b7288ec9553f08484f8dee2d2c672e188d7d983aa65efa748d32d"
     )

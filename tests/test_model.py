@@ -216,11 +216,12 @@ def test_float_ties_within_default_tol():
 def test_worker_pay_binary():
     q = Dist(BIN, (F(1, 4), F(3, 4)))
     table = pay_table(FIRM2, q, q, sym(F(9, 13)))
+    low, high = (F(r.score, r.m_q * table.surplus_scale) for r in table.rows)
     # low signal: posterior 4/7 on the high type, both tasks tie at 4/7
-    assert table.signal_pay(0) == F(4, 7)
+    assert low == F(4, 7)
     assert table.rows[0].ties == [0, 1]
     # high signal: posterior 27/31, steep task pays 4*(2*27/31 - 1)
-    assert table.signal_pay(1) == F(92, 31)
+    assert high == F(92, 31)
 
 
 def test_pay_table_rejects_signals_the_truth_never_sends():
@@ -286,11 +287,12 @@ def test_worker_pay_dominates_every_task(pq, num, den):
     sig = binary_symmetric_structure(BIN, lam)
     post = posterior(q, sig, "s1")
     table = pay_table(FIRM2, q, q, sig)
-    pay = table.signal_pay(1)
+    row = table.rows[1]
+    pay = F(row.score, row.m_q * table.surplus_scale)
     values = [sum(w * a for w, a in zip(post.probs, t.surplus)) for t in FIRM2.tasks]
     assert pay == max(values)
-    assert values[table.rows[1].task] == pay
-    assert tuple(table.rows[1].ties) == argmax_task_set(FIRM2, post)
+    assert values[row.task] == pay
+    assert tuple(row.ties) == argmax_task_set(FIRM2, post)
 
 
 @given(probs2, probs2)

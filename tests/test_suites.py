@@ -45,7 +45,7 @@ def test_renders_are_pinned():
         for name in SUITE_NAMES:
             digest.update(run_suite(name, trials=30, seed=7, mode=mode).render().encode())
     assert digest.hexdigest() == (
-        "9994bd0f57221ad934d21374e073af42a71e26ccdedd0536f5c8ade8c7bcab3e"
+        "22e10715b425e809e50b94b87fcbeb51f7a4c243fc454d6d9267012e725ff6be"
     )
 
 
@@ -141,7 +141,7 @@ def test_draws_are_pinned():
         for trial in range(30):
             digest.update(repr(draw(trial_rng(7, trial), trial)).encode())
     assert digest.hexdigest() == (
-        "33f634bb2581fe149730f47755294d7e857ef63dfbf5bbf0fd3c6aa2349b8894"
+        "34a426f1ecd3b14ad8df192c78d0a411741d989f2e60b87c127ee02fbd15da06"
     )
 
 

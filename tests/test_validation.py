@@ -14,7 +14,7 @@ import pytest
 from infopay.errors import InputError
 from infopay.garbling import GarblingKernel
 from infopay.model import Dist, SignalStructure, SkillSpace
-from infopay.numeric import DIST_SUM_TOL
+from infopay.numeric import DIST_SUM_TOL, format_number
 
 S3 = SkillSpace((0, 1, 2))
 h, q, t = F(1, 2), F(1, 4), F(3, 4)
@@ -48,13 +48,13 @@ CASES = [  # (case id, build, expected message)
     ("dist-nonnumber-mixed", _dist(0.5, "x", h), "distribution: 'x' is not a number"),
     ("dist-bool", _dist(h, True, h), "distribution: True is not a number"),
     ("dist-negative-exact", _dist(h, -q, t),
-     "distribution: entry 1 is negative (Fraction(-1, 4))"),
+     "distribution: entry 1 is negative (-1/4)"),
     ("dist-negative-float", _dist(0.5, -0.25, 0.75),
      "distribution: entry 1 is negative (-0.25)"),
     ("dist-negative-mixed", _dist(0.5, -q, t),
-     "distribution: entry 1 is negative (Fraction(-1, 4))"),
+     "distribution: entry 1 is negative (-1/4)"),
     ("dist-sum-exact", _dist(h, q, h),
-     "distribution: entries sum to Fraction(5, 4), expected 1"),
+     "distribution: entries sum to 5/4, expected 1"),
     ("dist-sum-float", _dist(0.5, 0.25, 0.5),
      "distribution: entries sum to 1.25, expected 1"),
     ("dist-sum-mixed", _dist(0.5, q, h),
@@ -76,17 +76,17 @@ CASES = [  # (case id, build, expected message)
     ("sig-nonnumber-mixed", _sig("mixed", (q, "x")),
      "likelihood row for type index 1: 'x' is not a number"),
     ("sig-negative-exact", _sig("exact", (-q, F(5, 4))),
-     "likelihood row for type index 1: entry 0 is negative (Fraction(-1, 4))"),
+     "likelihood row for type index 1: entry 0 is negative (-1/4)"),
     ("sig-negative-float", _sig("float", (-0.25, 1.25)),
      "likelihood row for type index 1: entry 0 is negative (-0.25)"),
     ("sig-negative-mixed", _sig("mixed", (-q, F(5, 4))),
-     "likelihood row for type index 1: entry 0 is negative (Fraction(-1, 4))"),
+     "likelihood row for type index 1: entry 0 is negative (-1/4)"),
     ("sig-sum-exact", _sig("exact", (q, h)),
-     "likelihood row for type index 1: entries sum to Fraction(3, 4), expected 1"),
+     "likelihood row for type index 1: entries sum to 3/4, expected 1"),
     ("sig-sum-float", _sig("float", (0.25, 0.5)),
      "likelihood row for type index 1: entries sum to 0.75, expected 1"),
     ("sig-sum-mixed", _sig("mixed", (q, h)),
-     "likelihood row for type index 1: entries sum to Fraction(3, 4), expected 1"),
+     "likelihood row for type index 1: entries sum to 3/4, expected 1"),
     ("sig-dead-exact",
      lambda: SignalStructure(S3, ("a", "b"), ((1, 0), (1, 0), (1, 0))),
      "signal 'b' has zero likelihood everywhere"),
@@ -137,11 +137,11 @@ CASES = [  # (case id, build, expected message)
     ("kernel-negative-exact", _kernel(((-q, h), (F(5, 4), h))),
      "kernel entries must lie in [0, 1]"),
     ("kernel-column-exact", _kernel(((1, h), (0, q))),
-     "kernel column for fine signal 'b' sums to Fraction(3, 4), expected 1"),
+     "kernel column for fine signal 'b' sums to 3/4, expected 1"),
     ("kernel-column-float", _kernel(((1.0, 0.5), (0.0, 0.25))),
      "kernel column for fine signal 'b' sums to 0.75, expected 1"),
     ("kernel-column-mixed", _kernel(((1.0, h), (0, q))),
-     "kernel column for fine signal 'b' sums to Fraction(3, 4), expected 1"),
+     "kernel column for fine signal 'b' sums to 3/4, expected 1"),
 ]
 
 
@@ -191,10 +191,12 @@ def test_mixed_structure_refuses_a_row_beyond_the_tolerance():
     with pytest.raises(InputError) as info:
         SignalStructure(S2, ("a", "b"), ((h, far), (0.5, 0.5)))
     assert str(info.value) == (
-        f"likelihood row for type index 0: entries sum to {h + far!r}, expected 1"
+        "likelihood row for type index 0: "
+        f"entries sum to {format_number(h + far)}, expected 1"
     )
     with pytest.raises(InputError) as info:
         SignalStructure(S2, ("a", "b"), ((0.5, 0.5), (far, h)))
     assert str(info.value) == (
-        f"likelihood row for type index 1: entries sum to {far + h!r}, expected 1"
+        "likelihood row for type index 1: "
+        f"entries sum to {format_number(far + h)}, expected 1"
     )
