@@ -256,10 +256,7 @@ def _cmd_check(args, mode: str, tol) -> int:
             lines.append(f"perception {label}:")
             lines += ["  " + line for line in report.summary().splitlines()]
     elif claim == "corollary2":
-        s = _need_scenario(obj, claim)
-        report = check_gap_ranking(
-            s.firm, s.p, s.q_i, s.q_j, sig_i=s.fine, sig_j=s.coarse, tol=tol
-        )
+        report = check_gap_ranking(_need_scenario(obj, claim), tol=tol)
         lines, ok = report.summary().splitlines(), report.ok
     elif claim == "narrowing":
         report = check_narrowing(_need_scenario(obj, claim), tol=tol)

@@ -17,12 +17,12 @@ monotone likelihood ratios.
 
 ``decompose`` computes the two parts and both average pays from the
 model's per-signal pay tables (``pay_table``): marginals, unnormalized
-perceived weights and one tie-broken assignment per signal.  The
-remaining conditional probabilities cancel algebraically, so the parts
-come from one pass over the linked (coarse, fine) signal pairs, those
-with a nonzero kernel entry: each pair's perceived value of the kept
-coarse task is read from the fine table's scores and added into
-per-fine and per-coarse sums.  Rational inputs stay exact: the tables
+perceived weights and one assignment per signal, its lowest optimal
+task.  The remaining conditional probabilities cancel algebraically, so
+the parts come from one pass over the linked (coarse, fine) signal
+pairs, those with a nonzero kernel entry: each pair's perceived value
+of the kept coarse task is read from the fine table's scores and added
+into per-fine and per-coarse sums.  Rational inputs stay exact: the tables
 hold Python ints, the kernel enters through its ``number_forms`` (an
 exact instance takes no float kernel), every per-signal sum is an int,
 and each part is one ``Fraction`` sum over signals divided by the
@@ -101,11 +101,13 @@ def decompose(
     coarse: SignalStructure,
     fine: SignalStructure,
     kernel: GarblingKernel | None = None,
-    tie_break: str = "lowest",
     tol: float | None = None,
 ) -> DecompResult:
     """Split the coarse-to-fine pay change for one firm and population.
 
+    Each signal is assigned its lowest optimal task (``pay_table``); the
+    split under the highest is that of ``Firm(firm.tasks[::-1])``, with
+    each assigned task ``k`` read as ``len(firm.tasks) - 1 - k``.
     ``kernel`` may be supplied when the caller already holds a witness;
     otherwise one is computed, and its absence raises ``OrderingError``.
     An exact instance takes an exact kernel only: a float kernel raises
@@ -115,8 +117,8 @@ def decompose(
     if not (p.full_support and q.full_support):
         raise InputError("decomposition requires full-support distributions")
     n_c = coarse.n_signals
-    table_c = pay_table(firm, p, q, coarse, tie_break, "coarse signal")
-    table_f = pay_table(firm, p, q, fine, tie_break, "fine signal")
+    table_c = pay_table(firm, p, q, coarse, what="coarse signal")
+    table_f = pay_table(firm, p, q, fine, what="fine signal")
     rows_f = table_f.rows
     # when exact, every sum below is an int at scale g_scale * (score scale)
     exact, ((g, g_scale), *_) = number_forms(kernel, firm, p, q, fine)
@@ -254,7 +256,6 @@ def check_signs(
     coarse: SignalStructure,
     fine: SignalStructure,
     kernel: GarblingKernel | None = None,
-    tie_break: str = "lowest",
     tol: float | None = None,
 ) -> SignReport:
     """Judge Theorem 1 on one instance.
@@ -265,8 +266,11 @@ def check_signs(
     monotone, the fine structure is MLR, and the perception is
     LR-comparable to the truth.  ``tol`` sets every slack: the claim
     slack and floor (``claim_slacks``) and those of the MLR and LR tests.
+    The theorem holds whichever optimal task the firm keeps at a tied
+    signal; ``decompose`` keeps the lowest, so judging the firm with its
+    tasks reversed judges the other end of every tie.
     """
-    result = decompose(firm, p, q, coarse, fine, kernel, tie_break, tol)
+    result = decompose(firm, p, q, coarse, fine, kernel, tol)
     slack, floor = claim_slacks(
         all_exact((result.total, result.perception_correcting, result.instrumental)),
         tol,

@@ -149,26 +149,21 @@ class GapRankingReport(NamedTuple):
 
 
 def check_gap_ranking(
-    firm: Firm,
-    p: Dist,
-    q_i: Dist,
-    q_j: Dist,
-    sig_i: SignalStructure,
-    sig_j: SignalStructure,
+    scenario: GapScenario,
     kernel: GarblingKernel | None = None,
     tol: float | None = None,
 ) -> GapRankingReport:
     """Rank two groups that differ in perception *and* information.
 
-    The favored group holds the finer structure ``sig_i``; ``kernel``
-    may witness that ``sig_j`` is its garbling, otherwise one is found
-    (``OrderingError`` when none exists).
+    The favored group (``q_i``) holds the scenario's fine structure and
+    the other group (``q_j``) its coarse one; ``kernel`` may witness that
+    the coarse structure is a garbling of the fine one, otherwise one is
+    found (``OrderingError`` when none exists).
     """
-    signs = check_signs(
-        firm, p, q_j, coarse=sig_j, fine=sig_i, kernel=kernel, tol=tol
-    )
+    firm, p, q_i, q_j = scenario.firm, scenario.p, scenario.q_i, scenario.q_j
+    signs = check_signs(firm, p, q_j, scenario.coarse, scenario.fine, kernel, tol=tol)
     decomp = signs.result
-    w_i = average_pay(firm, Population(p, q_i, sig_i))
+    w_i = average_pay(firm, Population(p, q_i, scenario.fine))
     w_j = decomp.w_coarse
     favorableness = w_i - decomp.w_fine
     # check_signs classed q_j against p at this tol: p is LR-above q_j

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .decomposition import SignReport, check_signs, decompose
-from .discrimination import check_gap_ranking, pay_gap
+from .discrimination import GapScenario, check_gap_ranking, pay_gap
 from .errors import InputError
 from .generators import (
     PRNG_ID,
@@ -226,7 +226,7 @@ def _ex1_disc(mode, tol, eq, p1, qi1, qj1):
     fine = fully_informative_structure(space)
     coarse = uninformative_structure(space)
     gap_at_fine = pay_gap(firm, p, q_i, q_j, fine)
-    report = check_gap_ranking(firm, p, q_i, q_j, sig_i=fine, sig_j=coarse, tol=tol)
+    report = check_gap_ranking(GapScenario(firm, p, q_i, q_j, coarse, fine), tol=tol)
     total_gap = report.w_i - report.w_j
     expected = p1 - qj1
     checks = [

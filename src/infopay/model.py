@@ -505,20 +505,15 @@ def _near_max(scores: Sequence[Number], slack: Number) -> list[int]:
     return [i for i, v in enumerate(scores) if v >= floor]
 
 
-def _check_tie_break(tie_break: str) -> None:
-    if tie_break not in ("lowest", "highest"):
-        raise InputError(f"unknown tie_break {tie_break!r}")
-
-
 class SignalRow(NamedTuple):
     """One signal of a pay table, at the table's scales (see ``PayTable``)."""
 
     m_p: Number  # true frequency of the signal
     m_q: Number  # perceived frequency
     weights: list[Number]  # perceived type weights q(t) * P(signal | t)
-    task: int  # tie-broken expected-surplus maximizer under ``weights``
+    task: int  # the lowest-indexed expected-surplus maximizer, ``ties[0]``
     score: Number  # that task's surplus dotted with ``weights``
-    ties: list[int]  # every maximizer under the tie rule; ``task`` is an end
+    ties: list[int]  # every maximizer, ascending; ``ties[-1]`` is the highest
     scores: list[Number]  # every task's surplus dotted with ``weights``
 
 
@@ -545,25 +540,25 @@ def pay_table(
     p: Dist,
     q: Dist,
     sig: SignalStructure,
-    tie_break: str = "lowest",
+    *,
     what: str = "signal",
 ) -> PayTable:
     """Marginals, perceived weights and optimal tasks per signal.
 
     This is the one place that decides which tasks are optimal at a
-    signal: each row holds the tie set and its tie-broken end.  Scores
+    signal: each row holds the tie set and picks its lowest task; the
+    firm with its tasks in reverse order picks the highest.  Scores
     stay unnormalized: dividing by ``m_q > 0`` cannot change an
     argmax, and pay at a signal is ``score / (m_q * surplus_scale)``.
     The table reads the ``number_forms`` of p, q, the likelihoods and the
     surpluses, with p and q joined at the lcm of their two scales.  On
     exact input every product, sum and comparison is then an int
     operation; all scores share one positive scale, so the argmax and
-    its ties are those of the true values.  Exact input breaks ties with
+    its ties are those of the true values.  Exact input finds ties with
     zero slack, other input within ``DEFAULT_TOL * m_q``.  A signal with
     zero true or perceived frequency (float underflow) raises
     ``InputError``; ``what`` names such signals in the message.
     """
-    _check_tie_break(tie_break)
     if not (p.space == q.space == sig.space):
         raise InputError("distributions and signal structure disagree on types")
     if len(firm.tasks[0].surplus) != q.space.size:
@@ -584,7 +579,7 @@ def pay_table(
             )
         scores = [sum(map(mul, weights, a)) for a in surplus]
         ties = _near_max(scores, 0 if exact else DEFAULT_TOL * m_q)
-        task = ties[0] if tie_break == "lowest" else ties[-1]
+        task = ties[0]
         rows.append(SignalRow(m_p, m_q, weights, task, scores[task], ties, scores))
     return PayTable(tuple(rows), exact, freq_scale, surplus_scale)
 

@@ -16,7 +16,7 @@ Tolerance registry (float mode):
   pay table breaks ties on unnormalized scores, so two tasks tie at a
   signal when their scores differ by at most ``DEFAULT_TOL * m_q``
   (``m_q`` the perceived signal frequency): ``DEFAULT_TOL`` on the
-  posterior scale.  The tie-broken task and its own score are used.
+  posterior scale.  The lowest tied task and its own score are used.
 * ``ORDER_TOL``     -- slack scale for stochastic-order cross products.
 * ``LP_TOL``        -- feasibility residual for the garbling program.
 * ``SIGN_TOL``      -- slack when testing signed claims.

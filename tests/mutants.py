@@ -10,12 +10,12 @@ time (``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``) in a
 temporary copy of the tree (``src/``, ``tests/``, ``pyproject.toml`` and
 ``README.md``).
 Each mutant first meets a fast subset, ``tests/test_<module>.py`` when
-that file exists, and a mutant that survives it meets the full tier-1
-suite.  A mutant is killed when the set of failing tests
-differs from the set the unmutated copy fails, so a test that fails by
-design (criterion 7) stays in both runs and is never deselected.  A
-mutant that runs past three times the baseline's time (plus a minute)
-counts as killed too.  The exit status is 1 when some mutant survives.
+that file exists or the files ``FAST`` names for a module without one,
+and a mutant that survives it meets the full tier-1 suite.  A mutant is
+killed when the set of failing tests differs from the set the unmutated
+copy fails, so a test that fails by design (criterion 7) stays in both
+runs and is never deselected.  A mutant that runs past three times the
+baseline's time (plus a minute) counts as killed too.  The exit status is 1 when some mutant survives.
 
 ``--suites`` measures the suites instead of the tests: each mutant runs
 all nine suites (100 trials, seed 1, both modes) and no test, and is
@@ -51,12 +51,6 @@ Known equivalent mutants, which no test can kill:
   float input).  No signal has zero likelihood everywhere, so the
   column's largest entry is positive, and it then passes as well: the
   verdict is the same.
-* ``suites._judge_prop2``: ``report.gap_change > slack`` flipped to
-  ``>=`` after ``not report.star_holds``.  ``star_holds`` is
-  ``gap_fine <= gap_coarse + slack``, so on exact input its negation
-  already means ``gap_change > slack``; on float input the two sides
-  differ only if ``gap_fine - gap_coarse`` rounds to exactly the slack
-  while ``gap_coarse + slack`` rounds below ``gap_fine``.
 * ``examples``: ``res.total < 0`` (ex1-reversal) and ``total_gap < 0``
   (ex1-disc) flipped to ``<=``.  Each check is made only when the
   perception exceeds the truth by more than the equality slack, so the
@@ -89,6 +83,10 @@ FLIP = {
     ast.NotEq: ("!=", "=="),
 }
 ROOT = Path(__file__).resolve().parents[1]
+# fast subsets of the modules that have no tests/test_<module>.py
+FAST = {
+    "numeric": ["tests/test_validation.py", "tests/test_exact_forms.py"],
+}
 
 
 def _offset(line_starts: list[int], lineno: int, col: int) -> int:
@@ -190,7 +188,7 @@ def _test_judge(tree: Path, rel: Path, full_base, full_timeout: float):
     """The tests' verdict on a mutant of ``rel``: the fast subset first,
     then tier-1."""
     guess = Path("tests") / f"test_{rel.stem}.py"
-    fast = [str(guess)] if (tree / guess).exists() else []
+    fast = [str(guess)] if (tree / guess).exists() else FAST.get(rel.stem, [])
     fast_base, fast_secs = failing_tests(tree, fast, None) if fast else (None, 0)
 
     def judge():

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import inspect
 import math
 import pkgutil
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ import pytest
 
 import infopay
 from infopay import InputError
+from infopay.model import pay_table
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(infopay.__path__, "infopay.")
@@ -62,6 +64,21 @@ def test_removed_names_stay_removed(name):
 
 
 
+@pytest.mark.parametrize("func", [pay_table, infopay.decompose, infopay.check_signs])
+def test_the_tie_rule_takes_no_knob(func):
+    # one tie rule, the lowest optimal task; the firm with its tasks
+    # reversed keeps the other end, so no function takes a tie rule
+    assert "tie_break" not in inspect.signature(func).parameters
+
+
+def test_gap_judges_take_a_scenario():
+    # the three gap judges take the scenario their callers hold
+    for judge in (infopay.check_gap_ranking, infopay.check_narrowing):
+        assert list(inspect.signature(judge).parameters) == ["scenario", "kernel", "tol"]
+    params = inspect.signature(infopay.check_nearly_full).parameters
+    assert list(params) == ["scenario", "eps", "tol"]
+
+
 def _judges(mode):
     """Every public function that takes a ``tol``, each called on the
     kink-crossing scenario (or its float twin) with a given ``tol``."""
@@ -91,9 +108,7 @@ def _judges(mode):
         "check_signs": lambda t: infopay.check_signs(
             firm, p, q, coarse, fine, kernel, tol=t
         ),
-        "check_gap_ranking": lambda t: infopay.check_gap_ranking(
-            firm, p, s.q_i, s.q_j, fine, coarse, kernel, tol=t
-        ),
+        "check_gap_ranking": lambda t: infopay.check_gap_ranking(s, kernel, tol=t),
         "check_narrowing": lambda t: infopay.check_narrowing(s, kernel, tol=t),
         "check_nearly_full": lambda t: infopay.check_nearly_full(s, F(1, 2), tol=t),
     }

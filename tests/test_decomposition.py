@@ -158,14 +158,19 @@ def test_accurate_perception_kills_correction_term():
 
 
 def test_tie_break_does_not_change_the_identity():
+    # the firm keeps its lowest optimal task; with the tasks reversed it
+    # keeps the other one, and the identity holds either way
     p = Dist(BIN, (F(1, 2), F(1, 2)))
     q = Dist(BIN, (F(1, 4), F(3, 4)))
     coarse = binary_symmetric_structure(BIN, F(9, 13))  # ties at s0 under q
     fine = binary_symmetric_structure(BIN, F(4, 5))
-    for tie in ("lowest", "highest"):
-        res = decompose(FIRM2, p, q, coarse, fine, tie_break=tie)
+    kept = []
+    for firm in (FIRM2, Firm(FIRM2.tasks[::-1])):
+        res = decompose(firm, p, q, coarse, fine)
         assert res.total == res.perception_correcting + res.instrumental
         assert res.instrumental >= 0
+        kept.append(firm.tasks[res.assignment_coarse[0]])
+    assert kept[0] != kept[1]
 
 
 @pytest.mark.parametrize("side", ["coarse", "fine"])
@@ -400,8 +405,10 @@ def test_parts_match_joint_law_oracle(seed):
 
 def test_decompositions_are_pinned():
     # one digest over exact and float decompositions of the theorem1
-    # suite's arbitrary instance under both tie rules: suite renders show
-    # only pass counts, so a last-bit change in a float part shows here
+    # suite's arbitrary instance at both ends of every tie (the highest
+    # end is the reversed firm's, its assignments read back): suite
+    # renders show only pass counts, so a last-bit change in a float
+    # part shows here
     digest = hashlib.sha256()
     for seed in range(4):
         for trial in range(50):
@@ -411,10 +418,15 @@ def test_decompositions_are_pinned():
             p, q = random_dist(rng, space), random_dist(rng, space)
             fine, coarse, kernel = random_garbling_pair(rng, space)
             exact = (firm, p, q, coarse, fine, kernel)
-            for args in (exact, tuple(obj.to_float() for obj in exact)):
-                for tie_break in ("lowest", "highest"):
-                    res = decompose(*args, tie_break=tie_break)
-                    digest.update(repr(res).encode())
+            last = len(firm.tasks) - 1
+            for firm, *rest in (exact, tuple(obj.to_float() for obj in exact)):
+                digest.update(repr(decompose(firm, *rest)).encode())
+                res = decompose(Firm(firm.tasks[::-1]), *rest)
+                res = res._replace(
+                    assignment_coarse=tuple(last - k for k in res.assignment_coarse),
+                    assignment_fine=tuple(last - k for k in res.assignment_fine),
+                )
+                digest.update(repr(res).encode())
     assert digest.hexdigest() == (
         "bd2c836cd8b136718c0b6b9a5e6d65a4ce96db9e59b92db68fa0db9690f7151c"
     )

@@ -95,7 +95,8 @@ def test_scenario_validates_spaces():
 def test_gap_ranking_within_hypotheses():
     q_i = Dist(BIN, (F(2, 5), F(3, 5)))
     q_j = Dist(BIN, (F(3, 4), F(1, 4)))  # under-perceived vs p = 1/2
-    report = check_gap_ranking(FIRM2, P_HALF, q_i, q_j, sym(F(4, 5)), sym(F(3, 5)))
+    scenario = GapScenario(FIRM2, P_HALF, q_i, q_j, sym(F(3, 5)), sym(F(4, 5)))
+    report = check_gap_ranking(scenario)
     assert report.hypotheses == {
         "monotone_firm": True,
         "favored_structure_mlr": True,
@@ -139,15 +140,13 @@ NEAR_MLR_SCENARIO = GapScenario(
 def test_gap_ranking_judges_mlr_at_tol():
     s = NEAR_MLR_SCENARIO
     for tol, mlr in ((1e-6, True), (None, False)):
-        report = check_gap_ranking(
-            s.firm, s.p, s.q_i, s.q_j, sig_i=s.fine, sig_j=s.coarse, tol=tol
-        )
+        report = check_gap_ranking(s, tol=tol)
         assert report.hypotheses["favored_structure_mlr"] is mlr
 
 
 def test_gap_ranking_requires_ordered_structures():
     with pytest.raises(OrderingError):
-        check_gap_ranking(FIRM2, P_HALF, Q_HI, Q_LO, sym(F(3, 5)), sym(F(4, 5)))
+        check_gap_ranking(showcase(sym(F(4, 5)), sym(F(3, 5))))
 
 
 # -- narrowing -----------------------------------------------------------------
@@ -212,9 +211,10 @@ def test_pairwise_slight_counterexample_fails_slightness():
     assert not is_slightly_more_informative(s.firm, s.q_i, s.fine, s.coarse, kernel)
     assert is_slightly_more_informative(s.firm, s.q_j, s.fine, s.coarse, kernel)
     # no tie selection removes the favored group's instrumental part, so
-    # its pay rises and the gap widens
-    for tie_break, inst in (("lowest", F(4, 65)), ("highest", F(5, 91))):
-        res = decompose(s.firm, s.p, s.q_i, s.coarse, s.fine, tie_break=tie_break)
+    # its pay rises and the gap widens: the reversed firm keeps the other
+    # task at each tie
+    for firm, inst in ((s.firm, F(4, 65)), (Firm(s.firm.tasks[::-1]), F(5, 91))):
+        res = decompose(firm, s.p, s.q_i, s.coarse, s.fine)
         assert res.instrumental == inst
         assert res.total == F(47, 910)
     report = check_narrowing(s)

@@ -4,7 +4,10 @@ On exact input the pay table, ``decompose``, the kernel check
 and ``garble`` clear denominators once and work on Python ints.  The
 Fraction loops they replaced are kept here as the oracle: values must
 be equal and of the same type (``int`` or ``Fraction``), and
-assignments must match under both tie rules.
+assignments must match.  The oracle keeps its own tie rule: the library
+picks the lowest optimal task, and on the firm with its tasks reversed
+it must give the oracle's "highest" rule on the original firm, with each
+task ``k`` read as ``n_tasks - 1 - k``.
 """
 
 from fractions import Fraction as F
@@ -143,6 +146,17 @@ def fraction_garble_rows(fine, kernel):
 # -- helpers -----------------------------------------------------------------------
 
 
+def tie_rules(firm):
+    """(the firm the library judges, the oracle's tie rule on ``firm``,
+    the map from the judged firm's task indices to ``firm``'s), once for
+    each end of the tie sets: the highest end is the reversed firm's."""
+    last = len(firm.tasks) - 1
+    return (
+        (firm, "lowest", lambda k: k),
+        (Firm(firm.tasks[::-1]), "highest", lambda k: last - k),
+    )
+
+
 def same(got, want):
     """Equal value and equal type, elementwise through tuples and lists."""
     if isinstance(want, (tuple, list)):
@@ -195,9 +209,9 @@ def instances(draw):
 def test_pay_table_matches_fraction_oracle(instance):
     firm, p, q, coarse, fine, _ = instance
     for sig in (coarse, fine):
-        for tie_break in ("lowest", "highest"):
-            table = pay_table(firm, p, q, sig, tie_break)
-            want = fraction_pay_table(firm, p, q, sig, tie_break)
+        for judged, rule, back in tie_rules(firm):
+            table = pay_table(judged, p, q, sig)
+            want = fraction_pay_table(firm, p, q, sig, rule)
             assert table.exact
             assert all(
                 type(v) is int
@@ -212,8 +226,11 @@ def test_pay_table_matches_fraction_oracle(instance):
                     row.m_p * f, row.m_q * f, row.score * fs
                 )
                 assert got.weights == [w * f for w in row.weights]
-                assert got.scores == [v * fs for v in row.scores]
-                assert (got.task, got.ties) == (row.task, row.ties)
+                assert [got.scores[back(k)] for k in range(len(got.scores))] == [
+                    v * fs for v in row.scores
+                ]
+                assert back(got.task) == row.task
+                assert sorted(map(back, got.ties)) == row.ties
             same(table_pay(table), fraction_table_pay(want))
             for got, row in zip(table.rows, want):  # the pay at each signal
                 same(F(got.score, got.m_q * table.surplus_scale), row.score / row.m_q)
@@ -229,9 +246,13 @@ def test_pay_table_matches_fraction_oracle(instance):
 @given(instances())
 def test_core_matches_fraction_oracle(instance):
     firm, p, q, coarse, fine, kernel = instance
-    for tie_break in ("lowest", "highest"):
-        got = decompose(firm, p, q, coarse, fine, kernel, tie_break)
-        want, signalwise = fraction_core(firm, p, q, coarse, fine, kernel, tie_break)
+    for judged, rule, back in tie_rules(firm):
+        got = decompose(judged, p, q, coarse, fine, kernel)
+        want, signalwise = fraction_core(firm, p, q, coarse, fine, kernel, rule)
+        got = got._replace(
+            assignment_coarse=tuple(map(back, got.assignment_coarse)),
+            assignment_fine=tuple(map(back, got.assignment_fine)),
+        )
         for field, value in want.items():
             same(getattr(got, field), value)
         same(got.total, want["w_fine"] - want["w_coarse"])

@@ -182,10 +182,10 @@ def test_non_finite_numbers_rejected(build):
 # -- task assignment and pay -------------------------------------------------
 
 
-def belief_row(belief, tie_break="lowest"):
+def belief_row(belief, firm=FIRM2):
     """The pay-table row of the one signal that leaves ``belief`` unchanged."""
     flat = uninformative_structure(belief.space)
-    return pay_table(FIRM2, belief, belief, flat, tie_break).rows[0]
+    return pay_table(firm, belief, belief, flat).rows[0]
 
 
 def test_assign_task_picks_expected_surplus_maximizer():
@@ -197,12 +197,19 @@ def test_assign_task_picks_expected_surplus_maximizer():
 
 def test_assign_task_tie_break():
     # belief 4/7 on the high type makes both tasks worth exactly 4/7
+    # the firm keeps the lowest, ties[0]; with its tasks reversed it
+    # keeps the other end, ties[-1] of the original
     belief = Dist(BIN, (F(3, 7), F(4, 7)))
-    assert belief_row(belief).ties == [0, 1]
-    assert belief_row(belief).task == 0
-    assert belief_row(belief, tie_break="highest").task == 1
-    with pytest.raises(InputError):
-        belief_row(belief, tie_break="middle")
+    row = belief_row(belief)
+    assert row.ties == [0, 1]
+    assert (row.task, row.score) == (row.ties[0], row.scores[0])
+    rev = belief_row(belief, Firm(FIRM2.tasks[::-1]))
+    assert rev.ties == [0, 1]
+    assert FIRM2.tasks[::-1][rev.task] == FIRM2.tasks[row.ties[-1]]
+    # the signal word is keyword-only: a positional tie rule is refused
+    flat = uninformative_structure(BIN)
+    with pytest.raises(TypeError):
+        pay_table(FIRM2, belief, belief, flat, "highest")
 
 
 def test_float_ties_within_default_tol():

@@ -24,6 +24,7 @@ from infopay import decomposition, suites
 from infopay.discrimination import GapScenario, narrowing_counterexamples
 from infopay.garbling import GarblingKernel
 from infopay.generators import trial_rng
+from infopay.instancefile import loads_instance
 from infopay.model import (
     Dist,
     Firm,
@@ -170,19 +171,10 @@ def correction_negated(decompose):
     return variant
 
 
-def correction_negated_under_highest(decompose):
-    def variant(firm, p, q, coarse, fine, kernel=None, tie_break="lowest", tol=None):
-        res = decompose(firm, p, q, coarse, fine, kernel, tie_break, tol)
-        if tie_break == "highest":
-            res = res._replace(perception_correcting=-res.perception_correcting)
-        return res
-    return variant
-
-
 def worst_fine_task(pay_table):
     """Each fine signal's task is its worst one, and its score that task's."""
-    def variant(firm, p, q, sig, tie_break="lowest", what="signal"):
-        table = pay_table(firm, p, q, sig, tie_break, what)
+    def variant(firm, p, q, sig, *, what="signal"):
+        table = pay_table(firm, p, q, sig, what=what)
         if what != "fine signal":
             return table
         rows = []
@@ -242,7 +234,7 @@ CONTROLS = {
     ("theorem1", "decomposition-identity"):
         fault("theorem1", decomposition, "decompose", correction_negated),
     ("theorem1", "identity-other-tiebreak"):
-        fault("theorem1", decomposition, "decompose", correction_negated_under_highest),
+        fault("theorem1", decomposition, "decompose", correction_negated),
     ("theorem1", "instrumental-nonneg"):
         fault("theorem1", decomposition, "pay_table", worst_fine_task),
     ("theorem1", "correction-sign-within-hypotheses"):
@@ -343,3 +335,25 @@ def test_prop3_draw_keeps_looking_past_a_zero_gap(monkeypatch):
     draw = _draw("prop3", trial=29)
     assert gaps[0] == 0 < gaps[-1] == draw[6]
     assert draw[5] is not None
+
+
+# -- counterexamples replay --------------------------------------------------------
+
+
+def test_other_tiebreak_counterexample_is_the_reversed_firm(monkeypatch):
+    # the claim judges the drawn scenario with its firm's tasks reversed,
+    # and its first counterexample is that scenario as a file that
+    # ``check --claim theorem1`` replays
+    monkeypatch.setattr(
+        decomposition, "decompose", correction_negated(decomposition.decompose)
+    )
+    inst = next(
+        d for d in (_draw("theorem1", t) for t in range(50))
+        if d[0].firm.tasks[::-1] != d[0].firm.tasks
+    )
+    book = _Book()
+    suites._judge_theorem1(inst, 0, 0, None, book)
+    _, text = book.claims["identity-other-tiebreak"].first_failure.split("\n", 1)
+    s = inst[0]
+    judged = GapScenario(Firm(s.firm.tasks[::-1]), s.p, s.q_i, s.q_j, s.coarse, s.fine)
+    assert loads_instance(text) == judged
