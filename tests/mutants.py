@@ -85,7 +85,12 @@ FLIP = {
 ROOT = Path(__file__).resolve().parents[1]
 # fast subsets of the modules that have no tests/test_<module>.py
 FAST = {
-    "numeric": ["tests/test_validation.py", "tests/test_exact_forms.py"],
+    "numeric": [
+        "tests/test_validation.py", "tests/test_exact_forms.py",
+        # the two that kill check_tol's ``tol >= 0`` and parse_exact's
+        # exponent bound
+        "tests/test_cli.py", "tests/test_instancefile.py",
+    ],
 }
 
 

@@ -343,17 +343,24 @@ def test_prop3_draw_keeps_looking_past_a_zero_gap(monkeypatch):
 def test_other_tiebreak_counterexample_is_the_reversed_firm(monkeypatch):
     # the claim judges the drawn scenario with its firm's tasks reversed,
     # and its first counterexample is that scenario as a file that
-    # ``check --claim theorem1`` replays
-    monkeypatch.setattr(
-        decomposition, "decompose", correction_negated(decomposition.decompose)
-    )
+    # ``check --claim theorem1`` replays; a correction negated only off
+    # the drawn firm fails this claim and not the drawn firm's identity
     inst = next(
         d for d in (_draw("theorem1", t) for t in range(50))
         if d[0].firm.tasks[::-1] != d[0].firm.tasks
     )
+    s, decompose = inst[0], decomposition.decompose
+
+    def off_the_drawn_firm(firm, *args, **kwargs):
+        res = decompose(firm, *args, **kwargs)
+        if firm == s.firm:
+            return res
+        return res._replace(perception_correcting=-res.perception_correcting)
+
+    monkeypatch.setattr(decomposition, "decompose", off_the_drawn_firm)
     book = _Book()
     suites._judge_theorem1(inst, 0, 0, None, book)
+    assert book.claims["decomposition-identity"].failures == 0
     _, text = book.claims["identity-other-tiebreak"].first_failure.split("\n", 1)
-    s = inst[0]
     judged = GapScenario(Firm(s.firm.tasks[::-1]), s.p, s.q_i, s.q_j, s.coarse, s.fine)
     assert loads_instance(text) == judged
